@@ -18,13 +18,13 @@ import (
 
 	"repro/internal/annotate"
 	"repro/internal/classify"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dedup"
 	"repro/internal/specdoc"
 	"repro/internal/store"
 	"repro/internal/textsim"
 	"repro/internal/timeline"
+	"repro/pkg/domain"
 	corpusprofile "repro/plugins/corpusprofile/intelamd"
 )
 
@@ -210,7 +210,7 @@ func BenchmarkPipelineDedup(b *testing.B) {
 	for _, e := range gt.DB.Errata() {
 		truth[corpus.EntryRef(e)] = e.Key
 	}
-	oracle := func(x, y *core.Erratum) bool {
+	oracle := func(x, y *domain.Erratum) bool {
 		return truth[corpus.EntryRef(x)] != "" && truth[corpus.EntryRef(x)] == truth[corpus.EntryRef(y)]
 	}
 	b.ResetTimer()
@@ -289,7 +289,7 @@ func BenchmarkPipelineDedupParallel(b *testing.B) {
 	for _, e := range gt.DB.Errata() {
 		truth[corpus.EntryRef(e)] = e.Key
 	}
-	oracle := func(x, y *core.Erratum) bool {
+	oracle := func(x, y *domain.Erratum) bool {
 		return truth[corpus.EntryRef(x)] != "" && truth[corpus.EntryRef(x)] == truth[corpus.EntryRef(y)]
 	}
 	for _, w := range benchWorkerCounts() {
@@ -318,10 +318,8 @@ func BenchmarkPipelineDedupParallel(b *testing.B) {
 func BenchmarkPipelineBuildParallel(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run("workers-"+strconv.Itoa(w), func(b *testing.B) {
-			opts := DefaultBuildOptions()
-			opts.Parallelism = w
 			for i := 0; i < b.N; i++ {
-				if _, _, err := Build(opts); err != nil {
+				if _, _, err := Build(WithParallelism(w)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -347,12 +345,12 @@ func BenchmarkPipelineAnnotate(b *testing.B) {
 		b.Fatal(err)
 	}
 	texts := specdoc.WriteAll(gt.DB, specdoc.WriteOptions{})
-	truth := make(map[string]*core.Annotation)
+	truth := make(map[string]*domain.Annotation)
 	for _, e := range gt.DB.Errata() {
 		ann := e.Ann
 		truth[corpus.EntryRef(e)] = &ann
 	}
-	truthFn := func(e *core.Erratum) *core.Annotation { return truth[corpus.EntryRef(e)] }
+	truthFn := func(e *domain.Erratum) *domain.Annotation { return truth[corpus.EntryRef(e)] }
 	engine := classify.NewEngine()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -374,7 +372,7 @@ func BenchmarkPipelineAnnotate(b *testing.B) {
 // BenchmarkPipelineBuild measures the end-to-end build.
 func BenchmarkPipelineBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Build(DefaultBuildOptions()); err != nil {
+		if _, _, err := Build(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -429,7 +427,7 @@ func BenchmarkAblationSimilarityMetrics(b *testing.B) {
 	for _, e := range gt.DB.Errata() {
 		truth[corpus.EntryRef(e)] = e.Key
 	}
-	oracle := func(x, y *core.Erratum) bool {
+	oracle := func(x, y *domain.Erratum) bool {
 		return truth[corpus.EntryRef(x)] != "" && truth[corpus.EntryRef(x)] == truth[corpus.EntryRef(y)]
 	}
 	for _, metric := range []textsim.Metric{
@@ -468,7 +466,7 @@ func BenchmarkAblationDedupLSH(b *testing.B) {
 	for _, e := range gt.DB.Errata() {
 		truth[corpus.EntryRef(e)] = e.Key
 	}
-	oracle := func(x, y *core.Erratum) bool {
+	oracle := func(x, y *domain.Erratum) bool {
 		return truth[corpus.EntryRef(x)] != "" && truth[corpus.EntryRef(x)] == truth[corpus.EntryRef(y)]
 	}
 	for _, useLSH := range []bool{false, true} {
@@ -562,12 +560,12 @@ func BenchmarkAblationAnnotatorError(b *testing.B) {
 		b.Fatal(err)
 	}
 	texts := specdoc.WriteAll(gt.DB, specdoc.WriteOptions{})
-	truth := make(map[string]*core.Annotation)
+	truth := make(map[string]*domain.Annotation)
 	for _, e := range gt.DB.Errata() {
 		ann := e.Ann
 		truth[corpus.EntryRef(e)] = &ann
 	}
-	truthFn := func(e *core.Erratum) *core.Annotation { return truth[corpus.EntryRef(e)] }
+	truthFn := func(e *domain.Erratum) *domain.Annotation { return truth[corpus.EntryRef(e)] }
 	engine := classify.NewEngine()
 	for _, errRate := range []float64{0.02, 0.08, 0.20} {
 		b.Run(fmt2(errRate), func(b *testing.B) {

@@ -6,7 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
+	"repro/pkg/domain"
 )
 
 // Directive is one ranked recommendation of a test-campaign plan: a set
@@ -66,7 +66,7 @@ func (db *Database) PlanCampaign(opts CampaignOptions) []Directive {
 	if opts.MinSupport == 0 {
 		opts.MinSupport = 3
 	}
-	vendors := core.Vendors
+	vendors := domain.Vendors
 	if opts.FocusVendor != nil {
 		vendors = []Vendor{*opts.FocusVendor}
 	}

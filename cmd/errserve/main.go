@@ -76,11 +76,11 @@ import (
 	"time"
 
 	rememberr "repro"
-	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/pipeline"
 	"repro/internal/serve"
 	"repro/internal/store"
+	"repro/pkg/domain"
 )
 
 func main() {
@@ -108,11 +108,11 @@ func main() {
 func run(addr, dbFile string, seed int64, par, cacheSize, shards int, cacheDir, spool string, spoolInterval, timeout time.Duration, useMmap, enablePprof bool) error {
 	reg := rememberr.NewRegistry()
 
-	// build produces a fresh *core.Database from the corpus seed; it
+	// build produces a fresh *domain.Database from the corpus seed; it
 	// backs the initial load, POST /v1/admin/reload and SIGHUP when no
 	// -db file is given, and a rebuild with -cache-dir replays every
 	// unchanged pipeline stage.
-	build := func(context.Context) (*core.Database, error) {
+	build := func(context.Context) (*domain.Database, error) {
 		opts := []rememberr.Option{
 			rememberr.WithSeed(seed),
 			rememberr.WithParallelism(par),
@@ -143,7 +143,7 @@ func run(addr, dbFile string, seed int64, par, cacheSize, shards int, cacheDir, 
 	}
 
 	var rd store.Reader
-	var db *core.Database
+	var db *domain.Database
 	if dbFile != "" {
 		var err error
 		if rd, err = openStore(); err != nil {
@@ -166,7 +166,7 @@ func run(addr, dbFile string, seed int64, par, cacheSize, shards int, cacheDir, 
 	// the spool watcher. ingestMu serializes each Apply with its
 	// SwapDelta so two concurrent ingests cannot install their snapshots
 	// in the wrong order, and guards ingester replacement on reload.
-	newIngester := func(db *core.Database) *ingest.Ingester {
+	newIngester := func(db *domain.Database) *ingest.Ingester {
 		iopts := ingest.Options{Parallelism: par, Observability: reg}
 		if cacheDir != "" {
 			if c, err := pipeline.NewDiskCache(cacheDir); err != nil {
@@ -233,7 +233,7 @@ func run(addr, dbFile string, seed int64, par, cacheSize, shards int, cacheDir, 
 			return r, nil
 		}
 	} else {
-		sopts.Reloader = func(ctx context.Context) (*core.Database, error) {
+		sopts.Reloader = func(ctx context.Context) (*domain.Database, error) {
 			db, err := build(ctx)
 			if err != nil {
 				return nil, err

@@ -121,11 +121,8 @@ func buildDB(fs *flag.FlagSet, args []string) (*rememberr.Database, error) {
 	if *dbFile != "" {
 		return rememberr.Load(*dbFile)
 	}
-	opts := rememberr.DefaultBuildOptions()
-	opts.Seed = *seed
-	opts.Parallelism = *par
-	opts.CacheDir = *cacheDir
-	db, _, err := rememberr.Build(opts)
+	db, _, err := rememberr.Build(rememberr.WithSeed(*seed),
+		rememberr.WithParallelism(*par), rememberr.WithCache(*cacheDir))
 	return db, err
 }
 
@@ -196,7 +193,7 @@ func cmdStats(args []string) error {
 }
 
 func cmdList() error {
-	db, _, err := rememberr.Build(rememberr.DefaultBuildOptions())
+	db, _, err := rememberr.Build()
 	if err != nil {
 		return err
 	}

@@ -13,8 +13,8 @@ import (
 	"log"
 
 	"repro/internal/classify"
-	"repro/internal/core"
 	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 
 	// Wire the built-in rule pack and corpus profile as the defaults.
 	_ "repro/plugins/defaults"
@@ -24,7 +24,7 @@ func main() {
 	engine := classify.NewEngine()
 
 	// A new erratum, as a test engineer would write it.
-	erratum := &core.Erratum{
+	erratum := &domain.Erratum{
 		DocKey: "riscv-xy", ID: "XY042", Seq: 1,
 		Title: "Hart May Hang When Resuming From Deep Sleep During PCIe Traffic",
 		Description: "When the core resumes from the C6 power state and ongoing PCIe traffic " +
@@ -71,13 +71,13 @@ func main() {
 		extended.NumCategories(-1), extended.NumCategories(taxonomy.Trigger))
 
 	// Annotate the erratum against the extended scheme.
-	ann := core.Annotation{
-		Triggers: []core.Item{
+	ann := domain.Annotation{
+		Triggers: []domain.Item{
 			{Category: "Trg_POW_pwc", Concrete: "the core resumes from the C6 power state"},
 			{Category: "Trg_EXT_pci", Concrete: "ongoing PCIe traffic is present on the link"},
 			{Category: "Trg_CLIC_nst", Concrete: "a CLIC interrupt preempts the resume sequence"},
 		},
-		Effects: []core.Item{{Category: "Eff_HNG_hng", Concrete: "the hart hangs"}},
+		Effects: []domain.Item{{Category: "Eff_HNG_hng", Concrete: "the hart hangs"}},
 	}
 	if err := ann.Validate(extended); err != nil {
 		log.Fatal(err)

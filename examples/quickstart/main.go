@@ -8,7 +8,7 @@ import (
 	"log"
 
 	rememberr "repro"
-	"repro/internal/core"
+	"repro/pkg/domain"
 )
 
 func main() {
@@ -16,7 +16,7 @@ func main() {
 	// deduplication, classification with simulated four-eyes
 	// annotation, and disclosure-date inference. The seed makes the
 	// database reproducible bit for bit.
-	db, rep, err := rememberr.Build(rememberr.DefaultBuildOptions())
+	db, rep, err := rememberr.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,5 +53,5 @@ func main() {
 	fmt.Printf("ID: %s\nTitle: %s\nDescription: %s\nWorkaround: %s\nStatus: %s\n\n",
 		target.ID, target.Title, target.Description, target.Workaround, target.Status)
 	fmt.Println("--- proposed format (Table VII) ---")
-	fmt.Print(core.Structure(target).Render())
+	fmt.Print(domain.Structure(target).Render())
 }

@@ -7,10 +7,10 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/heredity"
 	"repro/internal/report"
 	"repro/internal/timeline"
+	"repro/pkg/domain"
 	corpusprofile "repro/plugins/corpusprofile/intelamd"
 )
 
@@ -209,7 +209,7 @@ func (x *Experiments) Table7() *Experiment {
 		ex.Checks = append(ex.Checks, check("erratum with all three dimensions", false, "none found"))
 		return ex
 	}
-	s := core.Structure(target)
+	s := domain.Structure(target)
 	ex.Text = s.Render()
 	ex.Checks = append(ex.Checks,
 		check("structured format valid", s.Validate(x.db.Scheme()) == nil, "%s", s.ID),
@@ -445,20 +445,20 @@ func (x *Experiments) Figure6() *Experiment {
 	var b strings.Builder
 	var svgBars []report.Bar
 	noneFrac := map[Vendor]float64{}
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		var bars []report.Bar
 		total := 0
-		for _, cat := range core.WorkaroundCategories {
+		for _, cat := range domain.WorkaroundCategories {
 			total += w[v][cat]
 		}
-		for _, cat := range core.WorkaroundCategories {
+		for _, cat := range domain.WorkaroundCategories {
 			n := w[v][cat]
 			bars = append(bars, report.Bar{
 				Label: cat.String(), Value: float64(n),
 				Note: fmt.Sprintf("(%.1f%%)", 100*float64(n)/float64(total)),
 			})
 		}
-		noneFrac[v] = float64(w[v][core.WorkaroundNone]) / float64(total)
+		noneFrac[v] = float64(w[v][domain.WorkaroundNone]) / float64(total)
 		b.WriteString(report.BarChart(v.String(), bars, 40))
 		b.WriteString("\n")
 		for _, bar := range bars {
@@ -633,7 +633,7 @@ func (x *Experiments) Figure10() *Experiment {
 	var b strings.Builder
 	var svgBars []report.Bar
 	topSets := map[Vendor][]string{}
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		var bars []report.Bar
 		for i, cc := range freq[v] {
 			if i >= 12 {
@@ -891,7 +891,7 @@ func (x *Experiments) Figure16() *Experiment {
 
 func renderBreakdown(br map[Vendor][]analysis.CategoryShare) string {
 	var b strings.Builder
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		var bars []report.Bar
 		for _, s := range br[v] {
 			bars = append(bars, report.Bar{
@@ -907,7 +907,7 @@ func renderBreakdown(br map[Vendor][]analysis.CategoryShare) string {
 
 func breakdownSVG(title string, br map[Vendor][]analysis.CategoryShare) string {
 	var bars []report.Bar
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		for _, s := range br[v] {
 			bars = append(bars, report.Bar{
 				Label: v.String() + " / " + s.Category,
@@ -939,7 +939,7 @@ func (x *Experiments) Figure17() *Experiment {
 	var b strings.Builder
 	var svgBars []report.Bar
 	topIsVMG := true
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		var bars []report.Bar
 		for _, cc := range freq[v] {
 			bars = append(bars, report.Bar{Label: cc.Category, Value: float64(cc.Count)})
@@ -969,7 +969,7 @@ func (x *Experiments) Figure18() *Experiment {
 	var b strings.Builder
 	var svgBars []report.Bar
 	topOK := true
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		var bars []report.Bar
 		for i, cc := range freq[v] {
 			if i >= 10 {
@@ -1010,7 +1010,7 @@ func (x *Experiments) Figure19() *Experiment {
 	var svgBars []report.Bar
 	mcaTop := true
 	var mcaShares []float64
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		var bars []report.Bar
 		for i, mc := range freq[v] {
 			if i >= 8 {

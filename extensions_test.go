@@ -193,9 +193,7 @@ func TestCrossSeedRobustness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("expensive: builds a second database")
 	}
-	opts := DefaultBuildOptions()
-	opts.Seed = 99
-	db, _, err := Build(opts)
+	db, _, err := Build(WithSeed(99))
 	if err != nil {
 		t.Fatal(err)
 	}

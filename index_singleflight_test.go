@@ -4,9 +4,9 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/index"
+	"repro/pkg/domain"
 )
 
 // TestBuildIndexSingleflight holds one index construction open and
@@ -25,7 +25,7 @@ func TestBuildIndexSingleflight(t *testing.T) {
 	var builds int
 	leaderDone := make(chan *index.Index, 1)
 	go func() {
-		leaderDone <- db.buildIndexWith(func(c *core.Database) *index.Index {
+		leaderDone <- db.buildIndexWith(func(c *domain.Database) *index.Index {
 			builds++
 			close(entered)
 			<-gate
@@ -48,7 +48,7 @@ func TestBuildIndexSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = db.buildIndexWith(func(*core.Database) *index.Index {
+			results[i] = db.buildIndexWith(func(*domain.Database) *index.Index {
 				t.Error("joiner executed its own index build")
 				return nil
 			})

@@ -11,8 +11,8 @@ package analysis
 import (
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // CategoryCount is a category with its number of unique errata.
@@ -38,9 +38,9 @@ func sortCounts(m map[string]int) []CategoryCount {
 
 // FrequentCategories counts, per vendor, how many unique errata carry
 // each abstract category of the given kind (Figures 10, 17 and 18).
-func FrequentCategories(db *core.Database, k taxonomy.Kind) map[core.Vendor][]CategoryCount {
-	out := make(map[core.Vendor][]CategoryCount)
-	for _, v := range core.Vendors {
+func FrequentCategories(db *domain.Database, k taxonomy.Kind) map[domain.Vendor][]CategoryCount {
+	out := make(map[domain.Vendor][]CategoryCount)
+	for _, v := range domain.Vendors {
 		counts := make(map[string]int)
 		for _, e := range db.UniqueVendor(v) {
 			for _, cat := range e.Ann.Categories(k, db.Scheme) {
@@ -54,10 +54,10 @@ func FrequentCategories(db *core.Database, k taxonomy.Kind) map[core.Vendor][]Ca
 
 // Workarounds counts unique errata per workaround category and vendor
 // (Figure 6).
-func Workarounds(db *core.Database) map[core.Vendor]map[core.WorkaroundCategory]int {
-	out := make(map[core.Vendor]map[core.WorkaroundCategory]int)
-	for _, v := range core.Vendors {
-		m := make(map[core.WorkaroundCategory]int)
+func Workarounds(db *domain.Database) map[domain.Vendor]map[domain.WorkaroundCategory]int {
+	out := make(map[domain.Vendor]map[domain.WorkaroundCategory]int)
+	for _, v := range domain.Vendors {
+		m := make(map[domain.WorkaroundCategory]int)
 		for _, e := range db.UniqueVendor(v) {
 			m[e.WorkaroundCat]++
 		}
@@ -70,7 +70,7 @@ func Workarounds(db *core.Database) map[core.Vendor]map[core.WorkaroundCategory]
 type FixCount struct {
 	DocKey  string
 	Label   string
-	Vendor  core.Vendor
+	Vendor  domain.Vendor
 	Fixed   int
 	Planned int
 	Unfixed int
@@ -81,15 +81,15 @@ func (f FixCount) Total() int { return f.Fixed + f.Planned + f.Unfixed }
 
 // Fixes counts fixed vs unfixed bugs per document (Figure 7; all
 // entries, since fixing is per design).
-func Fixes(db *core.Database) []FixCount {
+func Fixes(db *domain.Database) []FixCount {
 	var out []FixCount
 	for _, d := range db.Documents() {
 		fc := FixCount{DocKey: d.Key, Label: d.Label, Vendor: d.Vendor}
 		for _, e := range d.Errata {
 			switch e.Fix {
-			case core.FixDone:
+			case domain.FixDone:
 				fc.Fixed++
-			case core.FixPlanned:
+			case domain.FixPlanned:
 				fc.Planned++
 			default:
 				fc.Unfixed++
@@ -140,9 +140,9 @@ func (t TriggerCounts) ExcludedFraction() float64 {
 
 // TriggerCountHistogram computes Figure 11 over unique errata of both
 // vendors combined; pass a single vendor via vendors to restrict.
-func TriggerCountHistogram(db *core.Database, vendors ...core.Vendor) TriggerCounts {
+func TriggerCountHistogram(db *domain.Database, vendors ...domain.Vendor) TriggerCounts {
 	if len(vendors) == 0 {
-		vendors = core.Vendors
+		vendors = domain.Vendors
 	}
 	tc := TriggerCounts{PerCount: make(map[int]int)}
 	for _, v := range vendors {
@@ -227,7 +227,7 @@ func (c *Correlation) TopPairs(n int) []struct {
 
 // TriggerCorrelation computes Figure 12 over the unique errata of both
 // vendors.
-func TriggerCorrelation(db *core.Database) *Correlation {
+func TriggerCorrelation(db *domain.Database) *Correlation {
 	cats := db.Scheme.CategoryIDs(taxonomy.Trigger)
 	c := &Correlation{
 		Categories: cats,
@@ -238,7 +238,7 @@ func TriggerCorrelation(db *core.Database) *Correlation {
 		c.Counts[i] = make([]int, len(cats))
 		c.index[cat] = i
 	}
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		for _, e := range db.UniqueVendor(v) {
 			present := e.Ann.Categories(taxonomy.Trigger, db.Scheme)
 			for x := 0; x < len(present); x++ {
@@ -270,9 +270,9 @@ type GenerationClasses struct {
 
 // ClassesOverGenerations computes Figure 13: trigger classes per Intel
 // document.
-func ClassesOverGenerations(db *core.Database) []GenerationClasses {
+func ClassesOverGenerations(db *domain.Database) []GenerationClasses {
 	var out []GenerationClasses
-	for _, d := range db.VendorDocuments(core.Intel) {
+	for _, d := range db.VendorDocuments(domain.Intel) {
 		gc := GenerationClasses{
 			DocKey: d.Key, Label: d.Label, GenIndex: d.GenIndex,
 			Classes: make(map[string]int),
@@ -303,9 +303,9 @@ type ClassShare struct {
 // ClassRepresentation computes, per vendor, the share of each class
 // among all annotated items of the kind (Figure 14 for triggers): the
 // total number of triggers over all unique errata, grouped by class.
-func ClassRepresentation(db *core.Database, k taxonomy.Kind) map[core.Vendor][]ClassShare {
-	out := make(map[core.Vendor][]ClassShare)
-	for _, v := range core.Vendors {
+func ClassRepresentation(db *domain.Database, k taxonomy.Kind) map[domain.Vendor][]ClassShare {
+	out := make(map[domain.Vendor][]ClassShare)
+	for _, v := range domain.Vendors {
 		counts := make(map[string]int)
 		total := 0
 		for _, e := range db.UniqueVendor(v) {
@@ -338,14 +338,14 @@ type CategoryShare struct {
 // ClassBreakdown computes, per vendor, the relative representation of
 // the abstract categories inside one class (Figures 15 and 16 for
 // Trg_EXT and Trg_FEA).
-func ClassBreakdown(db *core.Database, classID string) map[core.Vendor][]CategoryShare {
+func ClassBreakdown(db *domain.Database, classID string) map[domain.Vendor][]CategoryShare {
 	kind, _, _, err := taxonomy.Parse(classID)
 	if err != nil {
 		return nil
 	}
 	catIDs := db.Scheme.CategoriesOf(classID)
-	out := make(map[core.Vendor][]CategoryShare)
-	for _, v := range core.Vendors {
+	out := make(map[domain.Vendor][]CategoryShare)
+	for _, v := range domain.Vendors {
 		counts := make(map[string]int)
 		total := 0
 		for _, e := range db.UniqueVendor(v) {
@@ -380,9 +380,9 @@ type MSRCount struct {
 
 // MSRFrequency computes Figure 19: the most frequent MSRs containing
 // observable effects, per vendor, as a fraction of unique errata.
-func MSRFrequency(db *core.Database) map[core.Vendor][]MSRCount {
-	out := make(map[core.Vendor][]MSRCount)
-	for _, v := range core.Vendors {
+func MSRFrequency(db *domain.Database) map[domain.Vendor][]MSRCount {
+	out := make(map[domain.Vendor][]MSRCount)
+	for _, v := range domain.Vendors {
 		unique := db.UniqueVendor(v)
 		counts := make(map[string]int)
 		for _, e := range unique {

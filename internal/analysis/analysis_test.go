@@ -4,60 +4,64 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // buildDB builds a small annotated database with known statistics.
-func buildDB(t *testing.T) *core.Database {
+func buildDB(t *testing.T) *domain.Database {
 	t.Helper()
-	db := core.NewDatabase()
-	ann := func(trgs, ctxs, effs []string, msrs ...string) core.Annotation {
-		var a core.Annotation
+	db := domain.NewDatabase(taxonomy.Base())
+	ann := func(trgs, ctxs, effs []string, msrs ...string) domain.Annotation {
+		var a domain.Annotation
 		for _, c := range trgs {
-			a.Triggers = append(a.Triggers, core.Item{Category: c})
+			a.Triggers = append(a.Triggers, domain.Item{Category: c})
 		}
 		for _, c := range ctxs {
-			a.Contexts = append(a.Contexts, core.Item{Category: c})
+			a.Contexts = append(a.Contexts, domain.Item{Category: c})
 		}
 		for _, c := range effs {
-			a.Effects = append(a.Effects, core.Item{Category: c})
+			a.Effects = append(a.Effects, domain.Item{Category: c})
 		}
 		a.MSRs = msrs
 		return a
 	}
-	intel := &core.Document{
-		Key: "intel-06", Vendor: core.Intel, Label: "6", Order: 0, GenIndex: 6,
-		Errata: []*core.Erratum{
+	intel := &domain.Document{
+		Key: "intel-06", Vendor: domain.Intel, Label: "6", Order: 0, GenIndex: 6,
+		Errata: []*domain.Erratum{
 			{DocKey: "intel-06", ID: "S1", Seq: 1, Key: "K1",
 				Ann:           ann([]string{"Trg_CFG_wrg", "Trg_POW_tht"}, []string{"Ctx_PRV_vmg"}, []string{"Eff_CRP_reg"}, "MCx_STATUS"),
-				WorkaroundCat: core.WorkaroundNone, Fix: core.FixNone},
+				WorkaroundCat: domain.WorkaroundNone, Fix: domain.FixNone},
 			{DocKey: "intel-06", ID: "S2", Seq: 2, Key: "K2",
 				Ann:           ann([]string{"Trg_POW_pwc"}, nil, []string{"Eff_HNG_hng"}),
-				WorkaroundCat: core.WorkaroundBIOS, Fix: core.FixDone},
+				WorkaroundCat: domain.WorkaroundBIOS, Fix: domain.FixDone},
 			{DocKey: "intel-06", ID: "S3", Seq: 3, Key: "K3",
-				Ann:           func() core.Annotation { a := ann(nil, nil, []string{"Eff_HNG_unp"}); a.TrivialTrigger = true; return a }(),
-				WorkaroundCat: core.WorkaroundSoftware, Fix: core.FixNone},
+				Ann: func() domain.Annotation {
+					a := ann(nil, nil, []string{"Eff_HNG_unp"})
+					a.TrivialTrigger = true
+					return a
+				}(),
+				WorkaroundCat: domain.WorkaroundSoftware, Fix: domain.FixNone},
 		},
 	}
-	intel2 := &core.Document{
-		Key: "intel-07", Vendor: core.Intel, Label: "7/8", Order: 1, GenIndex: 7,
-		Errata: []*core.Erratum{
+	intel2 := &domain.Document{
+		Key: "intel-07", Vendor: domain.Intel, Label: "7/8", Order: 1, GenIndex: 7,
+		Errata: []*domain.Erratum{
 			// Duplicate of K1: must not be double-counted in unique studies.
 			{DocKey: "intel-07", ID: "T1", Seq: 1, Key: "K1",
 				Ann:           ann([]string{"Trg_CFG_wrg", "Trg_POW_tht"}, []string{"Ctx_PRV_vmg"}, []string{"Eff_CRP_reg"}, "MCx_STATUS"),
-				WorkaroundCat: core.WorkaroundNone, Fix: core.FixPlanned},
+				WorkaroundCat: domain.WorkaroundNone, Fix: domain.FixPlanned},
 		},
 	}
-	amd := &core.Document{
-		Key: "amd-19h-00", Vendor: core.AMD, Label: "19h 00-0F", Order: 0,
-		Errata: []*core.Erratum{
+	amd := &domain.Document{
+		Key: "amd-19h-00", Vendor: domain.AMD, Label: "19h 00-0F", Order: 0,
+		Errata: []*domain.Erratum{
 			{DocKey: "amd-19h-00", ID: "1001", Seq: 1, Key: "A-1001",
 				Ann:           ann([]string{"Trg_EXT_bus"}, []string{"Ctx_PRV_vmg"}, []string{"Eff_HNG_hng"}),
-				WorkaroundCat: core.WorkaroundNone, Fix: core.FixNone},
+				WorkaroundCat: domain.WorkaroundNone, Fix: domain.FixNone},
 		},
 	}
-	for _, d := range []*core.Document{intel, intel2, amd} {
+	for _, d := range []*domain.Document{intel, intel2, amd} {
 		if err := db.Add(d); err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +72,7 @@ func buildDB(t *testing.T) *core.Database {
 func TestFrequentCategories(t *testing.T) {
 	db := buildDB(t)
 	freq := FrequentCategories(db, taxonomy.Trigger)
-	intel := freq[core.Intel]
+	intel := freq[domain.Intel]
 	if len(intel) != 3 {
 		t.Fatalf("intel triggers = %v", intel)
 	}
@@ -80,24 +84,24 @@ func TestFrequentCategories(t *testing.T) {
 	if counts["Trg_CFG_wrg"] != 1 || counts["Trg_POW_tht"] != 1 || counts["Trg_POW_pwc"] != 1 {
 		t.Errorf("intel counts = %v", counts)
 	}
-	if len(freq[core.AMD]) != 1 || freq[core.AMD][0].Category != "Trg_EXT_bus" {
-		t.Errorf("amd = %v", freq[core.AMD])
+	if len(freq[domain.AMD]) != 1 || freq[domain.AMD][0].Category != "Trg_EXT_bus" {
+		t.Errorf("amd = %v", freq[domain.AMD])
 	}
 	ctx := FrequentCategories(db, taxonomy.Context)
-	if ctx[core.Intel][0].Category != "Ctx_PRV_vmg" || ctx[core.Intel][0].Count != 1 {
-		t.Errorf("contexts = %v", ctx[core.Intel])
+	if ctx[domain.Intel][0].Category != "Ctx_PRV_vmg" || ctx[domain.Intel][0].Count != 1 {
+		t.Errorf("contexts = %v", ctx[domain.Intel])
 	}
 }
 
 func TestWorkarounds(t *testing.T) {
 	db := buildDB(t)
 	w := Workarounds(db)
-	if w[core.Intel][core.WorkaroundNone] != 1 || w[core.Intel][core.WorkaroundBIOS] != 1 ||
-		w[core.Intel][core.WorkaroundSoftware] != 1 {
-		t.Errorf("intel workarounds = %v", w[core.Intel])
+	if w[domain.Intel][domain.WorkaroundNone] != 1 || w[domain.Intel][domain.WorkaroundBIOS] != 1 ||
+		w[domain.Intel][domain.WorkaroundSoftware] != 1 {
+		t.Errorf("intel workarounds = %v", w[domain.Intel])
 	}
-	if w[core.AMD][core.WorkaroundNone] != 1 {
-		t.Errorf("amd workarounds = %v", w[core.AMD])
+	if w[domain.AMD][domain.WorkaroundNone] != 1 {
+		t.Errorf("amd workarounds = %v", w[domain.AMD])
 	}
 }
 
@@ -139,7 +143,7 @@ func TestTriggerCountHistogram(t *testing.T) {
 	if f := tc.ExcludedFraction(); math.Abs(f-0.25) > 1e-9 {
 		t.Errorf("excluded fraction = %v, want 0.25", f)
 	}
-	intelOnly := TriggerCountHistogram(db, core.Intel)
+	intelOnly := TriggerCountHistogram(db, domain.Intel)
 	if intelOnly.Total != 3 {
 		t.Errorf("intel total = %d", intelOnly.Total)
 	}
@@ -184,7 +188,7 @@ func TestClassesOverGenerations(t *testing.T) {
 func TestClassRepresentation(t *testing.T) {
 	db := buildDB(t)
 	rep := ClassRepresentation(db, taxonomy.Trigger)
-	intel := rep[core.Intel]
+	intel := rep[domain.Intel]
 	shares := map[string]float64{}
 	for _, s := range intel {
 		shares[s.Class] = s.Share
@@ -193,7 +197,7 @@ func TestClassRepresentation(t *testing.T) {
 	if math.Abs(shares["Trg_CFG"]-1.0/3.0) > 1e-9 || math.Abs(shares["Trg_POW"]-2.0/3.0) > 1e-9 {
 		t.Errorf("intel shares = %v", shares)
 	}
-	amd := rep[core.AMD]
+	amd := rep[domain.AMD]
 	for _, s := range amd {
 		if s.Class == "Trg_EXT" && s.Share != 1 {
 			t.Errorf("amd EXT share = %v", s.Share)
@@ -204,7 +208,7 @@ func TestClassRepresentation(t *testing.T) {
 func TestClassBreakdown(t *testing.T) {
 	db := buildDB(t)
 	br := ClassBreakdown(db, "Trg_EXT")
-	amd := br[core.AMD]
+	amd := br[domain.AMD]
 	found := false
 	for _, s := range amd {
 		if s.Category == "Trg_EXT_bus" {
@@ -225,14 +229,14 @@ func TestClassBreakdown(t *testing.T) {
 func TestMSRFrequency(t *testing.T) {
 	db := buildDB(t)
 	freq := MSRFrequency(db)
-	intel := freq[core.Intel]
+	intel := freq[domain.Intel]
 	if len(intel) != 1 || intel[0].MSR != "MCx_STATUS" || intel[0].Count != 1 {
 		t.Errorf("intel MSRs = %v", intel)
 	}
 	if math.Abs(intel[0].Share-1.0/3.0) > 1e-9 {
 		t.Errorf("share = %v, want 1/3", intel[0].Share)
 	}
-	if len(freq[core.AMD]) != 0 {
-		t.Errorf("amd MSRs = %v", freq[core.AMD])
+	if len(freq[domain.AMD]) != 0 {
+		t.Errorf("amd MSRs = %v", freq[domain.AMD])
 	}
 }

@@ -3,7 +3,6 @@ package analysis
 import (
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
@@ -55,7 +54,7 @@ var effectSeverity = map[string]Severity{
 
 // Grade returns the conservative (maximum) severity over an erratum's
 // effects.
-func Grade(e *core.Erratum, scheme domain.Scheme) Severity {
+func Grade(e *domain.Erratum, scheme domain.Scheme) Severity {
 	max := SeverityUnknown
 	for _, it := range e.Ann.Effects {
 		if s := effectSeverity[scheme.ClassOf(it.Category)]; s > max {
@@ -68,7 +67,7 @@ func Grade(e *core.Erratum, scheme domain.Scheme) Severity {
 // SeverityBreakdown is the per-vendor severity histogram with the
 // user-mode security refinement.
 type SeverityBreakdown struct {
-	Vendor core.Vendor
+	Vendor domain.Vendor
 	// Counts maps severities to unique-errata counts.
 	Counts map[Severity]int
 	// GuestReachableFatal counts fatal bugs triggerable from a virtual
@@ -80,9 +79,9 @@ type SeverityBreakdown struct {
 
 // Severities computes the conservative severity breakdown per vendor
 // over unique errata.
-func Severities(db *core.Database) []SeverityBreakdown {
+func Severities(db *domain.Database) []SeverityBreakdown {
 	var out []SeverityBreakdown
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		b := SeverityBreakdown{Vendor: v, Counts: make(map[Severity]int)}
 		for _, e := range db.UniqueVendor(v) {
 			s := Grade(e, db.Scheme)
@@ -100,8 +99,8 @@ func Severities(db *core.Database) []SeverityBreakdown {
 // MostCritical returns the n most critical unique errata of a vendor:
 // fatal first, then by the number of distinct effects (more ways to go
 // wrong), stably by key.
-func MostCritical(db *core.Database, v core.Vendor, n int) []*core.Erratum {
-	errata := append([]*core.Erratum(nil), db.UniqueVendor(v)...)
+func MostCritical(db *domain.Database, v domain.Vendor, n int) []*domain.Erratum {
+	errata := append([]*domain.Erratum(nil), db.UniqueVendor(v)...)
 	sort.SliceStable(errata, func(i, j int) bool {
 		si, sj := Grade(errata[i], db.Scheme), Grade(errata[j], db.Scheme)
 		if si != sj {

@@ -3,16 +3,16 @@ package analysis
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 func TestGrade(t *testing.T) {
 	scheme := taxonomy.Base()
-	mk := func(effects ...string) *core.Erratum {
-		e := &core.Erratum{}
+	mk := func(effects ...string) *domain.Erratum {
+		e := &domain.Erratum{}
 		for _, c := range effects {
-			e.Ann.Effects = append(e.Ann.Effects, core.Item{Category: c})
+			e.Ann.Effects = append(e.Ann.Effects, domain.Item{Category: c})
 		}
 		return e
 	}
@@ -52,7 +52,7 @@ func TestSeveritiesAndMostCritical(t *testing.T) {
 		t.Fatalf("breakdowns = %d", len(breakdowns))
 	}
 	intel := breakdowns[0]
-	if intel.Vendor != core.Intel {
+	if intel.Vendor != domain.Intel {
 		t.Fatalf("order wrong: %v", intel.Vendor)
 	}
 	// buildDB: K1 has Eff_CRP_reg (corrupting), K2 Eff_HNG_hng (fatal),
@@ -69,14 +69,14 @@ func TestSeveritiesAndMostCritical(t *testing.T) {
 		t.Errorf("amd breakdown = %+v", amd)
 	}
 
-	top := MostCritical(db, core.Intel, 2)
+	top := MostCritical(db, domain.Intel, 2)
 	if len(top) != 2 {
 		t.Fatalf("top = %v", top)
 	}
 	if Grade(top[0], db.Scheme) != SeverityFatal {
 		t.Errorf("top severity = %v", Grade(top[0], db.Scheme))
 	}
-	all := MostCritical(db, core.Intel, 0)
+	all := MostCritical(db, domain.Intel, 0)
 	if len(all) != 3 {
 		t.Errorf("unlimited top = %d", len(all))
 	}

@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"repro/internal/classify"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/taxonomy"
 	"repro/pkg/domain"
@@ -33,7 +32,7 @@ import (
 // Truth supplies the ground-truth annotation for an erratum — the role
 // played by careful human reading in the paper. It returns nil when no
 // truth is known, in which case undecided pairs resolve to exclude.
-type Truth func(e *core.Erratum) *core.Annotation
+type Truth func(e *domain.Erratum) *domain.Annotation
 
 // Options configures the protocol simulation.
 type Options struct {
@@ -115,7 +114,7 @@ type Result struct {
 // simulates the four-eyes protocol on the undecided pairs, and writes
 // the resulting annotations back to the database (propagating each
 // unique erratum's annotation to all of its duplicate occurrences).
-func Run(db *core.Database, engine *classify.Engine, truth Truth, opts Options) (*Result, error) {
+func Run(db *domain.Database, engine *classify.Engine, truth Truth, opts Options) (*Result, error) {
 	if opts.Steps <= 0 {
 		return nil, fmt.Errorf("annotate: Steps must be positive")
 	}
@@ -132,7 +131,7 @@ func Run(db *core.Database, engine *classify.Engine, truth Truth, opts Options) 
 
 	// The paper classified Intel errata first, then AMD (Figure 9 is
 	// chronological in that order).
-	uniques := append(db.UniqueVendor(core.Intel), db.UniqueVendor(core.AMD)...)
+	uniques := append(db.UniqueVendor(domain.Intel), db.UniqueVendor(domain.AMD)...)
 
 	// Classify everything up front. The regex stage dominates the
 	// pipeline cost and is embarrassingly parallel; the reports are
@@ -159,7 +158,7 @@ func Run(db *core.Database, engine *classify.Engine, truth Truth, opts Options) 
 		var posA, posB, bothPos, bothNeg int
 		for i := start; i < end; i++ {
 			e, rep := uniques[i], reports[i]
-			var truthAnn *core.Annotation
+			var truthAnn *domain.Annotation
 			if truth != nil {
 				truthAnn = truth(e)
 			}
@@ -216,7 +215,7 @@ func Run(db *core.Database, engine *classify.Engine, truth Truth, opts Options) 
 }
 
 // classifyAll runs the engine over the errata with a worker pool.
-func classifyAll(engine *classify.Engine, errata []*core.Erratum, workers int) []*classify.Report {
+func classifyAll(engine *classify.Engine, errata []*domain.Erratum, workers int) []*classify.Report {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -284,7 +283,7 @@ func decide(rng *rand.Rand, truth bool, errRate float64) bool {
 	return truth
 }
 
-func truthHas(ann *core.Annotation, cat string) bool {
+func truthHas(ann *domain.Annotation, cat string) bool {
 	if ann == nil {
 		return false
 	}
@@ -292,7 +291,7 @@ func truthHas(ann *core.Annotation, cat string) bool {
 }
 
 // truthConcrete returns the ground-truth concrete text for a category.
-func truthConcrete(ann *core.Annotation, cat string) (string, bool) {
+func truthConcrete(ann *domain.Annotation, cat string) (string, bool) {
 	if ann == nil {
 		return "", false
 	}
@@ -309,14 +308,14 @@ func truthConcrete(ann *core.Annotation, cat string) (string, bool) {
 // applyAnnotation writes the final (post-discussion) annotation of one
 // unique erratum: auto-included categories plus undecided categories
 // resolved to the truth.
-func applyAnnotation(e *core.Erratum, rep *classify.Report, truthAnn *core.Annotation, scheme domain.Scheme) {
-	var ann core.Annotation
+func applyAnnotation(e *domain.Erratum, rep *classify.Report, truthAnn *domain.Annotation, scheme domain.Scheme) {
+	var ann domain.Annotation
 	add := func(cat, concrete string) {
 		c, ok := scheme.Category(cat)
 		if !ok {
 			return
 		}
-		item := core.Item{Category: cat, Concrete: concrete}
+		item := domain.Item{Category: cat, Concrete: concrete}
 		switch c.Kind {
 		case taxonomy.Trigger:
 			ann.Triggers = append(ann.Triggers, item)
@@ -361,14 +360,14 @@ func filterKnownMSRs(msrs []string) []string {
 // occurrences of its cluster, and classifies the per-occurrence
 // workaround and status fields (which can legitimately differ across
 // occurrences, e.g. a later stepping fixes the bug).
-func propagate(db *core.Database, engine *classify.Engine) {
-	repAnn := make(map[string]core.Annotation)
+func propagate(db *domain.Database, engine *classify.Engine) {
+	repAnn := make(map[string]domain.Annotation)
 	for _, e := range db.Unique() {
 		if e.Key != "" {
 			repAnn[vendorKey(e)] = e.Ann
 		}
 	}
-	uniqueSet := make(map[*core.Erratum]bool)
+	uniqueSet := make(map[*domain.Erratum]bool)
 	for _, e := range db.Unique() {
 		uniqueSet[e] = true
 	}
@@ -391,4 +390,4 @@ func propagate(db *core.Database, engine *classify.Engine) {
 	}
 }
 
-func vendorKey(e *core.Erratum) string { return e.DocKeyVendor() + "|" + e.Key }
+func vendorKey(e *domain.Erratum) string { return e.DocKeyVendor() + "|" + e.Key }

@@ -4,17 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/classify"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dedup"
 	"repro/internal/specdoc"
 	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 	corpusprofile "repro/plugins/corpusprofile/intelamd"
 )
 
 // buildPipelineDB runs generate -> render -> parse -> dedup and returns
 // the parsed database plus the ground truth.
-func buildPipelineDB(t testing.TB, seed int64) (*core.Database, *corpus.GroundTruth) {
+func buildPipelineDB(t testing.TB, seed int64) (*domain.Database, *corpus.GroundTruth) {
 	t.Helper()
 	gt, err := corpus.Generate(seed)
 	if err != nil {
@@ -29,7 +29,7 @@ func buildPipelineDB(t testing.TB, seed int64) (*core.Database, *corpus.GroundTr
 	for _, e := range gt.DB.Errata() {
 		truthKey[corpus.EntryRef(e)] = e.Key
 	}
-	oracle := func(a, b *core.Erratum) bool {
+	oracle := func(a, b *domain.Erratum) bool {
 		return truthKey[corpus.EntryRef(a)] != "" &&
 			truthKey[corpus.EntryRef(a)] == truthKey[corpus.EntryRef(b)]
 	}
@@ -41,12 +41,12 @@ func buildPipelineDB(t testing.TB, seed int64) (*core.Database, *corpus.GroundTr
 
 // truthFromGT builds the Truth callback from the ground truth.
 func truthFromGT(gt *corpus.GroundTruth) Truth {
-	anns := make(map[string]*core.Annotation)
+	anns := make(map[string]*domain.Annotation)
 	for _, e := range gt.DB.Errata() {
 		ann := e.Ann
 		anns[corpus.EntryRef(e)] = &ann
 	}
-	return func(e *core.Erratum) *core.Annotation {
+	return func(e *domain.Erratum) *domain.Annotation {
 		return anns[corpus.EntryRef(e)]
 	}
 }
@@ -103,12 +103,12 @@ func TestFullPipelineRecoversGroundTruth(t *testing.T) {
 	// The paper's simulation-only population: one Intel and five AMD
 	// errata.
 	simIntel, simAMD := 0, 0
-	for _, e := range db.UniqueVendor(core.Intel) {
+	for _, e := range db.UniqueVendor(domain.Intel) {
 		if e.Ann.SimulationOnly {
 			simIntel++
 		}
 	}
-	for _, e := range db.UniqueVendor(core.AMD) {
+	for _, e := range db.UniqueVendor(domain.AMD) {
 		if e.Ann.SimulationOnly {
 			simAMD++
 		}
@@ -172,7 +172,7 @@ func TestDuplicatesInheritAnnotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	scheme := taxonomy.Base()
-	byCluster := map[string][]*core.Erratum{}
+	byCluster := map[string][]*domain.Erratum{}
 	for _, e := range db.Errata() {
 		byCluster[e.DocKeyVendor()+"|"+e.Key] = append(byCluster[e.DocKeyVendor()+"|"+e.Key], e)
 	}
@@ -213,7 +213,7 @@ func TestRunWithoutTruthResolvesToExclude(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
-	db := core.NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	engine := classify.NewEngine()
 	if _, err := Run(db, engine, nil, Options{Steps: 0}); err == nil {
 		t.Error("accepted zero steps")

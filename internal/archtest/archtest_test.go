@@ -4,12 +4,13 @@
 //
 //   - pkg/ and plugins/ must not import internal/ — the public
 //     contracts and the plugins written against them must stand alone.
-//     The single sanctioned exception is pkg/storage, whose drivers
-//     adapt internal/store.
+//     There are no exceptions.
 //   - internal/ must not import plugins/ — implementations depend on
 //     the plugin contract, never on concrete plugin packages. (Test
 //     files are exempt: test binaries are composition roots and may
 //     register the default plugins.)
+//   - no non-test Go file outside e2ebench/ carries a "Deprecated:" doc
+//     comment — a replaced API is deleted, not kept as a second way in.
 //
 // The exported surface of pkg/ is additionally pinned by a golden
 // snapshot (see apisnapshot_test.go).
@@ -29,13 +30,6 @@ import (
 // module is the module path imports are matched against.
 const module = "repro"
 
-// internalImportAllowlist maps a package directory (relative to the
-// repo root, slash-separated) to the internal imports it alone may
-// use.
-var internalImportAllowlist = map[string]map[string]bool{
-	"pkg/storage": {module + "/internal/store": true},
-}
-
 func repoRoot(t *testing.T) string {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))
@@ -53,12 +47,16 @@ func repoRoot(t *testing.T) string {
 func sourceFiles(t *testing.T, root, dir string) []string {
 	t.Helper()
 	var files []string
-	err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+	dirPath := filepath.Join(root, dir)
+	err := filepath.WalkDir(dirPath, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if d.Name() == "testdata" {
+			// Skip what the go tool ignores: testdata, and directories
+			// starting with "." or "_" (build outputs, caches).
+			if name := d.Name(); path != dirPath && (name == "testdata" ||
+				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -98,19 +96,14 @@ func imports(t *testing.T, path string) []string {
 
 // TestPkgAndPluginsDoNotImportInternal is the outward-facing guard:
 // the public contracts (pkg/) and the plugins written against them
-// must not reach into internal/, with pkg/storage's store adapters as
-// the single allowlisted exception. pkg/ additionally must not import
+// must not reach into internal/. pkg/ additionally must not import
 // plugins/ — contracts never depend on implementations.
 func TestPkgAndPluginsDoNotImportInternal(t *testing.T) {
 	root := repoRoot(t)
 	for _, dir := range []string{"pkg", "plugins"} {
 		for _, rel := range sourceFiles(t, root, dir) {
-			pkgDir := filepath.ToSlash(filepath.Dir(rel))
 			for _, imp := range imports(t, filepath.Join(root, rel)) {
 				if imp == module+"/internal" || strings.HasPrefix(imp, module+"/internal/") {
-					if internalImportAllowlist[pkgDir][imp] {
-						continue
-					}
 					t.Errorf("%s imports %s: %s/ must not import internal/", rel, imp, dir)
 				}
 				if dir == "pkg" && (imp == module+"/plugins" || strings.HasPrefix(imp, module+"/plugins/")) {
@@ -137,21 +130,25 @@ func TestInternalDoesNotImportPlugins(t *testing.T) {
 	}
 }
 
-// TestAllowlistEntriesStillUsed keeps the exception list honest: an
-// allowlisted import that no file uses anymore should be deleted, not
-// linger as a standing permission.
-func TestAllowlistEntriesStillUsed(t *testing.T) {
+// TestNoDeprecatedAPIs keeps one way in per concern: a replaced API is
+// deleted together with its callers rather than left behind a
+// "Deprecated:" marker. The e2ebench/ module is a separate benchmark
+// harness and is not scanned.
+func TestNoDeprecatedAPIs(t *testing.T) {
 	root := repoRoot(t)
-	for pkgDir, allowed := range internalImportAllowlist {
-		used := map[string]bool{}
-		for _, rel := range sourceFiles(t, root, pkgDir) {
-			for _, imp := range imports(t, filepath.Join(root, rel)) {
-				used[imp] = true
-			}
+	for _, rel := range sourceFiles(t, root, ".") {
+		if strings.HasPrefix(rel, "e2ebench/") {
+			continue
 		}
-		for imp := range allowed {
-			if !used[imp] {
-				t.Errorf("allowlist entry %s -> %s is unused; remove it", pkgDir, imp)
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, rel), nil, parser.ParseComments)
+		if err != nil {
+			t.Fatalf("%s: %v", rel, err)
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if strings.Contains(c.Text, "Deprecated:") {
+					t.Errorf("%s: %q: delete the replaced API instead of deprecating it", rel, c.Text)
+				}
 			}
 		}
 	}

@@ -3,14 +3,14 @@ package classify
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/obs"
+	"repro/pkg/domain"
 )
 
-var benchErrata []*core.Erratum
+var benchErrata []*domain.Erratum
 
-func benchCorpus(b *testing.B) []*core.Erratum {
+func benchCorpus(b *testing.B) []*domain.Erratum {
 	b.Helper()
 	if benchErrata == nil {
 		gt, err := corpus.Generate(1)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
@@ -82,9 +81,9 @@ type Report struct {
 	// simulation.
 	SimulationOnly bool
 	// WorkaroundCat is the classified workaround category (Figure 6).
-	WorkaroundCat core.WorkaroundCategory
+	WorkaroundCat domain.WorkaroundCategory
 	// Fix is the classified fix status (Figure 7).
-	Fix core.FixStatus
+	Fix domain.FixStatus
 }
 
 // UndecidedPairs returns the categories requiring human decisions, in
@@ -142,7 +141,7 @@ var knownMSRVocabulary = map[string]bool{
 }
 
 // Classify runs the rule engine over one erratum.
-func (e *Engine) Classify(err *core.Erratum) *Report {
+func (e *Engine) Classify(err *domain.Erratum) *Report {
 	r := &Report{
 		Decisions: make(map[string]Decision, len(e.catIDs)),
 		Concrete:  make(map[string]string),
@@ -238,7 +237,7 @@ func (e *Engine) Classify(err *core.Erratum) *Report {
 
 // segment splits an erratum's description and implication into
 // kind-scoped clauses following the documents' sentence conventions.
-func (e *Engine) segment(err *core.Erratum) []Segment {
+func (e *Engine) segment(err *domain.Erratum) []Segment {
 	var out []Segment
 	for _, sentence := range splitSentences(err.Description) {
 		switch {
@@ -311,38 +310,38 @@ var (
 // ClassifyWorkaround assigns a workaround category from the workaround
 // field text, following Section IV-B3: "Contact ..." statements count as
 // Absent even when they mention the BIOS.
-func ClassifyWorkaround(text string) core.WorkaroundCategory {
+func ClassifyWorkaround(text string) domain.WorkaroundCategory {
 	t := strings.TrimSpace(text)
 	switch {
 	case t == "" || waNoneRe.MatchString(t):
-		return core.WorkaroundNone
+		return domain.WorkaroundNone
 	case waAbsentRe.MatchString(t):
-		return core.WorkaroundAbsent
+		return domain.WorkaroundAbsent
 	case waDocRe.MatchString(t):
-		return core.WorkaroundDocFix
+		return domain.WorkaroundDocFix
 	case waBIOSRe.MatchString(t):
-		return core.WorkaroundBIOS
+		return domain.WorkaroundBIOS
 	case waSWRe.MatchString(t):
-		return core.WorkaroundSoftware
+		return domain.WorkaroundSoftware
 	case waPeriphRe.MatchString(t):
-		return core.WorkaroundPeripherals
+		return domain.WorkaroundPeripherals
 	default:
-		return core.WorkaroundAbsent
+		return domain.WorkaroundAbsent
 	}
 }
 
 // ClassifyStatus assigns a fix status from the status field text.
-func ClassifyStatus(text string) core.FixStatus {
+func ClassifyStatus(text string) domain.FixStatus {
 	t := strings.TrimSpace(text)
 	switch {
 	case t == "" || stNoFixRe.MatchString(t):
-		return core.FixNone
+		return domain.FixNone
 	case stPlannedRe.MatchString(t):
-		return core.FixPlanned
+		return domain.FixPlanned
 	case stFixedRe.MatchString(t):
-		return core.FixDone
+		return domain.FixDone
 	default:
-		return core.FixNone
+		return domain.FixNone
 	}
 }
 
@@ -387,7 +386,7 @@ func (s *Stats) Accumulate(r *Report) {
 // text: each clause is wrapped in [Category|...] markers, reproducing
 // the syntax-highlighting tool the paper built to assist the human
 // annotators.
-func Highlight(err *core.Erratum, r *Report) string {
+func Highlight(err *domain.Erratum, r *Report) string {
 	var b strings.Builder
 	b.WriteString("Title: " + err.Title + "\n")
 	b.WriteString("Description: " + err.Description + "\n")

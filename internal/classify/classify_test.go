@@ -4,17 +4,17 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 var engine = NewEngine()
 
 // synthetic builds an erratum embedding one phrase in the proper section
 // for its kind.
-func synthetic(kind taxonomy.Kind, phrase string) *core.Erratum {
-	e := &core.Erratum{DocKey: "intel-06", ID: "TST001", Seq: 1, Title: "Test"}
+func synthetic(kind taxonomy.Kind, phrase string) *domain.Erratum {
+	e := &domain.Erratum{DocKey: "intel-06", ID: "TST001", Seq: 1, Title: "Test"}
 	switch kind {
 	case taxonomy.Trigger:
 		e.Description = "When " + phrase + ", the described behavior may occur."
@@ -79,7 +79,7 @@ func TestDistinctivePhrasesMostlyAutoInclude(t *testing.T) {
 }
 
 func TestMultiTriggerSegmentation(t *testing.T) {
-	e := &core.Erratum{
+	e := &domain.Erratum{
 		DocKey: "intel-06", ID: "TST002", Seq: 1,
 		Description: "When software writes a model specific register with a reserved encoding " +
 			"and thermal throttling engages under load, the processor may hang. " +
@@ -102,26 +102,26 @@ func TestMultiTriggerSegmentation(t *testing.T) {
 
 func TestComplexAndTrivialFlags(t *testing.T) {
 	for _, s := range corpus.ComplexConditionSentences() {
-		e := &core.Erratum{Description: s + " When a warm reset is applied to the processor, the processor may hang."}
+		e := &domain.Erratum{Description: s + " When a warm reset is applied to the processor, the processor may hang."}
 		if rep := engine.Classify(e); !rep.Complex {
 			t.Errorf("complex sentence not flagged: %q", s)
 		}
 	}
 	for _, s := range corpus.TrivialTriggerSentences() {
-		e := &core.Erratum{Description: s + " The processor may hang."}
+		e := &domain.Erratum{Description: s + " The processor may hang."}
 		rep := engine.Classify(e)
 		if !rep.Trivial {
 			t.Errorf("trivial sentence not flagged: %q", s)
 		}
 	}
-	plain := &core.Erratum{Description: "When a warm reset is applied to the processor, the processor may hang."}
+	plain := &domain.Erratum{Description: "When a warm reset is applied to the processor, the processor may hang."}
 	if rep := engine.Classify(plain); rep.Complex || rep.Trivial {
 		t.Error("flags set on plain erratum")
 	}
 }
 
 func TestMSRExtraction(t *testing.T) {
-	e := &core.Erratum{
+	e := &domain.Erratum{
 		Description: "When a counter overflow occurs, the MSR may contain a wrong value. " +
 			"The affected state may be observed in the MCx_STATUS register. " +
 			"The affected state may be observed in the MCx_ADDR register.",
@@ -133,7 +133,7 @@ func TestMSRExtraction(t *testing.T) {
 	if len(rep.SuspiciousMSRs) != 0 {
 		t.Errorf("suspicious = %v", rep.SuspiciousMSRs)
 	}
-	bad := &core.Erratum{
+	bad := &domain.Erratum{
 		Description: "When a counter overflow occurs, the processor may hang. " +
 			"The erroneous value is latched in MSR 0xFFFF_FFFF.",
 	}
@@ -148,7 +148,7 @@ func TestMSRExtraction(t *testing.T) {
 
 func TestWorkaroundClassification(t *testing.T) {
 	for cat, bank := range corpus.WorkaroundTextBank() {
-		want, err := core.ParseWorkaroundCategory(cat)
+		want, err := domain.ParseWorkaroundCategory(cat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,17 +158,17 @@ func TestWorkaroundClassification(t *testing.T) {
 			}
 		}
 	}
-	if ClassifyWorkaround("") != core.WorkaroundNone {
+	if ClassifyWorkaround("") != domain.WorkaroundNone {
 		t.Error("empty workaround should classify as None")
 	}
-	if ClassifyWorkaround("Mysterious measures may exist.") != core.WorkaroundAbsent {
+	if ClassifyWorkaround("Mysterious measures may exist.") != domain.WorkaroundAbsent {
 		t.Error("unrecognized workaround should classify as Absent")
 	}
 }
 
 func TestStatusClassification(t *testing.T) {
 	for st, bank := range corpus.StatusTextBank() {
-		want, err := core.ParseFixStatus(st)
+		want, err := domain.ParseFixStatus(st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestStatusClassification(t *testing.T) {
 			}
 		}
 	}
-	if ClassifyStatus("") != core.FixNone {
+	if ClassifyStatus("") != domain.FixNone {
 		t.Error("empty status should classify as NoFixPlanned")
 	}
 }
@@ -205,7 +205,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestHighlight(t *testing.T) {
-	e := &core.Erratum{
+	e := &domain.Erratum{
 		Title: "Processor May Hang",
 		Description: "When thermal throttling engages under load, the processor may hang. " +
 			"This erratum applies while running as a virtual machine guest.",
@@ -246,7 +246,7 @@ func TestDecisionString(t *testing.T) {
 
 func TestClassifyEmptyAndOddInputs(t *testing.T) {
 	// Empty erratum: everything excluded, no flags, no panic.
-	rep := engine.Classify(&core.Erratum{})
+	rep := engine.Classify(&domain.Erratum{})
 	for cat, d := range rep.Decisions {
 		if d != Exclude {
 			t.Errorf("empty erratum: %s = %v", cat, d)
@@ -258,7 +258,7 @@ func TestClassifyEmptyAndOddInputs(t *testing.T) {
 
 	// Unknown sentence shapes are scanned as advisory effect evidence:
 	// they may surface undecided pairs but never auto-include.
-	odd := &core.Erratum{Description: "The processor may hang. Completely free-form sentence here."}
+	odd := &domain.Erratum{Description: "The processor may hang. Completely free-form sentence here."}
 	rep = engine.Classify(odd)
 	if rep.Decisions["Eff_HNG_hng"] == Exclude {
 		t.Error("advisory hang evidence vanished")
@@ -268,7 +268,7 @@ func TestClassifyEmptyAndOddInputs(t *testing.T) {
 	}
 
 	// A "When" sentence without a comma is a pure trigger clause.
-	noComma := &core.Erratum{Description: "When a warm reset is applied to the processor."}
+	noComma := &domain.Erratum{Description: "When a warm reset is applied to the processor."}
 	rep = engine.Classify(noComma)
 	if rep.Decisions["Trg_EXT_rst"] != Include {
 		t.Errorf("comma-free trigger clause = %v", rep.Decisions["Trg_EXT_rst"])
@@ -276,7 +276,7 @@ func TestClassifyEmptyAndOddInputs(t *testing.T) {
 }
 
 func TestSimulationOnlyFlag(t *testing.T) {
-	e := &core.Erratum{
+	e := &domain.Erratum{
 		Description: "When a warm reset is applied to the processor, the processor may hang. " +
 			"This erratum has only been observed in simulation.",
 	}
@@ -291,7 +291,7 @@ func TestSimulationOnlyFlag(t *testing.T) {
 }
 
 func TestSegmentFields(t *testing.T) {
-	e := &core.Erratum{
+	e := &domain.Erratum{
 		Description: "When a warm reset is applied to the processor, the processor may hang.",
 		Implication: "The processor may hang.",
 	}

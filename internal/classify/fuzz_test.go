@@ -3,7 +3,7 @@ package classify
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/pkg/domain"
 )
 
 // Shared engines: fuzzing runs workers in parallel, and sharing also
@@ -31,7 +31,7 @@ func FuzzClassifyEquivalence(f *testing.F) {
 	f.Add("This erratum has only been observed in simulation. The erroneous value is latched in MSR 0xFFFF_FFFF.", "")
 	f.Add("", "")
 	f.Fuzz(func(t *testing.T, desc, impl string) {
-		e := &core.Erratum{Description: desc, Implication: impl}
+		e := &domain.Erratum{Description: desc, Implication: impl}
 		want := fuzzNaive.Classify(e)
 		got := fuzzKernel.Classify(e)
 		if d := diffReports(want, got); d != "" {

@@ -3,7 +3,7 @@ package classify
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/pkg/domain"
 	"repro/pkg/pluginapi"
 	example "repro/plugins/rulepack/example"
 )
@@ -20,7 +20,7 @@ func TestNewEngineForExamplePack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	er := &core.Erratum{
+	er := &domain.Erratum{
 		DocKey:      "doc",
 		ID:          "X1",
 		Title:       "Processor May Hang",

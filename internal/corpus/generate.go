@@ -7,15 +7,15 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/taxonomy"
 	"repro/internal/textsim"
+	"repro/pkg/domain"
 	"repro/pkg/pluginapi"
 )
 
 // EntryRef identifies one erratum entry unambiguously even when a
 // document reuses an erratum name (the AAJ143-style error): "docKey#seq".
-func EntryRef(e *core.Erratum) string { return fmt.Sprintf("%s#%d", e.DocKey, e.Seq) }
+func EntryRef(e *domain.Erratum) string { return fmt.Sprintf("%s#%d", e.DocKey, e.Seq) }
 
 // FieldError records an injected missing or duplicated erratum field.
 type FieldError struct {
@@ -54,7 +54,7 @@ type ErrorInventory struct {
 // keyed database, plus everything the pipeline is expected to recover.
 type GroundTruth struct {
 	// DB is the ground-truth database (annotations and cluster keys set).
-	DB *core.Database
+	DB *domain.Database
 	// Lineages maps ground-truth keys to lineages.
 	Lineages map[string]*Lineage
 	// ConfirmedPairs lists entry-reference pairs whose titles were
@@ -133,7 +133,7 @@ func GenerateWith(spec pluginapi.CorpusSpec, seed int64) (*GroundTruth, error) {
 	}
 
 	gt := &GroundTruth{
-		DB:       core.NewDatabase(),
+		DB:       domain.NewDatabase(taxonomy.Base()),
 		Lineages: make(map[string]*Lineage),
 		Seed:     seed,
 	}
@@ -150,14 +150,14 @@ func GenerateWith(spec pluginapi.CorpusSpec, seed int64) (*GroundTruth, error) {
 		profileKeys = append(profileKeys, key)
 	}
 	sort.Strings(profileKeys)
-	revs := make(map[string][]core.Revision)
+	revs := make(map[string][]domain.Revision)
 	for _, key := range profileKeys {
 		revs[key] = g.buildRevisions(g.profiles[key])
 	}
 
 	// Per-lineage discovery dates, annotations and texts.
 	disc := make(map[string]time.Time)
-	anns := make(map[string]core.Annotation)
+	anns := make(map[string]domain.Annotation)
 	texts := make(map[string]*lineageText)
 	for _, lin := range [][]Lineage{linI, linA} {
 		for i := range lin {
@@ -253,7 +253,7 @@ func GenerateWith(spec pluginapi.CorpusSpec, seed int64) (*GroundTruth, error) {
 		}
 	}
 
-	core.AssignOrders(gt.DB)
+	domain.AssignOrders(gt.DB)
 	if err := gt.DB.Validate(); err != nil {
 		return nil, fmt.Errorf("corpus: generated database invalid: %w", err)
 	}
@@ -262,12 +262,12 @@ func GenerateWith(spec pluginapi.CorpusSpec, seed int64) (*GroundTruth, error) {
 
 // buildRevisions creates a revision history from the document's release
 // to its last update, stepping RevisionMonths with +-1 month of jitter.
-func (g *generator) buildRevisions(p DocProfile) []core.Revision {
-	var out []core.Revision
+func (g *generator) buildRevisions(p DocProfile) []domain.Revision {
+	var out []domain.Revision
 	date := p.Released.AddDate(0, 1, 0)
 	n := 1
 	for !date.After(p.LastUpdate) {
-		out = append(out, core.Revision{Number: n, Date: date})
+		out = append(out, domain.Revision{Number: n, Date: date})
 		step := p.RevisionMonths + g.rng.Intn(3) - 1
 		if step < 1 {
 			step = 1
@@ -276,7 +276,7 @@ func (g *generator) buildRevisions(p DocProfile) []core.Revision {
 		n++
 	}
 	if len(out) == 0 {
-		out = append(out, core.Revision{Number: 1, Date: p.Released.AddDate(0, 1, 0)})
+		out = append(out, domain.Revision{Number: 1, Date: p.Released.AddDate(0, 1, 0)})
 	}
 	return out
 }
@@ -345,8 +345,8 @@ func (g *generator) pickString(bank []string) string {
 }
 
 // sampleAnnotation draws a ground-truth annotation for a lineage.
-func (g *generator) sampleAnnotation(intel bool, l *Lineage) core.Annotation {
-	var ann core.Annotation
+func (g *generator) sampleAnnotation(intel bool, l *Lineage) domain.Annotation {
+	var ann domain.Annotation
 
 	// Trigger-class gating per generation: memory-boundary triggers are
 	// absent from the two latest Intel generations (Figure 13).
@@ -412,7 +412,7 @@ func (g *generator) sampleAnnotation(intel bool, l *Lineage) core.Annotation {
 				first = id
 			}
 			phraseIdx := g.phraseIndex(len(triggerPhrases[id]))
-			ann.Triggers = append(ann.Triggers, core.Item{
+			ann.Triggers = append(ann.Triggers, domain.Item{
 				Category: id,
 				Concrete: triggerPhrases[id][phraseIdx],
 			})
@@ -432,7 +432,7 @@ func (g *generator) sampleAnnotation(intel bool, l *Lineage) core.Annotation {
 			continue
 		}
 		chosenCtx[id] = true
-		ann.Contexts = append(ann.Contexts, core.Item{
+		ann.Contexts = append(ann.Contexts, domain.Item{
 			Category: id,
 			Concrete: contextPhrases[id][g.phraseIndex(len(contextPhrases[id]))],
 		})
@@ -451,7 +451,7 @@ func (g *generator) sampleAnnotation(intel bool, l *Lineage) core.Annotation {
 			continue
 		}
 		chosenEff[id] = true
-		ann.Effects = append(ann.Effects, core.Item{
+		ann.Effects = append(ann.Effects, domain.Item{
 			Category: id,
 			Concrete: effectPhrases[id][g.phraseIndex(len(effectPhrases[id]))],
 		})
@@ -494,7 +494,7 @@ func (g *generator) phraseIndex(n int) int {
 	return n - 1
 }
 
-func annHasAny(a *core.Annotation, ids ...string) bool {
+func annHasAny(a *domain.Annotation, ids ...string) bool {
 	for _, id := range ids {
 		if a.Has(id) {
 			return true
@@ -504,7 +504,7 @@ func annHasAny(a *core.Annotation, ids ...string) bool {
 }
 
 // buildText renders the erratum fields from a ground-truth annotation.
-func (g *generator) buildText(intel bool, ann core.Annotation) *lineageText {
+func (g *generator) buildText(intel bool, ann domain.Annotation) *lineageText {
 	t := &lineageText{}
 	t.title = g.uniqueTitle(ann)
 
@@ -575,7 +575,7 @@ func upperFirst(s string) string {
 // uniqueTitle composes a title that is globally unique (normalized)
 // across all lineages so that title-based deduplication never merges
 // distinct bugs.
-func (g *generator) uniqueTitle(ann core.Annotation) string {
+func (g *generator) uniqueTitle(ann domain.Annotation) string {
 	for attempt := 0; ; attempt++ {
 		title := g.composeTitle(ann)
 		if attempt >= 24 {
@@ -589,7 +589,7 @@ func (g *generator) uniqueTitle(ann core.Annotation) string {
 	}
 }
 
-func (g *generator) composeTitle(ann core.Annotation) string {
+func (g *generator) composeTitle(ann domain.Annotation) string {
 	subject := "Processor"
 	if len(ann.Triggers) > 0 {
 		cls := taxonomy.Base().ClassOf(ann.Triggers[0].Category)
@@ -694,20 +694,20 @@ type occurrence struct {
 	rev    int
 }
 
-// assembleDocument builds one core.Document from the lineages that
+// assembleDocument builds one domain.Document from the lineages that
 // affect it.
 func (g *generator) assembleDocument(
 	p DocProfile,
-	revisions []core.Revision,
+	revisions []domain.Revision,
 	lins []*Lineage,
 	disc map[string]time.Time,
-	anns map[string]core.Annotation,
+	anns map[string]domain.Annotation,
 	texts map[string]*lineageText,
 	amdID map[string]string,
 	variantSet map[string]bool,
 	gt *GroundTruth,
-) *core.Document {
-	doc := &core.Document{
+) *domain.Document {
+	doc := &domain.Document{
 		Key:       p.Key,
 		Vendor:    vendorOf(p),
 		Label:     p.Label,
@@ -715,7 +715,7 @@ func (g *generator) assembleDocument(
 		Order:     g.orderOf(p),
 		GenIndex:  p.GenIndex,
 		Released:  p.Released,
-		Revisions: append([]core.Revision(nil), revisions...),
+		Revisions: append([]domain.Revision(nil), revisions...),
 	}
 
 	// Compute report dates and revisions.
@@ -749,7 +749,7 @@ func (g *generator) assembleDocument(
 
 	// AMD entries are ordered by their global numeric identifier, which
 	// correlates with (but does not equal) addition order.
-	if doc.Vendor == core.AMD {
+	if doc.Vendor == domain.AMD {
 		sort.SliceStable(occs, func(i, j int) bool {
 			return numLess(amdID[occs[i].lin.Key], amdID[occs[j].lin.Key])
 		})
@@ -758,7 +758,7 @@ func (g *generator) assembleDocument(
 	for i, oc := range occs {
 		seq := i + 1
 		id := amdID[oc.lin.Key]
-		if doc.Vendor == core.Intel {
+		if doc.Vendor == domain.Intel {
 			id = fmt.Sprintf("%s%03d", p.Prefix, seq)
 		}
 		text := texts[oc.lin.Key]
@@ -769,7 +769,7 @@ func (g *generator) assembleDocument(
 			title = text.variant
 		}
 		ann := anns[oc.lin.Key]
-		e := &core.Erratum{
+		e := &domain.Erratum{
 			DocKey:        p.Key,
 			ID:            id,
 			Seq:           seq,
@@ -799,11 +799,11 @@ func (g *generator) assembleDocument(
 	return doc
 }
 
-func vendorOf(p DocProfile) core.Vendor {
+func vendorOf(p DocProfile) domain.Vendor {
 	if p.Intel {
-		return core.Intel
+		return domain.Intel
 	}
-	return core.AMD
+	return domain.AMD
 }
 
 func (g *generator) orderOf(p DocProfile) int {
@@ -828,7 +828,7 @@ func numLess(a, b string) bool {
 
 // revisionFor returns the number of the first revision whose date is not
 // before the given date (clamped to the last revision).
-func revisionFor(revisions []core.Revision, date time.Time) int {
+func revisionFor(revisions []domain.Revision, date time.Time) int {
 	for _, r := range revisions {
 		if !r.Date.Before(date) {
 			return r.Number
@@ -838,42 +838,42 @@ func revisionFor(revisions []core.Revision, date time.Time) int {
 }
 
 // sampleWorkaroundCat draws a workaround category per Figure 6.
-func (g *generator) sampleWorkaroundCat(v core.Vendor) core.WorkaroundCategory {
+func (g *generator) sampleWorkaroundCat(v domain.Vendor) domain.WorkaroundCategory {
 	table := g.spec.WorkaroundWeightsIntel
-	if v == core.AMD {
+	if v == domain.AMD {
 		table = g.spec.WorkaroundWeightsAMD
 	}
 	id := g.pickWeighted(table, nil)
-	cat, err := core.ParseWorkaroundCategory(id)
+	cat, err := domain.ParseWorkaroundCategory(id)
 	if err != nil {
-		return core.WorkaroundNone
+		return domain.WorkaroundNone
 	}
 	return cat
 }
 
 // sampleFix draws a fix status per Figure 7; the Intel fixed fraction
 // grows weakly with the generation index.
-func (g *generator) sampleFix(v core.Vendor, genIndex int) core.FixStatus {
+func (g *generator) sampleFix(v domain.Vendor, genIndex int) domain.FixStatus {
 	mult := func(id string) float64 {
-		if v == core.Intel && id == "Fixed" {
+		if v == domain.Intel && id == "Fixed" {
 			return 1.0 + float64(genIndex)*0.12
 		}
-		if v == core.AMD && id == "Fixed" {
+		if v == domain.AMD && id == "Fixed" {
 			return 0.7
 		}
 		return 1
 	}
 	id := g.pickWeighted(g.spec.FixWeights, mult)
-	st, err := core.ParseFixStatus(id)
+	st, err := domain.ParseFixStatus(id)
 	if err != nil {
-		return core.FixNone
+		return domain.FixNone
 	}
 	return st
 }
 
 // injectIntraDocDuplicates duplicates reserved entries inside the chosen
 // documents (11 pairs across 6 documents).
-func (g *generator) injectIntraDocDuplicates(gt *GroundTruth, reserve map[string]int, anns map[string]core.Annotation) {
+func (g *generator) injectIntraDocDuplicates(gt *GroundTruth, reserve map[string]int, anns map[string]domain.Annotation) {
 	keys := make([]string, 0, len(reserve))
 	for k := range reserve {
 		keys = append(keys, k)
@@ -967,7 +967,7 @@ func (g *generator) injectReusedName(gt *GroundTruth) {
 		return
 	}
 	a := doc.Errata[g.rng.Intn(len(doc.Errata)-1)]
-	var b *core.Erratum
+	var b *domain.Erratum
 	for _, e := range doc.Errata {
 		if e.Key != a.Key {
 			b = e
@@ -1018,10 +1018,10 @@ func (g *generator) injectFieldErrors(gt *GroundTruth) {
 				e.Implication = ""
 			case "Workaround":
 				e.Workaround = ""
-				e.WorkaroundCat = core.WorkaroundNone
+				e.WorkaroundCat = domain.WorkaroundNone
 			case "Status":
 				e.Status = ""
-				e.Fix = core.FixNone
+				e.Fix = domain.FixNone
 			}
 		}
 		gt.Inventory.FieldErrors = append(gt.Inventory.FieldErrors, FieldError{

@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 	intelamd "repro/plugins/corpusprofile/intelamd"
 )
 
@@ -277,7 +277,7 @@ func TestSharedLineagesIdenticalText(t *testing.T) {
 	for _, fe := range testGT.Inventory.FieldErrors {
 		perturbed[fe.Ref] = true
 	}
-	byKey := map[string]*core.Erratum{}
+	byKey := map[string]*domain.Erratum{}
 	for _, e := range testGT.DB.Errata() {
 		if perturbed[EntryRef(e)] {
 			continue
@@ -311,7 +311,7 @@ func TestDisclosureDatesOrdered(t *testing.T) {
 func TestFractionCalibrations(t *testing.T) {
 	// Check that the trivial-trigger and complex-condition fractions are
 	// near their targets on unique errata (within 3 percentage points).
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		unique := testGT.DB.UniqueVendor(v)
 		trivial, complex := 0, 0
 		for _, e := range unique {
@@ -327,7 +327,7 @@ func TestFractionCalibrations(t *testing.T) {
 			t.Errorf("%s trivial fraction = %.3f, want ~%.3f", v, trivFrac, TrivialTriggerFraction)
 		}
 		complexTarget := ComplexConditionFractionIntel
-		if v == core.AMD {
+		if v == domain.AMD {
 			complexTarget = ComplexConditionFractionAMD
 		}
 		cfrac := float64(complex) / float64(len(unique))
@@ -338,17 +338,17 @@ func TestFractionCalibrations(t *testing.T) {
 }
 
 func TestWorkaroundNoneFractions(t *testing.T) {
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		unique := testGT.DB.UniqueVendor(v)
 		none := 0
 		for _, e := range unique {
-			if e.WorkaroundCat == core.WorkaroundNone {
+			if e.WorkaroundCat == domain.WorkaroundNone {
 				none++
 			}
 		}
 		frac := float64(none) / float64(len(unique))
 		target := NoWorkaroundFractionIntel
-		if v == core.AMD {
+		if v == domain.AMD {
 			target = NoWorkaroundFractionAMD
 		}
 		if frac < target-0.06 || frac > target+0.06 {
@@ -361,7 +361,7 @@ func TestAMDSharedIDs(t *testing.T) {
 	// Two AMD families affected by the same lineage must use the same
 	// numeric identifier, and IDs must be unique per document.
 	idByKey := map[string]string{}
-	for _, d := range testGT.DB.VendorDocuments(core.AMD) {
+	for _, d := range testGT.DB.VendorDocuments(domain.AMD) {
 		seen := map[string]bool{}
 		for _, e := range d.Errata {
 			if seen[e.ID] {

@@ -3,7 +3,7 @@ package corpus
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/pkg/domain"
 )
 
 // TestMultiSeedInvariants generates the corpus under several seeds and
@@ -43,7 +43,7 @@ func TestMultiSeedInvariants(t *testing.T) {
 
 		// AMD IDs are shared per lineage and unique across lineages.
 		idByKey := map[string]string{}
-		for _, d := range gt.DB.VendorDocuments(core.AMD) {
+		for _, d := range gt.DB.VendorDocuments(domain.AMD) {
 			for _, e := range d.Errata {
 				if prev, ok := idByKey[e.Key]; ok && prev != e.ID {
 					t.Fatalf("seed %d: AMD lineage %s has two IDs", seed, e.Key)

@@ -20,9 +20,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/textsim"
+	"repro/pkg/domain"
 )
 
 // Options configures deduplication.
@@ -41,7 +41,7 @@ type Options struct {
 	// Oracle answers whether two entries describe the same erratum; it
 	// models the paper's manual inspection of candidate pairs. A nil
 	// oracle skips the manual stage (exact-title clustering only).
-	Oracle func(a, b *core.Erratum) bool
+	Oracle func(a, b *domain.Erratum) bool
 	// MaxReviews caps the number of oracle consultations (0 = no cap),
 	// mirroring the bounded human effort of the paper.
 	MaxReviews int
@@ -67,7 +67,7 @@ func (o *Options) SetThreshold(t float64) {
 
 // CandidatePair is a reviewed candidate duplicate pair.
 type CandidatePair struct {
-	A, B      *core.Erratum
+	A, B      *domain.Erratum
 	Score     float64
 	Confirmed bool
 }
@@ -89,7 +89,7 @@ type Result struct {
 
 // Deduplicate assigns cluster keys to every erratum of the database and
 // returns run statistics. Existing keys are overwritten.
-func Deduplicate(db *core.Database, opts Options) (*Result, error) {
+func Deduplicate(db *domain.Database, opts Options) (*Result, error) {
 	if opts.Metric == "" {
 		opts.Metric = textsim.MetricJaccard
 	}
@@ -105,14 +105,14 @@ func Deduplicate(db *core.Database, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	res.UniqueIntel = len(db.UniqueVendor(core.Intel))
-	res.UniqueAMD = len(db.UniqueVendor(core.AMD))
+	res.UniqueIntel = len(db.UniqueVendor(domain.Intel))
+	res.UniqueAMD = len(db.UniqueVendor(domain.AMD))
 	return res, nil
 }
 
 // dedupAMD keys AMD entries by their shared numeric identifier.
-func dedupAMD(db *core.Database) error {
-	for _, e := range db.VendorErrata(core.AMD) {
+func dedupAMD(db *domain.Database) error {
+	for _, e := range db.VendorErrata(domain.AMD) {
 		if e.ID == "" {
 			return fmt.Errorf("dedup: AMD erratum without ID in %s", e.DocKey)
 		}
@@ -123,8 +123,8 @@ func dedupAMD(db *core.Database) error {
 
 // dedupIntel clusters Intel entries by exact normalized title, then
 // reviews similarity-ranked candidates with the oracle.
-func dedupIntel(db *core.Database, opts Options, res *Result) error {
-	entries := db.VendorErrata(core.Intel)
+func dedupIntel(db *domain.Database, opts Options, res *Result) error {
+	entries := db.VendorErrata(domain.Intel)
 	if len(entries) == 0 {
 		return nil
 	}
@@ -207,7 +207,7 @@ func sortCandidates(cands []candidate) {
 // so the pre-sort candidate sequence — and with sortCandidates' total
 // (score, i, j) ordering, the final ranking — is identical to the
 // sequential scan at every worker count.
-func exactCandidates(entries []*core.Erratum, reps []int, metric textsim.Metric, threshold float64, workers int) []candidate {
+func exactCandidates(entries []*domain.Erratum, reps []int, metric textsim.Metric, threshold float64, workers int) []candidate {
 	cands := parallel.Gather(len(reps), workers, func(a int) []candidate {
 		var row []candidate
 		i := reps[a]
@@ -227,7 +227,7 @@ func exactCandidates(entries []*core.Erratum, reps []int, metric textsim.Metric,
 // lshCandidates generates candidates through a MinHash/LSH index and
 // scores colliding pairs exactly. Candidate generation is already
 // near-linear, so it stays sequential.
-func lshCandidates(entries []*core.Erratum, reps []int, threshold float64) []candidate {
+func lshCandidates(entries []*domain.Erratum, reps []int, threshold float64) []candidate {
 	idx := textsim.NewLSHIndex(16, 4)
 	for _, i := range reps {
 		idx.Add(entries[i].Title)
@@ -255,9 +255,9 @@ func clusterRepresentatives(dsu *DSU, n int) []int {
 	return reps
 }
 
-func assignIntelKeys(db *core.Database, dsu *DSU, entries []*core.Erratum) {
+func assignIntelKeys(db *domain.Database, dsu *DSU, entries []*domain.Erratum) {
 	order := make(map[string]int)
-	for _, d := range db.VendorDocuments(core.Intel) {
+	for _, d := range db.VendorDocuments(domain.Intel) {
 		order[d.Key] = d.Order
 	}
 	type clusterInfo struct {

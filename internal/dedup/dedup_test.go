@@ -4,27 +4,28 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/specdoc"
+	"repro/internal/taxonomy"
 	"repro/internal/textsim"
+	"repro/pkg/domain"
 	corpusprofile "repro/plugins/corpusprofile/intelamd"
 )
 
-func buildSmallDB(t *testing.T) *core.Database {
+func buildSmallDB(t *testing.T) *domain.Database {
 	t.Helper()
-	db := core.NewDatabase()
-	docs := []*core.Document{
+	db := domain.NewDatabase(taxonomy.Base())
+	docs := []*domain.Document{
 		{
-			Key: "intel-01d", Vendor: core.Intel, Label: "1 (D)", Order: 0, GenIndex: 1,
-			Errata: []*core.Erratum{
+			Key: "intel-01d", Vendor: domain.Intel, Label: "1 (D)", Order: 0, GenIndex: 1,
+			Errata: []*domain.Erratum{
 				{DocKey: "intel-01d", ID: "AAJ001", Seq: 1, Title: "Processor May Hang During Power State Transitions"},
 				{DocKey: "intel-01d", ID: "AAJ002", Seq: 2, Title: "Counter May Report Wrong Values"},
 			},
 		},
 		{
-			Key: "intel-02d", Vendor: core.Intel, Label: "2 (D)", Order: 2, GenIndex: 2,
-			Errata: []*core.Erratum{
+			Key: "intel-02d", Vendor: domain.Intel, Label: "2 (D)", Order: 2, GenIndex: 2,
+			Errata: []*domain.Erratum{
 				// Exact duplicate of AAJ001 (modulo case/punctuation).
 				{DocKey: "intel-02d", ID: "BJ001", Seq: 1, Title: "Processor may hang during power state transitions."},
 				// Near-duplicate of AAJ002, needs manual confirmation.
@@ -34,15 +35,15 @@ func buildSmallDB(t *testing.T) *core.Database {
 			},
 		},
 		{
-			Key: "amd-17h-00", Vendor: core.AMD, Label: "17h 00-0F", Order: 0,
-			Errata: []*core.Erratum{
+			Key: "amd-17h-00", Vendor: domain.AMD, Label: "17h 00-0F", Order: 0,
+			Errata: []*domain.Erratum{
 				{DocKey: "amd-17h-00", ID: "1001", Seq: 1, Title: "Hang Under Contention"},
 				{DocKey: "amd-17h-00", ID: "1002", Seq: 2, Title: "Wrong IBS Data"},
 			},
 		},
 		{
-			Key: "amd-19h-00", Vendor: core.AMD, Label: "19h 00-0F", Order: 1,
-			Errata: []*core.Erratum{
+			Key: "amd-19h-00", Vendor: domain.AMD, Label: "19h 00-0F", Order: 1,
+			Errata: []*domain.Erratum{
 				{DocKey: "amd-19h-00", ID: "1001", Seq: 1, Title: "Hang Under Contention"},
 				{DocKey: "amd-19h-00", ID: "1003", Seq: 2, Title: "Fresh Bug"},
 			},
@@ -97,7 +98,7 @@ func TestDedupIntelExactTitle(t *testing.T) {
 
 func TestDedupIntelWithOracle(t *testing.T) {
 	db := buildSmallDB(t)
-	oracle := func(a, b *core.Erratum) bool {
+	oracle := func(a, b *domain.Erratum) bool {
 		// Confirm only the Counter pair.
 		return (a.ID == "AAJ002" && b.ID == "BJ002") || (a.ID == "BJ002" && b.ID == "AAJ002")
 	}
@@ -159,7 +160,7 @@ func TestFullCorpusDedup(t *testing.T) {
 	for _, e := range gt.DB.Errata() {
 		truth[corpus.EntryRef(e)] = e.Key
 	}
-	oracle := func(a, b *core.Erratum) bool {
+	oracle := func(a, b *domain.Erratum) bool {
 		return truth[corpus.EntryRef(a)] == truth[corpus.EntryRef(b)] &&
 			truth[corpus.EntryRef(a)] != ""
 	}
@@ -269,7 +270,7 @@ func TestSimilarityMetricsOptions(t *testing.T) {
 func TestExplicitZeroThreshold(t *testing.T) {
 	db := buildSmallDB(t)
 	calls := 0
-	oracle := func(a, b *core.Erratum) bool { calls++; return false }
+	oracle := func(a, b *domain.Erratum) bool { calls++; return false }
 	opts := Options{Oracle: oracle}
 	opts.SetThreshold(0)
 	res, err := Deduplicate(db, opts)
@@ -304,7 +305,7 @@ func TestExplicitZeroThreshold(t *testing.T) {
 func TestMaxReviews(t *testing.T) {
 	db := buildSmallDB(t)
 	calls := 0
-	oracle := func(a, b *core.Erratum) bool { calls++; return false }
+	oracle := func(a, b *domain.Erratum) bool { calls++; return false }
 	res, err := Deduplicate(db, Options{Oracle: oracle, Threshold: 0.1, MaxReviews: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -326,13 +327,13 @@ func TestMaxReviews(t *testing.T) {
 // loop must still reach (B,D) — the skip is free — for exactly 4
 // consultations.
 func TestMaxReviewsSkipsDontCount(t *testing.T) {
-	db := core.NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	// Eight shared tokens plus one unique token per title: every pair
 	// has Jaccard 8/10 = 0.8 and a distinct normalized title.
 	common := "alpha beta gamma delta epsilon zeta eta theta"
-	doc := &core.Document{
-		Key: "intel-01d", Vendor: core.Intel, Label: "1 (D)", Order: 0, GenIndex: 1,
-		Errata: []*core.Erratum{
+	doc := &domain.Document{
+		Key: "intel-01d", Vendor: domain.Intel, Label: "1 (D)", Order: 0, GenIndex: 1,
+		Errata: []*domain.Erratum{
 			{DocKey: "intel-01d", ID: "AAJ001", Seq: 1, Title: common + " one"},
 			{DocKey: "intel-01d", ID: "AAJ002", Seq: 2, Title: common + " two"},
 			{DocKey: "intel-01d", ID: "AAJ003", Seq: 3, Title: common + " three"},
@@ -343,7 +344,7 @@ func TestMaxReviewsSkipsDontCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	oracle := func(a, b *core.Erratum) bool {
+	oracle := func(a, b *domain.Erratum) bool {
 		calls++
 		pair := a.ID + "/" + b.ID
 		return pair == "AAJ001/AAJ002" || pair == "AAJ001/AAJ003"
@@ -417,7 +418,7 @@ func TestLSHMatchesExactOnFullCorpus(t *testing.T) {
 	for _, e := range gt.DB.Errata() {
 		truth[corpus.EntryRef(e)] = e.Key
 	}
-	oracle := func(a, b *core.Erratum) bool {
+	oracle := func(a, b *domain.Erratum) bool {
 		return truth[corpus.EntryRef(a)] != "" &&
 			truth[corpus.EntryRef(a)] == truth[corpus.EntryRef(b)]
 	}

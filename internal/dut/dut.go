@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
@@ -191,11 +190,11 @@ func observed(b Bug, monitored map[string]bool) bool {
 // skipped (minTriggers <= 1 keeps every triggered erratum) — campaigns
 // about design-testing gaps care about the combined-trigger population
 // the paper highlights (49% of errata need at least two triggers).
-func BugsFromErrata(errata []*core.Erratum, scheme domain.Scheme, limit, minTriggers int, rng *rand.Rand) []Bug {
+func BugsFromErrata(errata []*domain.Erratum, scheme domain.Scheme, limit, minTriggers int, rng *rand.Rand) []Bug {
 	if minTriggers < 1 {
 		minTriggers = 1
 	}
-	var candidates []*core.Erratum
+	var candidates []*domain.Erratum
 	for _, e := range errata {
 		if len(e.Ann.Categories(taxonomy.Trigger, scheme)) >= minTriggers &&
 			(len(e.Ann.Effects) > 0 || len(e.Ann.MSRs) > 0) {

@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 func twoBugDUT(t *testing.T) *DUT {
@@ -151,18 +151,18 @@ func TestNewValidation(t *testing.T) {
 
 func TestBugsFromErrata(t *testing.T) {
 	scheme := taxonomy.Base()
-	errata := []*core.Erratum{
+	errata := []*domain.Erratum{
 		{
 			DocKey: "intel-06", ID: "S1", Seq: 1,
-			Ann: core.Annotation{
-				Triggers: []core.Item{{Category: "Trg_POW_pwc"}},
-				Effects:  []core.Item{{Category: "Eff_HNG_hng"}},
+			Ann: domain.Annotation{
+				Triggers: []domain.Item{{Category: "Trg_POW_pwc"}},
+				Effects:  []domain.Item{{Category: "Eff_HNG_hng"}},
 				MSRs:     []string{"MCx_STATUS"},
 			},
 		},
 		// No triggers: skipped.
 		{DocKey: "intel-06", ID: "S2", Seq: 2,
-			Ann: core.Annotation{Effects: []core.Item{{Category: "Eff_HNG_unp"}}}},
+			Ann: domain.Annotation{Effects: []domain.Item{{Category: "Eff_HNG_unp"}}}},
 	}
 	bugs := BugsFromErrata(errata, scheme, 0, 1, nil)
 	if len(bugs) != 1 || bugs[0].ID != "intel-06/S1" {
@@ -172,13 +172,13 @@ func TestBugsFromErrata(t *testing.T) {
 		t.Errorf("bug fields = %+v", bugs[0])
 	}
 	// Limit and shuffle determinism.
-	many := make([]*core.Erratum, 20)
+	many := make([]*domain.Erratum, 20)
 	for i := range many {
-		many[i] = &core.Erratum{
+		many[i] = &domain.Erratum{
 			DocKey: "intel-06", ID: string(rune('A' + i)), Seq: i + 1,
-			Ann: core.Annotation{
-				Triggers: []core.Item{{Category: "Trg_CFG_wrg"}},
-				Effects:  []core.Item{{Category: "Eff_CRP_reg"}},
+			Ann: domain.Annotation{
+				Triggers: []domain.Item{{Category: "Trg_CFG_wrg"}},
+				Effects:  []domain.Item{{Category: "Eff_CRP_reg"}},
 			},
 		}
 	}

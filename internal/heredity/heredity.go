@@ -8,7 +8,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
+	"repro/pkg/domain"
 )
 
 // Matrix is the shared-errata matrix of one vendor: Counts[i][j] is the
@@ -22,7 +22,7 @@ type Matrix struct {
 }
 
 // SharedMatrix computes the heredity matrix for a vendor (Figure 3).
-func SharedMatrix(db *core.Database, v core.Vendor) *Matrix {
+func SharedMatrix(db *domain.Database, v domain.Vendor) *Matrix {
 	docs := db.VendorDocuments(v)
 	m := &Matrix{}
 	keySets := make([]map[string]bool, len(docs))
@@ -59,7 +59,7 @@ func SharedMatrix(db *core.Database, v core.Vendor) *Matrix {
 
 // SharedKeys returns the unique keys present in every one of the given
 // documents, sorted.
-func SharedKeys(db *core.Database, docKeys ...string) []string {
+func SharedKeys(db *domain.Database, docKeys ...string) []string {
 	if len(docKeys) == 0 {
 		return nil
 	}
@@ -101,7 +101,7 @@ type Trace struct {
 // DisclosureTraces returns, per document, when the given shared keys
 // were disclosed there (Figure 4: the bugs shared by Intel generations
 // 6 to 10).
-func DisclosureTraces(db *core.Database, keys []string, docKeys ...string) []Trace {
+func DisclosureTraces(db *domain.Database, keys []string, docKeys ...string) []Trace {
 	want := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		want[k] = true
@@ -155,7 +155,7 @@ type firstReport struct {
 
 // ForwardBackwardLatent computes the Figure 5 curves for a vendor
 // (the paper evaluates Intel; AMD lacks chronological data).
-func ForwardBackwardLatent(db *core.Database, v core.Vendor) *LatencyResult {
+func ForwardBackwardLatent(db *domain.Database, v domain.Vendor) *LatencyResult {
 	// First report of each key per document.
 	reports := make(map[string][]firstReport)
 	for _, d := range db.VendorDocuments(v) {
@@ -238,9 +238,9 @@ type Lineage struct {
 // LongestLineages returns the unique keys spanning the most Intel
 // generations, longest first (Observation O3: bugs stay for up to 11
 // generations).
-func LongestLineages(db *core.Database, limit int) []Lineage {
-	byKey := make(map[string][]*core.Document)
-	for _, d := range db.VendorDocuments(core.Intel) {
+func LongestLineages(db *domain.Database, limit int) []Lineage {
+	byKey := make(map[string][]*domain.Document)
+	for _, d := range db.VendorDocuments(domain.Intel) {
 		seen := make(map[string]bool)
 		for _, e := range d.Errata {
 			if e.Key != "" && !seen[e.Key] {
@@ -282,7 +282,7 @@ func LongestLineages(db *core.Database, limit int) []Lineage {
 // KnownBeforeNextRelease reports, for a set of shared keys, how many
 // were disclosed in an earlier-generation document before the release
 // date of the given later document (Observation O4).
-func KnownBeforeNextRelease(db *core.Database, keys []string, earlierDoc, laterDoc string) int {
+func KnownBeforeNextRelease(db *domain.Database, keys []string, earlierDoc, laterDoc string) int {
 	earlier := db.Docs[earlierDoc]
 	later := db.Docs[laterDoc]
 	if earlier == nil || later == nil {

@@ -4,7 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 func date(y, m int) time.Time {
@@ -13,12 +14,12 @@ func date(y, m int) time.Time {
 
 // buildDB builds three Intel documents with known key overlaps and
 // disclosure dates.
-func buildDB(t *testing.T) *core.Database {
+func buildDB(t *testing.T) *domain.Database {
 	t.Helper()
-	db := core.NewDatabase()
-	mk := func(key, label string, order, gen int, released time.Time, entries ...*core.Erratum) {
-		d := &core.Document{
-			Key: key, Vendor: core.Intel, Label: label, Order: order,
+	db := domain.NewDatabase(taxonomy.Base())
+	mk := func(key, label string, order, gen int, released time.Time, entries ...*domain.Erratum) {
+		d := &domain.Document{
+			Key: key, Vendor: domain.Intel, Label: label, Order: order,
 			GenIndex: gen, Released: released, Errata: entries,
 		}
 		for i, e := range entries {
@@ -30,30 +31,30 @@ func buildDB(t *testing.T) *core.Database {
 		}
 	}
 	mk("intel-06", "6", 0, 6, date(2015, 8),
-		&core.Erratum{ID: "S1", Key: "K1", Disclosed: date(2015, 9)},
-		&core.Erratum{ID: "S2", Key: "K2", Disclosed: date(2016, 1)},
-		&core.Erratum{ID: "S3", Key: "K3", Disclosed: date(2016, 5)},
+		&domain.Erratum{ID: "S1", Key: "K1", Disclosed: date(2015, 9)},
+		&domain.Erratum{ID: "S2", Key: "K2", Disclosed: date(2016, 1)},
+		&domain.Erratum{ID: "S3", Key: "K3", Disclosed: date(2016, 5)},
 	)
 	mk("intel-07", "7/8", 1, 7, date(2016, 8),
-		&core.Erratum{ID: "T1", Key: "K1", Disclosed: date(2016, 9)}, // forward-latent
-		&core.Erratum{ID: "T2", Key: "K4", Disclosed: date(2016, 10)},
-		&core.Erratum{ID: "T3", Key: "K5", Disclosed: date(2017, 1)},
+		&domain.Erratum{ID: "T1", Key: "K1", Disclosed: date(2016, 9)}, // forward-latent
+		&domain.Erratum{ID: "T2", Key: "K4", Disclosed: date(2016, 10)},
+		&domain.Erratum{ID: "T3", Key: "K5", Disclosed: date(2017, 1)},
 	)
 	mk("intel-08", "8/9", 2, 8, date(2017, 10),
-		&core.Erratum{ID: "U1", Key: "K1", Disclosed: date(2017, 11)}, // forward-latent again
-		&core.Erratum{ID: "U2", Key: "K5", Disclosed: date(2017, 12)},
+		&domain.Erratum{ID: "U1", Key: "K1", Disclosed: date(2017, 11)}, // forward-latent again
+		&domain.Erratum{ID: "U2", Key: "K5", Disclosed: date(2017, 12)},
 	)
 	// K6 is reported in intel-08 first, then in intel-06 (backward).
 	db.Docs["intel-08"].Errata = append(db.Docs["intel-08"].Errata,
-		&core.Erratum{DocKey: "intel-08", ID: "U3", Seq: 3, Key: "K6", Disclosed: date(2018, 1)})
+		&domain.Erratum{DocKey: "intel-08", ID: "U3", Seq: 3, Key: "K6", Disclosed: date(2018, 1)})
 	db.Docs["intel-06"].Errata = append(db.Docs["intel-06"].Errata,
-		&core.Erratum{DocKey: "intel-06", ID: "S4", Seq: 4, Key: "K6", Disclosed: date(2018, 6)})
+		&domain.Erratum{DocKey: "intel-06", ID: "S4", Seq: 4, Key: "K6", Disclosed: date(2018, 6)})
 	return db
 }
 
 func TestSharedMatrix(t *testing.T) {
 	db := buildDB(t)
-	m := SharedMatrix(db, core.Intel)
+	m := SharedMatrix(db, domain.Intel)
 	if len(m.Docs) != 3 {
 		t.Fatalf("docs = %v", m.Docs)
 	}
@@ -111,7 +112,7 @@ func TestDisclosureTraces(t *testing.T) {
 
 func TestForwardBackwardLatent(t *testing.T) {
 	db := buildDB(t)
-	res := ForwardBackwardLatent(db, core.Intel)
+	res := ForwardBackwardLatent(db, domain.Intel)
 	// K1 (06->07->08) and K5 (07->08) are forward-latent; K6 is
 	// backward-latent (08 first, then 06).
 	if res.ForwardTotal != 2 {
@@ -166,7 +167,7 @@ func TestKnownBeforeNextRelease(t *testing.T) {
 
 func TestRediscoveryStats(t *testing.T) {
 	db := buildDB(t)
-	stats := RediscoveryStats(db, core.Intel)
+	stats := RediscoveryStats(db, domain.Intel)
 	if len(stats) != 3 {
 		t.Fatalf("stats = %v", stats)
 	}

@@ -1,7 +1,7 @@
 package heredity
 
 import (
-	"repro/internal/core"
+	"repro/pkg/domain"
 )
 
 // Rediscovery reports, for one document, how many of its bugs were
@@ -32,7 +32,7 @@ func (r Rediscovery) KnownFraction() float64 {
 
 // RediscoveryStats computes the rediscovery table for a vendor. It
 // requires deduplication and disclosure inference to have run.
-func RediscoveryStats(db *core.Database, v core.Vendor) []Rediscovery {
+func RediscoveryStats(db *domain.Database, v domain.Vendor) []Rediscovery {
 	docs := db.VendorDocuments(v)
 	// earliestDisclosure[key][order] = first disclosure of key in the
 	// document with that order index.

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // MergeDelta builds the index for db incrementally from a previously
@@ -26,7 +26,7 @@ import (
 // out of the remap and the clone is indexed as a new entry. Document
 // metadata may change between snapshots (insertions shift Order), but
 // the relative order of surviving documents — and hence of surviving
-// entries — must be preserved, which core.AssignOrders guarantees: the
+// entries — must be preserved, which domain.AssignOrders guarantees: the
 // ordinal remap is then monotonic and every remapped postings list stays
 // sorted. The byKey map is rebuilt from scratch (cluster keys are the
 // one axis that legitimately changes identity across snapshots), and the
@@ -37,12 +37,12 @@ import (
 // remaps and everything is indexed fresh. The differential fuzz target
 // FuzzDeltaMerge (internal/ingest) pins MergeDelta == Build on the union
 // for arbitrary ingest sequences.
-func MergeDelta(prev *Index, db *core.Database) *Index {
+func MergeDelta(prev *Index, db *domain.Database) *Index {
 	if prev == nil {
 		return Build(db)
 	}
 	errata := db.Errata()
-	newOrd := make(map[*core.Erratum]int, len(errata))
+	newOrd := make(map[*domain.Erratum]int, len(errata))
 	for ord, e := range errata {
 		newOrd[e] = ord
 	}
@@ -50,7 +50,7 @@ func MergeDelta(prev *Index, db *core.Database) *Index {
 	// entry is gone. Surviving entries keep their relative order, so the
 	// defined values are strictly increasing.
 	remap := make([]int, len(prev.errata))
-	surviving := make(map[*core.Erratum]bool, len(prev.errata))
+	surviving := make(map[*domain.Erratum]bool, len(prev.errata))
 	for old, e := range prev.errata {
 		if n, ok := newOrd[e]; ok {
 			remap[old] = n
@@ -91,19 +91,19 @@ func MergeDelta(prev *Index, db *core.Database) *Index {
 	// postings into the remapped ones. Both sides are sorted (remap is
 	// monotonic; the scratch walk appends in ascending ordinal order), so
 	// the result is identical to what a full Build appends.
-	vendorOf := make(map[string]core.Vendor, len(db.Docs))
+	vendorOf := make(map[string]domain.Vendor, len(db.Docs))
 	for key, d := range db.Docs {
 		vendorOf[key] = d.Vendor
 	}
 	add := &Index{
 		scheme:       db.Scheme,
-		byVendor:     make(map[core.Vendor]List),
+		byVendor:     make(map[domain.Vendor]List),
 		byDoc:        make(map[string]List),
 		byCategory:   make(map[string]List),
 		byTriggerCat: make(map[string]List),
 		byClass:      make(map[string]List),
-		byWorkaround: make(map[core.WorkaroundCategory]List),
-		byFix:        make(map[core.FixStatus]List),
+		byWorkaround: make(map[domain.WorkaroundCategory]List),
+		byFix:        make(map[domain.FixStatus]List),
 		byMSR:        make(map[string]List),
 		triggerCount: trig, // written positionally, no union needed
 	}
@@ -139,7 +139,7 @@ func MergeDelta(prev *Index, db *core.Database) *Index {
 // to every postings list except byKey (which Build and MergeDelta manage
 // themselves). Callers append in ascending ordinal order so every list
 // stays sorted.
-func (ix *Index) addEntry(ord int, e *core.Erratum, vendorOf map[string]core.Vendor) {
+func (ix *Index) addEntry(ord int, e *domain.Erratum, vendorOf map[string]domain.Vendor) {
 	if v, ok := vendorOf[e.DocKey]; ok {
 		pushOrd(ix.byVendor, v, ord)
 	}

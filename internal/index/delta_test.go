@@ -5,7 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // mustEqual fails unless the two indexes dump identically — the
@@ -26,9 +27,9 @@ func mustEqual(t *testing.T, got, want *Index, what string) {
 
 // shareDB returns a database holding the same document pointers as db,
 // minus the listed keys — the deletion shape of a delta.
-func shareDB(t *testing.T, db *core.Database, drop ...string) *core.Database {
+func shareDB(t *testing.T, db *domain.Database, drop ...string) *domain.Database {
 	t.Helper()
-	next := core.NewDatabase()
+	next := domain.NewDatabase(taxonomy.Base())
 	next.Scheme = db.Scheme
 	gone := make(map[string]bool, len(drop))
 	for _, k := range drop {
@@ -57,17 +58,17 @@ func TestMergeDeltaAddDocument(t *testing.T) {
 	db := smallDB(t)
 	prev := Build(db)
 	next := shareDB(t, db)
-	if err := next.Add(&core.Document{
-		Key: "intel-03", Vendor: core.Intel, Label: "3", Order: 2,
+	if err := next.Add(&domain.Document{
+		Key: "intel-03", Vendor: domain.Intel, Label: "3", Order: 2,
 		Released: time.Date(2012, 1, 1, 0, 0, 0, 0, time.UTC),
-		Errata: []*core.Erratum{
+		Errata: []*domain.Erratum{
 			{
 				DocKey: "intel-03", ID: "CCC001", Seq: 1, Key: "k3",
 				Title: "New cache coherency issue",
-				Fix:   core.FixDone,
-				Ann: core.Annotation{
-					Triggers:          []core.Item{{Category: "Trg_MOP_fen"}},
-					Effects:           []core.Item{{Category: "Eff_HNG_hng"}},
+				Fix:   domain.FixDone,
+				Ann: domain.Annotation{
+					Triggers:          []domain.Item{{Category: "Trg_MOP_fen"}},
+					Effects:           []domain.Item{{Category: "Eff_HNG_hng"}},
 					MSRs:              []string{"MCx_STATUS"},
 					ComplexConditions: true,
 				},
@@ -77,9 +78,9 @@ func TestMergeDeltaAddDocument(t *testing.T) {
 			{
 				DocKey: "intel-03", ID: "CCC002", Seq: 2, Key: "k1",
 				Title: "Power state hang",
-				Ann: core.Annotation{
-					Triggers: []core.Item{{Category: "Trg_POW_pwc"}},
-					Effects:  []core.Item{{Category: "Eff_HNG_hng"}},
+				Ann: domain.Annotation{
+					Triggers: []domain.Item{{Category: "Trg_POW_pwc"}},
+					Effects:  []domain.Item{{Category: "Eff_HNG_hng"}},
 				},
 			},
 		},
@@ -108,7 +109,7 @@ func TestMergeDeltaRelabelClone(t *testing.T) {
 	renamed := old.Errata[0].Clone()
 	renamed.Key = "k9"
 	dc := *old
-	dc.Errata = []*core.Erratum{renamed}
+	dc.Errata = []*domain.Erratum{renamed}
 	next.Docs["intel-02"] = &dc
 	got := MergeDelta(prev, next)
 	mustEqual(t, got, Build(next), "relabel clone")
@@ -122,11 +123,11 @@ func TestMergeDeltaRelabelClone(t *testing.T) {
 // cold Build (everything is indexed fresh, nothing remaps).
 func TestMergeDeltaForeignPrev(t *testing.T) {
 	db := smallDB(t)
-	foreign := core.NewDatabase()
+	foreign := domain.NewDatabase(taxonomy.Base())
 	foreign.Scheme = db.Scheme
-	if err := foreign.Add(&core.Document{
-		Key: "other-01", Vendor: core.AMD, Label: "x", Order: 0,
-		Errata: []*core.Erratum{{
+	if err := foreign.Add(&domain.Document{
+		Key: "other-01", Vendor: domain.AMD, Label: "x", Order: 0,
+		Errata: []*domain.Erratum{{
 			DocKey: "other-01", ID: "999", Seq: 1, Key: "a9",
 			Title: "Unrelated issue",
 		}},

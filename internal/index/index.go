@@ -1,5 +1,5 @@
 // Package index provides an inverted-index query engine over a
-// core.Database. It precomputes postings lists — sorted slices of
+// domain.Database. It precomputes postings lists — sorted slices of
 // erratum ordinals — per vendor, document, abstract category, class,
 // workaround category, fix status, observable MSR and boolean flag,
 // and answers conjunctive filter queries by sorted-slice intersection
@@ -23,18 +23,17 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/pkg/domain"
 )
 
 // Index is an inverted index over one database snapshot.
 type Index struct {
-	db     *core.Database
+	db     *domain.Database
 	scheme domain.Scheme
 
 	// errata maps ordinal -> entry, in db.Errata() order.
-	errata []*core.Erratum
+	errata []*domain.Erratum
 	// uniqueOrds lists the ordinals of the unique representatives, in
 	// db.Unique() order (DocKey, then Seq).
 	uniqueOrds List
@@ -43,14 +42,14 @@ type Index struct {
 	// MergeDelta produce heap-resident Ords, while FromLists installs
 	// Spans viewed straight over a FormatVersion 2 file mapping, so a
 	// disk-resident index never copies its postings into the heap.
-	byVendor     map[core.Vendor]List
+	byVendor     map[domain.Vendor]List
 	byDoc        map[string]List
 	byCategory   map[string]List // any annotation dimension
 	byTriggerCat map[string]List // trigger dimension only
 	byClass      map[string]List
 	byKey        map[string]List // cluster key -> all occurrences
-	byWorkaround map[core.WorkaroundCategory]List
-	byFix        map[core.FixStatus]List
+	byWorkaround map[domain.WorkaroundCategory]List
+	byFix        map[domain.FixStatus]List
 	byMSR        map[string]List
 	complexSet   List
 	simOnlySet   List
@@ -79,24 +78,24 @@ func (ix *Index) Instrument(reg *obs.Registry) {
 
 // Build constructs the index for a database. The database must not be
 // mutated afterwards while the index is in use.
-func Build(db *core.Database) *Index {
+func Build(db *domain.Database) *Index {
 	errata := db.Errata()
 	ix := &Index{
 		db:           db,
 		scheme:       db.Scheme,
 		errata:       errata,
-		byVendor:     make(map[core.Vendor]List),
+		byVendor:     make(map[domain.Vendor]List),
 		byDoc:        make(map[string]List),
 		byCategory:   make(map[string]List),
 		byTriggerCat: make(map[string]List),
 		byClass:      make(map[string]List),
 		byKey:        make(map[string]List),
-		byWorkaround: make(map[core.WorkaroundCategory]List),
-		byFix:        make(map[core.FixStatus]List),
+		byWorkaround: make(map[domain.WorkaroundCategory]List),
+		byFix:        make(map[domain.FixStatus]List),
 		byMSR:        make(map[string]List),
 		triggerCount: make(Ords, len(errata)),
 	}
-	vendorOf := make(map[string]core.Vendor, len(db.Docs))
+	vendorOf := make(map[string]domain.Vendor, len(db.Docs))
 	for key, d := range db.Docs {
 		vendorOf[key] = d.Vendor
 	}
@@ -108,7 +107,7 @@ func Build(db *core.Database) *Index {
 		}
 		ix.addEntry(ord, e, vendorOf)
 	}
-	ordOf := make(map[*core.Erratum]int, len(errata))
+	ordOf := make(map[*domain.Erratum]int, len(errata))
 	for ord, e := range errata {
 		ordOf[e] = ord
 	}
@@ -131,7 +130,7 @@ func appendOnce(m map[string]List, key string, ord int) {
 }
 
 // Database returns the indexed database snapshot.
-func (ix *Index) Database() *core.Database { return ix.db }
+func (ix *Index) Database() *domain.Database { return ix.db }
 
 // Size returns the number of indexed entries (duplicates counted
 // individually).
@@ -142,9 +141,9 @@ func (ix *Index) UniqueCount() int { return listLen(ix.uniqueOrds) }
 
 // ByKey returns every entry bearing the given cluster key, in document
 // order.
-func (ix *Index) ByKey(key string) []*core.Erratum {
+func (ix *Index) ByKey(key string) []*domain.Erratum {
 	ords := ix.byKey[key]
-	out := make([]*core.Erratum, listLen(ords))
+	out := make([]*domain.Erratum, listLen(ords))
 	for i := range out {
 		out[i] = ix.errata[ords.At(i)]
 	}
@@ -184,7 +183,7 @@ func (q *Query) pred(f func(ord int) bool) *Query {
 }
 
 // Vendor keeps errata of one vendor.
-func (q *Query) Vendor(v core.Vendor) *Query { return q.list(q.ix.byVendor[v]) }
+func (q *Query) Vendor(v domain.Vendor) *Query { return q.list(q.ix.byVendor[v]) }
 
 // InDocument keeps errata of one document.
 func (q *Query) InDocument(key string) *Query { return q.list(q.ix.byDoc[key]) }
@@ -227,12 +226,12 @@ func (q *Query) MinTriggers(n int) *Query {
 }
 
 // Workaround keeps errata with the given workaround category.
-func (q *Query) Workaround(w core.WorkaroundCategory) *Query {
+func (q *Query) Workaround(w domain.WorkaroundCategory) *Query {
 	return q.list(q.ix.byWorkaround[w])
 }
 
 // Fix keeps errata with the given fix status.
-func (q *Query) Fix(f core.FixStatus) *Query { return q.list(q.ix.byFix[f]) }
+func (q *Query) Fix(f domain.FixStatus) *Query { return q.list(q.ix.byFix[f]) }
 
 // Complex keeps errata mentioning a complex set of conditions.
 func (q *Query) Complex() *Query { return q.list(q.ix.complexSet) }
@@ -307,9 +306,9 @@ func (q *Query) matchOrdinals() []int {
 
 // All returns every matching entry (duplicates counted individually),
 // in db.Errata() order — identical to the closure scan.
-func (q *Query) All() []*core.Erratum {
+func (q *Query) All() []*domain.Erratum {
 	ords := q.matchOrdinals()
-	var out []*core.Erratum
+	var out []*domain.Erratum
 	for _, ord := range ords {
 		out = append(out, q.ix.errata[ord])
 	}
@@ -318,7 +317,7 @@ func (q *Query) All() []*core.Erratum {
 
 // Unique returns one representative per matching deduplicated erratum,
 // in db.Unique() order — identical to the closure scan.
-func (q *Query) Unique() []*core.Erratum {
+func (q *Query) Unique() []*domain.Erratum {
 	ords := q.matchOrdinals()
 	if len(ords) == 0 {
 		return nil
@@ -327,7 +326,7 @@ func (q *Query) Unique() []*core.Erratum {
 	for _, ord := range ords {
 		matched[ord] = true
 	}
-	var out []*core.Erratum
+	var out []*domain.Erratum
 	for i, n := 0, listLen(q.ix.uniqueOrds); i < n; i++ {
 		if ord := q.ix.uniqueOrds.At(i); matched[ord] {
 			out = append(out, q.ix.errata[ord])

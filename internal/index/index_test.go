@@ -5,68 +5,69 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // smallDB builds a two-vendor database exercising every postings
 // dimension: categories across kinds, classes, MSRs, flags, duplicate
 // cluster keys and fix/workaround variety.
-func smallDB(t *testing.T) *core.Database {
+func smallDB(t *testing.T) *domain.Database {
 	t.Helper()
-	db := core.NewDatabase()
-	docs := []*core.Document{
+	db := domain.NewDatabase(taxonomy.Base())
+	docs := []*domain.Document{
 		{
-			Key: "intel-01", Vendor: core.Intel, Label: "1", Order: 0,
+			Key: "intel-01", Vendor: domain.Intel, Label: "1", Order: 0,
 			Released: time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC),
-			Errata: []*core.Erratum{
+			Errata: []*domain.Erratum{
 				{
 					DocKey: "intel-01", ID: "AAA001", Seq: 1, Key: "k1",
 					Title:         "Power state hang",
-					WorkaroundCat: core.WorkaroundBIOS,
-					Fix:           core.FixDone,
+					WorkaroundCat: domain.WorkaroundBIOS,
+					Fix:           domain.FixDone,
 					Disclosed:     time.Date(2011, 3, 1, 0, 0, 0, 0, time.UTC),
-					Ann: core.Annotation{
-						Triggers: []core.Item{{Category: "Trg_POW_pwc"}, {Category: "Trg_MOP_fen"}},
-						Effects:  []core.Item{{Category: "Eff_HNG_hng"}},
+					Ann: domain.Annotation{
+						Triggers: []domain.Item{{Category: "Trg_POW_pwc"}, {Category: "Trg_MOP_fen"}},
+						Effects:  []domain.Item{{Category: "Eff_HNG_hng"}},
 						MSRs:     []string{"MCx_STATUS"},
 					},
 				},
 				{
 					DocKey: "intel-01", ID: "AAA002", Seq: 2, Key: "k2",
 					Title: "Counter overflow corrupts register",
-					Ann: core.Annotation{
-						Triggers:          []core.Item{{Category: "Trg_FLT_ovf"}},
-						Effects:           []core.Item{{Category: "Eff_CRP_reg"}},
+					Ann: domain.Annotation{
+						Triggers:          []domain.Item{{Category: "Trg_FLT_ovf"}},
+						Effects:           []domain.Item{{Category: "Eff_CRP_reg"}},
 						ComplexConditions: true,
 					},
 				},
 			},
 		},
 		{
-			Key: "intel-02", Vendor: core.Intel, Label: "2", Order: 1,
+			Key: "intel-02", Vendor: domain.Intel, Label: "2", Order: 1,
 			Released: time.Date(2011, 1, 1, 0, 0, 0, 0, time.UTC),
-			Errata: []*core.Erratum{
+			Errata: []*domain.Erratum{
 				// Same cluster key as AAA001: a duplicate occurrence.
 				{
 					DocKey: "intel-02", ID: "BBB001", Seq: 1, Key: "k1",
 					Title: "Power state hang",
-					Ann: core.Annotation{
-						Triggers: []core.Item{{Category: "Trg_POW_pwc"}},
-						Effects:  []core.Item{{Category: "Eff_HNG_hng"}},
+					Ann: domain.Annotation{
+						Triggers: []domain.Item{{Category: "Trg_POW_pwc"}},
+						Effects:  []domain.Item{{Category: "Eff_HNG_hng"}},
 					},
 				},
 			},
 		},
 		{
-			Key: "amd-10h-00", Vendor: core.AMD, Label: "10h 00", Order: 0,
+			Key: "amd-10h-00", Vendor: domain.AMD, Label: "10h 00", Order: 0,
 			Released: time.Date(2009, 1, 1, 0, 0, 0, 0, time.UTC),
-			Errata: []*core.Erratum{
+			Errata: []*domain.Erratum{
 				{
 					DocKey: "amd-10h-00", ID: "100", Seq: 1, Key: "a1",
 					Title: "Simulation-only fence issue",
-					Ann: core.Annotation{
-						Triggers:       []core.Item{{Category: "Trg_MOP_fen"}},
-						Contexts:       []core.Item{{Category: "Ctx_PRV_vmg"}},
+					Ann: domain.Annotation{
+						Triggers:       []domain.Item{{Category: "Trg_MOP_fen"}},
+						Contexts:       []domain.Item{{Category: "Ctx_PRV_vmg"}},
 						SimulationOnly: true,
 					},
 				},
@@ -84,7 +85,7 @@ func smallDB(t *testing.T) *core.Database {
 	return db
 }
 
-func ids(errata []*core.Erratum) []string {
+func ids(errata []*domain.Erratum) []string {
 	var out []string
 	for _, e := range errata {
 		out = append(out, e.FullID())
@@ -129,7 +130,7 @@ func TestQueryOperations(t *testing.T) {
 	db := smallDB(t)
 	ix := Build(db)
 
-	if got := ids(ix.Query().Vendor(core.Intel).All()); !reflect.DeepEqual(got,
+	if got := ids(ix.Query().Vendor(domain.Intel).All()); !reflect.DeepEqual(got,
 		[]string{"intel-01/AAA001", "intel-01/AAA002", "intel-02/BBB001"}) {
 		t.Errorf("Vendor(Intel).All() = %v", got)
 	}
@@ -168,10 +169,10 @@ func TestQueryOperations(t *testing.T) {
 	if got := ix.Query().ObservableIn("MCx_STATUS").Count(); got != 1 {
 		t.Errorf("ObservableIn = %d, want 1", got)
 	}
-	if got := ix.Query().Workaround(core.WorkaroundBIOS).Count(); got != 1 {
+	if got := ix.Query().Workaround(domain.WorkaroundBIOS).Count(); got != 1 {
 		t.Errorf("Workaround(BIOS) = %d, want 1", got)
 	}
-	if got := ix.Query().Fix(core.FixDone).Count(); got != 1 {
+	if got := ix.Query().Fix(domain.FixDone).Count(); got != 1 {
 		t.Errorf("Fix(Done) = %d, want 1", got)
 	}
 	from := time.Date(2011, 1, 1, 0, 0, 0, 0, time.UTC)

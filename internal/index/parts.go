@@ -1,31 +1,28 @@
 package index
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "repro/pkg/domain"
 
 // Parts is the complete structural state of an Index in exported form:
 // every postings family, the precomputed flag sets and trigger counts,
 // and the unique-representative ordinals. It exists so the index can be
-// persisted alongside the database (the FormatVersion 2 store embeds it
-// as flat arrays) and reconstructed by FromParts without re-walking any
-// annotation — the postings-level half of a zero-decode cold open.
+// persisted alongside the database: the FormatVersion 2 encoder writes
+// it as flat arrays, and FromLists reassembles the index from spans
+// over them without re-walking any annotation — the postings-level
+// half of a zero-decode cold open.
 //
 // Ordinals are positions in db.Errata() order, exactly as Build
 // produces them. A Parts value extracted from an index built over db is
 // only meaningful for a database whose Errata() order is identical.
 type Parts struct {
 	UniqueOrds   []int
-	ByVendor     map[core.Vendor][]int
+	ByVendor     map[domain.Vendor][]int
 	ByDoc        map[string][]int
 	ByCategory   map[string][]int
 	ByTriggerCat map[string][]int
 	ByClass      map[string][]int
 	ByKey        map[string][]int
-	ByWorkaround map[core.WorkaroundCategory][]int
-	ByFix        map[core.FixStatus][]int
+	ByWorkaround map[domain.WorkaroundCategory][]int
+	ByFix        map[domain.FixStatus][]int
 	ByMSR        map[string][]int
 	ComplexSet   []int
 	SimOnlySet   []int
@@ -33,7 +30,7 @@ type Parts struct {
 }
 
 // Parts extracts the index's structural state as flat slices. For a
-// heap-built index (Build, MergeDelta, FromParts) the slices and map
+// heap-built index (Build, MergeDelta) the slices and map
 // values alias the index's internals and the caller must treat them as
 // read-only, exactly like query results; for a span-backed index
 // (FromLists over a mapped store) each list is materialized into the
@@ -65,53 +62,6 @@ func partsMap[K comparable](m map[K]List) map[K][]int {
 	return out
 }
 
-func listsMap[K comparable](m map[K][]int) map[K]List {
-	out := make(map[K]List, len(m))
-	for k, l := range m {
-		out[k] = Ords(l)
-	}
-	return out
-}
-
-// FromParts reconstructs an Index over db from previously extracted
-// parts, skipping the per-entry annotation walk Build performs. The
-// parts must describe an index over a database with the same Errata()
-// order (the store's v2 decoder guarantees this by checksumming the
-// records and postings together); only the cheap structural invariant —
-// one trigger count per entry, every ordinal in range — is re-checked
-// here. db must not be mutated while the index is in use.
-func FromParts(db *core.Database, p *Parts) (*Index, error) {
-	errata := db.Errata()
-	if len(p.TriggerCount) != len(errata) {
-		return nil, fmt.Errorf("index: parts carry %d trigger counts for %d entries",
-			len(p.TriggerCount), len(errata))
-	}
-	for _, ord := range p.UniqueOrds {
-		if ord < 0 || ord >= len(errata) {
-			return nil, fmt.Errorf("index: parts unique ordinal %d out of range [0,%d)", ord, len(errata))
-		}
-	}
-	ix := &Index{
-		db:           db,
-		scheme:       db.Scheme,
-		errata:       errata,
-		uniqueOrds:   Ords(p.UniqueOrds),
-		byVendor:     listsMap(p.ByVendor),
-		byDoc:        listsMap(p.ByDoc),
-		byCategory:   listsMap(p.ByCategory),
-		byTriggerCat: listsMap(p.ByTriggerCat),
-		byClass:      listsMap(p.ByClass),
-		byKey:        listsMap(p.ByKey),
-		byWorkaround: listsMap(p.ByWorkaround),
-		byFix:        listsMap(p.ByFix),
-		byMSR:        listsMap(p.ByMSR),
-		complexSet:   Ords(p.ComplexSet),
-		simOnlySet:   Ords(p.SimOnlySet),
-		triggerCount: Ords(p.TriggerCount),
-	}
-	return ix, nil
-}
-
 // KeyList returns the postings list of ordinals bearing the given
 // cluster key, absent keys yielding a nil List. The list is shared with
 // the index and must be treated as read-only; unlike ByKey it performs
@@ -119,12 +69,6 @@ func FromParts(db *core.Database, p *Parts) (*Index, error) {
 // lookup relies on.
 func (ix *Index) KeyList(key string) List { return ix.byKey[key] }
 
-// KeyOrds returns KeyList materialized as a heap slice.
-//
-// / Deprecated: use KeyList, which stays allocation-free for span-backed
-// indexes too.
-func (ix *Index) KeyOrds(key string) []int { return toInts(ix.byKey[key]) }
-
 // Entry returns the entry at the given ordinal. The ordinal must come
-// from this index's postings (KeyOrds or query results).
-func (ix *Index) Entry(ord int) *core.Erratum { return ix.errata[ord] }
+// from this index's postings (KeyList or query results).
+func (ix *Index) Entry(ord int) *domain.Erratum { return ix.errata[ord] }

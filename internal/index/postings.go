@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/core"
+	"repro/pkg/domain"
 )
 
 // List is a read-only sorted postings list of erratum ordinals. Two
@@ -126,14 +126,14 @@ func intersectInto(a []int, b List) []int {
 // carrier the encoder persists.
 type ListParts struct {
 	UniqueOrds   List
-	ByVendor     map[core.Vendor]List
+	ByVendor     map[domain.Vendor]List
 	ByDoc        map[string]List
 	ByCategory   map[string]List
 	ByTriggerCat map[string]List
 	ByClass      map[string]List
 	ByKey        map[string]List
-	ByWorkaround map[core.WorkaroundCategory]List
-	ByFix        map[core.FixStatus]List
+	ByWorkaround map[domain.WorkaroundCategory]List
+	ByFix        map[domain.FixStatus]List
 	ByMSR        map[string]List
 	ComplexSet   List
 	SimOnlySet   List
@@ -144,11 +144,12 @@ type ListParts struct {
 
 // FromLists reconstructs an Index over db from List-typed parts —
 // typically spans over a mapped FormatVersion 2 file — skipping both
-// the annotation walk and the postings materialization. The same
-// structural invariant FromParts checks is re-checked here; the store's
-// open-time validation already bounds-checked every ordinal and sorted
-// every list.
-func FromLists(db *core.Database, p *ListParts) (*Index, error) {
+// the annotation walk and the postings materialization. Only the cheap
+// structural invariant — one trigger count per entry, every unique
+// ordinal in range — is re-checked here; the store's open-time
+// validation already bounds-checked every ordinal and sorted every
+// list. db must not be mutated while the index is in use.
+func FromLists(db *domain.Database, p *ListParts) (*Index, error) {
 	errata := db.Errata()
 	if n := listLen(p.TriggerCount); n != len(errata) {
 		return nil, fmt.Errorf("index: parts carry %d trigger counts for %d entries", n, len(errata))

@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/pkg/domain"
 )
 
 // spanOf encodes a heap list as little-endian u32 bytes and wraps it as
@@ -69,15 +69,15 @@ func TestSpanIndexEquivalence(t *testing.T) {
 		}
 		for _, q := range []struct {
 			name string
-			run  func(ix *Index) []*core.Erratum
+			run  func(ix *Index) []*domain.Erratum
 		}{
-			{"all", func(ix *Index) []*core.Erratum { return ix.Query().All() }},
-			{"unique", func(ix *Index) []*core.Erratum { return ix.Query().Unique() }},
-			{"complex", func(ix *Index) []*core.Erratum { return ix.Query().Complex().All() }},
-			{"vendor", func(ix *Index) []*core.Erratum { return ix.Query().Vendor(core.Intel).All() }},
-			{"min-triggers", func(ix *Index) []*core.Erratum { return ix.Query().MinTriggers(2).All() }},
-			{"compound", func(ix *Index) []*core.Erratum {
-				return ix.Query().Vendor(core.Intel).Complex().MinTriggers(1).Unique()
+			{"all", func(ix *Index) []*domain.Erratum { return ix.Query().All() }},
+			{"unique", func(ix *Index) []*domain.Erratum { return ix.Query().Unique() }},
+			{"complex", func(ix *Index) []*domain.Erratum { return ix.Query().Complex().All() }},
+			{"vendor", func(ix *Index) []*domain.Erratum { return ix.Query().Vendor(domain.Intel).All() }},
+			{"min-triggers", func(ix *Index) []*domain.Erratum { return ix.Query().MinTriggers(2).All() }},
+			{"compound", func(ix *Index) []*domain.Erratum {
+				return ix.Query().Vendor(domain.Intel).Complex().MinTriggers(1).Unique()
 			}},
 		} {
 			a, b := q.run(built), q.run(spanned)
@@ -96,5 +96,32 @@ func TestSpanIndexEquivalence(t *testing.T) {
 		if !bytes.Equal(MergeDelta(spanned, gt.DB).DebugDump(), MergeDelta(built, gt.DB).DebugDump()) {
 			t.Fatalf("seed %d: MergeDelta from span-backed prev diverges", seed)
 		}
+	}
+}
+
+// TestFromListsRejects proves the structural validation on untrusted
+// parts: a short TriggerCount and an out-of-range unique ordinal.
+func TestFromListsRejects(t *testing.T) {
+	gt, err := corpus.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := Build(gt.DB)
+	n := len(gt.DB.Errata())
+
+	short := &ListParts{
+		UniqueOrds:   built.uniqueOrds,
+		TriggerCount: Ords(toInts(built.triggerCount)[:n-1]),
+	}
+	if _, err := FromLists(gt.DB, short); err == nil {
+		t.Fatal("FromLists accepted a short TriggerCount")
+	}
+
+	outOfRange := &ListParts{
+		UniqueOrds:   spanOf(t, Ords(append(toInts(built.uniqueOrds), n))),
+		TriggerCount: built.triggerCount,
+	}
+	if _, err := FromLists(gt.DB, outOfRange); err == nil {
+		t.Fatal("FromLists accepted an out-of-range ordinal")
 	}
 }

@@ -19,7 +19,7 @@
 //     a function of the document text alone, and is memoized in the
 //     content-addressed artifact cache keyed by the text's sha256.
 //   - Chronological Order indices are recomputed from the union exactly
-//     as core.AssignOrders would assign them.
+//     as domain.AssignOrders would assign them.
 //   - Dedup keys: AMD entries key by shared ID ("A-<ID>"); Intel entries
 //     join the cluster of any initial-database entry with the same
 //     normalized title (frozen keys — the live database's oracle-reviewed
@@ -31,7 +31,7 @@
 //
 // # Snapshot discipline
 //
-// Every Apply publishes a fresh *core.Database that shares all unchanged
+// Every Apply publishes a fresh *domain.Database that shares all unchanged
 // documents and entries with the previous snapshot by pointer and clones
 // anything it must touch (a document whose Order shifted, an entry whose
 // cluster key was renumbered). Old snapshots — including ones currently
@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"repro/internal/classify"
-	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -91,7 +90,7 @@ type Result struct {
 	// DB and Index are the new immutable snapshot. When Changed is
 	// false the batch was a no-op (every document unchanged) and they
 	// are the previous snapshot.
-	DB      *core.Database
+	DB      *domain.Database
 	Index   *index.Index
 	Changed bool
 
@@ -130,9 +129,9 @@ type Ingester struct {
 	frozenKey map[string]string
 	nextLabel int
 
-	docs    map[string]*core.Document // current union, published objects
-	digests map[string]string         // doc key -> source text sha256 ("" for initial docs)
-	db      *core.Database
+	docs    map[string]*domain.Document // current union, published objects
+	digests map[string]string           // doc key -> source text sha256 ("" for initial docs)
+	db      *domain.Database
 	ix      *index.Index
 
 	docsTotal   *obs.Counter
@@ -155,7 +154,7 @@ func New(opts Options) *Ingester { return NewFrom(nil, opts) }
 // keys included — and their Intel clusters are frozen: arriving entries
 // with a matching normalized title join them instead of forming new
 // clusters. The caller must not mutate initial afterwards.
-func NewFrom(initial *core.Database, opts Options) *Ingester {
+func NewFrom(initial *domain.Database, opts Options) *Ingester {
 	reg := opts.Observability
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -164,7 +163,7 @@ func NewFrom(initial *core.Database, opts Options) *Ingester {
 		opts:      opts,
 		scheme:    taxonomy.Base(),
 		frozenKey: make(map[string]string),
-		docs:      make(map[string]*core.Document),
+		docs:      make(map[string]*domain.Document),
 		digests:   make(map[string]string),
 	}
 	in.engine = classify.NewEngineConfig(classify.Config{Prefilter: true, Memo: true, Obs: reg})
@@ -179,7 +178,7 @@ func NewFrom(initial *core.Database, opts Options) *Ingester {
 		// First occurrence in database order wins, so a (contract-
 		// violating) initial database with conflicting keys for one
 		// normalized title still freezes deterministically.
-		for _, e := range initial.VendorErrata(core.Intel) {
+		for _, e := range initial.VendorErrata(domain.Intel) {
 			if e.Key == "" {
 				continue
 			}
@@ -193,7 +192,7 @@ func NewFrom(initial *core.Database, opts Options) *Ingester {
 		}
 	}
 	in.nextLabel++
-	in.db = &core.Database{Docs: copyDocs(in.docs), Scheme: in.scheme}
+	in.db = &domain.Database{Docs: copyDocs(in.docs), Scheme: in.scheme}
 	in.ix = index.Build(in.db)
 
 	in.docsTotal = reg.Counter("rememberr_ingest_documents_total",
@@ -219,7 +218,7 @@ func NewFrom(initial *core.Database, opts Options) *Ingester {
 
 // Snapshot returns the current database and its incrementally merged
 // index. Both are immutable.
-func (in *Ingester) Snapshot() (*core.Database, *index.Index) {
+func (in *Ingester) Snapshot() (*domain.Database, *index.Index) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.db, in.ix
@@ -230,7 +229,7 @@ func (in *Ingester) Snapshot() (*core.Database, *index.Index) {
 // batch and builds the index from scratch with index.Build. Every
 // incremental ingest sequence over the same union must produce a
 // byte-identical database and a structurally identical index.
-func Build(initial *core.Database, texts []string, opts Options) (*core.Database, *index.Index, error) {
+func Build(initial *domain.Database, texts []string, opts Options) (*domain.Database, *index.Index, error) {
 	in := NewFrom(initial, opts)
 	res, err := in.Apply(texts)
 	if err != nil {
@@ -275,7 +274,7 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 		return res, nil
 	}
 
-	union := make(map[string]*core.Document, len(in.docs)+len(batch))
+	union := make(map[string]*domain.Document, len(in.docs)+len(batch))
 	for k, d := range in.docs {
 		union[k] = d
 	}
@@ -296,7 +295,7 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 	// are shared untouched unless the union shifted their Order or
 	// renumbered one of their entries' keys, in which case the document
 	// (and only the affected entries) are cloned.
-	final := make(map[string]*core.Document, len(union))
+	final := make(map[string]*domain.Document, len(union))
 	for k, d := range union {
 		if _, isNew := batch[k]; isNew {
 			d.Order = orders[k]
@@ -324,7 +323,7 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 		}
 		dc := *d
 		dc.Order = orders[k]
-		dc.Errata = make([]*core.Erratum, len(d.Errata))
+		dc.Errata = make([]*domain.Erratum, len(d.Errata))
 		for i, e := range d.Errata {
 			if keys[e] != e.Key {
 				ne := e.Clone()
@@ -340,13 +339,13 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 
 	// Disclosure inference is strictly per-document; run it on the
 	// batch's fresh documents only (clones keep their inferred dates).
-	tdb := &core.Database{Docs: make(map[string]*core.Document, len(batch)), Scheme: in.scheme}
+	tdb := &domain.Database{Docs: make(map[string]*domain.Document, len(batch)), Scheme: in.scheme}
 	for k := range batch {
 		tdb.Docs[k] = final[k]
 	}
 	timeline.InferDisclosures(tdb, timeline.Options{Interpolate: true})
 
-	db := &core.Database{Docs: final, Scheme: in.scheme}
+	db := &domain.Database{Docs: final, Scheme: in.scheme}
 	t0 := time.Now()
 	ix := index.MergeDelta(in.ix, db)
 	res.MergeDuration = time.Since(t0)
@@ -364,7 +363,7 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 }
 
 type parsedDoc struct {
-	doc    *core.Document
+	doc    *domain.Document
 	digest string
 	diags  []specdoc.Diagnostic
 }
@@ -421,14 +420,14 @@ func (in *Ingester) parseOne(text string) (*parsedDoc, error) {
 // flags and per-entry workaround/fix classifications onto the erratum —
 // the oracle-free half of annotate.Run's applyAnnotation (a live feed
 // has no ground truth to resolve undecided pairs against).
-func applyAutoAnnotation(scheme domain.Scheme, rep *classify.Report, e *core.Erratum) {
-	var ann core.Annotation
+func applyAutoAnnotation(scheme domain.Scheme, rep *classify.Report, e *domain.Erratum) {
+	var ann domain.Annotation
 	for _, cat := range rep.IncludedCategories(scheme) {
 		c, ok := scheme.Category(cat)
 		if !ok {
 			continue
 		}
-		item := core.Item{Category: cat, Concrete: rep.Concrete[cat]}
+		item := domain.Item{Category: cat, Concrete: rep.Concrete[cat]}
 		switch c.Kind {
 		case taxonomy.Trigger:
 			ann.Triggers = append(ann.Triggers, item)
@@ -448,10 +447,10 @@ func applyAutoAnnotation(scheme domain.Scheme, rep *classify.Report, e *core.Err
 }
 
 // computeOrders assigns chronological Order indices for the union
-// exactly as core.AssignOrders would — per vendor, sorted by (GenIndex,
+// exactly as domain.AssignOrders would — per vendor, sorted by (GenIndex,
 // Released, Key) — but functionally, without mutating shared documents.
-func computeOrders(union map[string]*core.Document) map[string]int {
-	byVendor := make(map[core.Vendor][]*core.Document)
+func computeOrders(union map[string]*domain.Document) map[string]int {
+	byVendor := make(map[domain.Vendor][]*domain.Document)
 	for _, d := range union {
 		byVendor[d.Vendor] = append(byVendor[d.Vendor], d)
 	}
@@ -482,23 +481,23 @@ func computeOrders(union map[string]*core.Document) map[string]int {
 // (minOrder, minSeq) cluster order, continuing after the frozen labels
 // (mirroring dedup.assignIntelKeys; with no frozen clusters the result
 // is exactly dedup.Deduplicate with a nil oracle).
-func (in *Ingester) computeKeys(union map[string]*core.Document, orders map[string]int) map[*core.Erratum]string {
-	keys := make(map[*core.Erratum]string)
+func (in *Ingester) computeKeys(union map[string]*domain.Document, orders map[string]int) map[*domain.Erratum]string {
+	keys := make(map[*domain.Erratum]string)
 	type cluster struct {
 		minOrder, minSeq int
-		members          []*core.Erratum
+		members          []*domain.Erratum
 	}
 	fresh := make(map[string]*cluster)
 	for _, d := range union {
 		for _, e := range d.Errata {
 			switch d.Vendor {
-			case core.AMD:
+			case domain.AMD:
 				if e.ID != "" {
 					keys[e] = "A-" + e.ID
 				} else {
 					keys[e] = ""
 				}
-			case core.Intel:
+			case domain.Intel:
 				n := textsim.Normalize(e.Title)
 				if k, ok := in.frozenKey[n]; ok {
 					keys[e] = k
@@ -555,8 +554,8 @@ func parseIntelLabel(key string) (int, bool) {
 	return n, true
 }
 
-func copyDocs(docs map[string]*core.Document) map[string]*core.Document {
-	out := make(map[string]*core.Document, len(docs))
+func copyDocs(docs map[string]*domain.Document) map[string]*domain.Document {
+	out := make(map[string]*domain.Document, len(docs))
 	for k, d := range docs {
 		out[k] = d
 	}
@@ -577,7 +576,7 @@ type artifactDTO struct {
 }
 
 func encodeArtifact(p *parsedDoc) ([]byte, error) {
-	one := core.NewDatabase()
+	one := domain.NewDatabase(taxonomy.Base())
 	if err := one.Add(p.doc); err != nil {
 		return nil, err
 	}

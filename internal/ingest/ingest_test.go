@@ -7,11 +7,11 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/pipeline"
 	"repro/internal/specdoc"
 	"repro/internal/store"
+	"repro/pkg/domain"
 )
 
 // seedTexts renders the corpus for one seed into ingestible document
@@ -37,7 +37,7 @@ func seedTexts(t testing.TB, seed int64) []string {
 
 // mustEncode returns the canonical byte form of a database, the
 // comparison primitive of the convergence contract.
-func mustEncode(t testing.TB, db *core.Database) []byte {
+func mustEncode(t testing.TB, db *domain.Database) []byte {
 	t.Helper()
 	b, err := store.Encode(db)
 	if err != nil {

@@ -9,10 +9,11 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/ingest"
 	"repro/internal/specdoc"
+	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // ingestTexts renders one corpus seed into document texts in
@@ -39,7 +40,7 @@ func ingestTexts(t testing.TB, seed int64) []string {
 // ingestingServer wires an Ingester to a Server the way errserve does:
 // one mutex serializes each Apply with its SwapDelta so snapshots
 // install in application order.
-func ingestingServer(initial *core.Database, shards int) (*Server, *ingest.Ingester) {
+func ingestingServer(initial *domain.Database, shards int) (*Server, *ingest.Ingester) {
 	ing := ingest.NewFrom(initial, ingest.Options{Parallelism: 1})
 	var mu sync.Mutex
 	var srv *Server
@@ -88,7 +89,7 @@ func stripGen(t *testing.T, body []byte) string {
 
 // TestIngestEndpointNotConfigured pins the 501 contract.
 func TestIngestEndpointNotConfigured(t *testing.T) {
-	db := core.NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	srv := newDBServer(db, Options{})
 	code, body := postIngest(t, srv, "anything")
 	if code != 501 {
@@ -99,7 +100,7 @@ func TestIngestEndpointNotConfigured(t *testing.T) {
 // TestIngestEndpointRejectsBadDocument pins the 400 contract: an
 // unparseable body leaves the served snapshot untouched.
 func TestIngestEndpointRejectsBadDocument(t *testing.T) {
-	srv, _ := ingestingServer(core.NewDatabase(), 0)
+	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()), 0)
 	gen := srv.Generation()
 	code, body := postIngest(t, srv, "not a specification update\n")
 	if code != 400 {
@@ -124,7 +125,7 @@ func TestIngestEndpointEquivalence(t *testing.T) {
 	}
 	for _, shards := range []int{0, 1, 4, 16} {
 		cold := newDBServer(unionDB, Options{CacheSize: -1, Shards: shards})
-		srv, _ := ingestingServer(core.NewDatabase(), shards)
+		srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()), shards)
 		for i, text := range texts {
 			code, body := postIngest(t, srv, text)
 			if code != 200 {

@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/pkg/domain"
 )
 
 // TestMarshalFailuresAre500s is the regression test for the former
@@ -24,7 +24,7 @@ func TestMarshalFailuresAre500s(t *testing.T) {
 	}
 	srv := newDBServer(gt.DB, Options{
 		CacheSize: -1,
-		Reloader: func(context.Context) (*core.Database, error) {
+		Reloader: func(context.Context) (*domain.Database, error) {
 			g, err := corpus.Generate(1)
 			if err != nil {
 				return nil, err

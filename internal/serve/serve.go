@@ -62,12 +62,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // Options configures the server.
@@ -94,7 +94,7 @@ type Options struct {
 	// pipeline rebuild or a store-file load. The returned database is
 	// swapped in atomically; the reloader must not mutate it afterwards.
 	// When nil, the reload endpoint answers 501 Not Implemented.
-	Reloader func(ctx context.Context) (*core.Database, error)
+	Reloader func(ctx context.Context) (*domain.Database, error)
 	// ReloadSource, when non-nil, produces a fresh store.Reader for
 	// POST /v1/admin/reload (and Server.Reload) — the store-backed
 	// sibling of Reloader, so a reload of an mmap-backed corpus reopens
@@ -171,10 +171,10 @@ var endpointNames = []string{
 // consistent with a single generation even while Swap installs a new
 // one mid-flight.
 type snapshot struct {
-	db      *core.Database
+	db      *domain.Database
 	ix      *index.Index   // single-index mode; nil when sharded
 	cluster *shard.Cluster // sharded mode; nil when single-index
-	stats   core.Stats
+	stats   domain.Stats
 	gen     uint64
 	// frags holds the precomputed canonical JSON response fragments of
 	// this snapshot's entries; the hot read path stitches responses
@@ -241,9 +241,8 @@ type Server struct {
 
 // Option configures New. Exactly one data source must be supplied —
 // WithDatabase or WithStore — plus any number of tuning options. A
-// whole Options struct is itself an Option (it replaces the full
-// configuration, mirroring pipeline.Build), so existing Options
-// literals migrate by appending a source:
+// whole Options struct is itself an Option that replaces the full
+// tuning configuration:
 //
 //	srv, err := serve.New(serve.WithDatabase(db), serve.Options{Shards: 4})
 type Option interface {
@@ -254,7 +253,7 @@ type Option interface {
 // single data source.
 type config struct {
 	opts Options
-	db   *core.Database
+	db   *domain.Database
 	st   store.Reader
 }
 
@@ -271,7 +270,7 @@ func (f optionFunc) applyOption(c *config) { f(c) }
 // WithDatabase serves the given in-memory database: the index is built
 // over it and fragments are precomputed. The caller must not mutate db
 // afterwards.
-func WithDatabase(db *core.Database) Option {
+func WithDatabase(db *domain.Database) Option {
 	return optionFunc(func(c *config) { c.db = db })
 }
 
@@ -330,28 +329,6 @@ func New(opts ...Option) (*Server, error) {
 		return s, nil
 	}
 	s.Swap(c.db)
-	return s, nil
-}
-
-// NewFromDatabase builds the index over db and returns a ready server
-// serving generation 1. The caller must not mutate db afterwards.
-//
-// Deprecated: use New(WithDatabase(db), opts).
-func NewFromDatabase(db *core.Database, opts Options) *Server {
-	s := newServer(opts)
-	s.Swap(db)
-	return s
-}
-
-// NewFromStore returns a ready server backed by an opened
-// FormatVersion 2 store.
-//
-// Deprecated: use New(WithStore(sv), opts).
-func NewFromStore(sv *store.StoreV2, opts Options) (*Server, error) {
-	s := newServer(opts)
-	if _, err := s.SwapReader(sv); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -425,7 +402,7 @@ func newServer(opts Options) *Server {
 // previous generation finish against it undisturbed, and response-cache
 // entries of older generations are never served again (keys are
 // generation-scoped). The caller must not mutate db after Swap.
-func (s *Server) Swap(db *core.Database) uint64 {
+func (s *Server) Swap(db *domain.Database) uint64 {
 	snap := &snapshot{db: db, stats: db.ComputeStats()}
 	if s.opts.Shards > 0 {
 		snap.cluster = shard.Partition(db, s.opts.Shards)
@@ -570,13 +547,6 @@ func (s *Server) buildStoreSnapshot(sv *store.StoreV2) (*snapshot, error) {
 	return snap, nil
 }
 
-// SwapStore installs the database of an opened FormatVersion 2 store.
-//
-// Deprecated: use SwapReader.
-func (s *Server) SwapStore(sv *store.StoreV2) (uint64, error) {
-	return s.SwapReader(sv)
-}
-
 // SwapDelta installs db as the served snapshot by merging against the
 // currently served one instead of rebuilding from scratch: single-index
 // mode runs index.MergeDelta from the previous snapshot's index,
@@ -594,7 +564,7 @@ func (s *Server) SwapStore(sv *store.StoreV2) (uint64, error) {
 // The merge is index-only (annotation walks happen per new entry), so
 // the critical section stays far below a cold Build. The caller must
 // not mutate db after SwapDelta.
-func (s *Server) SwapDelta(db *core.Database) uint64 {
+func (s *Server) SwapDelta(db *domain.Database) uint64 {
 	start := time.Now()
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -661,7 +631,7 @@ func (s *Server) Generation() uint64 { return s.snap.Load().gen }
 // Stats returns the precomputed corpus statistics of the currently
 // served snapshot — the same numbers /v1/stats reports, without a
 // request (and, for store-backed servers, without decoding anything).
-func (s *Server) Stats() core.Stats { return s.snap.Load().stats }
+func (s *Server) Stats() domain.Stats { return s.snap.Load().stats }
 
 // acquireSnap loads the current snapshot and, when it is backed by a
 // mapped region, retains the region for the caller. The retry loop
@@ -888,7 +858,7 @@ type errataRequest struct {
 
 // run executes the request's filters against one index and returns the
 // full (unpaginated) match list.
-func (req *errataRequest) run(ix *index.Index) []*core.Erratum {
+func (req *errataRequest) run(ix *index.Index) []*domain.Erratum {
 	q := ix.Query()
 	for _, f := range req.filters {
 		f(q)
@@ -955,7 +925,7 @@ func parseFilters(values url.Values) (*errataRequest, error) {
 		}
 		switch param {
 		case "vendor":
-			v, err := core.ParseVendor(vals[0])
+			v, err := domain.ParseVendor(vals[0])
 			if err != nil {
 				return nil, err
 			}
@@ -1026,14 +996,14 @@ func parseFilters(values url.Values) (*errataRequest, error) {
 			}
 			canon(param, strconv.FormatBool(b))
 		case "workaround":
-			wc, err := core.ParseWorkaroundCategory(vals[0])
+			wc, err := domain.ParseWorkaroundCategory(vals[0])
 			if err != nil {
 				return nil, err
 			}
 			req.filters = append(req.filters, func(q *index.Query) { q.Workaround(wc) })
 			canon(param, wc.String())
 		case "fix":
-			fx, err := core.ParseFixStatus(vals[0])
+			fx, err := domain.ParseFixStatus(vals[0])
 			if err != nil {
 				return nil, err
 			}
@@ -1125,8 +1095,8 @@ func cacheKey(gen uint64, filterKey string) string {
 // concurrently, records per-shard fan-out latency, and merges the
 // shard-local results into the globally ordered page plus the global
 // total.
-func (s *Server) scatterGather(c *shard.Cluster, req *errataRequest) ([]*core.Erratum, int) {
-	lists := make([][]*core.Erratum, len(c.Shards))
+func (s *Server) scatterGather(c *shard.Cluster, req *errataRequest) ([]*domain.Erratum, int) {
+	lists := make([][]*domain.Erratum, len(c.Shards))
 	var wg sync.WaitGroup
 	for i, sh := range c.Shards {
 		wg.Add(1)
@@ -1157,7 +1127,7 @@ func (s *Server) handleErrata(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, body)
 		return
 	}
-	var page []*core.Erratum
+	var page []*domain.Erratum
 	var total int
 	if snap.cluster != nil {
 		page, total = s.scatterGather(snap.cluster, req)
@@ -1209,7 +1179,7 @@ var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 // returned body is an exact-size copy (it outlives the request in the
 // response cache); the working buffer is pooled. ok is false when any
 // fragment is missing — the caller falls back to marshaling.
-func stitchErrataPage(snap *snapshot, req *errataRequest, page []*core.Erratum, total int) (body []byte, ok bool) {
+func stitchErrataPage(snap *snapshot, req *errataRequest, page []*domain.Erratum, total int) (body []byte, ok bool) {
 	if snap.frags == nil {
 		return nil, false
 	}
@@ -1252,7 +1222,7 @@ func (s *Server) handleErratum(w http.ResponseWriter, r *http.Request) {
 	if s.stitchErratum(w, snap, key) {
 		return
 	}
-	var occurrences []*core.Erratum
+	var occurrences []*domain.Erratum
 	if snap.cluster != nil {
 		// Point lookups route to the single shard owning the key.
 		occurrences = snap.cluster.ByKey(key)

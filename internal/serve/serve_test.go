@@ -12,15 +12,15 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/obs"
+	"repro/pkg/domain"
 )
 
 // newDBServer is the test-side shorthand for the database-backed
 // constructor; New only errors when no source is configured, which a
 // non-nil db rules out.
-func newDBServer(db *core.Database, opts Options) *Server {
+func newDBServer(db *domain.Database, opts Options) *Server {
 	s, err := New(WithDatabase(db), opts)
 	if err != nil {
 		panic(err)
@@ -181,7 +181,7 @@ func TestEndpoints(t *testing.T) {
 	// Compound filter agrees with the direct index query.
 	var hangs errataResp
 	getJSON(t, c, ts.URL+"/errata?vendor=Intel&category=Eff_HNG_hng&limit=1000", &hangs)
-	want := s.snap.Load().ix.Query().Vendor(core.Intel).WithCategory("Eff_HNG_hng").Count()
+	want := s.snap.Load().ix.Query().Vendor(domain.Intel).WithCategory("Eff_HNG_hng").Count()
 	if hangs.Total != want {
 		t.Fatalf("compound filter total = %d, want %d", hangs.Total, want)
 	}

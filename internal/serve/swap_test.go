@@ -11,13 +11,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/pkg/domain"
 )
 
 // swapTestDBs returns two databases with provably different statistics:
 // the same generated corpus, with one document removed from the second.
-func swapTestDBs(t *testing.T) (*core.Database, *core.Database) {
+func swapTestDBs(t *testing.T) (*domain.Database, *domain.Database) {
 	t.Helper()
 	gtA, err := corpus.Generate(11)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestSnapshotSwapUnderLoad(t *testing.T) {
 
 	// Generation parity determines the database: New installs dbA as
 	// generation 1 and the swapper below alternates dbB, dbA, dbB, ...
-	expect := func(gen uint64) core.Stats {
+	expect := func(gen uint64) domain.Stats {
 		if gen%2 == 1 {
 			return statsA
 		}
@@ -218,7 +218,7 @@ func TestAdminReload(t *testing.T) {
 
 	// With a reloader: swap to dbB, generation advances, stats follow.
 	var fail bool
-	s2 := newDBServer(dbA, Options{Reloader: func(context.Context) (*core.Database, error) {
+	s2 := newDBServer(dbA, Options{Reloader: func(context.Context) (*domain.Database, error) {
 		if fail {
 			return nil, errors.New("synthetic reload failure")
 		}

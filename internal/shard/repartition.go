@@ -1,8 +1,8 @@
 package shard
 
 import (
-	"repro/internal/core"
 	"repro/internal/index"
+	"repro/pkg/domain"
 )
 
 // Repartition builds the cluster for db by reusing every shard of prev
@@ -27,7 +27,7 @@ import (
 // full db.Errata()/db.Unique() orderings, which any delta shifts).
 // Repartition(nil, ...) and a shard-count change degenerate to a full
 // Partition. The second return value is the number of shards rebuilt.
-func Repartition(prev *Cluster, db *core.Database, n int) (*Cluster, int) {
+func Repartition(prev *Cluster, db *domain.Database, n int) (*Cluster, int) {
 	if n < 1 {
 		n = 1
 	}
@@ -38,8 +38,8 @@ func Repartition(prev *Cluster, db *core.Database, n int) (*Cluster, int) {
 	uniq := db.Unique()
 	c := &Cluster{
 		N:          n,
-		allRank:    make(map[*core.Erratum]int, len(all)),
-		uniqueRank: make(map[*core.Erratum]int, len(uniq)),
+		allRank:    make(map[*domain.Erratum]int, len(all)),
+		uniqueRank: make(map[*domain.Erratum]int, len(uniq)),
 	}
 	for i, e := range all {
 		c.allRank[e] = i
@@ -48,12 +48,12 @@ func Repartition(prev *Cluster, db *core.Database, n int) (*Cluster, int) {
 		c.uniqueRank[e] = i
 	}
 
-	dbs := make([]*core.Database, n)
+	dbs := make([]*domain.Database, n)
 	for i := range dbs {
-		dbs[i] = &core.Database{Docs: make(map[string]*core.Document), Scheme: db.Scheme}
+		dbs[i] = &domain.Database{Docs: make(map[string]*domain.Document), Scheme: db.Scheme}
 	}
 	for _, d := range db.Documents() {
-		parts := make([][]*core.Erratum, n)
+		parts := make([][]*domain.Erratum, n)
 		for _, e := range d.Errata {
 			o := ownerOf(e, n)
 			parts[o] = append(parts[o], e)
@@ -85,7 +85,7 @@ func Repartition(prev *Cluster, db *core.Database, n int) (*Cluster, int) {
 // still valid for the freshly computed one: same document keys, same
 // Order values (next's copies carry the current snapshot's Order, so a
 // shifted document shows up here), pointer-identical errata sequences.
-func sameSubDB(prev, next *core.Database) bool {
+func sameSubDB(prev, next *domain.Database) bool {
 	if len(prev.Docs) != len(next.Docs) {
 		return false
 	}

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/core"
+	"repro/pkg/domain"
 )
 
 // clusterDump renders a cluster's full state for structural comparison:
@@ -38,8 +38,8 @@ func sameRanks(a, b *Cluster) bool {
 // deltaOf returns a database sharing every document pointer with db
 // except the dropped keys — the shape ingest's copy-on-write Apply
 // produces for a pure deletion.
-func deltaOf(db *core.Database, drop ...string) *core.Database {
-	next := &core.Database{Docs: make(map[string]*core.Document), Scheme: db.Scheme}
+func deltaOf(db *domain.Database, drop ...string) *domain.Database {
+	next := &domain.Database{Docs: make(map[string]*domain.Document), Scheme: db.Scheme}
 	gone := make(map[string]bool, len(drop))
 	for _, k := range drop {
 		gone[k] = true
@@ -108,7 +108,7 @@ func TestRepartitionReusesUntouchedShards(t *testing.T) {
 	// Clone one document with its first entry's annotation-preserving
 	// copy (same key, same content — but a fresh pointer, as a revision
 	// would produce), leaving all other documents shared.
-	var victim *core.Document
+	var victim *domain.Document
 	for _, d := range db.Documents() {
 		if len(d.Errata) > 0 {
 			victim = d
@@ -117,7 +117,7 @@ func TestRepartitionReusesUntouchedShards(t *testing.T) {
 	}
 	next := deltaOf(db)
 	dc := *victim
-	dc.Errata = append([]*core.Erratum(nil), victim.Errata...)
+	dc.Errata = append([]*domain.Erratum(nil), victim.Errata...)
 	dc.Errata[0] = victim.Errata[0].Clone()
 	next.Docs[victim.Key] = &dc
 

@@ -1,4 +1,4 @@
-// Package shard partitions one core.Database into N horizontal shards
+// Package shard partitions one domain.Database into N horizontal shards
 // and merges per-shard query results back into the global result
 // order — the scale-out layer under the serving tier.
 //
@@ -18,7 +18,7 @@
 // Erratum values themselves are shared, never copied — the tier is
 // read-only by construction, exactly like the single-process serving
 // snapshot). Because document metadata (vendor, chronological order)
-// is preserved and every database ordering in core sorts on those
+// is preserved and every database ordering in pkg/domain sorts on those
 // fields, each shard's local result order is a subsequence of the
 // global order. Merge exploits that: it k-way-merges the per-shard
 // result lists by precomputed global rank and is therefore
@@ -29,8 +29,8 @@ package shard
 import (
 	"hash/fnv"
 
-	"repro/internal/core"
 	"repro/internal/index"
+	"repro/pkg/domain"
 )
 
 // Owner returns the shard (0..n-1) owning the given dedup cluster key.
@@ -46,7 +46,7 @@ func Owner(key string, n int) int {
 // ownerOf places one erratum: by cluster key when deduplicated, by
 // FullID otherwise. The "\x00" prefix keeps the keyless namespace
 // disjoint from cluster keys (no FullID can alias a key's shard).
-func ownerOf(e *core.Erratum, n int) int {
+func ownerOf(e *domain.Erratum, n int) int {
 	if e.Key != "" {
 		return Owner(e.Key, n)
 	}
@@ -59,7 +59,7 @@ type Shard struct {
 	// ID is the shard's position in the cluster (0-based).
 	ID int
 	// DB is the shard's sub-database (documents filtered to owned errata).
-	DB *core.Database
+	DB *domain.Database
 	// IX is the shard-local inverted index.
 	IX *index.Index
 }
@@ -77,14 +77,14 @@ type Cluster struct {
 	// allRank and uniqueRank give each entry's position in the global
 	// db.Errata() and db.Unique() orderings; Merge restores the global
 	// order from per-shard subsequences by comparing these ranks.
-	allRank    map[*core.Erratum]int
-	uniqueRank map[*core.Erratum]int
+	allRank    map[*domain.Erratum]int
+	uniqueRank map[*domain.Erratum]int
 }
 
 // Partition splits db into n shards (n < 1 is treated as 1). The
 // caller must not mutate db afterwards; the shards alias its documents'
 // errata.
-func Partition(db *core.Database, n int) *Cluster {
+func Partition(db *domain.Database, n int) *Cluster {
 	if n < 1 {
 		n = 1
 	}
@@ -92,8 +92,8 @@ func Partition(db *core.Database, n int) *Cluster {
 	uniq := db.Unique()
 	c := &Cluster{
 		N:          n,
-		allRank:    make(map[*core.Erratum]int, len(all)),
-		uniqueRank: make(map[*core.Erratum]int, len(uniq)),
+		allRank:    make(map[*domain.Erratum]int, len(all)),
+		uniqueRank: make(map[*domain.Erratum]int, len(uniq)),
 	}
 	for i, e := range all {
 		c.allRank[e] = i
@@ -102,12 +102,12 @@ func Partition(db *core.Database, n int) *Cluster {
 		c.uniqueRank[e] = i
 	}
 
-	dbs := make([]*core.Database, n)
+	dbs := make([]*domain.Database, n)
 	for i := range dbs {
-		dbs[i] = &core.Database{Docs: make(map[string]*core.Document), Scheme: db.Scheme}
+		dbs[i] = &domain.Database{Docs: make(map[string]*domain.Document), Scheme: db.Scheme}
 	}
 	for _, d := range db.Documents() {
-		parts := make([][]*core.Erratum, n)
+		parts := make([][]*domain.Erratum, n)
 		for _, e := range d.Errata {
 			o := ownerOf(e, n)
 			parts[o] = append(parts[o], e)
@@ -142,7 +142,7 @@ func (c *Cluster) UniqueCount() int { return len(c.uniqueRank) }
 // ByKey routes a point lookup to the owning shard and returns every
 // occurrence of the key, in the same document order as an
 // unpartitioned index lookup (the shard holds the full occurrence set).
-func (c *Cluster) ByKey(key string) []*core.Erratum {
+func (c *Cluster) ByKey(key string) []*domain.Erratum {
 	if key == "" {
 		return nil
 	}
@@ -157,7 +157,7 @@ func (c *Cluster) ByKey(key string) []*core.Erratum {
 // only for the rows actually returned. A nil page with the true total
 // is returned when offset is past the end or limit is zero, matching
 // the single-process pagination contract.
-func (c *Cluster) Merge(lists [][]*core.Erratum, unique bool, offset, limit int) ([]*core.Erratum, int) {
+func (c *Cluster) Merge(lists [][]*domain.Erratum, unique bool, offset, limit int) ([]*domain.Erratum, int) {
 	rank := c.allRank
 	if unique {
 		rank = c.uniqueRank
@@ -174,7 +174,7 @@ func (c *Cluster) Merge(lists [][]*core.Erratum, unique bool, offset, limit int)
 		end = total
 	}
 	heads := make([]int, len(lists))
-	out := make([]*core.Erratum, 0, end-offset)
+	out := make([]*domain.Erratum, 0, end-offset)
 	for produced := 0; produced < end; produced++ {
 		best, bestRank := -1, 0
 		for i, l := range lists {

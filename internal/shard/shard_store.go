@@ -3,8 +3,9 @@ package shard
 import (
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // V2Store is the slice of the store.StoreV2 surface the lazy partition
@@ -13,12 +14,12 @@ import (
 // import store (serve hands the concrete *store.StoreV2 in).
 type V2Store interface {
 	NumDocs() int
-	Doc(i int) *core.Document
+	Doc(i int) *domain.Document
 	DocErrataRange(i int) (off, n int)
 	Size() int
 	EntryKey(ord int) string
 	EntryID(ord int) string
-	Erratum(ord int, docKey string) *core.Erratum
+	Erratum(ord int, docKey string) *domain.Erratum
 }
 
 // ownerOfEntry is ownerOf for an entry that exists only as a record:
@@ -44,12 +45,12 @@ func ownerOfEntry(key, docKey, id string, n int) int {
 //
 // The store's backing bytes must outlive everything returned: all
 // strings alias them.
-func PartitionStore(sv V2Store, n int) (*core.Database, *Cluster, error) {
+func PartitionStore(sv V2Store, n int) (*domain.Database, *Cluster, error) {
 	if n < 1 {
 		n = 1
 	}
 	nDocs := sv.NumDocs()
-	docs := make([]*core.Document, nDocs)
+	docs := make([]*domain.Document, nDocs)
 	for i := 0; i < nDocs; i++ {
 		docs[i] = sv.Doc(i)
 	}
@@ -66,18 +67,18 @@ func PartitionStore(sv V2Store, n int) (*core.Database, *Cluster, error) {
 	// entries and builds its sub-database and index concurrently. Slot
 	// disjointness (every ordinal has exactly one owner) is what makes
 	// the parallel writes race-free — and what pins decode-once.
-	full := core.NewDatabase()
-	entries := make([]*core.Erratum, sv.Size())
+	full := domain.NewDatabase(taxonomy.Base())
+	entries := make([]*domain.Erratum, sv.Size())
 	shards := make([]*Shard, n)
 	var wg sync.WaitGroup
 	for s := 0; s < n; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			sdb := &core.Database{Docs: make(map[string]*core.Document), Scheme: full.Scheme}
+			sdb := &domain.Database{Docs: make(map[string]*domain.Document), Scheme: full.Scheme}
 			for i := 0; i < nDocs; i++ {
 				off, cnt := sv.DocErrataRange(i)
-				var part []*core.Erratum
+				var part []*domain.Erratum
 				for j := off; j < off+cnt; j++ {
 					if int(owner[j]) != s {
 						continue
@@ -114,8 +115,8 @@ func PartitionStore(sv V2Store, n int) (*core.Database, *Cluster, error) {
 	c := &Cluster{
 		N:          n,
 		Shards:     shards,
-		allRank:    make(map[*core.Erratum]int, len(all)),
-		uniqueRank: make(map[*core.Erratum]int, len(uniq)),
+		allRank:    make(map[*domain.Erratum]int, len(all)),
+		uniqueRank: make(map[*domain.Erratum]int, len(uniq)),
 	}
 	for i, e := range all {
 		c.allRank[e] = i

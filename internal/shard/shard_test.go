@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/index"
+	"repro/pkg/domain"
 )
 
-func testDB(t testing.TB, seed int64) *core.Database {
+func testDB(t testing.TB, seed int64) *domain.Database {
 	t.Helper()
 	gt, err := corpus.Generate(seed)
 	if err != nil {
@@ -61,7 +61,7 @@ func TestPartitionCovers(t *testing.T) {
 		if c.UniqueCount() != len(db.Unique()) {
 			t.Fatalf("n=%d: UniqueCount() = %d, want %d", n, c.UniqueCount(), len(db.Unique()))
 		}
-		placed := make(map[*core.Erratum]int)
+		placed := make(map[*domain.Erratum]int)
 		sum, uniqueSum := 0, 0
 		for _, sh := range c.Shards {
 			sum += sh.IX.Size()
@@ -88,8 +88,8 @@ func TestPartitionCovers(t *testing.T) {
 
 // fanout runs the same filtered query on every shard and returns the
 // per-shard result lists.
-func fanout(c *Cluster, unique bool, apply func(*index.Query) *index.Query) [][]*core.Erratum {
-	lists := make([][]*core.Erratum, len(c.Shards))
+func fanout(c *Cluster, unique bool, apply func(*index.Query) *index.Query) [][]*domain.Erratum {
+	lists := make([][]*domain.Erratum, len(c.Shards))
 	for i, sh := range c.Shards {
 		q := apply(sh.IX.Query())
 		if unique {
@@ -101,7 +101,7 @@ func fanout(c *Cluster, unique bool, apply func(*index.Query) *index.Query) [][]
 	return lists
 }
 
-func sameErrata(a, b []*core.Erratum) bool {
+func sameErrata(a, b []*domain.Erratum) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -125,7 +125,7 @@ func TestMergeMatchesUnpartitioned(t *testing.T) {
 		apply func(*index.Query) *index.Query
 	}{
 		{"all", func(q *index.Query) *index.Query { return q }},
-		{"vendor-intel", func(q *index.Query) *index.Query { return q.Vendor(core.Intel) }},
+		{"vendor-intel", func(q *index.Query) *index.Query { return q.Vendor(domain.Intel) }},
 		{"doc", func(q *index.Query) *index.Query { return q.InDocument("intel-06") }},
 		{"category", func(q *index.Query) *index.Query { return q.WithCategory("Eff_HNG_hng") }},
 		// Unknown category: zero matches on every shard.
@@ -139,7 +139,7 @@ func TestMergeMatchesUnpartitioned(t *testing.T) {
 		c := Partition(db, n)
 		for _, f := range filters {
 			for _, uniq := range []bool{true, false} {
-				var ref []*core.Erratum
+				var ref []*domain.Erratum
 				if uniq {
 					ref = f.apply(single.Query()).Unique()
 				} else {

@@ -7,8 +7,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/parallel"
+	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // Diagnostic reports one document inconsistency discovered while
@@ -34,7 +35,7 @@ func (d Diagnostic) String() string {
 // The parser is tolerant: structural noise produces diagnostics, not
 // errors. An error is returned only when the text is not a
 // specification-update document at all.
-func Parse(text string) (*core.Document, []Diagnostic, error) {
+func Parse(text string) (*domain.Document, []Diagnostic, error) {
 	p := &parser{lines: logicalLines(text)}
 	return p.run()
 }
@@ -42,7 +43,7 @@ func Parse(text string) (*core.Document, []Diagnostic, error) {
 type parser struct {
 	lines []string
 	pos   int
-	doc   *core.Document
+	doc   *domain.Document
 	diags []Diagnostic
 
 	summaryTitle  map[string]string
@@ -80,12 +81,12 @@ func logicalLines(text string) []string {
 	return out
 }
 
-func (p *parser) run() (*core.Document, []Diagnostic, error) {
+func (p *parser) run() (*domain.Document, []Diagnostic, error) {
 	if len(p.lines) == 0 || strings.TrimSpace(p.lines[0]) != "SPECIFICATION UPDATE" {
 		return nil, nil, fmt.Errorf("specdoc: not a specification update document")
 	}
 	p.pos = 1
-	p.doc = &core.Document{}
+	p.doc = &domain.Document{}
 	p.summaryTitle = make(map[string]string)
 	p.summaryStatus = make(map[string]string)
 
@@ -135,7 +136,7 @@ func (p *parser) parseHeader() error {
 		}
 		switch name {
 		case "Vendor":
-			v, err := core.ParseVendor(value)
+			v, err := domain.ParseVendor(value)
 			if err != nil {
 				return fmt.Errorf("specdoc: %w", err)
 			}
@@ -192,25 +193,25 @@ func (p *parser) parseRevisions() {
 	}
 }
 
-func parseRevisionLine(l string) (core.Revision, bool) {
+func parseRevisionLine(l string) (domain.Revision, bool) {
 	if !strings.HasPrefix(l, "Revision ") {
-		return core.Revision{}, false
+		return domain.Revision{}, false
 	}
 	rest := strings.TrimPrefix(l, "Revision ")
 	open := strings.IndexByte(rest, '(')
 	closeP := strings.IndexByte(rest, ')')
 	if open < 0 || closeP < open {
-		return core.Revision{}, false
+		return domain.Revision{}, false
 	}
 	num, err := strconv.Atoi(strings.TrimSpace(rest[:open]))
 	if err != nil {
-		return core.Revision{}, false
+		return domain.Revision{}, false
 	}
 	date, err := parseMonth(rest[open+1 : closeP])
 	if err != nil {
-		return core.Revision{}, false
+		return domain.Revision{}, false
 	}
-	rev := core.Revision{Number: num, Date: date}
+	rev := domain.Revision{Number: num, Date: date}
 	tail := strings.TrimSpace(rest[closeP+1:])
 	tail = strings.TrimPrefix(tail, ":")
 	tail = strings.TrimSpace(tail)
@@ -257,7 +258,7 @@ func (p *parser) parseSummary() {
 }
 
 func (p *parser) parseErrata() {
-	var cur *core.Erratum
+	var cur *domain.Erratum
 	seenField := map[string]bool{}
 	flush := func() {
 		if cur != nil {
@@ -286,7 +287,7 @@ func (p *parser) parseErrata() {
 		}
 		if name == "ID" {
 			flush()
-			cur = &core.Erratum{
+			cur = &domain.Erratum{
 				DocKey: p.doc.Key,
 				ID:     value,
 				Seq:    len(p.doc.Errata) + 1,
@@ -336,7 +337,7 @@ func (p *parser) resolveAddedIn() {
 	}
 	// Entries sharing an ID (reused names) consume mentions in document
 	// order.
-	byID := make(map[string][]*core.Erratum)
+	byID := make(map[string][]*domain.Erratum)
 	for _, e := range p.doc.Errata {
 		byID[e.ID] = append(byID[e.ID], e)
 	}
@@ -439,9 +440,9 @@ func parseMonth(s string) (time.Time, error) {
 // index from a vendor and a Table III label. Examples: Intel "1 (D)" ->
 // ("intel-01d", 1); Intel "7/8" -> ("intel-07", 7); AMD "17h 30-3F" ->
 // ("amd-17h-30", 0).
-func LabelToKey(v core.Vendor, label string) (string, int, error) {
+func LabelToKey(v domain.Vendor, label string) (string, int, error) {
 	label = strings.TrimSpace(label)
-	if v == core.Intel {
+	if v == domain.Intel {
 		gen := label
 		suffix := ""
 		if i := strings.IndexByte(label, '('); i >= 0 {
@@ -472,9 +473,9 @@ func LabelToKey(v core.Vendor, label string) (string, int, error) {
 
 // ParseAll parses a set of rendered documents into a database using
 // all available CPUs; see ParseAllParallel for the worker knob. Order
-// indices are normalized with core.AssignOrders. Diagnostics from all
+// indices are normalized with domain.AssignOrders. Diagnostics from all
 // documents are concatenated.
-func ParseAll(texts map[string]string) (*core.Database, []Diagnostic, error) {
+func ParseAll(texts map[string]string) (*domain.Database, []Diagnostic, error) {
 	return ParseAllParallel(texts, 0)
 }
 
@@ -484,7 +485,7 @@ func ParseAll(texts map[string]string) (*core.Database, []Diagnostic, error) {
 // diagnostic sequence, and error behavior (diagnostics up to and
 // including the first failing document) are identical to the
 // sequential loop at every worker count.
-func ParseAllParallel(texts map[string]string, workers int) (*core.Database, []Diagnostic, error) {
+func ParseAllParallel(texts map[string]string, workers int) (*domain.Database, []Diagnostic, error) {
 	keys := make([]string, 0, len(texts))
 	for k := range texts {
 		keys = append(keys, k)
@@ -492,7 +493,7 @@ func ParseAllParallel(texts map[string]string, workers int) (*core.Database, []D
 	sort.Strings(keys)
 
 	type parsed struct {
-		doc   *core.Document
+		doc   *domain.Document
 		diags []Diagnostic
 		err   error
 	}
@@ -501,7 +502,7 @@ func ParseAllParallel(texts map[string]string, workers int) (*core.Database, []D
 		return parsed{doc: doc, diags: ds, err: err}, nil
 	})
 
-	db := core.NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	var diags []Diagnostic
 	for i, k := range keys {
 		r := results[i]
@@ -513,6 +514,6 @@ func ParseAllParallel(texts map[string]string, workers int) (*core.Database, []D
 			return nil, diags, err
 		}
 	}
-	core.AssignOrders(db)
+	domain.AssignOrders(db)
 	return db, diags, nil
 }

@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/pkg/domain"
 	corpusprofile "repro/plugins/corpusprofile/intelamd"
 )
 
@@ -15,19 +15,19 @@ func date(y, m int) time.Time {
 	return time.Date(y, time.Month(m), 1, 0, 0, 0, 0, time.UTC)
 }
 
-func sampleDoc() *core.Document {
-	return &core.Document{
+func sampleDoc() *domain.Document {
+	return &domain.Document{
 		Key:       "intel-06",
-		Vendor:    core.Intel,
+		Vendor:    domain.Intel,
 		Label:     "6",
 		Reference: "332689-028US",
 		GenIndex:  6,
 		Released:  date(2015, 8),
-		Revisions: []core.Revision{
+		Revisions: []domain.Revision{
 			{Number: 1, Date: date(2015, 9), Added: []string{"SKL001", "SKL002"}},
 			{Number: 2, Date: date(2015, 11), Added: []string{"SKL003"}},
 		},
-		Errata: []*core.Erratum{
+		Errata: []*domain.Erratum{
 			{
 				DocKey: "intel-06", ID: "SKL001", Seq: 1,
 				Title:       "Processor May Hang During Power State Transitions",
@@ -219,17 +219,17 @@ func TestParseRejectsGarbage(t *testing.T) {
 
 func TestLabelToKey(t *testing.T) {
 	cases := []struct {
-		vendor core.Vendor
+		vendor domain.Vendor
 		label  string
 		key    string
 		gen    int
 	}{
-		{core.Intel, "1 (D)", "intel-01d", 1},
-		{core.Intel, "1 (M)", "intel-01m", 1},
-		{core.Intel, "7/8", "intel-07", 7},
-		{core.Intel, "12", "intel-12", 12},
-		{core.AMD, "17h 30-3F", "amd-17h-30", 0},
-		{core.AMD, "10h 00-0F", "amd-10h-00", 0},
+		{domain.Intel, "1 (D)", "intel-01d", 1},
+		{domain.Intel, "1 (M)", "intel-01m", 1},
+		{domain.Intel, "7/8", "intel-07", 7},
+		{domain.Intel, "12", "intel-12", 12},
+		{domain.AMD, "17h 30-3F", "amd-17h-30", 0},
+		{domain.AMD, "10h 00-0F", "amd-10h-00", 0},
 	}
 	for _, c := range cases {
 		key, gen, err := LabelToKey(c.vendor, c.label)
@@ -238,10 +238,10 @@ func TestLabelToKey(t *testing.T) {
 				c.vendor, c.label, key, gen, err, c.key, c.gen)
 		}
 	}
-	if _, _, err := LabelToKey(core.Intel, "abc"); err == nil {
+	if _, _, err := LabelToKey(domain.Intel, "abc"); err == nil {
 		t.Error("accepted bad Intel label")
 	}
-	if _, _, err := LabelToKey(core.AMD, "garbage"); err == nil {
+	if _, _, err := LabelToKey(domain.AMD, "garbage"); err == nil {
 		t.Error("accepted bad AMD label")
 	}
 }

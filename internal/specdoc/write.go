@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/parallel"
+	"repro/pkg/domain"
 )
 
 // WriteOptions controls error injection at the text level.
@@ -32,13 +32,13 @@ type WriteOptions struct {
 const lineWidth = 92
 
 // Write renders a document to the specification-update text format.
-func Write(d *core.Document, opts WriteOptions) string {
+func Write(d *domain.Document, opts WriteOptions) string {
 	var b strings.Builder
 
 	fmt.Fprintf(&b, "SPECIFICATION UPDATE\n")
 	fmt.Fprintf(&b, "Vendor: %s\n", d.Vendor)
 	fmt.Fprintf(&b, "Reference: %s\n", d.Reference)
-	if d.Vendor == core.Intel {
+	if d.Vendor == domain.Intel {
 		fmt.Fprintf(&b, "Generation: %s\n", d.Label)
 	} else {
 		fmt.Fprintf(&b, "Family: %s\n", d.Label)
@@ -158,14 +158,14 @@ func writeWrapped(b *strings.Builder, line string) {
 // WriteAll renders every document of a database, keyed by document
 // key, using all available CPUs; see WriteAllParallel for the worker
 // knob.
-func WriteAll(db *core.Database, opts WriteOptions) map[string]string {
+func WriteAll(db *domain.Database, opts WriteOptions) map[string]string {
 	return WriteAllParallel(db, opts, 0)
 }
 
 // WriteAllParallel renders every document with a bounded worker pool
 // (0 = GOMAXPROCS, 1 = sequential). Rendering is pure per document, so
 // the output map is identical at every worker count.
-func WriteAllParallel(db *core.Database, opts WriteOptions, workers int) map[string]string {
+func WriteAllParallel(db *domain.Database, opts WriteOptions, workers int) map[string]string {
 	docs := db.Documents()
 	texts, _ := parallel.Map(len(docs), workers, func(i int) (string, error) {
 		return Write(docs[i], opts), nil

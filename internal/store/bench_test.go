@@ -63,7 +63,7 @@ func BenchmarkColdOpenV2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ix, err := index.FromParts(db, sv.IndexParts())
+		ix, err := index.FromLists(db, sv.IndexLists())
 		if err != nil {
 			b.Fatal(err)
 		}

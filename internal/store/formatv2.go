@@ -14,8 +14,9 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // FormatVersion 2 is a flat, offset-based binary layout whose on-disk
@@ -40,8 +41,8 @@ import (
 //
 // Every access is bounds-checked eagerly by OpenV2: a truncated or
 // bit-flipped file fails with a checksum or bounds error before any
-// accessor runs. FormatVersion 1 stays readable forever; DecodeAny
-// sniffs the magic and routes to the right decoder.
+// accessor runs. FormatVersion 1 stays readable forever; Open and
+// OpenBytes sniff the magic and route to the right decoder.
 
 // FormatVersion2 identifies the flat binary serialization layout.
 const FormatVersion2 = 2
@@ -141,7 +142,7 @@ func (e *v2Encoder) addStrList(list []string) (off, n uint32) {
 	return off, uint32(len(list))
 }
 
-func (e *v2Encoder) addItems(items []core.Item) (off, n uint32) {
+func (e *v2Encoder) addItems(items []domain.Item) (off, n uint32) {
 	off = e.nItems
 	for _, it := range items {
 		cat := e.addString(it.Category)
@@ -172,7 +173,7 @@ func dateUnix(t time.Time) uint64 {
 // order, and postings maps are emitted in canonical (sorted) key order,
 // so repeated encodings of the same database are byte-identical — and
 // identical to what EncodeV2To streams.
-func EncodeV2(db *core.Database, opts V2Options) ([]byte, error) {
+func EncodeV2(db *domain.Database, opts V2Options) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := EncodeV2To(&buf, db, opts); err != nil {
 		return nil, err
@@ -186,11 +187,11 @@ func EncodeV2(db *core.Database, opts V2Options) ([]byte, error) {
 // directory and section bytes (CRC over a concatenation is the chained
 // CRC over its pieces), then header, directory and sections are written
 // in file order. Output is byte-identical to EncodeV2.
-func EncodeV2To(w io.Writer, db *core.Database, opts V2Options) error {
+func EncodeV2To(w io.Writer, db *domain.Database, opts V2Options) error {
 	e := &v2Encoder{strings: []byte{0}, strMap: make(map[string]strRef)}
 
 	docs := db.Documents()
-	var errata []*core.Erratum
+	var errata []*domain.Erratum
 	for _, d := range docs {
 		key := e.addString(d.Key)
 		label := e.addString(d.Label)
@@ -381,7 +382,7 @@ func EncodeV2To(w io.Writer, db *core.Database, opts V2Options) error {
 // MSR) as u32 count + count × (u32 strOff, u32 strLen, u32 ordOff,
 // u32 ordCount) in sorted key order; then nErr raw u32 per-entry
 // trigger counts.
-func encodePostings(db *core.Database, e *v2Encoder) (ords, post []byte, err error) {
+func encodePostings(db *domain.Database, e *v2Encoder) (ords, post []byte, err error) {
 	p := index.Build(db).Parts()
 
 	var nOrds uint32
@@ -414,7 +415,7 @@ func encodePostings(db *core.Database, e *v2Encoder) (ords, post []byte, err err
 	}
 	var vvals []uint32
 	var vlists [][]int
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		if l, ok := p.ByVendor[v]; ok {
 			vvals = append(vvals, uint32(v))
 			vlists = append(vlists, l)
@@ -422,7 +423,7 @@ func encodePostings(db *core.Database, e *v2Encoder) (ords, post []byte, err err
 	}
 	emitEnumMap(vvals, vlists)
 	vvals, vlists = nil, nil
-	for _, w := range core.WorkaroundCategories {
+	for _, w := range domain.WorkaroundCategories {
 		if l, ok := p.ByWorkaround[w]; ok {
 			vvals = append(vvals, uint32(w))
 			vlists = append(vlists, l)
@@ -430,7 +431,7 @@ func encodePostings(db *core.Database, e *v2Encoder) (ords, post []byte, err err
 	}
 	emitEnumMap(vvals, vlists)
 	vvals, vlists = nil, nil
-	for _, f := range core.FixStatuses {
+	for _, f := range domain.FixStatuses {
 		if l, ok := p.ByFix[f]; ok {
 			vvals = append(vvals, uint32(f))
 			vlists = append(vlists, l)
@@ -469,7 +470,7 @@ func encodePostings(db *core.Database, e *v2Encoder) (ords, post []byte, err err
 // entry and lays them out as FRAGS (raw bytes) plus FRAGIDX (per
 // ordinal: u32 detailOff, u32 detailLen, u32 summaryOff, u32
 // summaryLen).
-func encodeFragments(db *core.Database, errata []*core.Erratum) (frags, fragIdx []byte, err error) {
+func encodeFragments(db *domain.Database, errata []*domain.Erratum) (frags, fragIdx []byte, err error) {
 	fr, err := BuildFragments(db)
 	if err != nil {
 		return nil, nil, err
@@ -523,7 +524,7 @@ type StoreV2 struct {
 
 	dbOnce sync.Once
 	dbDone atomic.Bool
-	db     *core.Database
+	db     *domain.Database
 	dbErr  error
 
 	frOnce sync.Once
@@ -733,10 +734,10 @@ func (s *StoreV2) validateRecords() error {
 				return s.checkRef(off, ln, "erratum "+errFields[f])
 			}
 		}
-		if wc := s.errRecs[base+60]; int(wc) >= len(core.WorkaroundCategories) {
+		if wc := s.errRecs[base+60]; int(wc) >= len(domain.WorkaroundCategories) {
 			return fmt.Errorf("store: v2: erratum %d workaround category %d out of range", i, wc)
 		}
-		if fx := s.errRecs[base+61]; int(fx) >= len(core.FixStatuses) {
+		if fx := s.errRecs[base+61]; int(fx) >= len(domain.FixStatuses) {
 			return fmt.Errorf("store: v2: erratum %d fix status %d out of range", i, fx)
 		}
 		if fl := s.errRecs[base+62]; fl > 7 {
@@ -771,7 +772,7 @@ func (s *StoreV2) validateRecords() error {
 				return err
 			}
 		}
-		if v := gu32(s.docRecs, base+24); int(v) >= len(core.Vendors) {
+		if v := gu32(s.docRecs, base+24); int(v) >= len(domain.Vendors) {
 			return fmt.Errorf("store: v2: document %d vendor %d out of range", i, v)
 		}
 		rOff, rN := gu32(s.docRecs, base+48), gu32(s.docRecs, base+52)
@@ -902,9 +903,9 @@ func (s *StoreV2) parsePostings(sec []byte) (*v2Postings, error) {
 		}
 		return out
 	}
-	p.vendors = enumMap("vendor", len(core.Vendors))
-	p.workarounds = enumMap("workaround", len(core.WorkaroundCategories))
-	p.fixes = enumMap("fix", len(core.FixStatuses))
+	p.vendors = enumMap("vendor", len(domain.Vendors))
+	p.workarounds = enumMap("workaround", len(domain.WorkaroundCategories))
+	p.fixes = enumMap("fix", len(domain.FixStatuses))
 
 	strMapNames := [6]string{"document", "category", "trigger-category", "class", "key", "MSR"}
 	for m := 0; m < 6 && c.err == nil; m++ {
@@ -964,14 +965,14 @@ func (s *StoreV2) strList(off, n uint32) []string {
 	return out
 }
 
-func (s *StoreV2) itemList(off, n uint32) []core.Item {
+func (s *StoreV2) itemList(off, n uint32) []domain.Item {
 	if n == 0 {
 		return nil
 	}
-	out := make([]core.Item, n)
+	out := make([]domain.Item, n)
 	for i := uint32(0); i < n; i++ {
 		base := int(off+i) * itemRecSize
-		out[i] = core.Item{
+		out[i] = domain.Item{
 			Category: s.str(gu32(s.itRecs, base), gu32(s.itRecs, base+4)),
 			Concrete: s.str(gu32(s.itRecs, base+8), gu32(s.itRecs, base+12)),
 		}
@@ -1027,13 +1028,13 @@ func (s *StoreV2) NumDocs() int { return s.nDocs }
 // lists, but not its errata (see DocErrataRange and Erratum, which the
 // lazy shard boot uses to decode only the entries a shard owns).
 // Strings alias the file buffer.
-func (s *StoreV2) Doc(i int) *core.Document {
+func (s *StoreV2) Doc(i int) *domain.Document {
 	base := i * docRecSize
-	d := &core.Document{
+	d := &domain.Document{
 		Key:       s.str(gu32(s.docRecs, base), gu32(s.docRecs, base+4)),
 		Label:     s.str(gu32(s.docRecs, base+8), gu32(s.docRecs, base+12)),
 		Reference: s.str(gu32(s.docRecs, base+16), gu32(s.docRecs, base+20)),
-		Vendor:    core.Vendor(gu32(s.docRecs, base+24)),
+		Vendor:    domain.Vendor(gu32(s.docRecs, base+24)),
 		Order:     int(int32(gu32(s.docRecs, base+28))),
 		GenIndex:  int(int32(gu32(s.docRecs, base+32))),
 		Released:  v2date(gu64(s.docRecs, base+40)),
@@ -1041,10 +1042,10 @@ func (s *StoreV2) Doc(i int) *core.Document {
 	}
 	rOff, rN := gu32(s.docRecs, base+48), gu32(s.docRecs, base+52)
 	if rN > 0 {
-		d.Revisions = make([]core.Revision, rN)
+		d.Revisions = make([]domain.Revision, rN)
 		for r := uint32(0); r < rN; r++ {
 			rb := int(rOff+r) * revRecSize
-			d.Revisions[r] = core.Revision{
+			d.Revisions[r] = domain.Revision{
 				Number: int(int32(gu32(s.revRecs, rb))),
 				Date:   v2date(gu64(s.revRecs, rb+8)),
 				Added:  s.strList(gu32(s.revRecs, rb+16), gu32(s.revRecs, rb+20)),
@@ -1066,11 +1067,11 @@ func (s *StoreV2) DocErrataRange(i int) (off, n int) {
 // to docKey. Strings alias the file buffer. Each call decodes afresh;
 // callers wanting shared identity (pointer-keyed fragments, shard
 // ranks) must decode once and share the pointer.
-func (s *StoreV2) Erratum(ord int, docKey string) *core.Erratum {
+func (s *StoreV2) Erratum(ord int, docKey string) *domain.Erratum {
 	s.decodes.Add(1)
 	eb := ord * errRecSize
 	flags := s.errRecs[eb+62]
-	return &core.Erratum{
+	return &domain.Erratum{
 		DocKey:        docKey,
 		ID:            s.str(gu32(s.errRecs, eb), gu32(s.errRecs, eb+4)),
 		Seq:           int(int32(gu32(s.errRecs, eb+56))),
@@ -1079,12 +1080,12 @@ func (s *StoreV2) Erratum(ord int, docKey string) *core.Erratum {
 		Implication:   s.str(gu32(s.errRecs, eb+24), gu32(s.errRecs, eb+28)),
 		Workaround:    s.str(gu32(s.errRecs, eb+32), gu32(s.errRecs, eb+36)),
 		Status:        s.str(gu32(s.errRecs, eb+40), gu32(s.errRecs, eb+44)),
-		WorkaroundCat: core.WorkaroundCategory(s.errRecs[eb+60]),
-		Fix:           core.FixStatus(s.errRecs[eb+61]),
+		WorkaroundCat: domain.WorkaroundCategory(s.errRecs[eb+60]),
+		Fix:           domain.FixStatus(s.errRecs[eb+61]),
 		AddedIn:       int(int32(gu32(s.errRecs, eb+64))),
 		Disclosed:     v2date(gu64(s.errRecs, eb+68)),
 		Key:           s.str(gu32(s.errRecs, eb+48), gu32(s.errRecs, eb+52)),
-		Ann: core.Annotation{
+		Ann: domain.Annotation{
 			Triggers:          s.itemList(gu32(s.errRecs, eb+76), gu32(s.errRecs, eb+80)),
 			Contexts:          s.itemList(gu32(s.errRecs, eb+84), gu32(s.errRecs, eb+88)),
 			Effects:           s.itemList(gu32(s.errRecs, eb+92), gu32(s.errRecs, eb+96)),
@@ -1121,7 +1122,7 @@ func (s *StoreV2) HasFragments() bool { return s.frags != nil }
 // Database materializes the core database. Strings are zero-copy views
 // over the file buffer, so the buffer must outlive the database. The
 // result is memoized; concurrent callers share one materialization.
-func (s *StoreV2) Database() (*core.Database, error) {
+func (s *StoreV2) Database() (*domain.Database, error) {
 	s.dbOnce.Do(func() {
 		s.db, s.dbErr = s.materialize()
 		s.dbDone.Store(true)
@@ -1135,13 +1136,13 @@ func (s *StoreV2) Database() (*core.Database, error) {
 // decoding the records a second time.
 func (s *StoreV2) Materialized() bool { return s.dbDone.Load() }
 
-func (s *StoreV2) materialize() (*core.Database, error) {
-	db := core.NewDatabase()
+func (s *StoreV2) materialize() (*domain.Database, error) {
+	db := domain.NewDatabase(taxonomy.Base())
 	for i := 0; i < s.nDocs; i++ {
 		d := s.Doc(i)
 		eOff, eN := s.DocErrataRange(i)
 		if eN > 0 {
-			d.Errata = make([]*core.Erratum, eN)
+			d.Errata = make([]*domain.Erratum, eN)
 			for j := 0; j < eN; j++ {
 				d.Errata[j] = s.Erratum(eOff+j, d.Key)
 			}
@@ -1156,65 +1157,12 @@ func (s *StoreV2) materialize() (*core.Database, error) {
 	return db, nil
 }
 
-// IndexParts reconstructs the inverted index's postings from the ORDS
-// and POSTINGS sections, without walking any annotation. It returns nil
-// when the file carries no postings (encode with V2Options.Postings).
-// Ordinal lists are sub-slices of one shared array; callers must treat
-// them as read-only, exactly like index query results.
-func (s *StoreV2) IndexParts() *index.Parts {
-	if s.post == nil {
-		return nil
-	}
-	all := make([]int, s.nOrds)
-	for i := range all {
-		all[i] = int(gu32(s.ords, i*4))
-	}
-	view := func(l v2list) []int {
-		if l.n == 0 {
-			return nil
-		}
-		return all[l.off : l.off+l.n]
-	}
-	p := &index.Parts{
-		UniqueOrds:   view(s.post.unique),
-		ComplexSet:   view(s.post.complexSet),
-		SimOnlySet:   view(s.post.simOnlySet),
-		ByVendor:     make(map[core.Vendor][]int, len(s.post.vendors)),
-		ByWorkaround: make(map[core.WorkaroundCategory][]int, len(s.post.workarounds)),
-		ByFix:        make(map[core.FixStatus][]int, len(s.post.fixes)),
-		TriggerCount: make([]int, s.nErr),
-	}
-	for _, ev := range s.post.vendors {
-		p.ByVendor[core.Vendor(ev.val)] = view(ev.list)
-	}
-	for _, ev := range s.post.workarounds {
-		p.ByWorkaround[core.WorkaroundCategory(ev.val)] = view(ev.list)
-	}
-	for _, ev := range s.post.fixes {
-		p.ByFix[core.FixStatus(ev.val)] = view(ev.list)
-	}
-	strMaps := [6]*map[string][]int{
-		&p.ByDoc, &p.ByCategory, &p.ByTriggerCat, &p.ByClass, &p.ByKey, &p.ByMSR,
-	}
-	for m, dst := range strMaps {
-		mm := make(map[string][]int, len(s.post.strMaps[m]))
-		for _, kv := range s.post.strMaps[m] {
-			mm[s.str(kv.key.off, kv.key.ln)] = view(kv.list)
-		}
-		*dst = mm
-	}
-	for i := 0; i < s.nErr; i++ {
-		p.TriggerCount[i] = int(gu32(s.post.raw, s.post.trigOff+i*4))
-	}
-	return p
-}
-
 // IndexLists reconstructs the inverted index's postings as spans over
-// the ORDS section — the disk-resident postings iterator. Unlike
-// IndexParts nothing is copied into the heap: every list reads its u32
-// ordinals straight off the file buffer (the mapping, for an
-// mmap-backed store), so compound-filter queries walk postings from
-// disk pages the kernel faults in on demand. Returns nil when the file
+// the ORDS section — the disk-resident postings iterator. Nothing is
+// copied into the heap: every list reads its u32 ordinals straight off
+// the file buffer (the mapping, for an mmap-backed store), so
+// compound-filter queries walk postings from disk pages the kernel
+// faults in on demand. Returns nil when the file
 // carries no postings. Lists are only valid while the store's region
 // holds a reference.
 func (s *StoreV2) IndexLists() *index.ListParts {
@@ -1231,19 +1179,19 @@ func (s *StoreV2) IndexLists() *index.ListParts {
 		UniqueOrds:   span(s.post.unique),
 		ComplexSet:   span(s.post.complexSet),
 		SimOnlySet:   span(s.post.simOnlySet),
-		ByVendor:     make(map[core.Vendor]index.List, len(s.post.vendors)),
-		ByWorkaround: make(map[core.WorkaroundCategory]index.List, len(s.post.workarounds)),
-		ByFix:        make(map[core.FixStatus]index.List, len(s.post.fixes)),
+		ByVendor:     make(map[domain.Vendor]index.List, len(s.post.vendors)),
+		ByWorkaround: make(map[domain.WorkaroundCategory]index.List, len(s.post.workarounds)),
+		ByFix:        make(map[domain.FixStatus]index.List, len(s.post.fixes)),
 		TriggerCount: index.NewSpan(s.post.raw[s.post.trigOff : s.post.trigOff+s.nErr*4]),
 	}
 	for _, ev := range s.post.vendors {
-		p.ByVendor[core.Vendor(ev.val)] = span(ev.list)
+		p.ByVendor[domain.Vendor(ev.val)] = span(ev.list)
 	}
 	for _, ev := range s.post.workarounds {
-		p.ByWorkaround[core.WorkaroundCategory(ev.val)] = span(ev.list)
+		p.ByWorkaround[domain.WorkaroundCategory(ev.val)] = span(ev.list)
 	}
 	for _, ev := range s.post.fixes {
-		p.ByFix[core.FixStatus(ev.val)] = span(ev.list)
+		p.ByFix[domain.FixStatus(ev.val)] = span(ev.list)
 	}
 	strMaps := [6]*map[string]index.List{
 		&p.ByDoc, &p.ByCategory, &p.ByTriggerCat, &p.ByClass, &p.ByKey, &p.ByMSR,
@@ -1283,7 +1231,7 @@ func (s *StoreV2) Fragments() (*Fragments, error) {
 // each record once into its own pointers (never calling Database()), so
 // the pointer-keyed fragment maps must be built against those. Returns
 // nil when the file carries no fragments.
-func (s *StoreV2) FragmentsFor(errata []*core.Erratum) (*Fragments, error) {
+func (s *StoreV2) FragmentsFor(errata []*domain.Erratum) (*Fragments, error) {
 	if s.frags == nil {
 		return nil, nil
 	}
@@ -1291,8 +1239,8 @@ func (s *StoreV2) FragmentsFor(errata []*core.Erratum) (*Fragments, error) {
 		return nil, fmt.Errorf("store: v2: fragments keyed by %d errata, file holds %d", len(errata), s.nErr)
 	}
 	fr := &Fragments{
-		details:   make(map[*core.Erratum][]byte, len(errata)),
-		summaries: make(map[*core.Erratum][]byte, len(errata)),
+		details:   make(map[*domain.Erratum][]byte, len(errata)),
+		summaries: make(map[*domain.Erratum][]byte, len(errata)),
 		keys:      make(map[string][]byte),
 	}
 	for i, e := range errata {
@@ -1312,18 +1260,4 @@ func (s *StoreV2) FragmentsFor(errata []*core.Erratum) (*Fragments, error) {
 		}
 	}
 	return fr, nil
-}
-
-// DecodeAny deserializes a database from either format, sniffing the
-// FormatVersion 2 magic and falling back to the JSON FormatVersion 1
-// decoder.
-//
-// Deprecated: use OpenBytes (which also sniffs gzip) and call
-// Database() on the result.
-func DecodeAny(data []byte) (*core.Database, error) {
-	r, err := OpenBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	return r.Database()
 }

@@ -10,12 +10,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/pkg/domain"
 )
 
 // fullV2 encodes db with every optional section enabled.
-func fullV2(t *testing.T, db *core.Database) []byte {
+func fullV2(t *testing.T, db *domain.Database) []byte {
 	t.Helper()
 	data, err := EncodeV2(db, V2Options{Postings: true, Fragments: true})
 	if err != nil {
@@ -110,8 +110,8 @@ func TestV2MinimalOptions(t *testing.T) {
 	if sv.HasPostings() || sv.HasFragments() {
 		t.Fatal("bare encoding reports optional sections")
 	}
-	if sv.IndexParts() != nil {
-		t.Fatal("IndexParts should be nil without a postings section")
+	if sv.IndexLists() != nil {
+		t.Fatal("IndexLists should be nil without a postings section")
 	}
 	if fr, err := sv.Fragments(); err != nil || fr != nil {
 		t.Fatalf("Fragments = %v, %v; want nil, nil without a fragment section", fr, err)
@@ -256,8 +256,7 @@ func TestOpenV2HostileInputs(t *testing.T) {
 
 // The format-sniffing contract (both serializations read through one
 // entry point, garbage rejected) is covered by TestOpenBytesSniffs in
-// open_test.go; the deprecated DecodeAny shim keeps its one regression
-// test in deprecated_test.go.
+// open_test.go.
 
 // TestSaveFormat exercises explicit and filename-driven format
 // selection, including gzip composition, and the unknown-format error.

@@ -3,7 +3,7 @@ package store
 import (
 	"encoding/json"
 
-	"repro/internal/core"
+	"repro/pkg/domain"
 )
 
 // This file defines the canonical per-erratum response representation
@@ -52,7 +52,7 @@ type ErratumDetail struct {
 }
 
 // Summarize builds the canonical list-row representation of an entry.
-func Summarize(db *core.Database, e *core.Erratum) ErratumSummary {
+func Summarize(db *domain.Database, e *domain.Erratum) ErratumSummary {
 	sum := ErratumSummary{
 		FullID: e.FullID(),
 		Key:    e.Key,
@@ -70,7 +70,7 @@ func Summarize(db *core.Database, e *core.Erratum) ErratumSummary {
 }
 
 // DetailOf builds the canonical per-occurrence representation.
-func DetailOf(db *core.Database, e *core.Erratum) ErratumDetail {
+func DetailOf(db *domain.Database, e *domain.Erratum) ErratumDetail {
 	return ErratumDetail{
 		ErratumSummary: Summarize(db, e),
 		Seq:            e.Seq,
@@ -89,7 +89,7 @@ func DetailOf(db *core.Database, e *core.Erratum) ErratumDetail {
 	}
 }
 
-func toResponseItems(items []core.Item) []ResponseItem {
+func toResponseItems(items []domain.Item) []ResponseItem {
 	out := make([]ResponseItem, 0, len(items))
 	for _, it := range items {
 		out = append(out, ResponseItem{Category: it.Category, Concrete: it.Concrete})
@@ -106,14 +106,14 @@ func toResponseItems(items []core.Item) []ResponseItem {
 // nil for everything, which the serve layer treats as "fall back to
 // json.Marshal".
 type Fragments struct {
-	details   map[*core.Erratum][]byte
-	summaries map[*core.Erratum][]byte
+	details   map[*domain.Erratum][]byte
+	summaries map[*domain.Erratum][]byte
 	keys      map[string][]byte
 }
 
 // Detail returns the marshaled ErratumDetail bytes of e, or nil when
 // unknown. The returned slice is shared and must not be modified.
-func (f *Fragments) Detail(e *core.Erratum) []byte {
+func (f *Fragments) Detail(e *domain.Erratum) []byte {
 	if f == nil {
 		return nil
 	}
@@ -122,7 +122,7 @@ func (f *Fragments) Detail(e *core.Erratum) []byte {
 
 // Summary returns the marshaled ErratumSummary bytes of e, or nil when
 // unknown. The returned slice is shared and must not be modified.
-func (f *Fragments) Summary(e *core.Erratum) []byte {
+func (f *Fragments) Summary(e *domain.Erratum) []byte {
 	if f == nil {
 		return nil
 	}
@@ -143,10 +143,10 @@ func (f *Fragments) KeyJSON(key string) []byte {
 // detail and summary forms — the same work a single uncached request
 // pair used to pay — so a swap amortizes the whole corpus's marshaling
 // into one pass and the hot path never marshals again.
-func BuildFragments(db *core.Database) (*Fragments, error) {
+func BuildFragments(db *domain.Database) (*Fragments, error) {
 	f := &Fragments{
-		details:   make(map[*core.Erratum][]byte),
-		summaries: make(map[*core.Erratum][]byte),
+		details:   make(map[*domain.Erratum][]byte),
+		summaries: make(map[*domain.Erratum][]byte),
 		keys:      make(map[string][]byte),
 	}
 	for _, e := range db.Errata() {
@@ -162,13 +162,13 @@ func BuildFragments(db *core.Database) (*Fragments, error) {
 // sharing contract as index.MergeDelta: a pointer-shared entry is
 // completely unchanged, so its fragments are still canonical. With a
 // nil prev it degrades to BuildFragments.
-func BuildFragmentsDelta(prev *Fragments, db *core.Database) (*Fragments, error) {
+func BuildFragmentsDelta(prev *Fragments, db *domain.Database) (*Fragments, error) {
 	if prev == nil {
 		return BuildFragments(db)
 	}
 	f := &Fragments{
-		details:   make(map[*core.Erratum][]byte),
-		summaries: make(map[*core.Erratum][]byte),
+		details:   make(map[*domain.Erratum][]byte),
+		summaries: make(map[*domain.Erratum][]byte),
 		keys:      make(map[string][]byte),
 	}
 	for _, e := range db.Errata() {
@@ -197,7 +197,7 @@ func BuildFragmentsDelta(prev *Fragments, db *core.Database) (*Fragments, error)
 	return f, nil
 }
 
-func (f *Fragments) add(db *core.Database, e *core.Erratum) error {
+func (f *Fragments) add(db *domain.Database, e *domain.Erratum) error {
 	detail, err := json.Marshal(DetailOf(db, e))
 	if err != nil {
 		return err

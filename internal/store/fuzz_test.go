@@ -5,38 +5,39 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // fuzzSeedDB is a compact database covering every DTO field: both
 // vendors, revisions, withdrawn rows, disclosure dates, annotations
 // with concretes, MSRs and all boolean flags.
-func fuzzSeedDB(tb testing.TB) *core.Database {
+func fuzzSeedDB(tb testing.TB) *domain.Database {
 	tb.Helper()
-	db := core.NewDatabase()
-	docs := []*core.Document{
+	db := domain.NewDatabase(taxonomy.Base())
+	docs := []*domain.Document{
 		{
-			Key: "intel-01", Vendor: core.Intel, Label: "1", Reference: "REF-1",
+			Key: "intel-01", Vendor: domain.Intel, Label: "1", Reference: "REF-1",
 			Order: 0, GenIndex: 1,
 			Released:  time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC),
 			Withdrawn: []string{"GONE1"},
-			Revisions: []core.Revision{
+			Revisions: []domain.Revision{
 				{Number: 1, Date: time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC), Added: []string{"AAA001"}},
 				{Number: 2, Date: time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)},
 			},
-			Errata: []*core.Erratum{
+			Errata: []*domain.Erratum{
 				{
 					DocKey: "intel-01", ID: "AAA001", Seq: 1, Key: "k1",
 					Title:       "Power state hang",
 					Description: "The core hangs.", Implication: "System hang.",
 					Workaround: "Disable C-states.", Status: "No fix",
-					WorkaroundCat: core.WorkaroundBIOS, Fix: core.FixDone,
+					WorkaroundCat: domain.WorkaroundBIOS, Fix: domain.FixDone,
 					AddedIn:   1,
 					Disclosed: time.Date(2011, 3, 1, 0, 0, 0, 0, time.UTC),
-					Ann: core.Annotation{
-						Triggers:          []core.Item{{Category: "Trg_POW_pwc", Concrete: "C6 entry"}},
-						Contexts:          []core.Item{{Category: "Ctx_PRV_vmg"}},
-						Effects:           []core.Item{{Category: "Eff_HNG_hng"}},
+					Ann: domain.Annotation{
+						Triggers:          []domain.Item{{Category: "Trg_POW_pwc", Concrete: "C6 entry"}},
+						Contexts:          []domain.Item{{Category: "Ctx_PRV_vmg"}},
+						Effects:           []domain.Item{{Category: "Eff_HNG_hng"}},
 						MSRs:              []string{"MCx_STATUS"},
 						ComplexConditions: true, TrivialTrigger: true, SimulationOnly: true,
 					},
@@ -44,9 +45,9 @@ func fuzzSeedDB(tb testing.TB) *core.Database {
 			},
 		},
 		{
-			Key: "amd-10h-00", Vendor: core.AMD, Label: "10h 00", Order: 0,
+			Key: "amd-10h-00", Vendor: domain.AMD, Label: "10h 00", Order: 0,
 			Released: time.Date(2009, 1, 1, 0, 0, 0, 0, time.UTC),
-			Errata: []*core.Erratum{
+			Errata: []*domain.Erratum{
 				{DocKey: "amd-10h-00", ID: "100", Seq: 1, Title: "Fence issue"},
 			},
 		},

@@ -8,7 +8,7 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/core"
+	"repro/pkg/domain"
 )
 
 // Reader is the unified read handle over every serialization backend:
@@ -26,7 +26,7 @@ import (
 // this reason.
 type Reader interface {
 	// Database materializes (and memoizes) the full database.
-	Database() (*core.Database, error)
+	Database() (*domain.Database, error)
 	// Format reports the serialization format: FormatVersion (1) or
 	// FormatVersion2 (2).
 	Format() int
@@ -48,9 +48,8 @@ const (
 )
 
 type openConfig struct {
-	mmap         mmapMode
-	format       string // "", "v1", "v2": required format, "" accepts any
-	randomAccess bool
+	mmap   mmapMode
+	format string // "", "v1", "v2": required format, "" accepts any
 }
 
 // OpenOption configures Open and OpenBytes.
@@ -77,16 +76,8 @@ func WithFormat(format string) OpenOption {
 	return func(c *openConfig) { c.format = format }
 }
 
-// WithRandomAccess controls the madvise(MADV_RANDOM) hint on mapped
-// regions. It defaults to on — point lookups hop between sections, so
-// readahead drags in pages the workload never touches. Turn it off for
-// scan-heavy workloads (full exports) that benefit from readahead.
-func WithRandomAccess(on bool) OpenOption {
-	return func(c *openConfig) { c.randomAccess = on }
-}
-
 func openCfg(opts []OpenOption) openConfig {
-	cfg := openConfig{randomAccess: true}
+	var cfg openConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -115,9 +106,9 @@ func (c *openConfig) checkFormat(got int) error {
 // sniffing gzip compression and the serialization format. Uncompressed
 // FormatVersion 2 files are mmap'ed (read-only, shared) where the
 // platform supports it, so the page cache — not the Go heap — holds
-// the corpus and a file larger than RAM stays serveable; everything
-// else is read into the heap. See WithMmap, WithFormat and
-// WithRandomAccess for the knobs.
+// the corpus and a file larger than RAM stays serveable; mapped
+// regions get the madvise(MADV_RANDOM) hint. Everything else is read
+// into the heap. See WithMmap and WithFormat for the knobs.
 func Open(path string, opts ...OpenOption) (Reader, error) {
 	cfg := openCfg(opts)
 	switch cfg.format {
@@ -188,11 +179,10 @@ func Open(path string, opts ...OpenOption) (Reader, error) {
 		return nil, err
 	}
 	sv.region = newMappedRegion(data, munmap)
-	if cfg.randomAccess {
-		// Advisory only: a kernel refusing the hint costs readahead, not
-		// correctness.
-		_ = madviseRandom(data)
-	}
+	// Point lookups hop between sections, so readahead would drag in
+	// pages the workload never touches. Advisory only: a kernel refusing
+	// the hint costs readahead, not correctness.
+	_ = madviseRandom(data)
 	if err := cfg.checkFormat(FormatVersion2); err != nil {
 		sv.Close()
 		return nil, err
@@ -231,7 +221,7 @@ func openBytes(data []byte, cfg openConfig) (Reader, error) {
 	if err := cfg.checkFormat(FormatVersion); err != nil {
 		return nil, err
 	}
-	db, err := Decode(data)
+	db, err := decode(data)
 	if err != nil {
 		return nil, err
 	}
@@ -241,10 +231,10 @@ func openBytes(data []byte, cfg openConfig) (Reader, error) {
 // v1Reader adapts a materialized FormatVersion 1 database to the Reader
 // interface. There is no backing byte range to manage: the decoded
 // structs own their memory.
-type v1Reader struct{ db *core.Database }
+type v1Reader struct{ db *domain.Database }
 
-func (r *v1Reader) Database() (*core.Database, error) { return r.db, nil }
-func (r *v1Reader) Format() int                       { return FormatVersion }
-func (r *v1Reader) Mapped() bool                      { return false }
-func (r *v1Reader) Region() *Region                   { return nil }
-func (r *v1Reader) Close() error                      { return nil }
+func (r *v1Reader) Database() (*domain.Database, error) { return r.db, nil }
+func (r *v1Reader) Format() int                         { return FormatVersion }
+func (r *v1Reader) Mapped() bool                        { return false }
+func (r *v1Reader) Region() *Region                     { return nil }
+func (r *v1Reader) Close() error                        { return nil }

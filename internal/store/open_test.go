@@ -7,14 +7,14 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/pkg/domain"
 )
 
 // openTestFiles saves one corpus in every on-disk shape Open must
 // sniff: v1 JSON, gzipped v1, v2, gzipped v2. Returns the database and
 // the four paths.
-func openTestFiles(t *testing.T) (*core.Database, map[string]string) {
+func openTestFiles(t *testing.T) (*domain.Database, map[string]string) {
 	t.Helper()
 	gt, err := corpus.Generate(2)
 	if err != nil {

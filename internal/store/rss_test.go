@@ -11,8 +11,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // TestPointLookupRSS is the larger-than-RAM serving gate: a point-
@@ -93,7 +94,7 @@ func TestPointLookupRSS(t *testing.T) {
 // encoded v2 by replicating every document with per-replica perturbed
 // strings (the string table dedups identical strings, so verbatim
 // copies would add almost nothing).
-func buildRSSCorpus(t *testing.T, targetBytes int) *core.Database {
+func buildRSSCorpus(t *testing.T, targetBytes int) *domain.Database {
 	t.Helper()
 	gt, err := corpus.Generate(1)
 	if err != nil {
@@ -105,7 +106,7 @@ func buildRSSCorpus(t *testing.T, targetBytes int) *core.Database {
 	}
 	replicas := targetBytes/len(base) + 1
 
-	db := core.NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	db.Scheme = gt.DB.Scheme
 	docs := gt.DB.Documents()
 	for k := 0; k < replicas; k++ {
@@ -114,7 +115,7 @@ func buildRSSCorpus(t *testing.T, targetBytes int) *core.Database {
 			dc := *d
 			dc.Key = d.Key + "-r" + strconv.Itoa(k)
 			dc.Order = d.Order + k*len(docs)
-			dc.Errata = make([]*core.Erratum, len(d.Errata))
+			dc.Errata = make([]*domain.Erratum, len(d.Errata))
 			for i, e := range d.Errata {
 				ec := *e
 				ec.DocKey = dc.Key

@@ -16,7 +16,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // FormatVersion identifies the serialization layout.
@@ -77,7 +78,7 @@ type itDTO struct {
 const dateFmt = "2006-01-02"
 
 // Encode serializes the database to indented JSON.
-func Encode(db *core.Database) ([]byte, error) {
+func Encode(db *domain.Database) ([]byte, error) {
 	f := fileDTO{Version: FormatVersion}
 	for _, d := range db.Documents() {
 		dd := docDTO{
@@ -126,7 +127,7 @@ func Encode(db *core.Database) ([]byte, error) {
 	return json.MarshalIndent(f, "", "  ")
 }
 
-func toItems(items []core.Item) []itDTO {
+func toItems(items []domain.Item) []itDTO {
 	out := make([]itDTO, 0, len(items))
 	for _, it := range items {
 		out = append(out, itDTO{Category: it.Category, Concrete: it.Concrete})
@@ -134,12 +135,9 @@ func toItems(items []core.Item) []itDTO {
 	return out
 }
 
-// Decode deserializes a FormatVersion 1 JSON database and validates it
-// against the base taxonomy scheme.
-//
-// Deprecated: use OpenBytes, which sniffs the format (and gzip) instead
-// of assuming v1 JSON, and call Database() on the result.
-func Decode(data []byte) (*core.Database, error) {
+// decode deserializes a FormatVersion 1 JSON database and validates it
+// against the base taxonomy scheme. openBytes routes v1 input here.
+func decode(data []byte) (*domain.Database, error) {
 	var f fileDTO
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -147,9 +145,9 @@ func Decode(data []byte) (*core.Database, error) {
 	if f.Version != FormatVersion {
 		return nil, fmt.Errorf("store: unsupported format version %d", f.Version)
 	}
-	db := core.NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	for _, dd := range f.Documents {
-		vendor, err := core.ParseVendor(dd.Vendor)
+		vendor, err := domain.ParseVendor(dd.Vendor)
 		if err != nil {
 			return nil, fmt.Errorf("store: document %s: %w", dd.Key, err)
 		}
@@ -157,7 +155,7 @@ func Decode(data []byte) (*core.Database, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: document %s: %w", dd.Key, err)
 		}
-		d := &core.Document{
+		d := &domain.Document{
 			Key:       dd.Key,
 			Vendor:    vendor,
 			Label:     dd.Label,
@@ -172,20 +170,20 @@ func Decode(data []byte) (*core.Database, error) {
 			if err != nil {
 				return nil, fmt.Errorf("store: document %s revision %d: %w", dd.Key, rd.Number, err)
 			}
-			d.Revisions = append(d.Revisions, core.Revision{
+			d.Revisions = append(d.Revisions, domain.Revision{
 				Number: rd.Number, Date: rdate, Added: rd.Added,
 			})
 		}
 		for _, ed := range dd.Errata {
-			wc, err := core.ParseWorkaroundCategory(ed.WorkCat)
+			wc, err := domain.ParseWorkaroundCategory(ed.WorkCat)
 			if err != nil {
 				return nil, fmt.Errorf("store: erratum %s/%s: %w", dd.Key, ed.ID, err)
 			}
-			fx, err := core.ParseFixStatus(ed.Fix)
+			fx, err := domain.ParseFixStatus(ed.Fix)
 			if err != nil {
 				return nil, fmt.Errorf("store: erratum %s/%s: %w", dd.Key, ed.ID, err)
 			}
-			e := &core.Erratum{
+			e := &domain.Erratum{
 				DocKey:        dd.Key,
 				ID:            ed.ID,
 				Seq:           ed.Seq,
@@ -198,7 +196,7 @@ func Decode(data []byte) (*core.Database, error) {
 				Fix:           fx,
 				AddedIn:       ed.AddedIn,
 				Key:           ed.Key,
-				Ann: core.Annotation{
+				Ann: domain.Annotation{
 					Triggers:          fromItems(ed.Triggers),
 					Contexts:          fromItems(ed.Contexts),
 					Effects:           fromItems(ed.Effects),
@@ -227,13 +225,13 @@ func Decode(data []byte) (*core.Database, error) {
 	return db, nil
 }
 
-func fromItems(items []itDTO) []core.Item {
+func fromItems(items []itDTO) []domain.Item {
 	if len(items) == 0 {
 		return nil
 	}
-	out := make([]core.Item, 0, len(items))
+	out := make([]domain.Item, 0, len(items))
 	for _, it := range items {
-		out = append(out, core.Item{Category: it.Category, Concrete: it.Concrete})
+		out = append(out, domain.Item{Category: it.Category, Concrete: it.Concrete})
 	}
 	return out
 }
@@ -243,7 +241,7 @@ func fromItems(items []itDTO) []core.Item {
 // postings and response fragments embedded; everything else stays
 // FormatVersion 1 JSON. Paths ending in ".gz" are gzip-compressed (the
 // full v1 corpus shrinks roughly tenfold).
-func Save(db *core.Database, path string) error {
+func Save(db *domain.Database, path string) error {
 	return SaveFormat(db, path, "")
 }
 
@@ -252,7 +250,7 @@ func Save(db *core.Database, path string) error {
 // fragments), or "" to pick by filename — paths whose name ends in
 // ".v2" (before any ".gz") get FormatVersion 2, everything else v1.
 // ".gz" paths are gzip-compressed regardless of format.
-func SaveFormat(db *core.Database, path, format string) error {
+func SaveFormat(db *domain.Database, path, format string) error {
 	if format == "" {
 		if strings.HasSuffix(strings.TrimSuffix(path, ".gz"), ".v2") {
 			format = "v2"
@@ -324,22 +322,6 @@ func writeAtomicTo(path string, fill func(io.Writer) error) error {
 	return nil
 }
 
-// Load reads a database from a file, transparently decompressing ".gz"
-// paths and sniffing the serialization format (FormatVersion 2 binary
-// or FormatVersion 1 JSON) from the content.
-//
-// Deprecated: use Open, which adds mmap-backed v2 access behind the
-// same sniffing, and call Database() on the result. Load always copies
-// the file into the heap (it never maps), so it cannot serve a corpus
-// larger than RAM.
-func Load(path string) (*core.Database, error) {
-	r, err := Open(path, WithMmap(false))
-	if err != nil {
-		return nil, err
-	}
-	return r.Database()
-}
-
 func readMaybeGzip(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -363,7 +345,7 @@ func readMaybeGzip(path string) ([]byte, error) {
 
 // EncodeStructured serializes errata in the paper's proposed
 // machine-readable format (Table VII), one record per unique erratum.
-func EncodeStructured(db *core.Database) ([]byte, error) {
+func EncodeStructured(db *domain.Database) ([]byte, error) {
 	type structuredDTO struct {
 		ID         string  `json:"id"`
 		Title      string  `json:"title"`
@@ -377,7 +359,7 @@ func EncodeStructured(db *core.Database) ([]byte, error) {
 	}
 	var out []structuredDTO
 	for _, e := range db.Unique() {
-		s := core.Structure(e)
+		s := domain.Structure(e)
 		out = append(out, structuredDTO{
 			ID:         s.ID,
 			Title:      s.Title,

@@ -8,7 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 func date(y, m, d int) time.Time {
@@ -17,7 +18,7 @@ func date(y, m, d int) time.Time {
 
 // openDBBytes materializes a database from an encoded buffer through
 // the modern OpenBytes entry point.
-func openDBBytes(tb testing.TB, data []byte) *core.Database {
+func openDBBytes(tb testing.TB, data []byte) *domain.Database {
 	tb.Helper()
 	r, err := OpenBytes(data)
 	if err != nil {
@@ -33,7 +34,7 @@ func openDBBytes(tb testing.TB, data []byte) *core.Database {
 // openDBFile materializes a database from a file through Open. Mmap is
 // off: the reader is closed on return, and a materialized database
 // must not outlive the mapping it aliases.
-func openDBFile(tb testing.TB, path string) *core.Database {
+func openDBFile(tb testing.TB, path string) *domain.Database {
 	tb.Helper()
 	r, err := Open(path, WithMmap(false))
 	if err != nil {
@@ -47,17 +48,17 @@ func openDBFile(tb testing.TB, path string) *core.Database {
 	return db
 }
 
-func sampleDB(t *testing.T) *core.Database {
+func sampleDB(t *testing.T) *domain.Database {
 	t.Helper()
-	db := core.NewDatabase()
-	d := &core.Document{
-		Key: "intel-06", Vendor: core.Intel, Label: "6", Reference: "332689-028US",
+	db := domain.NewDatabase(taxonomy.Base())
+	d := &domain.Document{
+		Key: "intel-06", Vendor: domain.Intel, Label: "6", Reference: "332689-028US",
 		Order: 0, GenIndex: 6, Released: date(2015, 8, 1),
-		Revisions: []core.Revision{
+		Revisions: []domain.Revision{
 			{Number: 1, Date: date(2015, 9, 1), Added: []string{"SKL001"}},
 		},
 		Withdrawn: []string{"SKL900"},
-		Errata: []*core.Erratum{
+		Errata: []*domain.Erratum{
 			{
 				DocKey: "intel-06", ID: "SKL001", Seq: 1,
 				Title:       "Processor May Hang",
@@ -65,11 +66,11 @@ func sampleDB(t *testing.T) *core.Database {
 				Implication: "System may hang.",
 				Workaround:  "None identified.",
 				Status:      "No fix planned.",
-				Fix:         core.FixNone, WorkaroundCat: core.WorkaroundNone,
+				Fix:         domain.FixNone, WorkaroundCat: domain.WorkaroundNone,
 				AddedIn: 1, Disclosed: date(2015, 9, 1), Key: "I-0001",
-				Ann: core.Annotation{
-					Triggers:          []core.Item{{Category: "Trg_POW_tht", Concrete: "thermal throttling engages under load"}},
-					Effects:           []core.Item{{Category: "Eff_HNG_hng", Concrete: "the processor may hang"}},
+				Ann: domain.Annotation{
+					Triggers:          []domain.Item{{Category: "Trg_POW_tht", Concrete: "thermal throttling engages under load"}},
+					Effects:           []domain.Item{{Category: "Eff_HNG_hng", Concrete: "the processor may hang"}},
 					MSRs:              []string{"MCx_STATUS"},
 					ComplexConditions: true,
 				},

@@ -11,7 +11,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
+	"repro/pkg/domain"
 )
 
 // Options configures the inference.
@@ -39,7 +39,7 @@ type Stats struct {
 
 // InferDisclosures sets Erratum.Disclosed for every entry of the
 // database and returns inference statistics.
-func InferDisclosures(db *core.Database, opts Options) Stats {
+func InferDisclosures(db *domain.Database, opts Options) Stats {
 	var st Stats
 	for _, d := range db.Documents() {
 		inferDocument(d, opts, &st)
@@ -47,7 +47,7 @@ func InferDisclosures(db *core.Database, opts Options) Stats {
 	return st
 }
 
-func inferDocument(d *core.Document, opts Options, st *Stats) {
+func inferDocument(d *domain.Document, opts Options, st *Stats) {
 	if len(d.Errata) == 0 {
 		return
 	}
@@ -94,7 +94,7 @@ func inferDocument(d *core.Document, opts Options, st *Stats) {
 	}
 }
 
-func nextKnown(d *core.Document, known []bool, i int) (time.Time, bool) {
+func nextKnown(d *domain.Document, known []bool, i int) (time.Time, bool) {
 	for j := i + 1; j < len(d.Errata); j++ {
 		if known[j] {
 			return d.Errata[j].Disclosed, true
@@ -103,7 +103,7 @@ func nextKnown(d *core.Document, known []bool, i int) (time.Time, bool) {
 	return time.Time{}, false
 }
 
-func prevKnown(d *core.Document, known []bool, i int) (time.Time, bool) {
+func prevKnown(d *domain.Document, known []bool, i int) (time.Time, bool) {
 	for j := i - 1; j >= 0; j-- {
 		if known[j] {
 			return d.Errata[j].Disclosed, true
@@ -121,7 +121,7 @@ type SeriesPoint struct {
 // CumulativeByDocument computes, per document, the cumulative number of
 // disclosed errata over time (Figure 2). Duplicate entries are counted
 // individually, as in the paper. InferDisclosures must have run.
-func CumulativeByDocument(db *core.Database) map[string][]SeriesPoint {
+func CumulativeByDocument(db *domain.Database) map[string][]SeriesPoint {
 	out := make(map[string][]SeriesPoint, len(db.Docs))
 	for _, d := range db.Documents() {
 		out[d.Key] = cumulative(d.Errata)
@@ -130,7 +130,7 @@ func CumulativeByDocument(db *core.Database) map[string][]SeriesPoint {
 }
 
 // cumulative builds a step series from entries' disclosure dates.
-func cumulative(errata []*core.Erratum) []SeriesPoint {
+func cumulative(errata []*domain.Erratum) []SeriesPoint {
 	dates := make([]time.Time, 0, len(errata))
 	for _, e := range errata {
 		if !e.Disclosed.IsZero() {

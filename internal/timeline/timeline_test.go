@@ -5,25 +5,26 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 func date(y, m int) time.Time {
 	return time.Date(y, time.Month(m), 1, 0, 0, 0, 0, time.UTC)
 }
 
-func docWith(addedIn ...int) *core.Document {
-	d := &core.Document{
-		Key: "intel-06", Vendor: core.Intel, Label: "6", GenIndex: 6,
+func docWith(addedIn ...int) *domain.Document {
+	d := &domain.Document{
+		Key: "intel-06", Vendor: domain.Intel, Label: "6", GenIndex: 6,
 		Released: date(2015, 8),
-		Revisions: []core.Revision{
+		Revisions: []domain.Revision{
 			{Number: 1, Date: date(2015, 9)},
 			{Number: 2, Date: date(2015, 11)},
 			{Number: 3, Date: date(2016, 2)},
 		},
 	}
 	for i, rev := range addedIn {
-		d.Errata = append(d.Errata, &core.Erratum{
+		d.Errata = append(d.Errata, &domain.Erratum{
 			DocKey: d.Key, ID: string(rune('A' + i)), Seq: i + 1, AddedIn: rev,
 		})
 	}
@@ -31,7 +32,7 @@ func docWith(addedIn ...int) *core.Document {
 }
 
 func TestDirectDating(t *testing.T) {
-	db := core.NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	d := docWith(1, 2, 3)
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -50,7 +51,7 @@ func TestDirectDating(t *testing.T) {
 func TestInterpolationUsesSubsequentErratum(t *testing.T) {
 	// The middle erratum is missing from the notes; its date must come
 	// from the subsequent erratum (the paper's rule).
-	db := core.NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	d := docWith(1, 0, 3)
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -67,7 +68,7 @@ func TestInterpolationUsesSubsequentErratum(t *testing.T) {
 func TestInterpolationFallsBackToPrevious(t *testing.T) {
 	// The last erratum is unmentioned: no subsequent known erratum, so
 	// the previous one's date applies.
-	db := core.NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	d := docWith(1, 2, 0)
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -79,7 +80,7 @@ func TestInterpolationFallsBackToPrevious(t *testing.T) {
 }
 
 func TestNoInterpolationUsesFirstRevision(t *testing.T) {
-	db := core.NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	d := docWith(1, 0, 3)
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestNoInterpolationUsesFirstRevision(t *testing.T) {
 }
 
 func TestAllUnknown(t *testing.T) {
-	db := core.NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	d := docWith(0, 0)
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -111,7 +112,7 @@ func TestAllUnknown(t *testing.T) {
 }
 
 func TestCumulative(t *testing.T) {
-	db := core.NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	d := docWith(1, 1, 2, 3)
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -165,7 +166,7 @@ func TestPropertyInferenceTotal(t *testing.T) {
 		for i, r := range revs {
 			added[i] = int(r % 4) // 0..3; 0 = unmentioned
 		}
-		db := core.NewDatabase()
+		db := domain.NewDatabase(taxonomy.Base())
 		d := docWith(added...)
 		if err := db.Add(d); err != nil {
 			return false

@@ -5,9 +5,9 @@ import (
 	"math"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/heredity"
 	"repro/internal/timeline"
+	"repro/pkg/domain"
 )
 
 // Observation is one of the paper's thirteen numbered observations,
@@ -99,8 +99,8 @@ func (db *Database) Observations() []Observation {
 
 	// O5: a substantial number of errata have no suggested workaround.
 	w := analysis.Workarounds(db.core)
-	noneI := frac(w[Intel][core.WorkaroundNone], len(db.UniqueVendor(Intel)))
-	noneA := frac(w[AMD][core.WorkaroundNone], len(db.UniqueVendor(AMD)))
+	noneI := frac(w[Intel][domain.WorkaroundNone], len(db.UniqueVendor(Intel)))
+	noneA := frac(w[AMD][domain.WorkaroundNone], len(db.UniqueVendor(AMD)))
 	add("O5", "A substantial number of errata do not have any suggested workaround.",
 		noneI > 0.25 && noneA > 0.2,
 		"no workaround: Intel %.1f%%, AMD %.1f%%", 100*noneI, 100*noneA)
@@ -119,7 +119,7 @@ func (db *Database) Observations() []Observation {
 	// with throttling, power transitions or peripheral inputs.
 	freq := analysis.FrequentCategories(db.core, Trigger)
 	topOK := true
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		top3 := map[string]bool{}
 		for i, cc := range freq[v] {
 			if i < 3 {
@@ -195,7 +195,7 @@ func (db *Database) Observations() []Observation {
 	// O12: corrupted registers and hangs are the most common effects.
 	effFreq := analysis.FrequentCategories(db.core, Effect)
 	effOK := true
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		top3 := map[string]bool{}
 		for i, cc := range effFreq[v] {
 			if i < 3 {
@@ -212,7 +212,7 @@ func (db *Database) Observations() []Observation {
 	// O13: machine-check status registers most often indicate a bug.
 	msrs := analysis.MSRFrequency(db.core)
 	mcaTop := true
-	for _, v := range core.Vendors {
+	for _, v := range domain.Vendors {
 		if len(msrs[v]) == 0 || (msrs[v][0].MSR != "MCx_STATUS" && msrs[v][0].MSR != "MCx_ADDR") {
 			mcaTop = false
 		}

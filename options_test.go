@@ -6,69 +6,27 @@ import (
 	"testing"
 )
 
-// TestFunctionalOptionsEquivalence proves the new With* options select
-// exactly the configuration the legacy BuildOptions struct did: the
-// same seed built both ways yields the same database.
-func TestFunctionalOptionsEquivalence(t *testing.T) {
-	legacy := DefaultBuildOptions()
-	legacy.Seed = 2
-	dbA, _, err := Build(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbB, _, err := Build(WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := dbA.Stats(), dbB.Stats(); a != b {
-		t.Fatalf("stats differ between legacy and functional options:\n%+v\n%+v", a, b)
-	}
-	ea, eb := dbA.Errata(), dbB.Errata()
-	if len(ea) != len(eb) {
-		t.Fatalf("errata counts differ: %d vs %d", len(ea), len(eb))
-	}
-	for i := range ea {
-		if ea[i].FullID() != eb[i].FullID() || ea[i].Key != eb[i].Key {
-			t.Fatalf("entry %d differs: %s/%s vs %s/%s",
-				i, ea[i].FullID(), ea[i].Key, eb[i].FullID(), eb[i].Key)
-		}
-	}
-}
-
-// TestOptionOrderAndLegacyReplacement pins the documented composition
-// semantics: options apply in order, and a BuildOptions value replaces
-// the whole configuration (so trailing With* options refine it).
-// Options are applied exactly as Build does, without running a build.
-func TestOptionOrderAndLegacyReplacement(t *testing.T) {
-	apply := func(options ...Option) BuildOptions {
-		opts := DefaultBuildOptions()
+// TestOptionOrder pins the documented composition semantics: options
+// apply in order over the defaults, so a later option wins, and an
+// explicit zero survives. Options are applied exactly as Build does,
+// without running a build.
+func TestOptionOrder(t *testing.T) {
+	apply := func(options ...Option) buildConfig {
+		opts := defaultBuildConfig()
 		for _, o := range options {
-			o.applyOption(&opts)
+			o(&opts)
 		}
 		return opts
 	}
 
-	// Later options win.
 	if got := apply(WithSeed(3), WithSeed(9)); got.Seed != 9 {
 		t.Errorf("later WithSeed did not win: seed = %d", got.Seed)
 	}
-
-	// A legacy struct wipes earlier options; later ones still apply.
-	legacy := BuildOptions{Seed: 4}
-	got := apply(WithParallelism(8), legacy, WithLSH(true))
-	if got.Seed != 4 || got.Parallelism != 0 || !got.UseLSH {
-		t.Errorf("legacy replacement semantics broken: %+v", got)
+	if got := apply(WithParallelism(8), WithLSH(true)); got.Parallelism != 8 || !got.UseLSH || got.Seed != 1 {
+		t.Errorf("options did not compose over the defaults: %+v", got)
 	}
-	// The zero-valued legacy fields resolve exactly as the old
-	// normalized() contract: threshold 0.6, steps 7, Interpolate off.
-	norm := got.normalized()
-	if norm.SimilarityThreshold != 0.6 || norm.AnnotationSteps != 7 || norm.Interpolate {
-		t.Errorf("normalized legacy config drifted: %+v", norm)
-	}
-
-	// The explicit-zero setters keep their semantics through options.
-	if n := apply(WithSimilarityThreshold(0)).normalized(); n.SimilarityThreshold != 0 {
-		t.Errorf("WithSimilarityThreshold(0) resolved to %v, want explicit 0", n.SimilarityThreshold)
+	if got := apply(WithSimilarityThreshold(0)); got.SimilarityThreshold != 0 {
+		t.Errorf("WithSimilarityThreshold(0) resolved to %v, want explicit 0", got.SimilarityThreshold)
 	}
 }
 

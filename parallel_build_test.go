@@ -13,16 +13,11 @@ import (
 // seed, the parallel build must produce a database and report
 // byte-identical to the sequential one.
 func TestBuildParallelDeterminism(t *testing.T) {
-	seq := DefaultBuildOptions()
-	seq.Parallelism = 1
-	par := DefaultBuildOptions()
-	par.Parallelism = 8
-
-	dbSeq, repSeq, err := Build(seq)
+	dbSeq, repSeq, err := Build(WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dbPar, repPar, err := Build(par)
+	dbPar, repPar, err := Build(WithParallelism(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,18 +80,16 @@ func TestBuildParallelDeterminism(t *testing.T) {
 }
 
 // TestBuildExplicitZeroThreshold is the facade-level regression test
-// for the zero-value option footgun: SetSimilarityThreshold(0) must
+// for the zero-value option footgun: WithSimilarityThreshold(0) must
 // surface every candidate pair for review instead of silently falling
 // back to 0.6 — and must still recover the exact unique counts, since
 // the oracle is ground truth.
 func TestBuildExplicitZeroThreshold(t *testing.T) {
-	def, repDef, err := Build(DefaultBuildOptions())
+	def, repDef, err := Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultBuildOptions()
-	opts.SetSimilarityThreshold(0)
-	all, repAll, err := Build(opts)
+	all, repAll, err := Build(WithSimilarityThreshold(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,35 +111,15 @@ func TestBuildExplicitZeroThreshold(t *testing.T) {
 	}
 }
 
-// TestBuildExplicitZeroStepsRejected: an explicit AnnotationSteps of 0
-// must surface the validation error of the annotation stage instead of
+// TestBuildExplicitZeroStepsRejected: WithAnnotationSteps(0) must
+// surface the validation error of the annotation stage instead of
 // silently running 7 steps.
 func TestBuildExplicitZeroStepsRejected(t *testing.T) {
-	opts := DefaultBuildOptions()
-	opts.SetAnnotationSteps(0)
-	_, _, err := Build(opts)
+	_, _, err := Build(WithAnnotationSteps(0))
 	if err == nil {
 		t.Fatal("explicit AnnotationSteps 0 built successfully; want a validation error")
 	}
 	if !strings.Contains(err.Error(), "Steps") {
 		t.Errorf("unexpected error for explicit zero steps: %v", err)
-	}
-}
-
-// TestBuildZeroValueDefaults pins the unchanged back-compat behavior:
-// a plainly zero SimilarityThreshold / AnnotationSteps (no setter)
-// still selects 0.6 and 7.
-func TestBuildZeroValueDefaults(t *testing.T) {
-	_, rep, err := Build(BuildOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(rep.Annotation.Steps); got != 7 {
-		t.Errorf("zero-value AnnotationSteps ran %d steps, want the default 7", got)
-	}
-	for _, p := range rep.Dedup.Reviewed {
-		if p.Score < 0.6 {
-			t.Fatalf("zero-value SimilarityThreshold surfaced a pair scored %v, below the default 0.6", p.Score)
-		}
 	}
 }

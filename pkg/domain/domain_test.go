@@ -1,4 +1,4 @@
-package core
+package domain_test
 
 import (
 	"strings"
@@ -6,36 +6,37 @@ import (
 	"time"
 
 	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 func date(y, m, d int) time.Time {
 	return time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC)
 }
 
-func sampleDoc() *Document {
-	return &Document{
+func sampleDoc() *domain.Document {
+	return &domain.Document{
 		Key:       "intel-06",
-		Vendor:    Intel,
+		Vendor:    domain.Intel,
 		Label:     "6",
 		Reference: "332689-028US",
 		Order:     10,
 		GenIndex:  6,
 		Released:  date(2015, 8, 1),
-		Revisions: []Revision{
+		Revisions: []domain.Revision{
 			{Number: 1, Date: date(2015, 9, 1), Added: []string{"SKL001", "SKL002"}},
 			{Number: 2, Date: date(2015, 11, 1), Added: []string{"SKL003"}},
 		},
-		Errata: []*Erratum{
+		Errata: []*domain.Erratum{
 			{
 				DocKey: "intel-06", ID: "SKL001", Seq: 1,
 				Title:       "Processor May Hang During Power State Transition",
 				Description: "Under complex conditions the processor may hang.",
 				Key:         "K0001",
 				AddedIn:     1,
-				Ann: Annotation{
-					Triggers: []Item{{Category: "Trg_POW_pwc", Concrete: "resume from package C6"}},
-					Contexts: []Item{{Category: "Ctx_PRV_vmg", Concrete: "in a VM guest"}},
-					Effects:  []Item{{Category: "Eff_HNG_hng", Concrete: "the processor hangs"}},
+				Ann: domain.Annotation{
+					Triggers: []domain.Item{{Category: "Trg_POW_pwc", Concrete: "resume from package C6"}},
+					Contexts: []domain.Item{{Category: "Ctx_PRV_vmg", Concrete: "in a VM guest"}},
+					Effects:  []domain.Item{{Category: "Eff_HNG_hng", Concrete: "the processor hangs"}},
 				},
 			},
 			{
@@ -43,8 +44,8 @@ func sampleDoc() *Document {
 				Title:   "Performance Counter May Be Incorrect",
 				Key:     "K0002",
 				AddedIn: 1,
-				Ann: Annotation{
-					Effects: []Item{{Category: "Eff_CRP_prf", Concrete: "wrong IA32_PMC0 value"}},
+				Ann: domain.Annotation{
+					Effects: []domain.Item{{Category: "Eff_CRP_prf", Concrete: "wrong IA32_PMC0 value"}},
 					MSRs:    []string{"IA32_PMC0"},
 				},
 			},
@@ -54,48 +55,48 @@ func sampleDoc() *Document {
 }
 
 func TestVendorRoundTrip(t *testing.T) {
-	for _, v := range Vendors {
-		got, err := ParseVendor(v.String())
+	for _, v := range domain.Vendors {
+		got, err := domain.ParseVendor(v.String())
 		if err != nil || got != v {
 			t.Errorf("ParseVendor(%q) = (%v,%v)", v.String(), got, err)
 		}
 	}
-	if _, err := ParseVendor("via"); err == nil {
+	if _, err := domain.ParseVendor("via"); err == nil {
 		t.Error("ParseVendor accepted unknown vendor")
 	}
 }
 
 func TestWorkaroundCategoryRoundTrip(t *testing.T) {
-	for _, w := range WorkaroundCategories {
-		got, err := ParseWorkaroundCategory(w.String())
+	for _, w := range domain.WorkaroundCategories {
+		got, err := domain.ParseWorkaroundCategory(w.String())
 		if err != nil || got != w {
 			t.Errorf("ParseWorkaroundCategory(%q) = (%v,%v)", w.String(), got, err)
 		}
 	}
-	if _, err := ParseWorkaroundCategory("magic"); err == nil {
+	if _, err := domain.ParseWorkaroundCategory("magic"); err == nil {
 		t.Error("accepted unknown workaround category")
 	}
 }
 
 func TestFixStatusRoundTrip(t *testing.T) {
-	for _, f := range FixStatuses {
-		got, err := ParseFixStatus(f.String())
+	for _, f := range domain.FixStatuses {
+		got, err := domain.ParseFixStatus(f.String())
 		if err != nil || got != f {
 			t.Errorf("ParseFixStatus(%q) = (%v,%v)", f.String(), got, err)
 		}
 	}
-	if _, err := ParseFixStatus("maybe"); err == nil {
+	if _, err := domain.ParseFixStatus("maybe"); err == nil {
 		t.Error("accepted unknown fix status")
 	}
 }
 
 func TestAnnotationAccessors(t *testing.T) {
 	scheme := taxonomy.Base()
-	ann := Annotation{
-		Triggers: []Item{
+	ann := domain.Annotation{
+		Triggers: []domain.Item{
 			{Category: "Trg_POW_pwc"}, {Category: "Trg_CFG_wrg"}, {Category: "Trg_POW_pwc"},
 		},
-		Effects: []Item{{Category: "Eff_HNG_hng"}},
+		Effects: []domain.Item{{Category: "Eff_HNG_hng"}},
 	}
 	cats := ann.Categories(taxonomy.Trigger, scheme)
 	if len(cats) != 2 {
@@ -119,19 +120,19 @@ func TestAnnotationAccessors(t *testing.T) {
 
 func TestAnnotationValidateRejects(t *testing.T) {
 	scheme := taxonomy.Base()
-	bad := Annotation{Triggers: []Item{{Category: "Trg_NOPE_xxx"}}}
+	bad := domain.Annotation{Triggers: []domain.Item{{Category: "Trg_NOPE_xxx"}}}
 	if err := bad.Validate(scheme); err == nil {
 		t.Error("Validate accepted unknown category")
 	}
-	wrongKind := Annotation{Triggers: []Item{{Category: "Eff_HNG_hng"}}}
+	wrongKind := domain.Annotation{Triggers: []domain.Item{{Category: "Eff_HNG_hng"}}}
 	if err := wrongKind.Validate(scheme); err == nil {
 		t.Error("Validate accepted effect category as trigger")
 	}
 }
 
 func TestAnnotationClone(t *testing.T) {
-	a := Annotation{
-		Triggers: []Item{{Category: "Trg_POW_pwc", Concrete: "x"}},
+	a := domain.Annotation{
+		Triggers: []domain.Item{{Category: "Trg_POW_pwc", Concrete: "x"}},
 		MSRs:     []string{"MC0_STATUS"},
 	}
 	c := a.Clone()
@@ -159,27 +160,27 @@ func TestDocumentLookups(t *testing.T) {
 	if d.Erratum("nope") != nil {
 		t.Error("Erratum(nope) should be nil")
 	}
-	empty := &Document{}
+	empty := &domain.Document{}
 	if empty.LatestRevision() != nil {
 		t.Error("LatestRevision of empty doc should be nil")
 	}
 }
 
 func TestDatabaseBasics(t *testing.T) {
-	db := NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	if err := db.Add(sampleDoc()); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Add(sampleDoc()); err == nil {
 		t.Error("Add accepted duplicate key")
 	}
-	if err := db.Add(&Document{}); err == nil {
+	if err := db.Add(&domain.Document{}); err == nil {
 		t.Error("Add accepted empty key")
 	}
 
-	amdDoc := &Document{
-		Key: "amd-19h-00", Vendor: AMD, Label: "19h 00-0F", Order: 11,
-		Errata: []*Erratum{
+	amdDoc := &domain.Document{
+		Key: "amd-19h-00", Vendor: domain.AMD, Label: "19h 00-0F", Order: 11,
+		Errata: []*domain.Erratum{
 			{DocKey: "amd-19h-00", ID: "1361", Seq: 1, Title: "Hang", Key: "1361"},
 			{DocKey: "amd-19h-00", ID: "1362", Seq: 2, Title: "Other", Key: "1362"},
 		},
@@ -189,16 +190,16 @@ func TestDatabaseBasics(t *testing.T) {
 	}
 
 	docs := db.Documents()
-	if len(docs) != 2 || docs[0].Vendor != Intel || docs[1].Vendor != AMD {
+	if len(docs) != 2 || docs[0].Vendor != domain.Intel || docs[1].Vendor != domain.AMD {
 		t.Fatalf("Documents order wrong: %v", docs)
 	}
-	if len(db.VendorDocuments(Intel)) != 1 || len(db.VendorDocuments(AMD)) != 1 {
+	if len(db.VendorDocuments(domain.Intel)) != 1 || len(db.VendorDocuments(domain.AMD)) != 1 {
 		t.Error("VendorDocuments wrong")
 	}
 	if got := len(db.Errata()); got != 5 {
 		t.Errorf("Errata() = %d entries, want 5", got)
 	}
-	if got := len(db.VendorErrata(Intel)); got != 3 {
+	if got := len(db.VendorErrata(domain.Intel)); got != 3 {
 		t.Errorf("VendorErrata(Intel) = %d, want 3", got)
 	}
 	if err := db.Validate(); err != nil {
@@ -207,15 +208,15 @@ func TestDatabaseBasics(t *testing.T) {
 }
 
 func TestUniqueRepresentatives(t *testing.T) {
-	db := NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	d1 := sampleDoc()
 	if err := db.Add(d1); err != nil {
 		t.Fatal(err)
 	}
 	// A later generation sharing key K0001.
-	d2 := &Document{
-		Key: "intel-07", Vendor: Intel, Label: "7/8", Order: 11, GenIndex: 7,
-		Errata: []*Erratum{
+	d2 := &domain.Document{
+		Key: "intel-07", Vendor: domain.Intel, Label: "7/8", Order: 11, GenIndex: 7,
+		Errata: []*domain.Erratum{
 			{DocKey: "intel-07", ID: "KBL001", Seq: 1, Title: "Processor May Hang During Power State Transition", Key: "K0001"},
 			{DocKey: "intel-07", ID: "KBL002", Seq: 2, Title: "Fresh Bug", Key: "K0100"},
 		},
@@ -243,18 +244,18 @@ func TestUniqueRepresentatives(t *testing.T) {
 }
 
 func TestOccurrences(t *testing.T) {
-	db := NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	if err := db.Add(sampleDoc()); err != nil {
 		t.Fatal(err)
 	}
-	occ := db.Occurrences(Intel)
+	occ := db.Occurrences(domain.Intel)
 	if len(occ) != 3 || len(occ["K0001"]) != 1 {
 		t.Errorf("Occurrences = %v", occ)
 	}
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	db := NewDatabase()
+	db := domain.NewDatabase(taxonomy.Base())
 	d := sampleDoc()
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -269,7 +270,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("Validate missed empty ID")
 	}
 	d.Errata[1].ID = "SKL002"
-	d.Errata[2].Ann.Triggers = []Item{{Category: "garbage"}}
+	d.Errata[2].Ann.Triggers = []domain.Item{{Category: "garbage"}}
 	if err := db.Validate(); err == nil {
 		t.Error("Validate missed bad annotation")
 	}
@@ -280,7 +281,7 @@ func TestStructuredErratum(t *testing.T) {
 	e := d.Errata[0]
 	e.Implication = "System may hang."
 	e.Workaround = ""
-	s := Structure(e)
+	s := domain.Structure(e)
 	if s.ID != "K0001" || s.Title != e.Title {
 		t.Errorf("Structure header wrong: %+v", s)
 	}
@@ -301,21 +302,21 @@ func TestStructuredErratum(t *testing.T) {
 	// Keyless errata fall back to the full ID.
 	e2 := d.Errata[1].Clone()
 	e2.Key = ""
-	if got := Structure(e2).ID; got != "intel-06/SKL002" {
+	if got := domain.Structure(e2).ID; got != "intel-06/SKL002" {
 		t.Errorf("fallback ID = %q", got)
 	}
 }
 
 func TestStructuredValidateRejects(t *testing.T) {
 	scheme := taxonomy.Base()
-	if err := (StructuredErratum{Title: "t"}).Validate(scheme); err == nil {
+	if err := (domain.StructuredErratum{Title: "t"}).Validate(scheme); err == nil {
 		t.Error("accepted empty ID")
 	}
-	if err := (StructuredErratum{ID: "x"}).Validate(scheme); err == nil {
+	if err := (domain.StructuredErratum{ID: "x"}).Validate(scheme); err == nil {
 		t.Error("accepted empty title")
 	}
-	bad := StructuredErratum{ID: "x", Title: "t",
-		Effects: []Item{{Category: "Trg_POW_pwc"}}}
+	bad := domain.StructuredErratum{ID: "x", Title: "t",
+		Effects: []domain.Item{{Category: "Trg_POW_pwc"}}}
 	if err := bad.Validate(scheme); err == nil {
 		t.Error("accepted trigger category as effect")
 	}
@@ -334,13 +335,13 @@ func TestErratumClone(t *testing.T) {
 }
 
 func TestSetItems(t *testing.T) {
-	var a Annotation
-	a.SetItems(taxonomy.Context, []Item{{Category: "Ctx_PRV_smm"}})
+	var a domain.Annotation
+	a.SetItems(taxonomy.Context, []domain.Item{{Category: "Ctx_PRV_smm"}})
 	if len(a.Contexts) != 1 {
 		t.Error("SetItems(Context) failed")
 	}
-	a.SetItems(taxonomy.Trigger, []Item{{Category: "Trg_FLT_tmr"}})
-	a.SetItems(taxonomy.Effect, []Item{{Category: "Eff_FLT_mca"}})
+	a.SetItems(taxonomy.Trigger, []domain.Item{{Category: "Trg_FLT_tmr"}})
+	a.SetItems(taxonomy.Effect, []domain.Item{{Category: "Eff_FLT_mca"}})
 	for _, k := range taxonomy.Kinds {
 		if len(a.Items(k)) != 1 {
 			t.Errorf("Items(%v) = %d, want 1", k, len(a.Items(k)))

@@ -460,8 +460,8 @@ type Database struct {
 	Scheme Scheme
 }
 
-// NewDatabase returns an empty database using the given scheme.
-// internal/core's NewDatabase wraps this with the paper's base scheme.
+// NewDatabase returns an empty database using the given scheme;
+// internal code passes taxonomy.Base() for the paper's base scheme.
 func NewDatabase(scheme Scheme) *Database {
 	return &Database{
 		Docs:   make(map[string]*Document),

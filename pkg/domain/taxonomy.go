@@ -7,9 +7,9 @@
 // The package is the innermost hexagonal layer: it imports nothing
 // from internal/ and nothing from the plugin trees, so third-party
 // plugins and external consumers can depend on it without reaching
-// into implementation packages. internal/core and internal/taxonomy
-// re-export these types under their historical names, so the two
-// views are interchangeable (the internal names are type aliases).
+// into implementation packages. internal/taxonomy re-exports the
+// taxonomy types under their historical names (type aliases), and
+// every internal layer uses the data model directly from here.
 //
 // The taxonomy is hierarchical with three levels of abstraction:
 //

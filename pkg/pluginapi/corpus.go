@@ -122,11 +122,11 @@ type CorpusSpec struct {
 	AMDMSRWeights []Weighted
 
 	// WorkaroundWeightsIntel distributes Intel workaround categories
-	// (Figure 6); identifiers are core.WorkaroundCategory labels.
+	// (Figure 6); identifiers are domain.WorkaroundCategory labels.
 	WorkaroundWeightsIntel []Weighted
 	// WorkaroundWeightsAMD is the AMD counterpart.
 	WorkaroundWeightsAMD []Weighted
 	// FixWeights distributes fix statuses (Figure 7); identifiers are
-	// core.FixStatus labels.
+	// domain.FixStatus labels.
 	FixWeights []Weighted
 }

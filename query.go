@@ -4,9 +4,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/taxonomy"
+	"repro/pkg/domain"
 )
 
 // Query is a fluent filter over the database's errata, the programmatic
@@ -50,7 +50,7 @@ type Query struct {
 // as an argument instead of capturing it, so filters never pin stale
 // state — and a compiler onto an index query for the indexed path.
 type filter struct {
-	pred    func(db *core.Database, e *Erratum) bool
+	pred    func(db *domain.Database, e *Erratum) bool
 	compile func(iq *index.Query)
 }
 
@@ -73,7 +73,7 @@ func (q *Query) with(f filter) *Query {
 // Vendor keeps errata of one vendor.
 func (q *Query) Vendor(v Vendor) *Query {
 	return q.with(filter{
-		pred: func(db *core.Database, e *Erratum) bool {
+		pred: func(db *domain.Database, e *Erratum) bool {
 			d := db.Docs[e.DocKey]
 			return d != nil && d.Vendor == v
 		},
@@ -84,7 +84,7 @@ func (q *Query) Vendor(v Vendor) *Query {
 // InDocument keeps errata of one document.
 func (q *Query) InDocument(key string) *Query {
 	return q.with(filter{
-		pred:    func(_ *core.Database, e *Erratum) bool { return e.DocKey == key },
+		pred:    func(_ *domain.Database, e *Erratum) bool { return e.DocKey == key },
 		compile: func(iq *index.Query) { iq.InDocument(key) },
 	})
 }
@@ -93,7 +93,7 @@ func (q *Query) InDocument(key string) *Query {
 // dimension).
 func (q *Query) WithCategory(categoryID string) *Query {
 	return q.with(filter{
-		pred:    func(_ *core.Database, e *Erratum) bool { return e.Ann.Has(categoryID) },
+		pred:    func(_ *domain.Database, e *Erratum) bool { return e.Ann.Has(categoryID) },
 		compile: func(iq *index.Query) { iq.WithCategory(categoryID) },
 	})
 }
@@ -105,7 +105,7 @@ func (q *Query) WithCategory(categoryID string) *Query {
 func (q *Query) AnyCategory(categoryIDs ...string) *Query {
 	ids := append([]string(nil), categoryIDs...)
 	return q.with(filter{
-		pred: func(_ *core.Database, e *Erratum) bool {
+		pred: func(_ *domain.Database, e *Erratum) bool {
 			for _, c := range ids {
 				if e.Ann.Has(c) {
 					return true
@@ -120,7 +120,7 @@ func (q *Query) AnyCategory(categoryIDs ...string) *Query {
 // WithClass keeps errata with at least one item of the given class.
 func (q *Query) WithClass(classID string) *Query {
 	return q.with(filter{
-		pred: func(db *core.Database, e *Erratum) bool {
+		pred: func(db *domain.Database, e *Erratum) bool {
 			for _, k := range taxonomy.Kinds {
 				for _, cl := range e.Ann.Classes(k, db.Scheme) {
 					if cl == classID {
@@ -139,7 +139,7 @@ func (q *Query) WithClass(classID string) *Query {
 func (q *Query) WithAllTriggers(categoryIDs ...string) *Query {
 	ids := append([]string(nil), categoryIDs...)
 	return q.with(filter{
-		pred: func(_ *core.Database, e *Erratum) bool {
+		pred: func(_ *domain.Database, e *Erratum) bool {
 			for _, c := range ids {
 				found := false
 				for _, it := range e.Ann.Triggers {
@@ -161,7 +161,7 @@ func (q *Query) WithAllTriggers(categoryIDs ...string) *Query {
 // MinTriggers keeps errata with at least n distinct trigger categories.
 func (q *Query) MinTriggers(n int) *Query {
 	return q.with(filter{
-		pred: func(db *core.Database, e *Erratum) bool {
+		pred: func(db *domain.Database, e *Erratum) bool {
 			return len(e.Ann.Categories(taxonomy.Trigger, db.Scheme)) >= n
 		},
 		compile: func(iq *index.Query) { iq.MinTriggers(n) },
@@ -171,7 +171,7 @@ func (q *Query) MinTriggers(n int) *Query {
 // Workaround keeps errata with the given workaround category.
 func (q *Query) Workaround(w WorkaroundCategory) *Query {
 	return q.with(filter{
-		pred:    func(_ *core.Database, e *Erratum) bool { return e.WorkaroundCat == w },
+		pred:    func(_ *domain.Database, e *Erratum) bool { return e.WorkaroundCat == w },
 		compile: func(iq *index.Query) { iq.Workaround(w) },
 	})
 }
@@ -179,7 +179,7 @@ func (q *Query) Workaround(w WorkaroundCategory) *Query {
 // Fix keeps errata with the given fix status.
 func (q *Query) Fix(f FixStatus) *Query {
 	return q.with(filter{
-		pred:    func(_ *core.Database, e *Erratum) bool { return e.Fix == f },
+		pred:    func(_ *domain.Database, e *Erratum) bool { return e.Fix == f },
 		compile: func(iq *index.Query) { iq.Fix(f) },
 	})
 }
@@ -187,7 +187,7 @@ func (q *Query) Fix(f FixStatus) *Query {
 // Complex keeps errata mentioning a complex set of conditions.
 func (q *Query) Complex() *Query {
 	return q.with(filter{
-		pred:    func(_ *core.Database, e *Erratum) bool { return e.Ann.ComplexConditions },
+		pred:    func(_ *domain.Database, e *Erratum) bool { return e.Ann.ComplexConditions },
 		compile: func(iq *index.Query) { iq.Complex() },
 	})
 }
@@ -196,7 +196,7 @@ func (q *Query) Complex() *Query {
 // simulation (the paper found five AMD and one Intel such erratum).
 func (q *Query) SimulationOnly() *Query {
 	return q.with(filter{
-		pred:    func(_ *core.Database, e *Erratum) bool { return e.Ann.SimulationOnly },
+		pred:    func(_ *domain.Database, e *Erratum) bool { return e.Ann.SimulationOnly },
 		compile: func(iq *index.Query) { iq.SimulationOnly() },
 	})
 }
@@ -204,7 +204,7 @@ func (q *Query) SimulationOnly() *Query {
 // DisclosedBetween keeps errata disclosed in [from, to).
 func (q *Query) DisclosedBetween(from, to time.Time) *Query {
 	return q.with(filter{
-		pred: func(_ *core.Database, e *Erratum) bool {
+		pred: func(_ *domain.Database, e *Erratum) bool {
 			return !e.Disclosed.IsZero() && !e.Disclosed.Before(from) && e.Disclosed.Before(to)
 		},
 		compile: func(iq *index.Query) { iq.DisclosedBetween(from, to) },
@@ -216,7 +216,7 @@ func (q *Query) DisclosedBetween(from, to time.Time) *Query {
 func (q *Query) TitleContains(sub string) *Query {
 	lower := strings.ToLower(sub)
 	return q.with(filter{
-		pred: func(_ *core.Database, e *Erratum) bool {
+		pred: func(_ *domain.Database, e *Erratum) bool {
 			return strings.Contains(strings.ToLower(e.Title), lower)
 		},
 		compile: func(iq *index.Query) { iq.TitleContains(sub) },
@@ -227,7 +227,7 @@ func (q *Query) TitleContains(sub string) *Query {
 // MSR.
 func (q *Query) ObservableIn(msr string) *Query {
 	return q.with(filter{
-		pred: func(_ *core.Database, e *Erratum) bool {
+		pred: func(_ *domain.Database, e *Erratum) bool {
 			for _, m := range e.Ann.MSRs {
 				if m == msr {
 					return true

@@ -24,11 +24,9 @@
 //	fmt.Println(rememberr.NewExperiments(db).Figure10().Text)
 //
 // Build is configured with functional options (WithSeed,
-// WithParallelism, WithObservability, ...); the legacy BuildOptions
-// struct still satisfies Option, so existing callers keep compiling:
+// WithParallelism, WithObservability, ...):
 //
 //	db, rep, err := rememberr.Build(rememberr.WithSeed(7), rememberr.WithParallelism(4))
-//	db, rep, err := rememberr.Build(legacyBuildOptions) // deprecated, still works
 package rememberr
 
 import (
@@ -37,7 +35,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/annotate"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dedup"
 	"repro/internal/index"
@@ -59,33 +56,33 @@ import (
 // facade returns without importing internal packages.
 type (
 	// Vendor identifies a microprocessor vendor (Intel or AMD).
-	Vendor = core.Vendor
+	Vendor = domain.Vendor
 	// Erratum is a single annotated erratum entry.
-	Erratum = core.Erratum
+	Erratum = domain.Erratum
 	// Document is a parsed specification-update document.
-	Document = core.Document
+	Document = domain.Document
 	// Annotation is the trigger/context/effect annotation of an erratum.
-	Annotation = core.Annotation
+	Annotation = domain.Annotation
 	// Item is one annotated property (abstract category + concrete text).
-	Item = core.Item
+	Item = domain.Item
 	// Kind discriminates triggers, contexts and effects.
 	Kind = taxonomy.Kind
 	// Scheme is the three-level classification scheme.
 	Scheme = taxonomy.Scheme
 	// WorkaroundCategory classifies where a workaround applies.
-	WorkaroundCategory = core.WorkaroundCategory
+	WorkaroundCategory = domain.WorkaroundCategory
 	// FixStatus captures whether a bug's root cause was fixed.
-	FixStatus = core.FixStatus
+	FixStatus = domain.FixStatus
 	// Metric names a title-similarity metric for deduplication.
 	Metric = textsim.Metric
 	// StructuredErratum is the machine-readable format of Table VII.
-	StructuredErratum = core.StructuredErratum
+	StructuredErratum = domain.StructuredErratum
 )
 
 // Re-exported constants.
 const (
-	Intel = core.Intel
-	AMD   = core.AMD
+	Intel = domain.Intel
+	AMD   = domain.AMD
 
 	Trigger = taxonomy.Trigger
 	Context = taxonomy.Context
@@ -109,70 +106,51 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 type TraceSpan = obs.Span
 
 // Option configures Build. Options are applied in order over the
-// paper-faithful defaults. The legacy BuildOptions struct satisfies
-// Option by replacing the whole configuration, so pre-options call
-// sites — Build(opts) with a BuildOptions value — compile and behave
-// unchanged.
-type Option interface {
-	applyOption(*BuildOptions)
-}
-
-// optionFunc adapts a closure to the Option interface.
-type optionFunc func(*BuildOptions)
-
-func (f optionFunc) applyOption(o *BuildOptions) { f(o) }
-
-// applyOption makes the legacy options struct usable as an Option: it
-// replaces the entire configuration, reproducing the semantics of the
-// old Build(BuildOptions) signature (zero fields mean "default or
-// zero value" exactly as normalized() always resolved them).
-func (o BuildOptions) applyOption(dst *BuildOptions) { *dst = o }
+// paper-faithful defaults, so a later option overrides an earlier one.
+type Option func(*buildConfig)
 
 // WithSeed sets the corpus-generator and annotator seed; the same seed
 // reproduces the same database bit for bit.
 func WithSeed(seed int64) Option {
-	return optionFunc(func(o *BuildOptions) { o.Seed = seed })
+	return func(o *buildConfig) { o.Seed = seed }
 }
 
 // WithSimilarityMetric selects the title-similarity metric that ranks
 // duplicate candidates.
 func WithSimilarityMetric(m Metric) Option {
-	return optionFunc(func(o *BuildOptions) { o.SimilarityMetric = m })
+	return func(o *buildConfig) { o.SimilarityMetric = m }
 }
 
 // WithSimilarityThreshold sets the minimum title similarity for a
-// candidate pair to be reviewed. Unlike assigning the struct field, an
-// explicit 0 means "review every candidate pair" rather than falling
-// back to the default 0.6.
+// candidate pair to be reviewed (default 0.6); 0 reviews every
+// candidate pair.
 func WithSimilarityThreshold(t float64) Option {
-	return optionFunc(func(o *BuildOptions) { o.SetSimilarityThreshold(t) })
+	return func(o *buildConfig) { o.SimilarityThreshold = t }
 }
 
 // WithLSH switches duplicate-candidate generation to the MinHash/LSH
 // index.
 func WithLSH(on bool) Option {
-	return optionFunc(func(o *BuildOptions) { o.UseLSH = on })
+	return func(o *buildConfig) { o.UseLSH = on }
 }
 
 // WithInterpolation enables or disables sequential-number disclosure
 // interpolation (the paper's configuration interpolates).
 func WithInterpolation(on bool) Option {
-	return optionFunc(func(o *BuildOptions) { o.Interpolate = on })
+	return func(o *buildConfig) { o.Interpolate = on }
 }
 
-// WithAnnotationSteps sets the number of four-eyes discussion batches.
-// Unlike assigning the struct field, an explicit 0 is passed to the
-// annotation stage — which rejects it — instead of being silently
-// replaced by the default 7.
+// WithAnnotationSteps sets the number of four-eyes discussion batches
+// (default 7). The annotation stage rejects values below 1.
 func WithAnnotationSteps(n int) Option {
-	return optionFunc(func(o *BuildOptions) { o.SetAnnotationSteps(n) })
+	return func(o *buildConfig) { o.AnnotationSteps = n }
 }
 
 // WithParallelism bounds the worker goroutines of the parallel
 // pipeline stages (0 = GOMAXPROCS, 1 = sequential). The built database
 // is byte-identical at every value.
 func WithParallelism(n int) Option {
-	return optionFunc(func(o *BuildOptions) { o.Parallelism = n })
+	return func(o *buildConfig) { o.Parallelism = n }
 }
 
 // WithCache enables content-addressed incremental rebuilds: every
@@ -186,7 +164,7 @@ func WithParallelism(n int) Option {
 // uncached build at every cache state and worker count; cached stages
 // appear in BuildReport.Trace with Cached set.
 func WithCache(dir string) Option {
-	return optionFunc(func(o *BuildOptions) { o.CacheDir = dir })
+	return func(o *buildConfig) { o.CacheDir = dir }
 }
 
 // WithObservability directs the build's metrics into reg: per-stage
@@ -196,38 +174,28 @@ func WithCache(dir string) Option {
 // serving metrics on one /metrics endpoint. A nil registry disables
 // instrumentation (the default).
 func WithObservability(reg *Registry) Option {
-	return optionFunc(func(o *BuildOptions) { o.Observability = reg })
+	return func(o *buildConfig) { o.Observability = reg }
 }
 
-// BuildOptions configures the end-to-end database construction.
-//
-// Deprecated: BuildOptions remains as a compatibility shim — it
-// satisfies Option, so Build(opts) keeps working — but new code should
-// compose the With* functional options instead, which cannot get the
-// zero-value footguns wrong (see SetSimilarityThreshold and
-// SetAnnotationSteps).
-type BuildOptions struct {
+// buildConfig is the resolved Build configuration. Only the With*
+// options write it, over the defaults of defaultBuildConfig.
+type buildConfig struct {
 	// Seed drives the corpus generator and the annotator error
 	// processes; the same seed reproduces the same database bit for bit.
 	Seed int64
-	// SimilarityMetric ranks Intel duplicate candidates (default
-	// Jaccard; see the ablation benchmarks for alternatives).
+	// SimilarityMetric ranks Intel duplicate candidates; empty selects
+	// Jaccard (see the ablation benchmarks for alternatives).
 	SimilarityMetric Metric
 	// SimilarityThreshold is the minimum title similarity for a
-	// candidate pair to be reviewed. The zero value selects the default
-	// 0.6; use SetSimilarityThreshold to request an explicit threshold
-	// of 0 ("review every candidate pair").
+	// candidate pair to be reviewed; 0 reviews every candidate pair.
 	SimilarityThreshold float64
 	// UseLSH switches duplicate-candidate generation to the MinHash/LSH
 	// index (near-linear instead of the exact O(n^2) scan).
 	UseLSH bool
-	// Interpolate enables sequential-number disclosure interpolation
-	// (default true, as in the paper).
+	// Interpolate enables sequential-number disclosure interpolation.
 	Interpolate bool
-	// AnnotationSteps is the number of four-eyes discussion batches.
-	// The zero value selects the default 7 (as in the paper); use
-	// SetAnnotationSteps to pass an explicit value, which is validated
-	// instead of silently replaced.
+	// AnnotationSteps is the number of four-eyes discussion batches;
+	// the annotation stage rejects values below 1.
 	AnnotationSteps int
 	// Parallelism bounds the number of worker goroutines used by the
 	// parallel pipeline stages: document rendering and parsing,
@@ -237,62 +205,19 @@ type BuildOptions struct {
 	// see the concurrency model in DESIGN.md.
 	Parallelism int
 	// Observability, when non-nil, receives the build's metrics and
-	// stage spans (see WithObservability). Instrumentation never
-	// changes the built database.
+	// stage spans. Instrumentation never changes the built database.
 	Observability *Registry
 	// CacheDir, when non-empty, persists stage artifacts under this
-	// directory for content-addressed incremental rebuilds (see
-	// WithCache). Empty disables caching.
+	// directory for content-addressed incremental rebuilds. Empty
+	// disables caching.
 	CacheDir string
-
-	// similarityThresholdSet / annotationStepsSet distinguish explicit
-	// zero values (via the setters) from unset fields.
-	similarityThresholdSet bool
-	annotationStepsSet     bool
 }
 
-// SetSimilarityThreshold sets SimilarityThreshold explicitly. Unlike
-// assigning the field directly, an explicit zero survives option
-// normalization: every candidate pair is surfaced for review instead
-// of silently falling back to the default 0.6.
-//
-// Deprecated: use the WithSimilarityThreshold option, which has the
-// explicit-zero semantics built in.
-func (o *BuildOptions) SetSimilarityThreshold(t float64) {
-	o.SimilarityThreshold = t
-	o.similarityThresholdSet = true
-}
-
-// SetAnnotationSteps sets AnnotationSteps explicitly. Unlike assigning
-// the field directly, an explicit zero is passed through to the
-// annotation stage — which rejects it — instead of being silently
-// replaced by the default 7.
-//
-// Deprecated: use the WithAnnotationSteps option, which has the
-// explicit-zero semantics built in.
-func (o *BuildOptions) SetAnnotationSteps(n int) {
-	o.AnnotationSteps = n
-	o.annotationStepsSet = true
-}
-
-// normalized resolves unset options to their documented defaults
-// without disturbing explicitly set values.
-func (o BuildOptions) normalized() BuildOptions {
-	if o.SimilarityMetric == "" {
-		o.SimilarityMetric = textsim.MetricJaccard
-	}
-	if o.SimilarityThreshold == 0 && !o.similarityThresholdSet {
-		o.SimilarityThreshold = 0.6
-	}
-	if o.AnnotationSteps == 0 && !o.annotationStepsSet {
-		o.AnnotationSteps = 7
-	}
-	return o
-}
-
-// DefaultBuildOptions returns the paper-faithful configuration.
-func DefaultBuildOptions() BuildOptions {
-	return BuildOptions{
+// defaultBuildConfig returns the paper-faithful configuration: seed 1,
+// Jaccard similarity at threshold 0.6, interpolation on, 7 annotation
+// steps.
+func defaultBuildConfig() buildConfig {
+	return buildConfig{
 		Seed:                1,
 		SimilarityMetric:    textsim.MetricJaccard,
 		SimilarityThreshold: 0.6,
@@ -328,7 +253,7 @@ type BuildReport struct {
 
 // Database is the built RemembERR database.
 type Database struct {
-	core   *core.Database
+	core   *domain.Database
 	report *BuildReport
 	idx    atomic.Pointer[index.Index]
 
@@ -352,16 +277,13 @@ type indexFlight struct {
 // Build runs the full pipeline: corpus generation, document rendering,
 // parsing, deduplication, classification plus simulated four-eyes
 // annotation, and disclosure-date inference. With no options it builds
-// the paper-faithful default configuration (DefaultBuildOptions);
-// options are applied in order. A legacy BuildOptions value is itself
-// an Option (it replaces the whole configuration), so existing
-// Build(opts) call sites work unchanged.
+// the paper-faithful default configuration; options are applied in
+// order over it.
 func Build(options ...Option) (*Database, *BuildReport, error) {
-	opts := DefaultBuildOptions()
+	opts := defaultBuildConfig()
 	for _, o := range options {
-		o.applyOption(&opts)
+		o(&opts)
 	}
-	opts = opts.normalized()
 
 	reg := opts.Observability
 	if reg != nil {
@@ -392,7 +314,7 @@ func uniformFractions(n int) []float64 {
 }
 
 // Core exposes the underlying database for advanced use.
-func (db *Database) Core() *core.Database { return db.core }
+func (db *Database) Core() *domain.Database { return db.core }
 
 // BuildIndex builds the inverted-index query engine over the current
 // database contents and returns it. Afterwards, Query terminal
@@ -409,7 +331,7 @@ func (db *Database) BuildIndex() *index.Index {
 
 // buildIndexWith is BuildIndex with the index constructor injected, the
 // seam the singleflight tests use to hold a flight open deterministically.
-func (db *Database) buildIndexWith(build func(*core.Database) *index.Index) *index.Index {
+func (db *Database) buildIndexWith(build func(*domain.Database) *index.Index) *index.Index {
 	db.flightMu.Lock()
 	if f := db.flight; f != nil {
 		joined := db.flightJoined
@@ -445,7 +367,7 @@ func (db *Database) Report() *BuildReport { return db.report }
 func (db *Database) Scheme() domain.Scheme { return db.core.Scheme }
 
 // Stats summarizes corpus-level counts.
-type Stats = core.Stats
+type Stats = domain.Stats
 
 // Stats recomputes corpus statistics.
 func (db *Database) Stats() Stats { return db.core.ComputeStats() }
@@ -471,4 +393,4 @@ func (db *Database) Document(key string) *Document { return db.core.Docs[key] }
 // artifacts) and Index returns nil until BuildIndex is called; every
 // other accessor — Stats, Errata, Unique, Query, the serving layer —
 // works identically to a freshly built database.
-func FromCore(c *core.Database) *Database { return &Database{core: c} }
+func FromCore(c *domain.Database) *Database { return &Database{core: c} }

@@ -7,13 +7,13 @@ import (
 
 	"repro/internal/annotate"
 	"repro/internal/classify"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dedup"
 	"repro/internal/pipeline"
 	"repro/internal/specdoc"
 	"repro/internal/store"
 	"repro/internal/timeline"
+	"repro/pkg/domain"
 )
 
 // This file declares the seven build stages — corpus, render, parse,
@@ -47,10 +47,10 @@ import (
 // validate share one) is encoded and decoded at most once.
 type pipeDB struct {
 	raw []byte
-	db  *core.Database
+	db  *domain.Database
 }
 
-func (p *pipeDB) database() (*core.Database, error) {
+func (p *pipeDB) database() (*domain.Database, error) {
 	if p.db == nil {
 		r, err := store.OpenBytes(p.raw)
 		if err != nil {
@@ -173,7 +173,7 @@ func summarizeDedup(r *dedup.Result) dedupSummary {
 // reviveDedup rebuilds a *dedup.Result whose candidate pairs point into
 // db. On the cold path the refs came from the same database, so the
 // pairs resolve to the very same entries the dedup stage reviewed.
-func reviveDedup(s dedupSummary, db *core.Database) (*dedup.Result, error) {
+func reviveDedup(s dedupSummary, db *domain.Database) (*dedup.Result, error) {
 	r := &dedup.Result{
 		UniqueIntel:        s.UniqueIntel,
 		UniqueAMD:          s.UniqueAMD,
@@ -183,7 +183,7 @@ func reviveDedup(s dedupSummary, db *core.Database) (*dedup.Result, error) {
 	if len(s.Reviewed) == 0 {
 		return r, nil
 	}
-	byRef := make(map[string]*core.Erratum)
+	byRef := make(map[string]*domain.Erratum)
 	for _, e := range db.Errata() {
 		byRef[corpus.EntryRef(e)] = e
 	}
@@ -252,13 +252,13 @@ func decodeTimelineValue(b []byte) (any, error) {
 	return &timelineValue{db: &pipeDB{raw: a.DB}, stats: a.Stats}, nil
 }
 
-// buildStages declares the build graph for one normalized
-// configuration. Parallelism is deliberately absent from every Config
-// fingerprint: the build contract guarantees byte-identical output at
-// every worker count, so artifacts cached at one parallelism are valid
-// at all of them. Bump a stage's Version whenever its implementation
+// buildStages declares the build graph for one configuration.
+// Parallelism is deliberately absent from every Config fingerprint: the
+// build contract guarantees byte-identical output at every worker
+// count, so artifacts cached at one parallelism are valid at all of
+// them. Bump a stage's Version whenever its implementation
 // changes observable output.
-func buildStages(opts BuildOptions) []*pipeline.Stage {
+func buildStages(opts buildConfig) []*pipeline.Stage {
 	reg := opts.Observability
 	return []*pipeline.Stage{
 		{
@@ -360,7 +360,7 @@ func buildStages(opts BuildOptions) []*pipeline.Stage {
 				for _, e := range gt.DB.Errata() {
 					truthKey[corpus.EntryRef(e)] = e.Key
 				}
-				oracle := func(a, b *core.Erratum) bool {
+				oracle := func(a, b *domain.Erratum) bool {
 					ka, kb := truthKey[corpus.EntryRef(a)], truthKey[corpus.EntryRef(b)]
 					return ka != "" && ka == kb
 				}
@@ -417,12 +417,12 @@ func buildStages(opts BuildOptions) []*pipeline.Stage {
 					return nil, err
 				}
 				gt := v1.(*corpus.GroundTruth)
-				truthAnn := make(map[string]*core.Annotation)
+				truthAnn := make(map[string]*domain.Annotation)
 				for _, e := range gt.DB.Errata() {
 					ann := e.Ann
 					truthAnn[corpus.EntryRef(e)] = &ann
 				}
-				truth := func(e *core.Erratum) *core.Annotation {
+				truth := func(e *domain.Erratum) *domain.Annotation {
 					return truthAnn[corpus.EntryRef(e)]
 				}
 				aopts := annotate.DefaultOptions()
