@@ -33,8 +33,8 @@ bench-classify:
 bench-pipeline:
 	./scripts/bench_pipeline.sh
 
-# Serving-tier latency across shard counts (errserve + errload);
-# emits BENCH_serve.json with server-side p50/p99 at 1, 4 and 16 shards.
+# Serving-tier latency through the real binary (errserve + errload);
+# emits BENCH_serve.json with server-side /v1/errata p50/p99.
 bench-serve:
 	./scripts/bench_serve.sh
 

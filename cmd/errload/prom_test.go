@@ -22,10 +22,10 @@ rememberr_http_request_duration_seconds_sum{endpoint="stats"} 0.002
 rememberr_http_request_duration_seconds_count{endpoint="stats"} 4
 # TYPE rememberr_http_requests_total counter
 rememberr_http_requests_total{endpoint="errata"} 100
-# TYPE rememberr_shard_fanout_duration_seconds histogram
-rememberr_shard_fanout_duration_seconds_bucket{shard="0",le="+Inf"} 7
-rememberr_shard_fanout_duration_seconds_sum{shard="0"} 0.01
-rememberr_shard_fanout_duration_seconds_count{shard="0"} 7
+# TYPE rememberr_index_query_duration_seconds histogram
+rememberr_index_query_duration_seconds_bucket{endpoint="0",le="+Inf"} 7
+rememberr_index_query_duration_seconds_sum{endpoint="0"} 0.01
+rememberr_index_query_duration_seconds_count{endpoint="0"} 7
 `
 
 func parseSample(t *testing.T) map[string]*promHist {
@@ -64,10 +64,11 @@ func TestParseHistograms(t *testing.T) {
 			t.Fatalf("counts = %v, want %v", h.counts, wantCounts)
 		}
 	}
-	// The shard-fanout family shares no observations with the request
-	// family and must not bleed in.
+	// Another histogram family, even one carrying the same label,
+	// shares no observations with the request family and must not
+	// bleed in.
 	if _, leaked := hists["0"]; leaked {
-		t.Fatal("shard fan-out series leaked into the request-duration parse")
+		t.Fatal("a foreign histogram series leaked into the request-duration parse")
 	}
 }
 

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	errserve [-db FILE | -seed N] [-addr :8372] [-cache N] [-cache-dir D] [-timeout D] [-shards N] [-spool D] [-mmap=false] [-pprof]
+//	errserve [-db FILE | -seed N] [-addr :8372] [-cache N] [-cache-dir D] [-timeout D] [-spool D] [-mmap=false] [-pprof]
 //
 // The database is either loaded from a previously saved store file
 // (".gz" supported, see 'rememberr build') or built from the synthetic
@@ -19,11 +19,8 @@
 // mapping unmaps only after the last in-flight request on it finishes.
 // With -cache-dir the build goes through
 // the content-addressed pipeline cache, so restarts and reloads replay
-// unchanged stages instead of recomputing them. With -shards N the
-// errata space is partitioned by deduplicated-key hash into N shards
-// and every query is answered by concurrent scatter-gather with a
-// deterministic merge — responses are byte-identical to the
-// single-index server at any shard count. The server answers JSON on:
+// unchanged stages instead of recomputing them. The server answers
+// JSON on:
 //
 //	GET  /v1/errata        filtered queries (?vendor=Intel&category=...)
 //	GET  /v1/errata/{key}  all occurrences of one deduplicated erratum
@@ -92,20 +89,19 @@ func main() {
 	cacheSize := fs.Int("cache", 256, "query result cache capacity (negative disables)")
 	cacheDir := fs.String("cache-dir", "", "pipeline artifact cache directory (incremental rebuilds)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request handler timeout")
-	shards := fs.Int("shards", 0, "scatter-gather shard count (0 = single index)")
 	spool := fs.String("spool", "", "spool directory to watch for arriving documents")
 	spoolInterval := fs.Duration("spool-interval", time.Second, "spool poll period")
 	useMmap := fs.Bool("mmap", true, "serve FormatVersion 2 store files from a memory mapping (larger-than-RAM corpora)")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof on /debug/pprof/")
 	fs.Parse(os.Args[1:])
 
-	if err := run(*addr, *dbFile, *seed, *par, *cacheSize, *shards, *cacheDir, *spool, *spoolInterval, *timeout, *useMmap, *enablePprof); err != nil {
+	if err := run(*addr, *dbFile, *seed, *par, *cacheSize, *cacheDir, *spool, *spoolInterval, *timeout, *useMmap, *enablePprof); err != nil {
 		fmt.Fprintln(os.Stderr, "errserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dbFile string, seed int64, par, cacheSize, shards int, cacheDir, spool string, spoolInterval, timeout time.Duration, useMmap, enablePprof bool) error {
+func run(addr, dbFile string, seed int64, par, cacheSize int, cacheDir, spool string, spoolInterval, timeout time.Duration, useMmap, enablePprof bool) error {
 	reg := rememberr.NewRegistry()
 
 	// build produces a fresh *domain.Database from the corpus seed; it
@@ -211,7 +207,6 @@ func run(addr, dbFile string, seed int64, par, cacheSize, shards int, cacheDir, 
 	sopts := serve.Options{
 		CacheSize:       cacheSize,
 		RequestTimeout:  timeout,
-		Shards:          shards,
 		Observability:   reg,
 		EnableProfiling: enablePprof,
 		Ingest:          doIngest,
@@ -268,11 +263,7 @@ func run(addr, dbFile string, seed int64, par, cacheSize, shards int, cacheDir, 
 		}
 	}
 	st := srv.Stats()
-	if shards > 0 {
-		fmt.Printf("serving %d errata (%d unique) on %s across %d shards%s\n", st.Total, st.Unique, addr, shards, format)
-	} else {
-		fmt.Printf("serving %d errata (%d unique) on %s%s\n", st.Total, st.Unique, addr, format)
-	}
+	fmt.Printf("serving %d errata (%d unique) on %s%s\n", st.Total, st.Unique, addr, format)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -36,7 +36,7 @@
 // anything it must touch (a document whose Order shifted, an entry whose
 // cluster key was renumbered). Old snapshots — including ones currently
 // being served — are never mutated, which is exactly the sharing
-// contract index.MergeDelta and shard.Repartition verify against.
+// contract index.MergeDelta verifies against.
 package ingest
 
 import (

@@ -20,7 +20,7 @@ func (w *benchWriter) Header() http.Header         { return w.header }
 func (w *benchWriter) WriteHeader(int)             {}
 func (w *benchWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
 
-func benchV2Server(b *testing.B, shards int) (*Server, string) {
+func benchV2Server(b *testing.B) (*Server, string) {
 	b.Helper()
 	gt, err := corpus.Generate(1)
 	if err != nil {
@@ -34,7 +34,7 @@ func benchV2Server(b *testing.B, shards int) (*Server, string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(WithStore(sv), Options{CacheSize: -1, Shards: shards})
+	srv, err := New(WithStore(sv), Options{CacheSize: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,9 +46,8 @@ func benchV2Server(b *testing.B, shards int) (*Server, string) {
 }
 
 // BenchmarkServeErratumByKey measures the /v1/errata/{key} handler
-// body. The stitched variant is the v2 fragment path (the acceptance
-// gate: at most 2 allocs/op); the marshal variant is the encoding/json
-// fallback on the same corpus, for the before/after delta.
+// body on the v2 fragment path (the acceptance gate: at most 2
+// allocs/op).
 func BenchmarkServeErratumByKey(b *testing.B) {
 	run := func(b *testing.B, srv *Server, key string) {
 		b.Helper()
@@ -62,25 +61,13 @@ func BenchmarkServeErratumByKey(b *testing.B) {
 		}
 	}
 	b.Run("stitched", func(b *testing.B) {
-		srv, key := benchV2Server(b, 0)
-		run(b, srv, key)
-	})
-	b.Run("stitched-sharded", func(b *testing.B) {
-		srv, key := benchV2Server(b, 4)
-		run(b, srv, key)
-	})
-	b.Run("marshal", func(b *testing.B) {
-		srv, key := benchV2Server(b, 0)
-		snap := *srv.snap.Load()
-		snap.frags = nil
-		srv.snap.Store(&snap)
+		srv, key := benchV2Server(b)
 		run(b, srv, key)
 	})
 }
 
 // BenchmarkServeErrataPage measures the /v1/errata page handler with
-// the cache disabled: stitched summary fragments vs the marshal
-// fallback.
+// the cache disabled, stitching summary fragments.
 func BenchmarkServeErrataPage(b *testing.B) {
 	run := func(b *testing.B, srv *Server) {
 		b.Helper()
@@ -93,14 +80,7 @@ func BenchmarkServeErrataPage(b *testing.B) {
 		}
 	}
 	b.Run("stitched", func(b *testing.B) {
-		srv, _ := benchV2Server(b, 0)
-		run(b, srv)
-	})
-	b.Run("marshal", func(b *testing.B) {
-		srv, _ := benchV2Server(b, 0)
-		snap := *srv.snap.Load()
-		snap.frags = nil
-		srv.snap.Store(&snap)
+		srv, _ := benchV2Server(b)
 		run(b, srv)
 	})
 }

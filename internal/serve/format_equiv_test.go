@@ -2,13 +2,9 @@ package serve
 
 import (
 	"bytes"
-	"net/http"
-	"strconv"
+	"net/url"
 	"testing"
-	"time"
 
-	"repro/internal/corpus"
-	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -16,25 +12,16 @@ import (
 // loaded from a FormatVersion 2 file (zero-decode store, persisted
 // postings, precomputed fragments) answers every /v1 response
 // byte-identically to a server loaded from the FormatVersion 1 JSON of
-// the same corpus — across the six equivalence-matrix seeds and at 0,
-// 1, 4 and 16 shards. Caching is disabled so every request exercises
-// the full path.
+// the same corpus, across the six equivalence-matrix seeds. Caching is
+// disabled so every request exercises the full path.
 func TestFormatEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		gt, err := corpus.Generate(seed)
+		db := datedCorpus(t, seed)
+		v1Bytes, err := store.Encode(db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Deterministic disclosure dates (set before encoding, so both
-		// formats carry them) so the date-range filters bite.
-		for i, e := range gt.DB.Errata() {
-			e.Disclosed = time.Date(2008+i%10, time.Month(1+i%12), 1+i%28, 0, 0, 0, 0, time.UTC)
-		}
-		v1Bytes, err := store.Encode(gt.DB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v2Bytes, err := store.EncodeV2(gt.DB, store.V2Options{Postings: true, Fragments: true})
+		v2Bytes, err := store.EncodeV2(db, store.V2Options{Postings: true, Fragments: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,14 +40,11 @@ func TestFormatEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2Servers := map[string]http.Handler{}
-		for _, n := range []int{0, 1, 4, 16} {
-			srv, err := New(WithStore(sv), Options{CacheSize: -1, Shards: n})
-			if err != nil {
-				t.Fatalf("seed %d shards=%d: %v", seed, n, err)
-			}
-			v2Servers[strconv.Itoa(n)] = srv.Handler()
+		v2Srv, err := New(WithStore(sv), Options{CacheSize: -1})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
+		v2 := v2Srv.Handler()
 
 		urls := []string{"/v1/stats"}
 		for _, q := range serveFilterMatrix {
@@ -70,75 +54,18 @@ func TestFormatEquivalence(t *testing.T) {
 			}
 			urls = append(urls, u)
 		}
-		// Point lookups covering every shard of the 16-way partition,
-		// plus a missing key.
-		keys := map[int]string{}
-		for _, e := range gt.DB.Errata() {
-			if e.Key == "" {
-				continue
-			}
-			if o := shard.Owner(e.Key, 16); keys[o] == "" {
-				keys[o] = e.Key
-			}
-		}
 		urls = append(urls, "/v1/errata/no-such-key")
-		for _, key := range keys {
-			urls = append(urls, "/v1/errata/"+key)
+		for _, key := range sampleKeys(db, 16) {
+			urls = append(urls, "/v1/errata/"+url.PathEscape(key))
 		}
 
-		for _, url := range urls {
-			wantCode, want := get(t, reference, url)
-			for n, h := range v2Servers {
-				gotCode, got := get(t, h, url)
-				if gotCode != wantCode || !bytes.Equal(got, want) {
-					t.Fatalf("seed %d shards=%s %s: v2 %d %q != v1 %d %q",
-						seed, n, url, gotCode, truncate(got), wantCode, truncate(want))
-				}
+		for _, u := range urls {
+			wantCode, want := get(t, reference, u)
+			gotCode, got := get(t, v2, u)
+			if gotCode != wantCode || !bytes.Equal(got, want) {
+				t.Fatalf("seed %d %s: v2 %d %q != v1 %d %q",
+					seed, u, gotCode, truncate(got), wantCode, truncate(want))
 			}
-		}
-	}
-}
-
-// TestStitchedMatchesMarshal pins the stitched hot path against the
-// json.Marshal fallback on the same server: disabling fragments on a
-// snapshot must not change a single response byte.
-func TestStitchedMatchesMarshal(t *testing.T) {
-	gt, err := corpus.Generate(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newDBServer(gt.DB, Options{CacheSize: -1})
-	h := srv.Handler()
-	if srv.snap.Load().frags == nil {
-		t.Fatal("server built without fragments; stitched path untested")
-	}
-
-	urls := []string{"/v1/errata", "/v1/errata?vendor=Intel&limit=13&offset=2", "/v1/errata?unique=false"}
-	for _, e := range gt.DB.Unique()[:10] {
-		urls = append(urls, "/v1/errata/"+e.Key)
-	}
-	stitched := map[string][]byte{}
-	for _, url := range urls {
-		code, body := get(t, h, url)
-		if code != http.StatusOK {
-			t.Fatalf("%s: %d", url, code)
-		}
-		stitched[url] = body
-	}
-
-	// Drop the fragments from the live snapshot: every handler falls
-	// back to encoding/json.
-	snap := *srv.snap.Load()
-	snap.frags = nil
-	srv.snap.Store(&snap)
-
-	for _, url := range urls {
-		code, body := get(t, h, url)
-		if code != http.StatusOK {
-			t.Fatalf("fallback %s: %d", url, code)
-		}
-		if !bytes.Equal(body, stitched[url]) {
-			t.Fatalf("%s: stitched %q != marshaled %q", url, truncate(stitched[url]), truncate(body))
 		}
 	}
 }

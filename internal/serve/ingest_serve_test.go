@@ -40,11 +40,11 @@ func ingestTexts(t testing.TB, seed int64) []string {
 // ingestingServer wires an Ingester to a Server the way errserve does:
 // one mutex serializes each Apply with its SwapDelta so snapshots
 // install in application order.
-func ingestingServer(initial *domain.Database, shards int) (*Server, *ingest.Ingester) {
+func ingestingServer(initial *domain.Database) (*Server, *ingest.Ingester) {
 	ing := ingest.NewFrom(initial, ingest.Options{Parallelism: 1})
 	var mu sync.Mutex
 	var srv *Server
-	srv = newDBServer(initial, Options{CacheSize: -1, Shards: shards, Ingest: func(_ context.Context, text string) (IngestSummary, error) {
+	srv = newDBServer(initial, Options{CacheSize: -1, Ingest: func(_ context.Context, text string) (IngestSummary, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		res, err := ing.Apply([]string{text})
@@ -100,7 +100,7 @@ func TestIngestEndpointNotConfigured(t *testing.T) {
 // TestIngestEndpointRejectsBadDocument pins the 400 contract: an
 // unparseable body leaves the served snapshot untouched.
 func TestIngestEndpointRejectsBadDocument(t *testing.T) {
-	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()), 0)
+	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()))
 	gen := srv.Generation()
 	code, body := postIngest(t, srv, "not a specification update\n")
 	if code != 400 {
@@ -113,76 +113,72 @@ func TestIngestEndpointRejectsBadDocument(t *testing.T) {
 
 // TestIngestEndpointEquivalence is the serving half of the convergence
 // contract: a server fed document-by-document through POST
-// /v1/admin/ingest (delta merges, repartitions, generation bumps all
-// the way) answers every matrix query identically to a server cold-built
-// over the union corpus — in single-index mode and at 1, 4 and 16
-// shards.
+// /v1/admin/ingest (delta merges and generation bumps all the way)
+// answers every matrix query identically to a server cold-built over
+// the union corpus.
 func TestIngestEndpointEquivalence(t *testing.T) {
 	texts := ingestTexts(t, 1)
 	unionDB, _, err := ingest.Build(nil, texts, ingest.Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 1, 4, 16} {
-		cold := newDBServer(unionDB, Options{CacheSize: -1, Shards: shards})
-		srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()), shards)
-		for i, text := range texts {
-			code, body := postIngest(t, srv, text)
-			if code != 200 {
-				t.Fatalf("shards=%d: ingest %d: %d %s", shards, i, code, truncate(body))
-			}
-			var sum struct {
-				Status string `json:"status"`
-				IngestSummary
-			}
-			if err := json.Unmarshal(body, &sum); err != nil {
-				t.Fatalf("shards=%d: ingest %d: %v", shards, i, err)
-			}
-			if sum.Status != "ok" || sum.Documents != 1 || sum.Generation != uint64(i+2) {
-				t.Fatalf("shards=%d: ingest %d: %+v, want ok/1 docs/gen %d", shards, i, sum, i+2)
-			}
+	cold := newDBServer(unionDB, Options{CacheSize: -1})
+	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()))
+	for i, text := range texts {
+		code, body := postIngest(t, srv, text)
+		if code != 200 {
+			t.Fatalf("ingest %d: %d %s", i, code, truncate(body))
 		}
-		// Re-ingesting the first document is an idempotent no-op.
-		gen := srv.Generation()
-		code, body := postIngest(t, srv, texts[0])
 		var sum struct {
+			Status string `json:"status"`
 			IngestSummary
 		}
-		if code != 200 || json.Unmarshal(body, &sum) != nil || sum.Skipped != 1 || sum.Generation != gen {
-			t.Fatalf("shards=%d: re-ingest: %d %s", shards, code, truncate(body))
+		if err := json.Unmarshal(body, &sum); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
 		}
+		if sum.Status != "ok" || sum.Documents != 1 || sum.Generation != uint64(i+2) {
+			t.Fatalf("ingest %d: %+v, want ok/1 docs/gen %d", i, sum, i+2)
+		}
+	}
+	// Re-ingesting the first document is an idempotent no-op.
+	gen := srv.Generation()
+	code, body := postIngest(t, srv, texts[0])
+	var sum struct {
+		IngestSummary
+	}
+	if code != 200 || json.Unmarshal(body, &sum) != nil || sum.Skipped != 1 || sum.Generation != gen {
+		t.Fatalf("re-ingest: %d %s", code, truncate(body))
+	}
 
-		coldH, gotH := cold.Handler(), srv.Handler()
-		queries := []string{
-			"/v1/errata",
-			"/v1/errata?unique=false&limit=1000",
-			"/v1/errata?vendor=Intel",
-			"/v1/errata?vendor=AMD&unique=false",
-			"/v1/errata?min_triggers=1&limit=7&offset=3",
-			"/v1/stats",
+	coldH, gotH := cold.Handler(), srv.Handler()
+	queries := []string{
+		"/v1/errata",
+		"/v1/errata?unique=false&limit=1000",
+		"/v1/errata?vendor=Intel",
+		"/v1/errata?vendor=AMD&unique=false",
+		"/v1/errata?min_triggers=1&limit=7&offset=3",
+		"/v1/stats",
+	}
+	// Point lookups for a sample of keys from the union database.
+	n := 0
+	for _, e := range unionDB.Errata() {
+		if e.Key != "" && n < 8 {
+			queries = append(queries, "/v1/errata/"+e.Key)
+			n++
 		}
-		// Point lookups for a sample of keys from the union database.
-		n := 0
-		for _, e := range unionDB.Errata() {
-			if e.Key != "" && n < 8 {
-				queries = append(queries, "/v1/errata/"+e.Key)
-				n++
-			}
-		}
-		for _, url := range queries {
-			wantCode, want := get(t, coldH, url)
-			gotCode, got := get(t, gotH, url)
-			if gotCode != wantCode || stripGen(t, got) != stripGen(t, want) {
-				t.Fatalf("shards=%d %s: ingested %d %s != cold %d %s",
-					shards, url, gotCode, truncate(got), wantCode, truncate(want))
-			}
+	}
+	for _, url := range queries {
+		wantCode, want := get(t, coldH, url)
+		gotCode, got := get(t, gotH, url)
+		if gotCode != wantCode || stripGen(t, got) != stripGen(t, want) {
+			t.Fatalf("%s: ingested %d %s != cold %d %s", url, gotCode, truncate(got), wantCode, truncate(want))
 		}
 	}
 }
 
 // TestIngestUnderSwapLoad is the soak of the streaming-ingest tier: a
-// writer streams documents through the ingest path (Apply + SwapDelta
-// on a 4-shard cluster) while reader goroutines hammer queries and
+// writer streams documents through the ingest path (Apply + SwapDelta)
+// while reader goroutines hammer queries and
 // point lookups across the swaps. Run under -race in CI. Readers assert
 // generation consistency two ways: a response pair observed at one
 // generation must agree on the entry count, and any generation's count
@@ -196,7 +192,7 @@ func TestIngestUnderSwapLoad(t *testing.T) {
 	}
 
 	ing := ingest.NewFrom(initial, ingest.Options{Parallelism: 2})
-	srv := newDBServer(initial, Options{CacheSize: 64, Shards: 4})
+	srv := newDBServer(initial, Options{CacheSize: 64})
 	// entriesAt records gen -> total entry count, written by the writer.
 	// A reader can observe a generation before the writer records it
 	// (the snapshot pointer flips inside SwapDelta, the record happens
@@ -280,7 +276,7 @@ func TestIngestUnderSwapLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := newDBServer(unionDB, Options{CacheSize: -1, Shards: 4}).Handler()
+	cold := newDBServer(unionDB, Options{CacheSize: -1}).Handler()
 	for _, url := range []string{"/v1/errata?unique=false&limit=1000", "/v1/stats"} {
 		wantCode, want := get(t, cold, url)
 		gotCode, got := get(t, h, url)

@@ -9,14 +9,17 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/store"
+	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
 // TestMarshalFailuresAre500s is the regression test for the former
-// `body, _ := json.Marshal(...)` sites: when response marshaling fails,
-// every handler must answer the static 500 marshal-error body — not a
-// silently empty 200 — and the failure must land in the per-endpoint
-// error counter.
+// `body, _ := json.Marshal(...)` sites: when a response cannot be
+// encoded, every handler must answer the static 500 marshal-error body
+// — not a silently empty 200 — and the failure must land in the
+// per-endpoint error counter. The errata handlers never marshal; for
+// them the failure is an entry without fragments.
 func TestMarshalFailuresAre500s(t *testing.T) {
 	gt, err := corpus.Generate(1)
 	if err != nil {
@@ -38,11 +41,14 @@ func TestMarshalFailuresAre500s(t *testing.T) {
 	h := srv.Handler()
 	key := gt.DB.Unique()[0].Key
 
-	// The stitched paths never touch encoding/json, so they must keep
-	// answering even while marshaling is broken. Force the fallback by
-	// dropping the fragments from the live snapshot.
+	// An empty fragment set lacks every entry of the snapshot, as if
+	// each entry's DTO had failed to marshal at swap time.
+	empty, err := store.BuildFragments(domain.NewDatabase(taxonomy.Base()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap := *srv.snap.Load()
-	snap.frags = nil
+	snap.frags = empty
 	srv.snap.Store(&snap)
 
 	prev := marshalJSON

@@ -3,20 +3,19 @@ package serve
 import (
 	"bytes"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/corpus"
-	"repro/internal/shard"
 	"repro/internal/store"
 )
 
 // openMapped opens path through store.Open's default (mmap) path and
 // skips the test on platforms without a mapping to exercise.
-func openMapped(t *testing.T, path string) *store.StoreV2 {
+func openMapped(t testing.TB, path string) *store.StoreV2 {
 	t.Helper()
 	r, err := store.Open(path)
 	if err != nil {
@@ -32,20 +31,12 @@ func openMapped(t *testing.T, path string) *store.StoreV2 {
 // TestMmapEquivalence is the mmap serving contract: a server whose
 // snapshot reads straight off the file mapping answers every /v1
 // response byte-identically to one reading the same file through
-// ReadFile — across the six equivalence-matrix seeds and at 0, 1, 4
-// and 16 shards. Fresh readers per shard count keep the sharded boots
-// on the lazy PartitionStore path.
+// ReadFile, across the six equivalence-matrix seeds.
 func TestMmapEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		gt, err := corpus.Generate(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, e := range gt.DB.Errata() {
-			e.Disclosed = time.Date(2008+i%10, time.Month(1+i%12), 1+i%28, 0, 0, 0, 0, time.UTC)
-		}
+		db := datedCorpus(t, seed)
 		path := filepath.Join(t.TempDir(), "db.v2")
-		if err := store.SaveFormat(gt.DB, path, "v2"); err != nil {
+		if err := store.SaveFormat(db, path, "v2"); err != nil {
 			t.Fatal(err)
 		}
 
@@ -57,46 +48,35 @@ func TestMmapEquivalence(t *testing.T) {
 			}
 			urls = append(urls, u)
 		}
-		keys := map[int]string{}
-		for _, e := range gt.DB.Errata() {
-			if e.Key == "" {
-				continue
-			}
-			if o := shard.Owner(e.Key, 16); keys[o] == "" {
-				keys[o] = e.Key
-			}
-		}
 		urls = append(urls, "/v1/errata/no-such-key")
-		for _, key := range keys {
-			urls = append(urls, "/v1/errata/"+key)
+		for _, key := range sampleKeys(db, 16) {
+			urls = append(urls, "/v1/errata/"+url.PathEscape(key))
 		}
 
-		for _, n := range []int{0, 1, 4, 16} {
-			heapReader, err := store.Open(path, store.WithMmap(false))
-			if err != nil {
-				t.Fatal(err)
-			}
-			heapSrv, err := New(WithStore(heapReader), Options{CacheSize: -1, Shards: n})
-			if err != nil {
-				t.Fatal(err)
-			}
-			heapReader.Close()
+		heapReader, err := store.Open(path, store.WithMmap(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		heapSrv, err := New(WithStore(heapReader), Options{CacheSize: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		heapReader.Close()
 
-			mapped := openMapped(t, path)
-			mmapSrv, err := New(WithStore(mapped), Options{CacheSize: -1, Shards: n})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mapped.Close()
+		mapped := openMapped(t, path)
+		mmapSrv, err := New(WithStore(mapped), Options{CacheSize: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped.Close()
 
-			want, got := heapSrv.Handler(), mmapSrv.Handler()
-			for _, url := range urls {
-				wantCode, wantBody := get(t, want, url)
-				gotCode, gotBody := get(t, got, url)
-				if gotCode != wantCode || !bytes.Equal(gotBody, wantBody) {
-					t.Fatalf("seed %d shards=%d %s: mmap %d %q != heap %d %q",
-						seed, n, url, gotCode, truncate(gotBody), wantCode, truncate(wantBody))
-				}
+		want, got := heapSrv.Handler(), mmapSrv.Handler()
+		for _, u := range urls {
+			wantCode, wantBody := get(t, want, u)
+			gotCode, gotBody := get(t, got, u)
+			if gotCode != wantCode || !bytes.Equal(gotBody, wantBody) {
+				t.Fatalf("seed %d %s: mmap %d %q != heap %d %q",
+					seed, u, gotCode, truncate(gotBody), wantCode, truncate(wantBody))
 			}
 		}
 	}
@@ -230,11 +210,10 @@ func TestSwapDeltaInheritsRegion(t *testing.T) {
 	}
 }
 
-// TestLazyShardBootDecodesOnce pins the lazy materialization contract:
-// booting a 16-shard server straight from a store decodes each erratum
-// record exactly once (by its owning shard) and never materializes the
-// full database on the side.
-func TestLazyShardBootDecodesOnce(t *testing.T) {
+// TestStoreBootDecodesOnce pins the boot cost of a store-backed server:
+// serving a FormatVersion 2 store decodes each erratum record exactly
+// once, and the served snapshot holds every entry.
+func TestStoreBootDecodesOnce(t *testing.T) {
 	gt, err := corpus.Generate(3)
 	if err != nil {
 		t.Fatal(err)
@@ -247,30 +226,15 @@ func TestLazyShardBootDecodesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(WithStore(sv), Options{CacheSize: -1, Shards: 16})
+	srv, err := New(WithStore(sv), Options{CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sv.Materialized() {
-		t.Error("sharded boot materialized the full database")
 	}
 	n := int64(len(gt.DB.Errata()))
 	if got := sv.DecodeCount(); got != n {
 		t.Errorf("boot decoded %d records, want exactly %d", got, n)
 	}
-	if got := srv.snap.Load().size(); got != int(n) {
-		t.Errorf("cluster serves %d entries, want %d", got, n)
-	}
-
-	// The single-index boot decodes once per record too (materialize).
-	sv2, err := store.OpenV2(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(WithStore(sv2), Options{CacheSize: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := sv2.DecodeCount(); got != n {
-		t.Errorf("single-index boot decoded %d records, want exactly %d", got, n)
+	if got := srv.snap.Load().ix.Size(); got != int(n) {
+		t.Errorf("snapshot serves %d entries, want %d", got, n)
 	}
 }

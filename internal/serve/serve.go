@@ -21,16 +21,10 @@
 // shared registry via Options.Observability folds build-pipeline and
 // index metrics into the same /metrics page.
 //
-// With Options.Shards > 0 the server runs as a sharded scatter-gather
-// tier (internal/shard): the errata space is partitioned by dedup-key
-// hash into N shards, each owning its own sub-database and index;
-// /v1/errata fans out to every shard concurrently and merges the
-// shard-local results back into global order (per-shard latency lands
-// in rememberr_shard_fanout_duration_seconds), while /v1/errata/{key}
-// routes to the single shard owning the key. Responses are
-// byte-identical to the single-index server at every shard count —
-// pinned by the equivalence tests — and the whole cluster swaps
-// atomically on reload, exactly like the single-index snapshot.
+// Responses of /v1/errata and /v1/errata/{key} are stitched from the
+// snapshot's precomputed JSON fragments (store.Fragments), never
+// marshaled per request; the tests hold them byte-identical to
+// json.Marshal of the store DTOs.
 //
 // The server holds its data behind an atomically swappable snapshot —
 // an immutable (database, index, generation) triple. Swap installs a
@@ -55,6 +49,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,7 +59,6 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/taxonomy"
 	"repro/pkg/domain"
@@ -104,15 +98,6 @@ type Options struct {
 	// hand over ownership. Takes precedence over Reloader when both are
 	// set.
 	ReloadSource func(ctx context.Context) (store.Reader, error)
-	// Shards selects the sharded scatter-gather tier: the errata space
-	// is partitioned by dedup-key hash into this many shards, each with
-	// its own sub-database and index; /v1/errata fans out to all shards
-	// concurrently and merges into global order, /v1/errata/{key}
-	// routes to the owning shard. 0 (the default) serves from a single
-	// index; 1 runs the full scatter-gather machinery on one shard
-	// (useful for equivalence testing). Results are byte-identical to
-	// the single-index server at every shard count.
-	Shards int
 	// Ingest, when non-nil, applies one specification-update document
 	// text to the live corpus for POST /v1/admin/ingest: typically a
 	// closure over an ingest.Ingester whose Apply feeds Server.SwapDelta.
@@ -165,21 +150,20 @@ var endpointNames = []string{
 }
 
 // snapshot is one immutable serving state: a database, its inverted
-// index (or sharded cluster), the precomputed stats, and a
+// index, its response fragments, the precomputed stats, and a
 // monotonically increasing generation id. Handlers load the current
 // snapshot exactly once per request, so every response is internally
 // consistent with a single generation even while Swap installs a new
 // one mid-flight.
 type snapshot struct {
-	db      *domain.Database
-	ix      *index.Index   // single-index mode; nil when sharded
-	cluster *shard.Cluster // sharded mode; nil when single-index
-	stats   domain.Stats
-	gen     uint64
+	db    *domain.Database
+	ix    *index.Index
+	stats domain.Stats
+	gen   uint64
 	// frags holds the precomputed canonical JSON response fragments of
-	// this snapshot's entries; the hot read path stitches responses
-	// from them instead of marshaling. nil disables stitching (the
-	// handlers fall back to encoding/json), never correctness.
+	// this snapshot's entries, from which the errata handlers stitch
+	// every response. Never nil; an entry missing from it (its DTO
+	// failed to marshal) answers 500.
 	frags *store.Fragments
 	// region is the mapped store region this snapshot's strings alias,
 	// nil for heap-backed snapshots. The snapshot owns one reference;
@@ -195,21 +179,6 @@ func (sn *snapshot) release() {
 	if sn != nil && sn.region != nil {
 		sn.region.Release()
 	}
-}
-
-// size and uniqueCount answer the entry counts regardless of mode.
-func (sn *snapshot) size() int {
-	if sn.cluster != nil {
-		return sn.cluster.Entries()
-	}
-	return sn.ix.Size()
-}
-
-func (sn *snapshot) uniqueCount() int {
-	if sn.cluster != nil {
-		return sn.cluster.UniqueCount()
-	}
-	return sn.ix.UniqueCount()
 }
 
 // Server serves atomically swappable database snapshots.
@@ -231,12 +200,6 @@ type Server struct {
 	swapLag    *obs.Histogram
 
 	endpoints map[string]*endpointInstruments
-
-	// Sharded-tier instruments (nil slices/instruments in single mode).
-	shardLat      []*obs.Histogram // per-shard fan-out latency, indexed by shard id
-	merges        *obs.Counter
-	mergeRows     *obs.Counter
-	shardRebuilds *obs.Counter
 }
 
 // Option configures New. Exactly one data source must be supplied —
@@ -244,7 +207,7 @@ type Server struct {
 // whole Options struct is itself an Option that replaces the full
 // tuning configuration:
 //
-//	srv, err := serve.New(serve.WithDatabase(db), serve.Options{Shards: 4})
+//	srv, err := serve.New(serve.WithDatabase(db), serve.Options{CacheSize: 1024})
 type Option interface {
 	applyOption(*config)
 }
@@ -290,11 +253,6 @@ func WithStore(r store.Reader) Option {
 // WithCacheSize sets Options.CacheSize.
 func WithCacheSize(n int) Option {
 	return optionFunc(func(c *config) { c.opts.CacheSize = n })
-}
-
-// WithShards sets Options.Shards.
-func WithShards(n int) Option {
-	return optionFunc(func(c *config) { c.opts.Shards = n })
 }
 
 // WithObservability sets Options.Observability.
@@ -367,24 +325,8 @@ func newServer(opts Options) *Server {
 	s.deltaSwaps = reg.Counter("rememberr_snapshot_delta_swaps_total",
 		"Snapshot installations that went through the delta-merge path.")
 	s.swapLag = reg.Histogram("rememberr_ingest_swap_lag_seconds",
-		"Latency from delta-swap start (index merge / repartition) to snapshot visibility.",
+		"Latency from delta-swap start (index merge) to snapshot visibility.",
 		obs.LatencyBuckets)
-	if opts.Shards > 0 {
-		s.shardLat = make([]*obs.Histogram, opts.Shards)
-		for i := range s.shardLat {
-			s.shardLat[i] = reg.Histogram("rememberr_shard_fanout_duration_seconds",
-				"Per-shard query execution latency during scatter-gather fan-out.",
-				obs.LatencyBuckets, obs.L("shard", strconv.Itoa(i)))
-		}
-		s.merges = reg.Counter("rememberr_shard_merges_total",
-			"Scatter-gather merges performed by the sharded tier.")
-		s.mergeRows = reg.Counter("rememberr_shard_merge_rows_total",
-			"Result rows emitted by scatter-gather merges.")
-		s.shardRebuilds = reg.Counter("rememberr_shard_rebuilds_total",
-			"Shard indexes rebuilt by delta swaps (reused shards not counted).")
-		reg.Gauge("rememberr_shards", "Shard count of the serving tier.").
-			Set(float64(opts.Shards))
-	}
 	reg.GaugeFunc("rememberr_snapshot_generation", "Currently served snapshot generation.",
 		func() float64 {
 			if snap := s.snap.Load(); snap != nil {
@@ -396,30 +338,26 @@ func newServer(opts Options) *Server {
 }
 
 // Swap atomically installs db as the served snapshot and returns its
-// generation id. The index (or, in sharded mode, the whole partitioned
-// cluster) is built and the stats computed before the pointer flips, so
-// requests only ever see complete snapshots; in-flight requests on the
-// previous generation finish against it undisturbed, and response-cache
-// entries of older generations are never served again (keys are
-// generation-scoped). The caller must not mutate db after Swap.
+// generation id. The index and fragments are built and the stats
+// computed before the pointer flips, so requests only ever see complete
+// snapshots; in-flight requests on the previous generation finish
+// against it undisturbed, and response-cache entries of older
+// generations are never served again (keys are generation-scoped). The
+// caller must not mutate db after Swap.
 func (s *Server) Swap(db *domain.Database) uint64 {
-	snap := &snapshot{db: db, stats: db.ComputeStats()}
-	if s.opts.Shards > 0 {
-		snap.cluster = shard.Partition(db, s.opts.Shards)
-		for _, sh := range snap.cluster.Shards {
-			sh.IX.Instrument(s.reg)
-		}
-	} else {
-		snap.ix = index.Build(db)
-		snap.ix.Instrument(s.reg)
-	}
-	// Fragments are an optimization: on a (never-observed) marshal
-	// failure the snapshot serves through the encoding/json fallback.
-	if frags, err := store.BuildFragments(db); err == nil {
-		snap.frags = frags
-	}
+	snap := &snapshot{db: db, ix: index.Build(db), stats: db.ComputeStats(), frags: fragmentsOf(db)}
+	snap.ix.Instrument(s.reg)
 	s.install(snap)
 	return snap.gen
+}
+
+// fragmentsOf builds the response fragments of db. The error is dropped
+// on purpose: the partial set still serves every entry that marshaled,
+// so one entry whose DTO fails to marshal answers 500 on its own
+// requests instead of keeping the whole snapshot from being served.
+func fragmentsOf(db *domain.Database) *store.Fragments {
+	frags, _ := store.BuildFragments(db)
+	return frags
 }
 
 // install assigns snap the next generation and makes it the served
@@ -440,9 +378,7 @@ func (s *Server) install(snap *snapshot) {
 // SwapReader installs the contents of an opened store reader as the
 // served snapshot. A FormatVersion 2 reader serves off its own bytes:
 // index postings and response fragments load from the file where
-// present, and in sharded mode the cluster materializes lazily —
-// shard.PartitionStore decodes each erratum exactly once, by the shard
-// that owns it. When the reader is mmap-backed the new snapshot
+// present. When the reader is mmap-backed the new snapshot
 // retains the mapped region (the caller's reference stays the
 // caller's; Close remains its job), so the mapping outlives every
 // snapshot and in-flight request that aliases it. Readers of other
@@ -475,86 +411,37 @@ func (s *Server) SwapReader(r store.Reader) (uint64, error) {
 // buildStoreSnapshot assembles the (un-installed, generation-less)
 // snapshot for a FormatVersion 2 store.
 func (s *Server) buildStoreSnapshot(sv *store.StoreV2) (*snapshot, error) {
-	snap := &snapshot{}
-	switch {
-	case s.opts.Shards > 0 && !sv.Materialized():
-		// Lazy partition: placement reads only each record's key fields,
-		// then every shard decodes just the errata it owns.
-		db, cluster, err := shard.PartitionStore(sv, s.opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-		snap.db, snap.cluster = db, cluster
-		for _, sh := range cluster.Shards {
-			sh.IX.Instrument(s.reg)
-		}
-		frags, err := sv.FragmentsFor(db.Errata())
-		if err != nil {
-			return nil, err
-		}
-		if frags == nil {
-			frags, _ = store.BuildFragments(db)
-		}
-		snap.frags = frags
-	case s.opts.Shards > 0:
-		// The corpus is already decoded and memoized (e.g. the caller
-		// built an ingester over it): partition the shared pointers
-		// rather than decoding every record a second time.
-		db, err := sv.Database()
-		if err != nil {
-			return nil, err
-		}
-		snap.db = db
-		snap.cluster = shard.Partition(db, s.opts.Shards)
-		for _, sh := range snap.cluster.Shards {
-			sh.IX.Instrument(s.reg)
-		}
-		frags, err := sv.Fragments()
-		if err != nil {
-			return nil, err
-		}
-		if frags == nil {
-			frags, _ = store.BuildFragments(db)
-		}
-		snap.frags = frags
-	default:
-		db, err := sv.Database()
-		if err != nil {
-			return nil, err
-		}
-		snap.db = db
-		if l := sv.IndexLists(); l != nil {
-			// Postings stay disk-resident: the index walks the file's
-			// arrays (or the mapping) directly via index.List spans.
-			snap.ix, err = index.FromLists(db, l)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			snap.ix = index.Build(db)
-		}
-		snap.ix.Instrument(s.reg)
-		frags, err := sv.Fragments()
-		if err != nil {
-			return nil, err
-		}
-		if frags == nil {
-			frags, _ = store.BuildFragments(db)
-		}
-		snap.frags = frags
+	db, err := sv.Database()
+	if err != nil {
+		return nil, err
 	}
-	snap.stats = snap.db.ComputeStats()
+	snap := &snapshot{db: db, stats: db.ComputeStats()}
+	if l := sv.IndexLists(); l != nil {
+		// Postings stay disk-resident: the index walks the file's
+		// arrays (or the mapping) directly via index.List spans.
+		if snap.ix, err = index.FromLists(db, l); err != nil {
+			return nil, err
+		}
+	} else {
+		snap.ix = index.Build(db)
+	}
+	snap.ix.Instrument(s.reg)
+	if snap.frags, err = sv.Fragments(); err != nil {
+		return nil, err
+	}
+	if snap.frags == nil {
+		snap.frags = fragmentsOf(db)
+	}
 	return snap, nil
 }
 
 // SwapDelta installs db as the served snapshot by merging against the
-// currently served one instead of rebuilding from scratch: single-index
-// mode runs index.MergeDelta from the previous snapshot's index,
-// sharded mode repartitions via shard.Repartition and rebuilds only the
-// affected shards. db must honor the delta sharing contract with the
-// currently served database (see index.MergeDelta): any *Erratum shared
-// by pointer is completely unchanged, surviving entries keep their
-// relative order. internal/ingest's copy-on-write Apply produces
+// currently served one instead of rebuilding from scratch: it runs
+// index.MergeDelta from the previous snapshot's index and reuses the
+// fragments of every unchanged entry. db must honor the delta sharing
+// contract with the currently served database (see index.MergeDelta):
+// any *Erratum shared by pointer is completely unchanged, surviving
+// entries keep their relative order. internal/ingest's copy-on-write Apply produces
 // exactly such databases.
 //
 // Unlike Swap, the merge runs under swapMu: the previous snapshot must
@@ -569,8 +456,13 @@ func (s *Server) SwapDelta(db *domain.Database) uint64 {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	prev := s.snap.Load()
-	snap := &snapshot{db: db, stats: db.ComputeStats()}
-	if prev != nil && prev.region != nil {
+	snap := &snapshot{db: db, ix: index.MergeDelta(prev.ix, db), stats: db.ComputeStats()}
+	snap.ix.Instrument(s.reg)
+	// Entries shared by pointer with the previous snapshot reuse its
+	// fragment bytes, so the cost scales with the delta like the index
+	// merge does. The error is dropped for the reason fragmentsOf gives.
+	snap.frags, _ = store.BuildFragmentsDelta(prev.frags, db)
+	if prev.region != nil {
 		// The delta database shares surviving entries by pointer with the
 		// previous snapshot, so its strings may alias the mapping: the
 		// successor must keep the region alive. prev is the installed
@@ -578,39 +470,6 @@ func (s *Server) SwapDelta(db *domain.Database) uint64 {
 		// final release.
 		prev.region.TryRetain()
 		snap.region = prev.region
-	}
-	if s.opts.Shards > 0 {
-		var pc *shard.Cluster
-		if prev != nil {
-			pc = prev.cluster
-		}
-		cluster, rebuilt := shard.Repartition(pc, db, s.opts.Shards)
-		snap.cluster = cluster
-		s.shardRebuilds.Add(int64(rebuilt))
-		// Instrument only freshly built shards: a reused shard's index is
-		// concurrently serving reads, and Instrument writes into it.
-		for i, sh := range cluster.Shards {
-			if pc == nil || i >= len(pc.Shards) || pc.Shards[i] != sh {
-				sh.IX.Instrument(s.reg)
-			}
-		}
-	} else {
-		var pix *index.Index
-		if prev != nil {
-			pix = prev.ix
-		}
-		snap.ix = index.MergeDelta(pix, db)
-		snap.ix.Instrument(s.reg)
-	}
-	// Delta fragment build: entries shared by pointer with the previous
-	// snapshot reuse its fragment bytes, so the cost scales with the
-	// delta like the index merge does.
-	var prevFrags *store.Fragments
-	if prev != nil {
-		prevFrags = prev.frags
-	}
-	if frags, err := store.BuildFragmentsDelta(prevFrags, db); err == nil {
-		snap.frags = frags
 	}
 	snap.gen = s.gen.Add(1)
 	s.snap.Store(snap)
@@ -727,13 +586,26 @@ func (s *Server) handleRedirect(w http.ResponseWriter, r *http.Request) {
 	http.Redirect(w, r, target, http.StatusPermanentRedirect)
 }
 
+// Transport limits of the listener Serve runs. A slow or idle client
+// cannot hold a connection open indefinitely, and a request whose
+// header block exceeds maxHeaderBytes is refused with 431 before any
+// handler runs; the longest legitimate request is a /v1/errata query
+// string, far below the limit.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
 // Serve listens on addr until ctx is cancelled, then shuts down
 // gracefully, draining in-flight requests within the shutdown grace.
 func (s *Server) Serve(ctx context.Context, addr string) error {
 	srv := &http.Server{
 		Addr:              addr,
 		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -798,8 +670,9 @@ func (s *Server) route(name string, h http.HandlerFunc) http.Handler {
 	return s.instrument(name, inner.ServeHTTP)
 }
 
-// marshalJSON is the marshal function behind every handler response. It
-// is a seam for tests only: production always points at json.Marshal.
+// marshalJSON is the marshal function behind every handler response
+// except the stitched /v1/errata and /v1/errata/{key} bodies. It is a
+// seam for tests only: production always points at json.Marshal.
 var marshalJSON = json.Marshal
 
 func writeJSON(w http.ResponseWriter, status int, body []byte) {
@@ -808,18 +681,18 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Write(body)
 }
 
-// writeMarshalError answers a failed response marshal: a 500 carrying a
+// writeMarshalError answers a response that could not be encoded (a
+// failed marshal, or an entry without fragments): a 500 carrying a
 // static body, so the failure lands in the error metrics instead of a
 // silently empty 200.
-func writeMarshalError(w http.ResponseWriter, err error) {
-	_ = err
+func writeMarshalError(w http.ResponseWriter) {
 	writeJSON(w, http.StatusInternalServerError, []byte(`{"error":"response encoding failed"}`))
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	body, err := marshalJSON(map[string]string{"error": msg})
 	if err != nil {
-		writeMarshalError(w, err)
+		writeMarshalError(w)
 		return
 	}
 	writeJSON(w, status, body)
@@ -846,8 +719,8 @@ var multiValued = map[string]bool{
 
 // errataRequest is one compiled /v1/errata query: a list of filters to
 // apply to an index-backed query plus pagination, decoupled from any
-// particular index so the same request can run against the single
-// snapshot index or fan out across every shard's index.
+// particular index so it runs against whichever snapshot the request
+// loaded.
 type errataRequest struct {
 	filters []func(*index.Query)
 	unique  bool
@@ -857,16 +730,20 @@ type errataRequest struct {
 }
 
 // run executes the request's filters against one index and returns the
-// full (unpaginated) match list.
-func (req *errataRequest) run(ix *index.Index) []*domain.Erratum {
+// requested page plus the total match count.
+func (req *errataRequest) run(ix *index.Index) (page []*domain.Erratum, total int) {
 	q := ix.Query()
 	for _, f := range req.filters {
 		f(q)
 	}
 	if req.unique {
-		return q.Unique()
+		page = q.Unique()
+	} else {
+		page = q.All()
 	}
-	return q.All()
+	total = len(page)
+	page = page[min(req.offset, total):]
+	return page[:min(req.limit, len(page))], total
 }
 
 func parseBool(s string) (bool, error) {
@@ -882,26 +759,29 @@ func parseBool(s string) (bool, error) {
 
 const dateFmt = "2006-01-02"
 
+// defaultLimit is the /v1/errata page size when limit is not given.
+const defaultLimit = 100
+
 // parseFilters compiles URL query parameters into an index-independent
 // filter request plus a canonical cache key. Unknown parameters are
 // rejected so that typos surface as 400s instead of silently matching
 // everything, and repeating a single-valued parameter is a 400 instead
-// of a silent first-value win.
+// of a silent first-value win. A parameter given at its default value
+// adds no key part, so it shares the bare query's cache entry.
 func parseFilters(values url.Values) (*errataRequest, error) {
+	var unknown []string
 	for p := range values {
-		known := false
-		for _, k := range filterParams {
-			if p == k {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, fmt.Errorf("unknown parameter %q", p)
+		if !slices.Contains(filterParams, p) {
+			unknown = append(unknown, p)
 		}
 	}
+	if len(unknown) > 0 {
+		// Name the smallest, not the first in map order, so a query with
+		// several unknown parameters always gets the same 400 body.
+		return nil, fmt.Errorf("unknown parameter %q", slices.Min(unknown))
+	}
 
-	req := &errataRequest{unique: true, limit: 100}
+	req := &errataRequest{unique: true, limit: defaultLimit}
 	var keyParts []string
 	// canon appends one cache-key part; multi-valued parameters are
 	// sorted (on a copy — filters may alias vals) so value order never
@@ -984,8 +864,8 @@ func parseFilters(values url.Values) (*errataRequest, error) {
 			}
 			if b {
 				req.filters = append(req.filters, func(q *index.Query) { q.Complex() })
+				canon(param, "true")
 			}
-			canon(param, strconv.FormatBool(b))
 		case "sim_only":
 			b, err := parseBool(vals[0])
 			if err != nil {
@@ -993,8 +873,8 @@ func parseFilters(values url.Values) (*errataRequest, error) {
 			}
 			if b {
 				req.filters = append(req.filters, func(q *index.Query) { q.SimulationOnly() })
+				canon(param, "true")
 			}
-			canon(param, strconv.FormatBool(b))
 		case "workaround":
 			wc, err := domain.ParseWorkaroundCategory(vals[0])
 			if err != nil {
@@ -1017,7 +897,9 @@ func parseFilters(values url.Values) (*errataRequest, error) {
 				return nil, err
 			}
 			req.unique = b
-			canon(param, strconv.FormatBool(b))
+			if !b {
+				canon(param, "false")
+			}
 		case "limit":
 			n, err := strconv.Atoi(vals[0])
 			if err != nil || n < 0 {
@@ -1027,14 +909,18 @@ func parseFilters(values url.Values) (*errataRequest, error) {
 				n = 1000
 			}
 			req.limit = n
-			canon(param, strconv.Itoa(n))
+			if n != defaultLimit {
+				canon(param, strconv.Itoa(n))
+			}
 		case "offset":
 			n, err := strconv.Atoi(vals[0])
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("bad offset %q", vals[0])
 			}
 			req.offset = n
-			canon(param, strconv.Itoa(n))
+			if n != 0 {
+				canon(param, strconv.Itoa(n))
+			}
 		}
 	}
 
@@ -1077,10 +963,9 @@ func splitList(s string) []string {
 }
 
 // The canonical response representations (summary rows, per-occurrence
-// details) live in internal/store: the same DTOs back this package's
-// json.Marshal fallback path, the precomputed fragments stitched on the
-// hot path, and the fragment region of FormatVersion 2 files — one
-// definition, so the paths cannot drift apart byte-wise.
+// details) live in internal/store: the same DTOs back the fragments
+// built at swap time and the fragment region of FormatVersion 2 files —
+// one definition, so the two cannot drift apart byte-wise.
 
 // cacheKey scopes a canonical filter key to one snapshot generation.
 // Entries written by older generations can never match a newer
@@ -1089,29 +974,6 @@ func splitList(s string) []string {
 // snapshot still hit their own generation's entries.
 func cacheKey(gen uint64, filterKey string) string {
 	return "g" + strconv.FormatUint(gen, 10) + "|" + filterKey
-}
-
-// scatterGather fans the compiled request out to every shard
-// concurrently, records per-shard fan-out latency, and merges the
-// shard-local results into the globally ordered page plus the global
-// total.
-func (s *Server) scatterGather(c *shard.Cluster, req *errataRequest) ([]*domain.Erratum, int) {
-	lists := make([][]*domain.Erratum, len(c.Shards))
-	var wg sync.WaitGroup
-	for i, sh := range c.Shards {
-		wg.Add(1)
-		go func(i int, sh *shard.Shard) {
-			defer wg.Done()
-			start := time.Now()
-			lists[i] = req.run(sh.IX)
-			s.shardLat[sh.ID].Observe(time.Since(start).Seconds())
-		}(i, sh)
-	}
-	wg.Wait()
-	page, total := c.Merge(lists, req.unique, req.offset, req.limit)
-	s.merges.Inc()
-	s.mergeRows.Add(int64(len(page)))
-	return page, total
 }
 
 func (s *Server) handleErrata(w http.ResponseWriter, r *http.Request) {
@@ -1127,42 +989,10 @@ func (s *Server) handleErrata(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, body)
 		return
 	}
-	var page []*domain.Erratum
-	var total int
-	if snap.cluster != nil {
-		page, total = s.scatterGather(snap.cluster, req)
-	} else {
-		matches := req.run(snap.ix)
-		total = len(matches)
-		page = matches
-		if req.offset < len(page) {
-			page = page[req.offset:]
-		} else {
-			page = nil
-		}
-		if len(page) > req.limit {
-			page = page[:req.limit]
-		}
-	}
-	if body, ok := stitchErrataPage(snap, req, page, total); ok {
-		s.cache.put(key, body)
-		writeJSON(w, http.StatusOK, body)
-		return
-	}
-	summaries := make([]store.ErratumSummary, 0, len(page))
-	for _, e := range page {
-		summaries = append(summaries, store.Summarize(snap.db, e))
-	}
-	body, err := marshalJSON(struct {
-		Total      int                    `json:"total"`
-		Offset     int                    `json:"offset"`
-		Count      int                    `json:"count"`
-		Unique     bool                   `json:"unique"`
-		Generation uint64                 `json:"generation"`
-		Errata     []store.ErratumSummary `json:"errata"`
-	}{total, req.offset, len(summaries), req.unique, snap.gen, summaries})
-	if err != nil {
-		writeMarshalError(w, err)
+	page, total := req.run(snap.ix)
+	body, ok := stitchErrataPage(snap, req, page, total)
+	if !ok {
+		writeMarshalError(w)
 		return
 	}
 	s.cache.put(key, body)
@@ -1175,14 +1005,11 @@ func (s *Server) handleErrata(w http.ResponseWriter, r *http.Request) {
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // stitchErrataPage assembles the /v1/errata response from precomputed
-// summary fragments, byte-identical to the json.Marshal fallback. The
-// returned body is an exact-size copy (it outlives the request in the
-// response cache); the working buffer is pooled. ok is false when any
-// fragment is missing — the caller falls back to marshaling.
+// summary fragments, byte-identical to json.Marshal of the store DTOs.
+// The returned body is an exact-size copy (it outlives the request in
+// the response cache); the working buffer is pooled. ok is false when
+// any fragment is missing.
 func stitchErrataPage(snap *snapshot, req *errataRequest, page []*domain.Erratum, total int) (body []byte, ok bool) {
-	if snap.frags == nil {
-		return nil, false
-	}
 	for _, e := range page {
 		if snap.frags.Summary(e) == nil {
 			return nil, false
@@ -1215,72 +1042,25 @@ func stitchErrataPage(snap *snapshot, req *errataRequest, page []*domain.Erratum
 	return body, true
 }
 
+// handleErratum answers a point lookup from the snapshot's detail
+// fragments: occurrences resolve through the key's ordinal postings and
+// the body is stitched into a pooled buffer, so the only allocation is
+// the Content-Type header.
 func (s *Server) handleErratum(w http.ResponseWriter, r *http.Request) {
 	snap := s.acquireSnap()
 	defer snap.release()
 	key := r.PathValue("key")
-	if s.stitchErratum(w, snap, key) {
-		return
-	}
-	var occurrences []*domain.Erratum
-	if snap.cluster != nil {
-		// Point lookups route to the single shard owning the key.
-		occurrences = snap.cluster.ByKey(key)
-	} else {
-		occurrences = snap.ix.ByKey(key)
-	}
-	if len(occurrences) == 0 {
+	ords := snap.ix.KeyList(key)
+	if ords == nil || ords.Len() == 0 {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no erratum with key %q", key))
 		return
 	}
-	details := make([]store.ErratumDetail, 0, len(occurrences))
-	for _, e := range occurrences {
-		details = append(details, store.DetailOf(snap.db, e))
-	}
-	body, err := marshalJSON(struct {
-		Key         string                `json:"key"`
-		Occurrences int                   `json:"occurrences"`
-		Generation  uint64                `json:"generation"`
-		Entries     []store.ErratumDetail `json:"entries"`
-	}{key, len(details), snap.gen, details})
-	if err != nil {
-		writeMarshalError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// stitchErratum is the zero-allocation point-lookup path: it assembles
-// the /v1/errata/{key} response from the snapshot's precomputed detail
-// fragments into a pooled buffer, byte-identical to the json.Marshal
-// fallback, and reports whether it handled the request. It declines
-// (returning false, writing nothing) when fragments are unavailable or
-// the key is unknown, leaving the fallback to marshal or 404.
-func (s *Server) stitchErratum(w http.ResponseWriter, snap *snapshot, key string) bool {
-	if snap.frags == nil {
-		return false
-	}
 	keyJSON := snap.frags.KeyJSON(key)
-	if keyJSON == nil {
-		return false
-	}
-	// Resolve occurrences without allocating: ordinal postings in
-	// single-index mode, the owning shard's postings when sharded.
-	var ix *index.Index
-	if snap.cluster != nil {
-		sh := snap.cluster.Shards[shard.Owner(key, snap.cluster.N)]
-		ix = sh.IX
-	} else {
-		ix = snap.ix
-	}
-	ords := ix.KeyList(key)
-	if ords == nil || ords.Len() == 0 {
-		return false
-	}
 	n := ords.Len()
 	for i := 0; i < n; i++ {
-		if snap.frags.Detail(ix.Entry(ords.At(i))) == nil {
-			return false
+		if keyJSON == nil || snap.frags.Detail(snap.ix.Entry(ords.At(i))) == nil {
+			writeMarshalError(w)
+			return
 		}
 	}
 	bp := bufPool.Get().(*[]byte)
@@ -1296,13 +1076,12 @@ func (s *Server) stitchErratum(w http.ResponseWriter, snap *snapshot, key string
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, snap.frags.Detail(ix.Entry(ords.At(i)))...)
+		buf = append(buf, snap.frags.Detail(snap.ix.Entry(ords.At(i)))...)
 	}
 	buf = append(buf, "]}"...)
 	writeJSON(w, http.StatusOK, buf)
 	*bp = buf
 	bufPool.Put(bp)
-	return true
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -1332,7 +1111,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		snap.gen,
 	})
 	if err != nil {
-		writeMarshalError(w, err)
+		writeMarshalError(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, body)
@@ -1346,9 +1125,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Errata     int    `json:"errata"`
 		Unique     int    `json:"unique"`
 		Generation uint64 `json:"generation"`
-	}{"ok", snap.size(), snap.uniqueCount(), snap.gen})
+	}{"ok", snap.ix.Size(), snap.ix.UniqueCount(), snap.gen})
 	if err != nil {
-		writeMarshalError(w, err)
+		writeMarshalError(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, body)
@@ -1370,7 +1149,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		Generation uint64 `json:"generation"`
 	}{"ok", gen})
 	if err != nil {
-		writeMarshalError(w, err)
+		writeMarshalError(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, body)
@@ -1403,7 +1182,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		IngestSummary
 	}{"ok", sum})
 	if err != nil {
-		writeMarshalError(w, err)
+		writeMarshalError(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, body)
@@ -1454,7 +1233,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 	body, err := marshalJSON(s.Metrics())
 	if err != nil {
-		writeMarshalError(w, err)
+		writeMarshalError(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, body)

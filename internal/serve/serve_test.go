@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -187,34 +190,56 @@ func TestEndpoints(t *testing.T) {
 	}
 }
 
-// TestCacheCanonicalization proves that parameter order and repeated
-// equal values do not fragment the cache: the same logical query always
-// lands on one entry.
+// TestCacheCanonicalization proves that parameter order, repeated equal
+// values and explicit default values do not fragment the cache: every
+// spelling of one logical query lands on one entry, with one body.
 func TestCacheCanonicalization(t *testing.T) {
-	s := testServer(t, Options{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	c := ts.Client()
-
-	variants := []string{
-		"/errata?vendor=Intel&category=Eff_HNG_hng&category=Trg_POW_pwc",
-		"/errata?category=Trg_POW_pwc&category=Eff_HNG_hng&vendor=Intel",
+	gt, err := corpus.Generate(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var bodies []errataResp
-	for _, v := range variants {
-		var r errataResp
-		getJSON(t, c, ts.URL+v, &r)
-		bodies = append(bodies, r)
+	cases := []struct {
+		name     string
+		variants []string
+	}{
+		{"reordered", []string{
+			"vendor=Intel&category=Eff_HNG_hng&category=Trg_POW_pwc",
+			"category=Trg_POW_pwc&category=Eff_HNG_hng&vendor=Intel",
+		}},
+		{"unique default", []string{"", "unique=true", "unique=yes"}},
+		{"limit default", []string{"", "limit=100", "limit=0100"}},
+		{"offset default", []string{"", "offset=0"}},
+		{"complex default", []string{"", "complex=false", "complex=0"}},
+		{"sim_only default", []string{"", "sim_only=false"}},
+		{"defaults with a filter", []string{
+			"vendor=AMD",
+			"vendor=AMD&unique=true&limit=100&offset=0&complex=false&sim_only=false",
+		}},
 	}
-	if bodies[0].Total != bodies[1].Total {
-		t.Fatalf("reordered params changed results: %d vs %d", bodies[0].Total, bodies[1].Total)
-	}
-	m := s.Metrics()
-	if m.Cache.Misses != 1 || m.Cache.Hits != 1 {
-		t.Fatalf("cache hits=%d misses=%d, want 1/1 (canonical key collapse)", m.Cache.Hits, m.Cache.Misses)
-	}
-	if m.Cache.Entries != 1 {
-		t.Fatalf("cache entries = %d, want 1", m.Cache.Entries)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newDBServer(gt.DB, Options{})
+			h := s.Handler()
+			var first []byte
+			for i, v := range tc.variants {
+				code, body := getErrata(h, v)
+				if code != http.StatusOK {
+					t.Fatalf("?%s: status %d", v, code)
+				}
+				if i == 0 {
+					first = body
+				} else if !bytes.Equal(body, first) {
+					t.Fatalf("?%s: body differs from ?%s", v, tc.variants[0])
+				}
+			}
+			m := s.Metrics()
+			if want := int64(len(tc.variants) - 1); m.Cache.Misses != 1 || m.Cache.Hits != want {
+				t.Fatalf("cache hits=%d misses=%d, want %d/1 (canonical key collapse)", m.Cache.Hits, m.Cache.Misses, want)
+			}
+			if m.Cache.Entries != 1 {
+				t.Fatalf("cache entries = %d, want 1", m.Cache.Entries)
+			}
+		})
 	}
 }
 
@@ -389,42 +414,83 @@ func TestLRUCache(t *testing.T) {
 	}
 }
 
-// TestServeShutdown exercises the graceful shutdown path end to end on
-// a real listener.
-func TestServeShutdown(t *testing.T) {
-	s := testServer(t, Options{})
+// startServe runs s.Serve on a free loopback port until it answers
+// /healthz, and returns the address plus a stop function that cancels
+// Serve and returns its result.
+func startServe(t *testing.T, s *Server) (addr string, stop func() error) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
+	addr = ln.Addr().String()
 	ln.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ctx, addr) }()
+	stop = func() error {
+		cancel()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			return errors.New("server did not shut down")
+		}
+	}
 
 	// Wait for the server to come up, then probe it.
-	var up bool
 	for i := 0; i < 50; i++ {
 		resp, err := http.Get("http://" + addr + "/healthz")
 		if err == nil {
 			resp.Body.Close()
-			up = resp.StatusCode == 200
+			if resp.StatusCode == 200 {
+				return addr, stop
+			}
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if !up {
-		t.Fatal("server never became healthy")
+	stop()
+	t.Fatal("server never became healthy")
+	return "", nil
+}
+
+// TestServeShutdown exercises the graceful shutdown path end to end on
+// a real listener.
+func TestServeShutdown(t *testing.T) {
+	_, stop := startServe(t, testServer(t, Options{}))
+	if err := stop(); err != nil {
+		t.Fatalf("Serve returned %v", err)
 	}
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Serve returned %v", err)
+}
+
+// TestOversizedHeaderRefused pins Serve's header limit: a request whose
+// header block exceeds maxHeaderBytes is refused with 431 by the
+// transport, before any handler runs, so no endpoint counts it.
+func TestOversizedHeaderRefused(t *testing.T) {
+	s := testServer(t, Options{})
+	addr, stop := startServe(t, s)
+	defer stop()
+	before := s.Metrics()
+
+	req, err := http.NewRequest("GET", "http://"+addr+"/v1/errata", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Padding", strings.Repeat("a", 2*maxHeaderBytes))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("oversized header: status %d, want 431", resp.StatusCode)
+	}
+	after := s.Metrics()
+	for name, ep := range after.Endpoints {
+		if ep.Requests != before.Endpoints[name].Requests {
+			t.Errorf("%s counted the refused request (%d -> %d)", name, before.Endpoints[name].Requests, ep.Requests)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server did not shut down")
 	}
 }

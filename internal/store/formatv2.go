@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -502,7 +501,7 @@ type StoreV2 struct {
 	data    []byte
 	region  *Region
 	closed  atomic.Bool
-	decodes atomic.Int64 // erratum records decoded, for lazy-boot tests
+	decodes atomic.Int64 // erratum records decoded, for boot tests
 	strings []byte
 	docRecs []byte
 	revRecs []byte
@@ -523,7 +522,6 @@ type StoreV2 struct {
 	fragIdx []byte
 
 	dbOnce sync.Once
-	dbDone atomic.Bool
 	db     *domain.Database
 	dbErr  error
 
@@ -1016,8 +1014,8 @@ func (s *StoreV2) Close() error {
 }
 
 // DecodeCount returns how many erratum records have been decoded so
-// far. The lazy-materialization tests pin that an n-shard boot decodes
-// each record exactly once.
+// far. The boot tests pin that serving a store decodes each record
+// exactly once.
 func (s *StoreV2) DecodeCount() int64 { return s.decodes.Load() }
 
 // NumDocs returns the number of document records without materializing
@@ -1025,9 +1023,8 @@ func (s *StoreV2) DecodeCount() int64 { return s.decodes.Load() }
 func (s *StoreV2) NumDocs() int { return s.nDocs }
 
 // Doc decodes document record i — metadata, revisions and withdrawn
-// lists, but not its errata (see DocErrataRange and Erratum, which the
-// lazy shard boot uses to decode only the entries a shard owns).
-// Strings alias the file buffer.
+// lists, but not its errata (see DocErrataRange and Erratum). Strings
+// alias the file buffer.
 func (s *StoreV2) Doc(i int) *domain.Document {
 	base := i * docRecSize
 	d := &domain.Document{
@@ -1065,8 +1062,8 @@ func (s *StoreV2) DocErrataRange(i int) (off, n int) {
 
 // Erratum decodes the erratum record at the given ordinal, attributed
 // to docKey. Strings alias the file buffer. Each call decodes afresh;
-// callers wanting shared identity (pointer-keyed fragments, shard
-// ranks) must decode once and share the pointer.
+// callers wanting shared identity (pointer-keyed fragments) must decode
+// once and share the pointer.
 func (s *StoreV2) Erratum(ord int, docKey string) *domain.Erratum {
 	s.decodes.Add(1)
 	eb := ord * errRecSize
@@ -1097,20 +1094,6 @@ func (s *StoreV2) Erratum(ord int, docKey string) *domain.Erratum {
 	}
 }
 
-// EntryKey returns the cluster key of the erratum record at ord without
-// decoding the record. The string aliases the file buffer.
-func (s *StoreV2) EntryKey(ord int) string {
-	eb := ord * errRecSize
-	return s.str(gu32(s.errRecs, eb+48), gu32(s.errRecs, eb+52))
-}
-
-// EntryID returns the vendor-assigned ID of the erratum record at ord
-// without decoding the record. The string aliases the file buffer.
-func (s *StoreV2) EntryID(ord int) string {
-	eb := ord * errRecSize
-	return s.str(gu32(s.errRecs, eb), gu32(s.errRecs, eb+4))
-}
-
 // HasPostings reports whether the file embeds the inverted index's
 // postings lists.
 func (s *StoreV2) HasPostings() bool { return s.post != nil }
@@ -1125,16 +1108,9 @@ func (s *StoreV2) HasFragments() bool { return s.frags != nil }
 func (s *StoreV2) Database() (*domain.Database, error) {
 	s.dbOnce.Do(func() {
 		s.db, s.dbErr = s.materialize()
-		s.dbDone.Store(true)
 	})
 	return s.db, s.dbErr
 }
-
-// Materialized reports whether Database has already run, i.e. the full
-// corpus is decoded and memoized. Lazy consumers (the sharded serving
-// boot) use it to reuse the existing materialization instead of
-// decoding the records a second time.
-func (s *StoreV2) Materialized() bool { return s.dbDone.Load() }
 
 func (s *StoreV2) materialize() (*domain.Database, error) {
 	db := domain.NewDatabase(taxonomy.Base())
@@ -1215,48 +1191,31 @@ func (s *StoreV2) Fragments() (*Fragments, error) {
 		if s.frags == nil {
 			return
 		}
-		db, err := s.Database()
-		if err != nil {
-			s.frErr = err
-			return
-		}
-		s.fr, s.frErr = s.FragmentsFor(db.Errata())
+		s.fr, s.frErr = s.loadFragments()
 	})
 	return s.fr, s.frErr
 }
 
-// FragmentsFor returns the precomputed response fragments keyed by the
-// caller's erratum pointers, which must be in ordinal order — errata[i]
-// is the decode of record i. The lazy shard boot uses this: it decodes
-// each record once into its own pointers (never calling Database()), so
-// the pointer-keyed fragment maps must be built against those. Returns
-// nil when the file carries no fragments.
-func (s *StoreV2) FragmentsFor(errata []*domain.Erratum) (*Fragments, error) {
-	if s.frags == nil {
-		return nil, nil
+func (s *StoreV2) loadFragments() (*Fragments, error) {
+	db, err := s.Database()
+	if err != nil {
+		return nil, err
 	}
+	// Database() decodes record i into errata[i], so the ordinal-indexed
+	// fragment table keys straight onto the materialized pointers.
+	errata := db.Errata()
 	if len(errata) != s.nErr {
 		return nil, fmt.Errorf("store: v2: fragments keyed by %d errata, file holds %d", len(errata), s.nErr)
 	}
-	fr := &Fragments{
-		details:   make(map[*domain.Erratum][]byte, len(errata)),
-		summaries: make(map[*domain.Erratum][]byte, len(errata)),
-		keys:      make(map[string][]byte),
-	}
+	fr := newFragments(len(errata))
 	for i, e := range errata {
 		base := i * fragIdxSize
 		dOff, dLn := gu32(s.fragIdx, base), gu32(s.fragIdx, base+4)
 		sOff, sLn := gu32(s.fragIdx, base+8), gu32(s.fragIdx, base+12)
 		fr.details[e] = s.frags[dOff : dOff+dLn]
 		fr.summaries[e] = s.frags[sOff : sOff+sLn]
-		if e.Key != "" {
-			if _, ok := fr.keys[e.Key]; !ok {
-				kj, err := json.Marshal(e.Key)
-				if err != nil {
-					return nil, err
-				}
-				fr.keys[e.Key] = kj
-			}
+		if err := fr.addKey(e.Key); err != nil {
+			return nil, err
 		}
 	}
 	return fr, nil

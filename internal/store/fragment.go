@@ -103,8 +103,7 @@ func toResponseItems(items []domain.Item) []ResponseItem {
 // key. Lookups are pointer-keyed (entries are immutable while served)
 // and allocation-free, so the serving layer can stitch whole responses
 // without touching encoding/json. A nil *Fragments is valid and answers
-// nil for everything, which the serve layer treats as "fall back to
-// json.Marshal".
+// nil for everything.
 type Fragments struct {
 	details   map[*domain.Erratum][]byte
 	summaries map[*domain.Erratum][]byte
@@ -138,63 +137,53 @@ func (f *Fragments) KeyJSON(key string) []byte {
 	return f.keys[key]
 }
 
+func newFragments(n int) *Fragments {
+	return &Fragments{
+		details:   make(map[*domain.Erratum][]byte, n),
+		summaries: make(map[*domain.Erratum][]byte, n),
+		keys:      make(map[string][]byte),
+	}
+}
+
 // BuildFragments precomputes the canonical response fragments for every
 // entry of db. The per-entry cost is one json.Marshal each for the
 // detail and summary forms — the same work a single uncached request
 // pair used to pay — so a swap amortizes the whole corpus's marshaling
 // into one pass and the hot path never marshals again.
+//
+// The result is never nil: it holds the fragments of every entry that
+// marshaled, and err reports the first entry that did not. An entry
+// without fragments is simply absent from the lookups.
 func BuildFragments(db *domain.Database) (*Fragments, error) {
-	f := &Fragments{
-		details:   make(map[*domain.Erratum][]byte),
-		summaries: make(map[*domain.Erratum][]byte),
-		keys:      make(map[string][]byte),
-	}
-	for _, e := range db.Errata() {
-		if err := f.add(db, e); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
+	return BuildFragmentsDelta(nil, db)
 }
 
 // BuildFragmentsDelta precomputes fragments for db, reusing the bytes
 // of every entry shared by pointer with prev. It honors the same
 // sharing contract as index.MergeDelta: a pointer-shared entry is
 // completely unchanged, so its fragments are still canonical. With a
-// nil prev it degrades to BuildFragments.
+// nil prev it is BuildFragments. Like BuildFragments it returns every
+// fragment it could build together with the first error.
 func BuildFragmentsDelta(prev *Fragments, db *domain.Database) (*Fragments, error) {
-	if prev == nil {
-		return BuildFragments(db)
-	}
-	f := &Fragments{
-		details:   make(map[*domain.Erratum][]byte),
-		summaries: make(map[*domain.Erratum][]byte),
-		keys:      make(map[string][]byte),
-	}
-	for _, e := range db.Errata() {
-		if d, ok := prev.details[e]; ok {
+	errata := db.Errata()
+	f := newFragments(len(errata))
+	var first error
+	for _, e := range errata {
+		if d := prev.Detail(e); d != nil {
 			f.details[e] = d
 			f.summaries[e] = prev.summaries[e]
-			if e.Key != "" {
-				if kj, ok := prev.keys[e.Key]; ok {
-					f.keys[e.Key] = kj
-					continue
-				}
-			} else {
-				continue
+			if kj := prev.KeyJSON(e.Key); kj != nil {
+				f.keys[e.Key] = kj
+			} else if err := f.addKey(e.Key); err != nil && first == nil {
+				first = err
 			}
-			kj, err := json.Marshal(e.Key)
-			if err != nil {
-				return nil, err
-			}
-			f.keys[e.Key] = kj
 			continue
 		}
-		if err := f.add(db, e); err != nil {
-			return nil, err
+		if err := f.add(db, e); err != nil && first == nil {
+			first = err
 		}
 	}
-	return f, nil
+	return f, first
 }
 
 func (f *Fragments) add(db *domain.Database, e *domain.Erratum) error {
@@ -208,14 +197,21 @@ func (f *Fragments) add(db *domain.Database, e *domain.Erratum) error {
 	}
 	f.details[e] = detail
 	f.summaries[e] = summary
-	if e.Key != "" {
-		if _, ok := f.keys[e.Key]; !ok {
-			kj, err := json.Marshal(e.Key)
-			if err != nil {
-				return err
-			}
-			f.keys[e.Key] = kj
-		}
+	return f.addKey(e.Key)
+}
+
+// addKey records the JSON literal of a non-empty cluster key once.
+func (f *Fragments) addKey(key string) error {
+	if key == "" {
+		return nil
 	}
+	if _, ok := f.keys[key]; ok {
+		return nil
+	}
+	kj, err := json.Marshal(key)
+	if err != nil {
+		return err
+	}
+	f.keys[key] = kj
 	return nil
 }

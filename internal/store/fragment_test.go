@@ -45,8 +45,8 @@ func TestFragmentsMatchMarshal(t *testing.T) {
 	}
 }
 
-// TestFragmentsNilSafety proves a nil *Fragments always answers nil, so
-// the serving layer can treat "no fragments" as "fall back to marshal".
+// TestFragmentsNilSafety proves a nil or empty *Fragments always answers
+// nil, so a store without a fragment section is safe to query.
 func TestFragmentsNilSafety(t *testing.T) {
 	var f *Fragments
 	db := sampleDB(t)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ingest_smoke.sh — end-to-end streaming-ingest smoke test.
 #
-# Boots a sharded errserve with a spool directory, then exercises both
+# Boots errserve with a spool directory, then exercises both
 # ingest paths against the real binary:
 #
 #   1. POST /v1/admin/ingest with a rendered document: the generation
@@ -33,7 +33,7 @@ DOCS=("$WORK"/docs/*.txt)
 [ "${#DOCS[@]}" -ge 2 ] || { echo "FAIL: errgen produced ${#DOCS[@]} documents" >&2; exit 1; }
 
 SPOOL="$WORK/spool"
-"$WORK/errserve" -addr "$ADDR" -seed 1 -shards 4 -spool "$SPOOL" -spool-interval 100ms &
+"$WORK/errserve" -addr "$ADDR" -seed 1 -spool "$SPOOL" -spool-interval 100ms &
 SERVER_PID=$!
 
 for _ in $(seq 1 100); do
@@ -87,7 +87,6 @@ for want in \
     'rememberr_ingest_merge_duration_seconds' \
     'rememberr_ingest_swap_lag_seconds' \
     'rememberr_snapshot_delta_swaps_total' \
-    'rememberr_shard_rebuilds_total' \
     'rememberr_ingest_spool_files_total{result="ingested"}'
 do
     if ! grep -qF "$want" <<<"$EXPO"; then
