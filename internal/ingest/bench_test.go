@@ -9,17 +9,17 @@ import (
 
 // BenchmarkIngestApply measures the steady-state cost of ingesting one
 // arriving document into a warm corpus via the delta path: Apply
-// (parse + classify + union dedup + copy-on-write materialization +
-// index.MergeDelta), alternating a document between its full and
+// (parse + classify + union dedup + copy-on-write materialization; the
+// index merge runs in serve.SwapDelta), alternating a document between its full and
 // revised rendering so every iteration really changes the corpus.
 func BenchmarkIngestApply(b *testing.B) {
 	texts := seedTexts(b, 1)
 	in := New(Options{Parallelism: 1})
-	if _, err := in.Apply(texts); err != nil {
+	res, err := in.Apply(texts)
+	if err != nil {
 		b.Fatal(err)
 	}
-	db, _ := in.Snapshot()
-	docs := db.Documents()
+	docs := res.DB.Documents()
 	var victim = docs[0]
 	for _, d := range docs {
 		if len(d.Errata) > 1 {
@@ -61,11 +61,10 @@ func BenchmarkColdRebuild(b *testing.B) {
 func BenchmarkMergeDelta(b *testing.B) {
 	texts := seedTexts(b, 1)
 	in := New(Options{Parallelism: 1})
-	res, err := in.Apply(texts)
-	if err != nil {
+	if _, err := in.Apply(texts); err != nil {
 		b.Fatal(err)
 	}
-	prev, db := res.Index, res.DB
+	db, prev := in.Snapshot()
 	b.Run("merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			index.MergeDelta(prev, db)

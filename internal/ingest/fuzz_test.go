@@ -49,8 +49,9 @@ func fuzzTexts(tb testing.TB) []string {
 // path. The input bytes drive an arbitrary ingest schedule over a pool
 // of real rendered documents and their revised variants: each byte
 // either appends one pool document to the pending batch or flushes the
-// batch through Ingester.Apply. After every flush the incrementally
-// merged index (a chain of index.MergeDelta calls) must dump identically
+// batch through Ingester.Apply. After every flush the index merged along
+// the published snapshots (a chain of index.MergeDelta calls, as
+// serve.SwapDelta runs them) must dump identically
 // to a cold index.Build over the same database, and after the last flush
 // the database must be byte-identical to a cold Build over the union
 // arrival sequence. Any divergence — a stale postings list, a missed
@@ -68,22 +69,21 @@ func FuzzDeltaMerge(f *testing.F) {
 			ops = ops[:24]
 		}
 		in := New(Options{Parallelism: 1, Cache: fuzzPool.cache})
+		_, ix := in.Snapshot()
 		var batch, arrived []string
 		flush := func() {
 			if len(batch) == 0 {
 				return
 			}
-			res, err := in.Apply(batch)
-			if err != nil {
-				t.Fatalf("Apply: %v", err)
-			}
+			var res *Result
+			res, ix = applyMerged(t, in, ix, batch)
 			arrived = append(arrived, batch...)
 			batch = nil
 			if !res.Changed {
 				return
 			}
 			cold := index.Build(res.DB)
-			if got, want := res.Index.DebugDump(), cold.DebugDump(); !bytes.Equal(got, want) {
+			if got, want := ix.DebugDump(), cold.DebugDump(); !bytes.Equal(got, want) {
 				t.Fatalf("merged index diverged from cold Build:\n%s", firstDiff(got, want))
 			}
 		}

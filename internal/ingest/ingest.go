@@ -1,8 +1,8 @@
 // Package ingest turns the one-shot build pipeline into a continuous
 // document feed: new or revised specification-update documents are
-// parsed, deduplicated against the live database, auto-classified, and
-// merged into the inverted index as deltas — never by rebuilding from
-// scratch.
+// parsed, deduplicated against the live database and auto-classified
+// into copy-on-write snapshots, whose index serve.SwapDelta merges as a
+// delta — never by rebuilding from scratch.
 //
 // # Convergence contract
 //
@@ -10,10 +10,10 @@
 // fuzz battery in this package: after any sequence of ingests — any
 // arrival order, any batch split, any worker count — the resulting
 // database is byte-identical (store.Encode) to a cold Build over the
-// union document set, and the incrementally merged index is structurally
-// identical to a full index.Build over it. Every global quantity is
-// therefore computed as a pure function of the union state rather than
-// of the arrival history:
+// union document set, and an index merged along the snapshots with
+// index.MergeDelta is structurally identical to a full index.Build over
+// it. Every global quantity is therefore computed as a pure function of
+// the union state rather than of the arrival history:
 //
 //   - Per-document work (parse, classification, disclosure inference) is
 //     a function of the document text alone, and is memoized in the
@@ -44,6 +44,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,11 +88,10 @@ type Options struct {
 
 // Result summarizes one Apply batch.
 type Result struct {
-	// DB and Index are the new immutable snapshot. When Changed is
-	// false the batch was a no-op (every document unchanged) and they
-	// are the previous snapshot.
+	// DB is the new immutable snapshot. When Changed is false the
+	// batch was a no-op (every document unchanged) and it is the
+	// previous snapshot.
 	DB      *domain.Database
-	Index   *index.Index
 	Changed bool
 
 	// Docs counts documents applied from this batch (Replaced of them
@@ -108,7 +108,8 @@ type Result struct {
 	Relabeled int
 	Reordered int
 
-	// MergeDuration is the time spent in the delta index merge.
+	// MergeDuration is always 0: the delta index merge runs in
+	// serve.SwapDelta (rememberr_ingest_merge_duration_seconds).
 	MergeDuration time.Duration
 	// Diags carries the parse diagnostics of the batch's documents.
 	Diags []specdoc.Diagnostic
@@ -128,11 +129,11 @@ type Ingester struct {
 	// nextLabel is the first free "I-%04d" label after the initial ones.
 	frozenKey map[string]string
 	nextLabel int
+	norm      map[string]string // union's Intel titles -> textsim.Normalize
 
-	docs    map[string]*domain.Document // current union, published objects
-	digests map[string]string           // doc key -> source text sha256 ("" for initial docs)
-	db      *domain.Database
-	ix      *index.Index
+	digests map[string]string // doc key -> source text sha256 ("" for initial docs)
+	db      *domain.Database  // current union, published objects
+	ix      *index.Index      // index.Build(db), built lazily by Snapshot
 
 	docsTotal   *obs.Counter
 	errataTotal *obs.Counter
@@ -141,7 +142,6 @@ type Ingester struct {
 	errorsTotal *obs.Counter
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
-	mergeLat    *obs.Histogram
 	applyLat    *obs.Histogram
 }
 
@@ -163,26 +163,28 @@ func NewFrom(initial *domain.Database, opts Options) *Ingester {
 		opts:      opts,
 		scheme:    taxonomy.Base(),
 		frozenKey: make(map[string]string),
-		docs:      make(map[string]*domain.Document),
+		norm:      make(map[string]string),
 		digests:   make(map[string]string),
 	}
+	docs := make(map[string]*domain.Document)
 	in.engine = classify.NewEngineConfig(classify.Config{Prefilter: true, Memo: true, Obs: reg})
 	if initial != nil {
 		if initial.Scheme != nil {
 			in.scheme = initial.Scheme
 		}
 		for k, d := range initial.Docs {
-			in.docs[k] = d
+			docs[k] = d
 			in.digests[k] = ""
 		}
 		// First occurrence in database order wins, so a (contract-
 		// violating) initial database with conflicting keys for one
 		// normalized title still freezes deterministically.
 		for _, e := range initial.VendorErrata(domain.Intel) {
+			n := textsim.Normalize(e.Title)
+			in.norm[e.Title] = n
 			if e.Key == "" {
 				continue
 			}
-			n := textsim.Normalize(e.Title)
 			if _, ok := in.frozenKey[n]; !ok {
 				in.frozenKey[n] = e.Key
 			}
@@ -192,8 +194,7 @@ func NewFrom(initial *domain.Database, opts Options) *Ingester {
 		}
 	}
 	in.nextLabel++
-	in.db = &domain.Database{Docs: copyDocs(in.docs), Scheme: in.scheme}
-	in.ix = index.Build(in.db)
+	in.db = &domain.Database{Docs: docs, Scheme: in.scheme}
 
 	in.docsTotal = reg.Counter("rememberr_ingest_documents_total",
 		"Documents ingested (new or revised; idempotent re-ingests excluded).")
@@ -209,18 +210,19 @@ func NewFrom(initial *domain.Database, opts Options) *Ingester {
 		"Per-document artifact cache hits.")
 	in.cacheMisses = reg.Counter("rememberr_ingest_cache_misses_total",
 		"Per-document artifact cache misses.")
-	in.mergeLat = reg.Histogram("rememberr_ingest_merge_duration_seconds",
-		"Delta index merge latency per ingest batch.", obs.LatencyBuckets)
 	in.applyLat = reg.Histogram("rememberr_ingest_apply_duration_seconds",
 		"End-to-end Apply latency per ingest batch.", obs.LatencyBuckets)
 	return in
 }
 
-// Snapshot returns the current database and its incrementally merged
-// index. Both are immutable.
+// Snapshot returns the current database and an index over it, both
+// immutable. The index is built on first use and kept until Apply.
 func (in *Ingester) Snapshot() (*domain.Database, *index.Index) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	if in.ix == nil {
+		in.ix = index.Build(in.db)
+	}
 	return in.db, in.ix
 }
 
@@ -269,15 +271,12 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 	}
 	in.skipped.Add(int64(res.Skipped))
 	if len(batch) == 0 {
-		res.DB, res.Index = in.db, in.ix
+		res.DB = in.db
 		in.applyLat.Observe(time.Since(start).Seconds())
 		return res, nil
 	}
 
-	union := make(map[string]*domain.Document, len(in.docs)+len(batch))
-	for k, d := range in.docs {
-		union[k] = d
-	}
+	union := maps.Clone(in.db.Docs)
 	for k, p := range batch {
 		if _, ok := union[k]; ok {
 			res.Replaced++
@@ -346,18 +345,13 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 	timeline.InferDisclosures(tdb, timeline.Options{Interpolate: true})
 
 	db := &domain.Database{Docs: final, Scheme: in.scheme}
-	t0 := time.Now()
-	ix := index.MergeDelta(in.ix, db)
-	res.MergeDuration = time.Since(t0)
-	in.mergeLat.Observe(res.MergeDuration.Seconds())
-
-	in.docs, in.db, in.ix = final, db, ix
+	in.db, in.ix = db, nil
 	for k, p := range batch {
 		in.digests[k] = p.digest
 	}
 	in.docsTotal.Add(int64(res.Docs))
 	in.errataTotal.Add(int64(res.Errata))
-	res.DB, res.Index, res.Changed = db, ix, true
+	res.DB, res.Changed = db, true
 	in.applyLat.Observe(time.Since(start).Seconds())
 	return res, nil
 }
@@ -480,11 +474,13 @@ func computeOrders(union map[string]*domain.Document) map[string]int {
 // normalized title with "I-%04d" labels numbered in the union's
 // (minOrder, minSeq) cluster order, continuing after the frozen labels
 // (mirroring dedup.assignIntelKeys; with no frozen clusters the result
-// is exactly dedup.Deduplicate with a nil oracle).
+// is exactly dedup.Deduplicate with a nil oracle). It rebuilds in.norm.
 func (in *Ingester) computeKeys(union map[string]*domain.Document, orders map[string]int) map[*domain.Erratum]string {
 	keys := make(map[*domain.Erratum]string)
+	norm := make(map[string]string, len(in.norm))
 	type cluster struct {
 		minOrder, minSeq int
+		title            string // normalized
 		members          []*domain.Erratum
 	}
 	fresh := make(map[string]*cluster)
@@ -498,7 +494,11 @@ func (in *Ingester) computeKeys(union map[string]*domain.Document, orders map[st
 					keys[e] = ""
 				}
 			case domain.Intel:
-				n := textsim.Normalize(e.Title)
+				n, ok := in.norm[e.Title]
+				if !ok {
+					n = textsim.Normalize(e.Title)
+				}
+				norm[e.Title] = n
 				if k, ok := in.frozenKey[n]; ok {
 					keys[e] = k
 					continue
@@ -506,7 +506,7 @@ func (in *Ingester) computeKeys(union map[string]*domain.Document, orders map[st
 				o := orders[d.Key]
 				c, ok := fresh[n]
 				if !ok {
-					c = &cluster{minOrder: o, minSeq: e.Seq}
+					c = &cluster{minOrder: o, minSeq: e.Seq, title: n}
 					fresh[n] = c
 				} else if o < c.minOrder || (o == c.minOrder && e.Seq < c.minSeq) {
 					c.minOrder, c.minSeq = o, e.Seq
@@ -517,11 +517,10 @@ func (in *Ingester) computeKeys(union map[string]*domain.Document, orders map[st
 			}
 		}
 	}
+	in.norm = norm
 	clusters := make([]*cluster, 0, len(fresh))
-	titles := make(map[*cluster]string, len(fresh))
-	for n, c := range fresh {
+	for _, c := range fresh {
 		clusters = append(clusters, c)
-		titles[c] = n
 	}
 	sort.Slice(clusters, func(i, j int) bool {
 		if clusters[i].minOrder != clusters[j].minOrder {
@@ -530,7 +529,7 @@ func (in *Ingester) computeKeys(union map[string]*domain.Document, orders map[st
 		if clusters[i].minSeq != clusters[j].minSeq {
 			return clusters[i].minSeq < clusters[j].minSeq
 		}
-		return titles[clusters[i]] < titles[clusters[j]]
+		return clusters[i].title < clusters[j].title
 	})
 	for i, c := range clusters {
 		k := fmt.Sprintf("I-%04d", in.nextLabel+i)
@@ -552,14 +551,6 @@ func parseIntelLabel(key string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-func copyDocs(docs map[string]*domain.Document) map[string]*domain.Document {
-	out := make(map[string]*domain.Document, len(docs))
-	for k, d := range docs {
-		out[k] = d
-	}
-	return out
 }
 
 func sha256hex(b []byte) string {

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/index"
 	"repro/internal/pipeline"
 	"repro/internal/specdoc"
 	"repro/internal/store"
@@ -60,6 +62,22 @@ func splitBatches(rng *rand.Rand, texts []string) [][]string {
 	return batches
 }
 
+// applyMerged applies one batch and carries ix along to the published
+// snapshot with index.MergeDelta, as serve.SwapDelta does for a served
+// snapshot, so the convergence tests pin the delta merge over real
+// ingest snapshots.
+func applyMerged(t testing.TB, in *Ingester, ix *index.Index, batch []string) (*Result, *index.Index) {
+	t.Helper()
+	res, err := in.Apply(batch)
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if res.Changed {
+		ix = index.MergeDelta(ix, res.DB)
+	}
+	return res, ix
+}
+
 // TestApplyMatchesColdBuild pins the trivial end of the convergence
 // contract: one Apply over everything equals Build over everything.
 func TestApplyMatchesColdBuild(t *testing.T) {
@@ -69,17 +87,15 @@ func TestApplyMatchesColdBuild(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	in := New(Options{Parallelism: 4})
-	res, err := in.Apply(texts)
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
+	_, ix := in.Snapshot()
+	res, ix := applyMerged(t, in, ix, texts)
 	if !res.Changed || res.Docs != len(texts) {
 		t.Fatalf("Apply: Changed=%v Docs=%d, want true/%d", res.Changed, res.Docs, len(texts))
 	}
 	if got, want := mustEncode(t, res.DB), mustEncode(t, wantDB); !bytes.Equal(got, want) {
 		t.Fatalf("single-batch Apply database differs from cold Build (%d vs %d bytes)", len(got), len(want))
 	}
-	if got, want := res.Index.DebugDump(), wantIX.DebugDump(); !bytes.Equal(got, want) {
+	if got, want := ix.DebugDump(), wantIX.DebugDump(); !bytes.Equal(got, want) {
 		t.Fatalf("single-batch Apply index differs from cold Build:\n%s", firstDiff(got, want))
 	}
 }
@@ -111,20 +127,19 @@ func TestConvergenceAcrossArrivalOrders(t *testing.T) {
 				perm := append([]string(nil), texts...)
 				rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 				in := New(Options{Parallelism: par, Cache: cache})
+				_, ix := in.Snapshot()
 				var last *Result
 				for _, batch := range splitBatches(rng, perm) {
-					if last, err = in.Apply(batch); err != nil {
-						t.Fatalf("seed %d par %d trial %d: Apply: %v", seed, par, trial, err)
-					}
+					last, ix = applyMerged(t, in, ix, batch)
 				}
 				got := mustEncode(t, last.DB)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("seed %d par %d trial %d: converged database differs from cold Build", seed, par, trial)
 				}
-				// last.Index was produced by the chain of MergeDelta calls;
+				// ix was produced by the chain of MergeDelta calls;
 				// comparing it against the cold index.Build pins the delta
 				// merge itself, not just the database.
-				if dump := last.Index.DebugDump(); !bytes.Equal(dump, wantDump) {
+				if dump := ix.DebugDump(); !bytes.Equal(dump, wantDump) {
 					t.Fatalf("seed %d par %d trial %d: merged index differs from cold Build:\n%s",
 						seed, par, trial, firstDiff(dump, wantDump))
 				}
@@ -157,16 +172,15 @@ func TestConvergenceFromSeededDatabase(t *testing.T) {
 		perm := append([]string(nil), arriving...)
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		in := NewFrom(initialDB, Options{Parallelism: 4})
+		_, ix := in.Snapshot()
 		var last *Result
 		for _, batch := range splitBatches(rng, perm) {
-			if last, err = in.Apply(batch); err != nil {
-				t.Fatalf("trial %d: Apply: %v", trial, err)
-			}
+			last, ix = applyMerged(t, in, ix, batch)
 		}
 		if got := mustEncode(t, last.DB); !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: seeded ingest database differs from cold Build", trial)
 		}
-		if dump := last.Index.DebugDump(); !bytes.Equal(dump, wantDump) {
+		if dump := ix.DebugDump(); !bytes.Equal(dump, wantDump) {
 			t.Fatalf("trial %d: seeded ingest index differs from cold Build:\n%s",
 				trial, firstDiff(dump, wantDump))
 		}
@@ -180,9 +194,8 @@ func TestConvergenceFromSeededDatabase(t *testing.T) {
 func TestApplyIdempotentAndRevision(t *testing.T) {
 	texts := seedTexts(t, 3)
 	in := New(Options{Parallelism: 4})
-	if _, err := in.Apply(texts); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
+	_, ix := in.Snapshot()
+	_, ix = applyMerged(t, in, ix, texts)
 	db0, ix0 := in.Snapshot()
 
 	// Idempotent re-ingest: same bytes, no new snapshot.
@@ -208,14 +221,14 @@ func TestApplyIdempotentAndRevision(t *testing.T) {
 	trimmed.Errata = victim.Errata[:len(victim.Errata)-1]
 	revised := specdoc.Write(&trimmed, specdoc.WriteOptions{})
 
-	res, err = in.Apply([]string{revised})
-	if err != nil {
-		t.Fatalf("Apply(revised): %v", err)
-	}
+	res, ix = applyMerged(t, in, ix, []string{revised})
 	if !res.Changed || res.Replaced != 1 {
 		t.Fatalf("Apply(revised): Changed=%v Replaced=%d, want true/1", res.Changed, res.Replaced)
 	}
 	gotDB, gotIX := in.Snapshot()
+	if gotDB != res.DB || gotIX == ix0 {
+		t.Fatalf("Snapshot after a changing Apply still returns the previous snapshot's index")
+	}
 	if got := len(gotDB.Docs[victim.Key].Errata); got != len(victim.Errata)-1 {
 		t.Fatalf("revised document has %d errata, want %d", got, len(victim.Errata)-1)
 	}
@@ -233,8 +246,11 @@ func TestApplyIdempotentAndRevision(t *testing.T) {
 	if got, want := mustEncode(t, gotDB), mustEncode(t, wantDB); !bytes.Equal(got, want) {
 		t.Fatalf("post-revision database differs from cold Build")
 	}
+	if got, want := ix.DebugDump(), wantIX.DebugDump(); !bytes.Equal(got, want) {
+		t.Fatalf("post-revision merged index differs from cold Build:\n%s", firstDiff(got, want))
+	}
 	if got, want := gotIX.DebugDump(), wantIX.DebugDump(); !bytes.Equal(got, want) {
-		t.Fatalf("post-revision index differs from cold Build:\n%s", firstDiff(got, want))
+		t.Fatalf("post-revision Snapshot index differs from cold Build:\n%s", firstDiff(got, want))
 	}
 }
 
@@ -292,4 +308,83 @@ func firstDiff(got, want []byte) string {
 		}
 	}
 	return fmt.Sprintf("dumps differ in length: got %d lines, want %d", len(g), len(w))
+}
+
+// TestTitleMemoTracksUnion pins the normalized-title memo across many
+// revisions of one document: after every Apply it holds exactly the
+// distinct Intel titles of the current union (titles revised away are
+// dropped), and a revised title that only normalizes onto a frozen
+// cluster's title still takes that cluster's key.
+func TestTitleMemoTracksUnion(t *testing.T) {
+	texts := seedTexts(t, 1)
+	initialDB, _, err := Build(nil, texts, Options{Parallelism: 4})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	intel := initialDB.VendorDocuments(domain.Intel)
+	if len(intel) < 2 {
+		t.Fatalf("corpus has %d Intel documents, need >= 2", len(intel))
+	}
+	victim, donor := intel[0], intel[1]
+	frozen := donor.Errata[0]
+	// Each variant differs from the frozen title as text but normalizes
+	// onto it.
+	variants := []func(string) string{
+		strings.ToUpper,
+		func(s string) string { return strings.ToLower(s) + "." },
+		func(s string) string { return strings.ReplaceAll(s, " ", " - ") },
+		func(s string) string { return s + "!" },
+		func(s string) string { return "(" + s + ")" },
+	}
+
+	in := NewFrom(initialDB, Options{Parallelism: 1})
+	var last *Result
+	var text string
+	for i := 0; i < 50; i++ {
+		title := fmt.Sprintf("Revision %d changes the title of erratum %s", i, victim.Errata[0].ID)
+		toFrozen := i%10 == 9
+		if toFrozen {
+			title = variants[i/10](frozen.Title)
+		}
+		rev := *victim
+		rev.Errata = append([]*domain.Erratum(nil), victim.Errata...)
+		e := victim.Errata[0].Clone()
+		e.Title = title
+		rev.Errata[0] = e
+		text = specdoc.Write(&rev, specdoc.WriteOptions{})
+		if last, err = in.Apply([]string{text}); err != nil {
+			t.Fatalf("revision %d: Apply: %v", i, err)
+		}
+		got := last.DB.Docs[victim.Key].Errata[0]
+		if got.Title != title {
+			t.Fatalf("revision %d: parsed title %q, want %q", i, got.Title, title)
+		}
+		if toFrozen && got.Key != frozen.Key {
+			t.Fatalf("revision %d: title %q took key %q, want the frozen cluster's %q", i, title, got.Key, frozen.Key)
+		}
+		if !toFrozen && got.Key == frozen.Key {
+			t.Fatalf("revision %d: fresh title %q joined the frozen cluster %q", i, title, frozen.Key)
+		}
+
+		want := make(map[string]bool)
+		for _, e := range last.DB.VendorErrata(domain.Intel) {
+			want[e.Title] = true
+		}
+		if len(in.norm) != len(want) {
+			t.Fatalf("revision %d: memo holds %d titles, union has %d distinct Intel titles", i, len(in.norm), len(want))
+		}
+		for title := range in.norm {
+			if !want[title] {
+				t.Fatalf("revision %d: memo holds %q, which is not an Intel title of the union", i, title)
+			}
+		}
+	}
+
+	wantDB, _, err := Build(initialDB, []string{text}, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatalf("Build(union): %v", err)
+	}
+	if got, want := mustEncode(t, last.DB), mustEncode(t, wantDB); !bytes.Equal(got, want) {
+		t.Fatalf("after 50 revisions the database differs from a cold Build over the union")
+	}
 }

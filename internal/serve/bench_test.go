@@ -84,3 +84,26 @@ func BenchmarkServeErrataPage(b *testing.B) {
 		run(b, srv)
 	})
 }
+
+// BenchmarkIngestPost is a layer benchmark, not serving latency: it
+// times errserve's ingest step — ingest.Ingester.Apply, then SwapDelta —
+// without the HTTP stack, against a warm server backed by a
+// memory-mapped v2 store. Each iteration replaces one document's live
+// text with its rendering from another corpus seed, so every Apply
+// changes the corpus and every SwapDelta merges.
+func BenchmarkIngestPost(b *testing.B) {
+	srv, ing := mappedIngestServer(b)
+	texts := append(ingestTexts(b, 2), ingestTexts(b, 3)...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := ing.Apply([]string{texts[i%len(texts)]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Changed {
+			b.Fatal("Apply skipped a revised document")
+		}
+		srv.SwapDelta(res.DB)
+	}
+}

@@ -1,17 +1,21 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/index"
 	"repro/internal/ingest"
 	"repro/internal/specdoc"
+	"repro/internal/store"
 	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
@@ -286,5 +290,62 @@ func TestIngestUnderSwapLoad(t *testing.T) {
 	}
 	if got, want := srv.Generation(), uint64(1+len(texts)-half); got != want {
 		t.Fatalf("final generation %d, want %d", got, want)
+	}
+}
+
+// mappedIngestServer serves corpus seed 1 from a memory-mapped v2 store
+// with postings, so the served index starts as index.FromLists over the
+// mapping, and seeds an ingester with the database the server serves,
+// as errserve does.
+func mappedIngestServer(t testing.TB) (*Server, *ingest.Ingester) {
+	t.Helper()
+	gt, err := corpus.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "db.v2")
+	if err := store.SaveFormat(gt.DB, path, "v2"); err != nil {
+		t.Fatal(err)
+	}
+	sv := openMapped(t, path)
+	defer sv.Close() // the snapshot holds its own region reference
+	if sv.IndexLists() == nil {
+		t.Fatal("v2 store has no postings; the first merge would not start from index.FromLists")
+	}
+	db, err := sv.Database()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(WithStore(sv), Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, ingest.NewFrom(db, ingest.Options{Parallelism: 1})
+}
+
+// TestSwapDeltaIndexMatchesBuild is the index half of the convergence
+// contract on the serving side, where the only delta merge of an ingest
+// runs: starting from a mapped store's postings, the index SwapDelta
+// merges after every revised document dumps identically to a cold
+// index.Build over the installed database.
+func TestSwapDeltaIndexMatchesBuild(t *testing.T) {
+	srv, ing := mappedIngestServer(t)
+	texts := append(ingestTexts(t, 2), ingestTexts(t, 3)...)
+	for i, text := range texts {
+		res, err := ing.Apply([]string{text})
+		if err != nil {
+			t.Fatalf("document %d: Apply: %v", i, err)
+		}
+		if !res.Changed {
+			t.Fatalf("document %d: Apply skipped a revised document", i)
+		}
+		srv.SwapDelta(res.DB)
+		snap := srv.snap.Load()
+		if snap.db != res.DB {
+			t.Fatalf("document %d: SwapDelta installed a different database", i)
+		}
+		if got, want := snap.ix.DebugDump(), index.Build(snap.db).DebugDump(); !bytes.Equal(got, want) {
+			t.Fatalf("document %d: merged index differs from index.Build (%d vs %d dump bytes)", i, len(got), len(want))
+		}
 	}
 }

@@ -198,6 +198,7 @@ type Server struct {
 	swaps      *obs.Counter
 	deltaSwaps *obs.Counter
 	swapLag    *obs.Histogram
+	mergeLat   *obs.Histogram
 
 	endpoints map[string]*endpointInstruments
 }
@@ -327,6 +328,8 @@ func newServer(opts Options) *Server {
 	s.swapLag = reg.Histogram("rememberr_ingest_swap_lag_seconds",
 		"Latency from delta-swap start (index merge) to snapshot visibility.",
 		obs.LatencyBuckets)
+	s.mergeLat = reg.Histogram("rememberr_ingest_merge_duration_seconds",
+		"Delta index merge latency per delta swap.", obs.LatencyBuckets)
 	reg.GaugeFunc("rememberr_snapshot_generation", "Currently served snapshot generation.",
 		func() float64 {
 			if snap := s.snap.Load(); snap != nil {
@@ -442,7 +445,7 @@ func (s *Server) buildStoreSnapshot(sv *store.StoreV2) (*snapshot, error) {
 // contract with the currently served database (see index.MergeDelta):
 // any *Erratum shared by pointer is completely unchanged, surviving
 // entries keep their relative order. internal/ingest's copy-on-write Apply produces
-// exactly such databases.
+// exactly such databases, and leaves their index merge to SwapDelta.
 //
 // Unlike Swap, the merge runs under swapMu: the previous snapshot must
 // still be the installed one when the merged successor lands, otherwise
@@ -456,7 +459,10 @@ func (s *Server) SwapDelta(db *domain.Database) uint64 {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	prev := s.snap.Load()
-	snap := &snapshot{db: db, ix: index.MergeDelta(prev.ix, db), stats: db.ComputeStats()}
+	t0 := time.Now()
+	snap := &snapshot{db: db, ix: index.MergeDelta(prev.ix, db)}
+	s.mergeLat.Observe(time.Since(t0).Seconds())
+	snap.stats = db.ComputeStats()
 	snap.ix.Instrument(s.reg)
 	// Entries shared by pointer with the previous snapshot reuse its
 	// fragment bytes, so the cost scales with the delta like the index

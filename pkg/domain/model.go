@@ -537,7 +537,8 @@ func (db *Database) Unique() []*Erratum {
 		e     *Erratum
 		order int
 	}
-	best := make(map[string]slot)
+	type clusterID struct{ vendor, key string }
+	best := make(map[clusterID]slot)
 	var keyless []*Erratum
 	for _, d := range db.Documents() {
 		for _, e := range d.Errata {
@@ -545,7 +546,7 @@ func (db *Database) Unique() []*Erratum {
 				keyless = append(keyless, e)
 				continue
 			}
-			k := string(e.DocKeyVendor()) + "|" + e.Key
+			k := clusterID{e.DocKeyVendor(), e.Key}
 			s, ok := best[k]
 			if !ok || d.Order < s.order || (d.Order == s.order && e.Seq < s.e.Seq) {
 				best[k] = slot{e: e, order: d.Order}
@@ -620,22 +621,24 @@ func (db *Database) ComputeStats() Stats {
 		}
 		s.Total += len(d.Errata)
 	}
-	for _, v := range Vendors {
-		u := db.UniqueVendor(v)
-		if v == Intel {
-			s.IntelUnique = len(u)
-		} else {
-			s.AMDUnique = len(u)
+	// One Unique pass, split by vendor as UniqueVendor splits it.
+	for _, e := range db.Unique() {
+		d := db.Docs[e.DocKey]
+		if d == nil || (d.Vendor != Intel && d.Vendor != AMD) {
+			continue
 		}
-		s.Unique += len(u)
-		for _, e := range u {
-			if len(e.Ann.Triggers)+len(e.Ann.Contexts)+len(e.Ann.Effects) > 0 {
-				s.Annotated++
-			} else {
-				s.Unclassified++
-			}
+		if d.Vendor == Intel {
+			s.IntelUnique++
+		} else {
+			s.AMDUnique++
+		}
+		if len(e.Ann.Triggers)+len(e.Ann.Contexts)+len(e.Ann.Effects) > 0 {
+			s.Annotated++
+		} else {
+			s.Unclassified++
 		}
 	}
+	s.Unique = s.IntelUnique + s.AMDUnique
 	return s
 }
 
