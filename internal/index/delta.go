@@ -20,8 +20,9 @@ import (
 // Contract: an *Erratum shared between the two databases must be
 // completely unchanged — annotation, flags, disclosure, and cluster key
 // included. A delta producer that changes anything about an entry (for
-// example a dedup-key relabel after new documents shifted the cluster
-// numbering) must clone the entry (and shallow-copy its document)
+// example a content-addressed dedup label that widened because another
+// title with the same hash prefix arrived) must clone the entry (and
+// shallow-copy its document)
 // instead of mutating it in place; the stale pointer then simply drops
 // out of the remap and the clone is indexed as a new entry. Document
 // metadata may change between snapshots (insertions shift Order), but
@@ -108,7 +109,7 @@ func MergeDelta(prev *Index, db *domain.Database) *Index {
 		triggerCount: trig, // written positionally, no union needed
 	}
 	for ord, e := range errata {
-		if e.Key != "" { // keys can relabel across snapshots: rebuilt, never remapped
+		if e.Key != "" { // a clone may carry a widened or shrunk label: rebuilt, never remapped
 			pushOrd(ix.byKey, e.Key, ord)
 		}
 		if surviving[e] {

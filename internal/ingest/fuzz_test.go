@@ -52,10 +52,13 @@ func fuzzTexts(tb testing.TB) []string {
 // batch through Ingester.Apply. After every flush the index merged along
 // the published snapshots (a chain of index.MergeDelta calls, as
 // serve.SwapDelta runs them) must dump identically
-// to a cold index.Build over the same database, and after the last flush
-// the database must be byte-identical to a cold Build over the union
-// arrival sequence. Any divergence — a stale postings list, a missed
-// relabel clone, an Order shift the merge didn't see — fails here.
+// to a cold index.Build over the same database, every entry's key must
+// equal the naiveKeys oracle's, and a key present in two consecutive
+// generations must name the same normalized title in both. After the
+// last flush the database must be byte-identical to a cold Build over
+// the union arrival sequence. Any divergence — a stale postings list, a
+// missed relabel clone, an Order shift the merge didn't see, a key that
+// moved to another title — fails here.
 func FuzzDeltaMerge(f *testing.F) {
 	f.Add([]byte{0, 1, 0x80, 2, 3, 0x80})
 	f.Add([]byte{5, 0x80, 5, 0x80})                   // idempotent re-ingest
@@ -70,6 +73,7 @@ func FuzzDeltaMerge(f *testing.F) {
 		}
 		in := New(Options{Parallelism: 1, Cache: fuzzPool.cache})
 		_, ix := in.Snapshot()
+		titles := map[string]string{} // previous generation's key -> normalized title
 		var batch, arrived []string
 		flush := func() {
 			if len(batch) == 0 {
@@ -86,6 +90,18 @@ func FuzzDeltaMerge(f *testing.F) {
 			if got, want := ix.DebugDump(), cold.DebugDump(); !bytes.Equal(got, want) {
 				t.Fatalf("merged index diverged from cold Build:\n%s", firstDiff(got, want))
 			}
+			for e, want := range naiveKeys(res.DB) {
+				if e.Key != want {
+					t.Fatalf("entry %s has key %q, the naive labeller gives %q", e.FullID(), e.Key, want)
+				}
+			}
+			cur := keyTitles(t, res.DB)
+			for k, n := range cur {
+				if prev, ok := titles[k]; ok && prev != n {
+					t.Fatalf("key %s named %q and now names %q", k, prev, n)
+				}
+			}
+			titles = cur
 		}
 		for _, op := range ops {
 			if op&0x80 != 0 {

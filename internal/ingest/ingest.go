@@ -24,17 +24,22 @@
 //     join the cluster of any initial-database entry with the same
 //     normalized title (frozen keys — the live database's oracle-reviewed
 //     clusters are never re-split), and remaining entries cluster by
-//     exact normalized title with labels numbered from the union's
-//     (minOrder, minSeq) cluster ordering, continuing the initial
-//     database's "I-%04d" sequence. Relabels caused by later arrivals
-//     are applied to clones, never in place.
+//     exact normalized title, labelled by content: "I-" plus the
+//     shortest prefix, at least 8 hex digits, of the title's sha256 that
+//     no other fresh title of the union shares and that is not a frozen
+//     key. A key therefore keeps naming the same title across
+//     generations; it only widens or shrinks when a title with the same
+//     8-digit prefix arrives or leaves. Apply keeps a refcounted table
+//     of the union's fresh titles and labels only the titles of the
+//     batch and of the documents it replaces.
 //
 // # Snapshot discipline
 //
 // Every Apply publishes a fresh *domain.Database that shares all unchanged
 // documents and entries with the previous snapshot by pointer and clones
 // anything it must touch (a document whose Order shifted, an entry whose
-// cluster key was renumbered). Old snapshots — including ones currently
+// label widened or shrank, an initial entry whose key disagrees with the
+// union rule). Old snapshots — including ones currently
 // being served — are never mutated, which is exactly the sharing
 // contract index.MergeDelta verifies against.
 package ingest
@@ -45,9 +50,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -102,9 +106,11 @@ type Result struct {
 	Replaced int
 	Skipped  int
 	Errata   int
-	// Relabeled counts pre-existing entries cloned because the union
-	// dedup renumbered their cluster key; Reordered counts pre-existing
-	// documents cloned because an insertion shifted their Order.
+	// Relabeled counts pre-existing entries cloned because their cluster
+	// key changed: a fresh label widened or shrank on an 8-digit prefix
+	// collision, or an initial entry disagreed with the union rule (at
+	// the first Apply only). Reordered counts pre-existing documents
+	// cloned because an insertion shifted their Order.
 	Relabeled int
 	Reordered int
 
@@ -126,10 +132,19 @@ type Ingester struct {
 
 	// frozenKey maps normalized Intel titles of the initial database to
 	// their cluster keys: the live clusters newly arriving entries join.
-	// nextLabel is the first free "I-%04d" label after the initial ones.
-	frozenKey map[string]string
-	nextLabel int
-	norm      map[string]string // union's Intel titles -> textsim.Normalize
+	// frozenKeys is the set of those keys, which fresh labels avoid.
+	frozenKey  map[string]string
+	frozenKeys map[string]bool
+	// fresh is the fresh-title table: every normalized Intel title of
+	// the union that no frozen cluster claims. byPrefix groups its rows
+	// by the first labelDigits hex digits of their sha256, the only
+	// rows a row's label depends on.
+	fresh    map[string]*freshTitle
+	byPrefix map[string][]*freshTitle
+	// rekey holds the initial entries whose key disagrees with the union
+	// rule, with their normalized title ("" outside Intel). The first
+	// Apply that publishes re-keys them.
+	rekey map[*domain.Erratum]string
 
 	digests map[string]string // doc key -> source text sha256 ("" for initial docs)
 	db      *domain.Database  // current union, published objects
@@ -160,11 +175,14 @@ func NewFrom(initial *domain.Database, opts Options) *Ingester {
 		reg = obs.NewRegistry()
 	}
 	in := &Ingester{
-		opts:      opts,
-		scheme:    taxonomy.Base(),
-		frozenKey: make(map[string]string),
-		norm:      make(map[string]string),
-		digests:   make(map[string]string),
+		opts:       opts,
+		scheme:     taxonomy.Base(),
+		frozenKey:  make(map[string]string),
+		frozenKeys: make(map[string]bool),
+		fresh:      make(map[string]*freshTitle),
+		byPrefix:   make(map[string][]*freshTitle),
+		rekey:      make(map[*domain.Erratum]string),
+		digests:    make(map[string]string),
 	}
 	docs := make(map[string]*domain.Document)
 	in.engine = classify.NewEngineConfig(classify.Config{Prefilter: true, Memo: true, Obs: reg})
@@ -178,22 +196,46 @@ func NewFrom(initial *domain.Database, opts Options) *Ingester {
 		}
 		// First occurrence in database order wins, so a (contract-
 		// violating) initial database with conflicting keys for one
-		// normalized title still freezes deterministically.
-		for _, e := range initial.VendorErrata(domain.Intel) {
-			n := textsim.Normalize(e.Title)
-			in.norm[e.Title] = n
-			if e.Key == "" {
-				continue
+		// normalized title still freezes deterministically. Titles
+		// repeat across documents, so each distinct one is normalized
+		// once.
+		intel := initial.VendorErrata(domain.Intel)
+		norms := make([]string, len(intel))
+		normOf := make(map[string]string)
+		for i, e := range intel {
+			n, ok := normOf[e.Title]
+			if !ok {
+				n = textsim.Normalize(e.Title)
+				normOf[e.Title] = n
 			}
-			if _, ok := in.frozenKey[n]; !ok {
+			norms[i] = n
+			if _, ok := in.frozenKey[n]; !ok && e.Key != "" {
 				in.frozenKey[n] = e.Key
-			}
-			if l, ok := parseIntelLabel(e.Key); ok && l > in.nextLabel-1 {
-				in.nextLabel = l
+				in.frozenKeys[e.Key] = true
 			}
 		}
+		delta := make(map[string]int)
+		for i, e := range intel {
+			k, frozen := in.frozenKey[norms[i]]
+			if !frozen {
+				delta[norms[i]]++
+			}
+			if !frozen || e.Key != k {
+				in.rekey[e] = norms[i]
+			}
+		}
+		for _, d := range initial.Docs {
+			if d.Vendor == domain.Intel {
+				continue
+			}
+			for _, e := range d.Errata {
+				if e.Key != in.key(d.Vendor, e, "") {
+					in.rekey[e] = ""
+				}
+			}
+		}
+		in.retitle(delta)
 	}
-	in.nextLabel++
 	in.db = &domain.Database{Docs: docs, Scheme: in.scheme}
 
 	in.docsTotal = reg.Counter("rememberr_ingest_documents_total",
@@ -276,30 +318,59 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 		return res, nil
 	}
 
+	// Only the batch and the documents it replaces change the
+	// fresh-title table, so only their titles are normalized.
 	union := maps.Clone(in.db.Docs)
+	delta := make(map[string]int)
+	norms := make(map[string][]string, len(batch)) // batch doc key -> normalized titles (Intel only)
 	for k, p := range batch {
-		if _, ok := union[k]; ok {
+		if old, ok := union[k]; ok {
 			res.Replaced++
+			if old.Vendor == domain.Intel {
+				for _, e := range old.Errata {
+					in.count(delta, textsim.Normalize(e.Title), -1)
+				}
+			}
 		}
+		ns := make([]string, len(p.doc.Errata))
+		if p.doc.Vendor == domain.Intel {
+			for i, e := range p.doc.Errata {
+				ns[i] = textsim.Normalize(e.Title)
+				in.count(delta, ns[i], 1)
+			}
+		}
+		norms[k] = ns
 		union[k] = p.doc
 		res.Docs++
 		res.Errata += len(p.doc.Errata)
 	}
-
+	relabel := in.retitle(delta)
 	orders := computeOrders(union)
-	keys := in.computeKeys(union, orders)
+
+	// rekeyed is the union rule's key for a pre-existing entry: the
+	// entry's own key unless it is an initial entry awaiting its first
+	// re-key or its fresh title's label changed in this batch.
+	rekeyed := func(v domain.Vendor, e *domain.Erratum) string {
+		if n, ok := in.rekey[e]; ok {
+			return in.key(v, e, n)
+		}
+		if k, ok := relabel[e.Key]; ok {
+			return k
+		}
+		return e.Key
+	}
 
 	// Materialize the new snapshot copy-on-write: batch documents are
 	// still private and are finalized in place; pre-existing documents
 	// are shared untouched unless the union shifted their Order or
-	// renumbered one of their entries' keys, in which case the document
+	// changed one of their entries' keys, in which case the document
 	// (and only the affected entries) are cloned.
 	final := make(map[string]*domain.Document, len(union))
 	for k, d := range union {
 		if _, isNew := batch[k]; isNew {
 			d.Order = orders[k]
-			for _, e := range d.Errata {
-				e.Key = keys[e]
+			for i, e := range d.Errata {
+				e.Key = in.key(d.Vendor, e, norms[k][i])
 			}
 			final[k] = d
 			continue
@@ -307,7 +378,7 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 		needs := d.Order != orders[k]
 		if !needs {
 			for _, e := range d.Errata {
-				if keys[e] != e.Key {
+				if rekeyed(d.Vendor, e) != e.Key {
 					needs = true
 					break
 				}
@@ -324,9 +395,9 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 		dc.Order = orders[k]
 		dc.Errata = make([]*domain.Erratum, len(d.Errata))
 		for i, e := range d.Errata {
-			if keys[e] != e.Key {
+			if key := rekeyed(d.Vendor, e); key != e.Key {
 				ne := e.Clone()
-				ne.Key = keys[e]
+				ne.Key = key
 				dc.Errata[i] = ne
 				res.Relabeled++
 			} else {
@@ -345,7 +416,7 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 	timeline.InferDisclosures(tdb, timeline.Options{Interpolate: true})
 
 	db := &domain.Database{Docs: final, Scheme: in.scheme}
-	in.db, in.ix = db, nil
+	in.db, in.ix, in.rekey = db, nil, nil
 	for k, p := range batch {
 		in.digests[k] = p.digest
 	}
@@ -466,91 +537,110 @@ func computeOrders(union map[string]*domain.Document) map[string]int {
 	return orders
 }
 
-// computeKeys assigns the dedup cluster key of every entry in the union
-// as a pure function of the union document set and the frozen initial
-// clusters, so any ingest order converges to the same keys. AMD entries
-// key by shared ID; Intel entries adopt a frozen cluster's key when
-// their normalized title matches one, and otherwise cluster by exact
-// normalized title with "I-%04d" labels numbered in the union's
-// (minOrder, minSeq) cluster order, continuing after the frozen labels
-// (mirroring dedup.assignIntelKeys; with no frozen clusters the result
-// is exactly dedup.Deduplicate with a nil oracle). It rebuilds in.norm.
-func (in *Ingester) computeKeys(union map[string]*domain.Document, orders map[string]int) map[*domain.Erratum]string {
-	keys := make(map[*domain.Erratum]string)
-	norm := make(map[string]string, len(in.norm))
-	type cluster struct {
-		minOrder, minSeq int
-		title            string // normalized
-		members          []*domain.Erratum
-	}
-	fresh := make(map[string]*cluster)
-	for _, d := range union {
-		for _, e := range d.Errata {
-			switch d.Vendor {
-			case domain.AMD:
-				if e.ID != "" {
-					keys[e] = "A-" + e.ID
-				} else {
-					keys[e] = ""
-				}
-			case domain.Intel:
-				n, ok := in.norm[e.Title]
-				if !ok {
-					n = textsim.Normalize(e.Title)
-				}
-				norm[e.Title] = n
-				if k, ok := in.frozenKey[n]; ok {
-					keys[e] = k
-					continue
-				}
-				o := orders[d.Key]
-				c, ok := fresh[n]
-				if !ok {
-					c = &cluster{minOrder: o, minSeq: e.Seq, title: n}
-					fresh[n] = c
-				} else if o < c.minOrder || (o == c.minOrder && e.Seq < c.minSeq) {
-					c.minOrder, c.minSeq = o, e.Seq
-				}
-				c.members = append(c.members, e)
-			default:
-				keys[e] = ""
-			}
-		}
-	}
-	in.norm = norm
-	clusters := make([]*cluster, 0, len(fresh))
-	for _, c := range fresh {
-		clusters = append(clusters, c)
-	}
-	sort.Slice(clusters, func(i, j int) bool {
-		if clusters[i].minOrder != clusters[j].minOrder {
-			return clusters[i].minOrder < clusters[j].minOrder
-		}
-		if clusters[i].minSeq != clusters[j].minSeq {
-			return clusters[i].minSeq < clusters[j].minSeq
-		}
-		return clusters[i].title < clusters[j].title
-	})
-	for i, c := range clusters {
-		k := fmt.Sprintf("I-%04d", in.nextLabel+i)
-		for _, e := range c.members {
-			keys[e] = k
-		}
-	}
-	return keys
+// labelDigits is the shortest fresh label, in hex digits of the
+// normalized title's sha256.
+const labelDigits = 8
+
+// freshTitle is one row of the fresh-title table: a normalized Intel
+// title of the union that no frozen cluster claims.
+type freshTitle struct {
+	sum   string // hex sha256 of the normalized title
+	refs  int    // union entries carrying the title
+	label string // its cluster key
 }
 
-// parseIntelLabel extracts the numeric part of an "I-%04d" cluster key.
-func parseIntelLabel(key string) (int, bool) {
-	rest, ok := strings.CutPrefix(key, "I-")
-	if !ok {
-		return 0, false
+// count adds d to the delta of normalized Intel title n, unless n
+// belongs to a frozen cluster (frozen titles are not in the table).
+func (in *Ingester) count(delta map[string]int, n string, d int) {
+	if _, ok := in.frozenKey[n]; !ok {
+		delta[n] += d
 	}
-	n, err := strconv.Atoi(rest)
-	if err != nil || n < 0 {
-		return 0, false
+}
+
+// retitle applies per-title entry-count deltas to the fresh-title
+// table: a title whose count reaches zero leaves it, a new title joins
+// it, and every row of a prefix group that gained or lost a member is
+// labelled again. It returns the label changes of rows that were
+// already labelled, old label to new.
+func (in *Ingester) retitle(delta map[string]int) map[string]string {
+	dirty := make(map[string]bool)
+	for n, d := range delta {
+		if d == 0 {
+			continue
+		}
+		row := in.fresh[n]
+		if row == nil {
+			row = &freshTitle{sum: sha256hex([]byte(n))}
+			in.fresh[n] = row
+			p := row.sum[:labelDigits]
+			in.byPrefix[p] = append(in.byPrefix[p], row)
+			dirty[p] = true
+		}
+		if row.refs += d; row.refs == 0 {
+			delete(in.fresh, n)
+			p := row.sum[:labelDigits]
+			in.byPrefix[p] = slices.DeleteFunc(in.byPrefix[p], func(r *freshTitle) bool { return r == row })
+			if len(in.byPrefix[p]) == 0 {
+				delete(in.byPrefix, p)
+			}
+			dirty[p] = true
+		}
 	}
-	return n, true
+	var relabel map[string]string
+	for p := range dirty {
+		group := in.byPrefix[p]
+		for _, row := range group {
+			l := in.label(row, group)
+			if row.label != "" && row.label != l {
+				if relabel == nil {
+					relabel = make(map[string]string)
+				}
+				relabel[row.label] = l
+			}
+			row.label = l
+		}
+	}
+	return relabel
+}
+
+// label returns "I-" plus the shortest prefix of row.sum, at least
+// labelDigits long, that no other row of its prefix group shares and
+// that is not a frozen cluster's key.
+func (in *Ingester) label(row *freshTitle, group []*freshTitle) string {
+	k := labelDigits
+	for _, o := range group {
+		if o == row {
+			continue
+		}
+		i := 0
+		for i < len(row.sum) && row.sum[i] == o.sum[i] {
+			i++
+		}
+		k = max(k, min(i+1, len(row.sum)))
+	}
+	for k < len(row.sum) && in.frozenKeys["I-"+row.sum[:k]] {
+		k++
+	}
+	return "I-" + row.sum[:k]
+}
+
+// key is the union rule for the cluster key of entry e of a vendor-v
+// document, given its normalized title n (used for Intel only): AMD
+// entries key by shared ID, Intel entries by their frozen cluster's key
+// or else by their fresh title's label, and other entries are keyless.
+func (in *Ingester) key(v domain.Vendor, e *domain.Erratum, n string) string {
+	switch v {
+	case domain.AMD:
+		if e.ID != "" {
+			return "A-" + e.ID
+		}
+	case domain.Intel:
+		if k, ok := in.frozenKey[n]; ok {
+			return k
+		}
+		return in.fresh[n].label
+	}
+	return ""
 }
 
 func sha256hex(b []byte) string {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/specdoc"
 	"repro/internal/store"
+	"repro/internal/textsim"
 	"repro/pkg/domain"
 )
 
@@ -310,11 +311,13 @@ func firstDiff(got, want []byte) string {
 	return fmt.Sprintf("dumps differ in length: got %d lines, want %d", len(g), len(w))
 }
 
-// TestTitleMemoTracksUnion pins the normalized-title memo across many
+// TestTitleMemoTracksUnion pins the fresh-title table across many
 // revisions of one document: after every Apply it holds exactly the
-// distinct Intel titles of the current union (titles revised away are
-// dropped), and a revised title that only normalizes onto a frozen
-// cluster's title still takes that cluster's key.
+// distinct normalized Intel titles of the current union that no frozen
+// cluster claims (titles revised away are dropped), each counting the
+// entries that carry it and labelling them, and a revised title that
+// only normalizes onto a frozen cluster's title still takes that
+// cluster's key.
 func TestTitleMemoTracksUnion(t *testing.T) {
 	texts := seedTexts(t, 1)
 	initialDB, _, err := Build(nil, texts, Options{Parallelism: 4})
@@ -366,16 +369,23 @@ func TestTitleMemoTracksUnion(t *testing.T) {
 			t.Fatalf("revision %d: fresh title %q joined the frozen cluster %q", i, title, frozen.Key)
 		}
 
-		want := make(map[string]bool)
+		refs := make(map[string]int)
 		for _, e := range last.DB.VendorErrata(domain.Intel) {
-			want[e.Title] = true
+			n := textsim.Normalize(e.Title)
+			if _, ok := in.frozenKey[n]; ok {
+				continue
+			}
+			refs[n]++
+			if row := in.fresh[n]; row != nil && e.Key != row.label {
+				t.Fatalf("revision %d: entry %s has key %q, its title's label is %q", i, e.FullID(), e.Key, row.label)
+			}
 		}
-		if len(in.norm) != len(want) {
-			t.Fatalf("revision %d: memo holds %d titles, union has %d distinct Intel titles", i, len(in.norm), len(want))
+		if len(in.fresh) != len(refs) {
+			t.Fatalf("revision %d: table holds %d titles, union has %d distinct fresh Intel titles", i, len(in.fresh), len(refs))
 		}
-		for title := range in.norm {
-			if !want[title] {
-				t.Fatalf("revision %d: memo holds %q, which is not an Intel title of the union", i, title)
+		for n, row := range in.fresh {
+			if row.refs != refs[n] {
+				t.Fatalf("revision %d: table counts %d entries for %q, union has %d", i, row.refs, n, refs[n])
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sort"
@@ -112,6 +113,24 @@ func TestIngestEndpointRejectsBadDocument(t *testing.T) {
 	}
 	if srv.Generation() != gen {
 		t.Fatalf("bad document advanced the generation")
+	}
+}
+
+// TestIngestEndpointRejectsOversizeBody pins the 413 contract: a body
+// one byte over maxIngestBytes is refused as too large, not as a bad
+// request, counts as an error, and leaves the snapshot untouched.
+func TestIngestEndpointRejectsOversizeBody(t *testing.T) {
+	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()))
+	gen := srv.Generation()
+	code, body := postIngest(t, srv, strings.Repeat("x", maxIngestBytes+1))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: %d %s, want 413", code, truncate(body))
+	}
+	if got := srv.Metrics().Endpoints["admin_ingest"].Errors; got != 1 {
+		t.Fatalf("admin_ingest errors after oversize body = %d, want 1", got)
+	}
+	if srv.Generation() != gen {
+		t.Fatalf("oversize body advanced the generation")
 	}
 }
 

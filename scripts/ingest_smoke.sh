@@ -6,12 +6,15 @@
 #
 #   1. POST /v1/admin/ingest with a rendered document: the generation
 #      must advance and the response must report the ingested document.
+#      One of its errata with a fresh "I-<hex>" cluster key is recorded.
 #   2. POSTing the identical bytes again must be an idempotent no-op
 #      (skipped=1, same generation).
 #   3. A half-written spool file (no "END OF DOCUMENT" terminator) must
 #      be left in place, un-ingested.
 #   4. A complete document renamed into the spool must be ingested and
 #      moved to done/ within a few poll periods.
+#   5. After POSTing an earlier-generation document, the key recorded in
+#      step 1 must still name the same erratum title.
 #
 # Finally the ingest metric families must be present on /metrics.
 # Exits non-zero on any violation.
@@ -31,6 +34,12 @@ go build -o "$WORK/errgen" ./cmd/errgen
 "$WORK/errgen" -seed 2 -dir "$WORK/docs" >/dev/null
 DOCS=("$WORK"/docs/*.txt)
 [ "${#DOCS[@]}" -ge 2 ] || { echo "FAIL: errgen produced ${#DOCS[@]} documents" >&2; exit 1; }
+INTEL=("$WORK"/docs/intel-*.txt)
+[ "${#INTEL[@]}" -ge 2 ] || { echo "FAIL: errgen produced ${#INTEL[@]} Intel documents" >&2; exit 1; }
+# The latest-generation Intel document goes first and the earliest last,
+# so the last POST sorts before every fresh cluster of the first.
+LATE="${INTEL[${#INTEL[@]}-1]}"
+EARLY="${INTEL[0]}"
 
 SPOOL="$WORK/spool"
 "$WORK/errserve" -addr "$ADDR" -seed 1 -spool "$SPOOL" -spool-interval 100ms &
@@ -46,14 +55,19 @@ gen() { curl -fsS "http://${ADDR}/healthz" | sed -n 's/.*"generation":\([0-9]*\)
 GEN0=$(gen)
 
 # 1. Ingest over HTTP: generation must advance by one.
-RESP=$(curl -fsS -X POST --data-binary @"${DOCS[0]}" "http://${ADDR}/v1/admin/ingest")
+RESP=$(curl -fsS -X POST --data-binary @"$LATE" "http://${ADDR}/v1/admin/ingest")
 grep -q '"status":"ok"' <<<"$RESP" || { echo "FAIL: ingest response: $RESP" >&2; exit 1; }
 grep -q '"documents":1' <<<"$RESP" || { echo "FAIL: ingest response: $RESP" >&2; exit 1; }
 GEN1=$(gen)
 [ "$GEN1" -eq $((GEN0 + 1)) ] || { echo "FAIL: generation $GEN0 -> $GEN1 after ingest" >&2; exit 1; }
+ENTRY=$(curl -fsS "http://${ADDR}/v1/errata?doc=$(basename "$LATE" .txt)&unique=false&limit=1000" |
+    sed 's/},{/}\n{/g' | grep -m1 '"key":"I-[0-9a-f]\{8,\}"' || true)
+KEY=$(sed -n 's/.*"key":"\([^"]*\)".*/\1/p' <<<"$ENTRY")
+TITLE=$(sed -n 's/.*"title":"\([^"]*\)".*/\1/p' <<<"$ENTRY")
+[ -n "$KEY" ] && [ -n "$TITLE" ] || { echo "FAIL: no fresh I-<hex> key among the ingested errata" >&2; exit 1; }
 
 # 2. Idempotent re-ingest: skipped, no new generation.
-RESP=$(curl -fsS -X POST --data-binary @"${DOCS[0]}" "http://${ADDR}/v1/admin/ingest")
+RESP=$(curl -fsS -X POST --data-binary @"$LATE" "http://${ADDR}/v1/admin/ingest")
 grep -q '"skipped":1' <<<"$RESP" || { echo "FAIL: re-ingest response: $RESP" >&2; exit 1; }
 [ "$(gen)" -eq "$GEN1" ] || { echo "FAIL: re-ingest advanced the generation" >&2; exit 1; }
 
@@ -77,6 +91,13 @@ done
 GEN2=$(gen)
 [ "$GEN2" -eq $((GEN1 + 1)) ] || { echo "FAIL: generation $GEN1 -> $GEN2 after spool ingest" >&2; exit 1; }
 
+# 5. Keys stay put: an earlier-generation document does not move the
+# key recorded in step 1 to another erratum.
+curl -fsS -X POST --data-binary @"$EARLY" "http://${ADDR}/v1/admin/ingest" | grep -q '"documents":1' ||
+    { echo "FAIL: ingest of $EARLY" >&2; exit 1; }
+curl -fsS "http://${ADDR}/v1/errata/${KEY}" | grep -qF "\"title\":\"${TITLE}\"" ||
+    { echo "FAIL: /v1/errata/${KEY} no longer names \"${TITLE}\"" >&2; exit 1; }
+
 # The ingested documents must be queryable.
 curl -fsS "http://${ADDR}/v1/errata?limit=1" | grep -q '"total"'
 
@@ -95,4 +116,4 @@ do
     fi
 done
 
-echo "OK: streaming ingest validated end to end on $ADDR (generations $GEN0 -> $GEN2)"
+echo "OK: streaming ingest validated end to end on $ADDR (generations $GEN0 -> $(gen))"
