@@ -59,6 +59,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzOpenV2 -fuzztime 20s -fuzzminimizetime 1x ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzClassifyEquivalence -fuzztime 20s -fuzzminimizetime 1x ./internal/classify/
 	$(GO) test -run '^$$' -fuzz FuzzDeltaMerge -fuzztime 20s -fuzzminimizetime 1x ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz FuzzErrataQuery -fuzztime 20s -fuzzminimizetime 1x ./internal/serve/
 
 cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./... ./...

@@ -25,12 +25,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
 	rememberr "repro"
+	"repro/internal/index"
 	"repro/internal/store"
 )
 
@@ -54,7 +57,7 @@ func main() {
 	case "observations":
 		err = cmdObservations(args)
 	case "query":
-		err = cmdQuery(args)
+		err = cmdQuery(os.Stdout, args)
 	case "campaign":
 		err = cmdCampaign(args)
 	case "export":
@@ -278,54 +281,35 @@ func cmdObservations(args []string) error {
 	return nil
 }
 
-func cmdQuery(args []string) error {
+// cmdQuery registers one flag per row of index.FilterTable, named
+// after its query parameter with '_' replaced by '-' (-min-triggers),
+// and prints the unique matches to w.
+func cmdQuery(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	vendor := fs.String("vendor", "", "Intel or AMD")
-	category := fs.String("category", "", "abstract category, e.g. Trg_POW_pwc")
-	class := fs.String("class", "", "class descriptor, e.g. Trg_POW")
-	minTriggers := fs.Int("min-triggers", 0, "minimum number of distinct triggers")
-	msr := fs.String("msr", "", "observable MSR, e.g. MCx_STATUS")
-	title := fs.String("title", "", "title substring")
-	complexOnly := fs.Bool("complex", false, "complex-condition errata only")
+	values := url.Values{}
+	for _, row := range index.FilterTable {
+		name := strings.ReplaceAll(row.Name, "_", "-")
+		add := func(s string) error { values.Add(row.Name, s); return nil }
+		if row.Switch {
+			fs.BoolFunc(name, row.Usage, add) // may be given bare: -complex
+		} else {
+			fs.Func(name, row.Usage, add)
+		}
+	}
 	listTitles := fs.Bool("titles", false, "print matching titles")
 	db, err := buildDB(fs, args)
 	if err != nil {
 		return err
 	}
-	q := db.Query()
-	if *vendor != "" {
-		switch strings.ToLower(*vendor) {
-		case "intel":
-			q = q.Vendor(rememberr.Intel)
-		case "amd":
-			q = q.Vendor(rememberr.AMD)
-		default:
-			return fmt.Errorf("unknown vendor %q", *vendor)
-		}
+	filters, err := index.ParseFilters(values)
+	if err != nil {
+		return err
 	}
-	if *category != "" {
-		q = q.WithCategory(*category)
-	}
-	if *class != "" {
-		q = q.WithClass(*class)
-	}
-	if *minTriggers > 0 {
-		q = q.MinTriggers(*minTriggers)
-	}
-	if *msr != "" {
-		q = q.ObservableIn(*msr)
-	}
-	if *title != "" {
-		q = q.TitleContains(*title)
-	}
-	if *complexOnly {
-		q = q.Complex()
-	}
-	matches := q.Unique()
-	fmt.Printf("%d unique errata match\n", len(matches))
+	matches := filters.Apply(db.BuildIndex().Query()).Unique()
+	fmt.Fprintf(w, "%d unique errata match\n", len(matches))
 	if *listTitles {
 		for _, e := range matches {
-			fmt.Printf("  %-12s %s\n", e.FullID(), e.Title)
+			fmt.Fprintf(w, "  %-12s %s\n", e.FullID(), e.Title)
 		}
 	}
 	return nil

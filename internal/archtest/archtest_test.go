@@ -11,6 +11,10 @@
 //     register the default plugins.)
 //   - no non-test Go file outside e2ebench/ carries a "Deprecated:" doc
 //     comment — a replaced API is deleted, not kept as a second way in.
+//   - the reference evaluator internal/queryref is imported only by
+//     _test.go files, and imports neither internal/index (which holds
+//     the filter table) nor internal/serve — an oracle that shares code
+//     with what it checks checks nothing.
 //
 // The exported surface of pkg/ is additionally pinned by a golden
 // snapshot (see apisnapshot_test.go).
@@ -149,6 +153,26 @@ func TestNoDeprecatedAPIs(t *testing.T) {
 				if strings.Contains(c.Text, "Deprecated:") {
 					t.Errorf("%s: %q: delete the replaced API instead of deprecating it", rel, c.Text)
 				}
+			}
+		}
+	}
+}
+
+// TestQueryrefStaysIndependent keeps the test oracle out of production
+// and out of the code it checks: no non-test file imports
+// internal/queryref, and queryref imports neither the filter table and
+// index (internal/index) nor the server (internal/serve).
+func TestQueryrefStaysIndependent(t *testing.T) {
+	root := repoRoot(t)
+	const oracle = module + "/internal/queryref"
+	for _, rel := range sourceFiles(t, root, ".") {
+		for _, imp := range imports(t, filepath.Join(root, rel)) {
+			if imp == oracle {
+				t.Errorf("%s imports %s: the reference evaluator is for tests only", rel, imp)
+			}
+			if strings.HasPrefix(rel, "internal/queryref/") &&
+				(imp == module+"/internal/index" || imp == module+"/internal/serve") {
+				t.Errorf("%s imports %s: the reference evaluator must not share code with what it checks", rel, imp)
 			}
 		}
 	}

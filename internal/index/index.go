@@ -1,10 +1,14 @@
-// Package index provides an inverted-index query engine over a
-// domain.Database. It precomputes postings lists — sorted slices of
-// erratum ordinals — per vendor, document, abstract category, class,
-// workaround category, fix status, observable MSR and boolean flag,
-// and answers conjunctive filter queries by sorted-slice intersection
-// (with per-filter union for disjunctive category sets) instead of the
-// O(N·filters) closure scan the fluent Query otherwise performs.
+// Package index is the query engine over a domain.Database. It
+// precomputes postings lists — sorted slices of erratum ordinals — per
+// vendor, document, abstract category, class, workaround category, fix
+// status, observable MSR and boolean flag, and answers conjunctive
+// filter queries by sorted-slice intersection (with per-filter union
+// for disjunctive category sets) plus residual predicates for the
+// filters no postings list answers.
+//
+// FilterTable (filters.go) declares the filter vocabulary once: the
+// /v1/errata query parameters and the `rememberr query` flags derive
+// from it, and the root package's fluent Query compiles onto Query.
 //
 // An Index is an immutable snapshot: it is built once from a database
 // and is safe for concurrent readers, which is what the serving layer
@@ -12,10 +16,10 @@
 // Build leaves the index stale; rebuild it instead.
 //
 // Ordinals are positions in db.Errata() order, so intersection results
-// are naturally in the same order the closure-based scan produces, and
-// the unique-representative list is precomputed in db.Unique() order.
-// This makes the indexed and closure query paths return identical
-// slices, which the equivalence tests in the root package pin.
+// come out in that order, and the unique-representative list is
+// precomputed in db.Unique() order. Results therefore equal a linear
+// scan of db.Errata() or db.Unique(), which the reference evaluator
+// (internal/queryref) performs in the tests.
 package index
 
 import (
@@ -196,8 +200,7 @@ func (q *Query) WithCategory(categoryID string) *Query {
 
 // AnyCategory keeps errata annotated with at least one of the given
 // categories (disjunctive): the postings lists are unioned into one.
-// With no categories the query matches nothing, mirroring the closure
-// semantics.
+// With no categories the query matches nothing.
 func (q *Query) AnyCategory(categoryIDs ...string) *Query {
 	var u []int
 	for _, c := range categoryIDs {
@@ -211,7 +214,7 @@ func (q *Query) WithClass(classID string) *Query { return q.list(q.ix.byClass[cl
 
 // WithAllTriggers keeps errata requiring at least all the given
 // triggers (conjunctive): one postings list per category. With no
-// categories the filter is a no-op, mirroring the closure semantics.
+// categories the filter is a no-op.
 func (q *Query) WithAllTriggers(categoryIDs ...string) *Query {
 	for _, c := range categoryIDs {
 		q.list(q.ix.byTriggerCat[c])
@@ -305,7 +308,7 @@ func (q *Query) matchOrdinals() []int {
 }
 
 // All returns every matching entry (duplicates counted individually),
-// in db.Errata() order — identical to the closure scan.
+// in db.Errata() order.
 func (q *Query) All() []*domain.Erratum {
 	ords := q.matchOrdinals()
 	var out []*domain.Erratum
@@ -316,7 +319,7 @@ func (q *Query) All() []*domain.Erratum {
 }
 
 // Unique returns one representative per matching deduplicated erratum,
-// in db.Unique() order — identical to the closure scan.
+// in db.Unique() order.
 func (q *Query) Unique() []*domain.Erratum {
 	ords := q.matchOrdinals()
 	if len(ords) == 0 {

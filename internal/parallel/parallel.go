@@ -1,7 +1,6 @@
 // Package parallel provides the bounded fan-out primitive shared by
 // the build pipeline's hot paths (document rendering and parsing,
-// duplicate-candidate scoring, TF-IDF vectorization, regex
-// classification).
+// duplicate-candidate scoring, regex classification).
 //
 // The contract is strict determinism: work is identified by index,
 // results are collected by index, and error propagation prefers the

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
-	"repro/internal/index"
+	"repro/internal/queryref"
 	"repro/internal/store"
 	"repro/pkg/domain"
 )
@@ -51,6 +51,35 @@ var serveFilterMatrix = []string{
 	"offset=999999", // past the total
 	"disclosed_from=2010-01-01&disclosed_to=2016-01-01",
 	"disclosed_from=2016-01-01&disclosed_to=2010-01-01", // inverted: empty
+	"disclosed_to=2012-06-30",
+	"min_triggers=0", // constrains nothing
+	"title=",         // constrains nothing
+	"any_category=Eff_HNG_hng&any_category=Eff_HNG_crh,Trg_POW_pwc",
+	"category=Eff_HNG_hng,Trg_POW_pwc", // one value with a comma: no such category
+	"vendor=%20intel%20&workaround=docfix&fix=fixed",
+}
+
+// serveInvalidMatrix lists /v1/errata query strings that must answer
+// 400: unknown parameters, malformed values, repeated single-valued
+// parameters and query strings that do not decode.
+var serveInvalidMatrix = []string{
+	"nope=1",
+	"vendor=VIA",
+	"vendor=Intel&vendor=AMD",
+	"min_triggers=many",
+	"min_triggers=-1",
+	"limit=-1",
+	"offset=x",
+	"unique=maybe",
+	"complex=",
+	"workaround=magic",
+	"fix=eventually",
+	"disclosed_from=yesterday",
+	"disclosed_from=2010-02-30",
+	"disclosed_from=%2B2010-01-01",
+	"title=a&title=b",
+	"vendor=Intel;limit=5", // ';' is not a separator
+	"doc=%zz",              // bad escape
 }
 
 // get issues one request straight through a server's handler chain and
@@ -106,40 +135,31 @@ func sampleKeys(db *domain.Database, n int) []string {
 }
 
 // marshalOracle is the reference the stitched read path is held to. It
-// answers a request the plain way: the filters run on a fresh
-// index.Build of the database, and the page is json.Marshal of the
-// store DTOs, with no fragments, cache or postings file involved.
+// answers a request the plain way: queryref parses the query string and
+// scans the database, and the page is json.Marshal of the store DTOs,
+// with no filter table, index, fragments or cache involved.
 type marshalOracle struct {
 	db *domain.Database
-	ix *index.Index
 }
 
 func newMarshalOracle(db *domain.Database) *marshalOracle {
-	return &marshalOracle{db: db, ix: index.Build(db)}
+	return &marshalOracle{db: db}
 }
 
 // errata returns the /v1/errata body for rawQuery at generation gen;
 // ok is false when the query is invalid and must answer 400.
 func (o *marshalOracle) errata(t testing.TB, rawQuery string, gen uint64) (body []byte, ok bool) {
 	t.Helper()
-	values, _ := url.ParseQuery(rawQuery) // as (*url.URL).Query does
-	req, err := parseFilters(values)
+	q, err := queryref.Parse(rawQuery)
 	if err != nil {
 		return nil, false
 	}
-	q := o.ix.Query()
-	for _, f := range req.filters {
-		f(q)
-	}
-	var matches []*domain.Erratum
-	if req.unique {
-		matches = q.Unique()
-	} else {
-		matches = q.All()
-	}
-	summaries := make([]store.ErratumSummary, 0)
-	for i := req.offset; i < len(matches) && len(summaries) < req.limit; i++ {
-		summaries = append(summaries, store.Summarize(o.db, matches[i]))
+	matches := q.Match(o.db, q.Unique)
+	page := matches[min(q.Offset, len(matches)):]
+	page = page[:min(q.Limit, len(page))]
+	summaries := make([]store.ErratumSummary, 0, len(page))
+	for _, e := range page {
+		summaries = append(summaries, store.Summarize(o.db, e))
 	}
 	body, err = json.Marshal(struct {
 		Total      int                    `json:"total"`
@@ -148,7 +168,7 @@ func (o *marshalOracle) errata(t testing.TB, rawQuery string, gen uint64) (body 
 		Unique     bool                   `json:"unique"`
 		Generation uint64                 `json:"generation"`
 		Errata     []store.ErratumSummary `json:"errata"`
-	}{len(matches), req.offset, len(summaries), req.unique, gen, summaries})
+	}{len(matches), q.Offset, len(summaries), q.Unique, gen, summaries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +179,12 @@ func (o *marshalOracle) errata(t testing.TB, rawQuery string, gen uint64) (body 
 // false when no entry carries key and the lookup must answer 404.
 func (o *marshalOracle) erratum(t testing.TB, key string, gen uint64) (body []byte, ok bool) {
 	t.Helper()
-	occurrences := o.ix.ByKey(key)
+	var occurrences []*domain.Erratum
+	for _, e := range o.db.Errata() {
+		if e.Key == key {
+			occurrences = append(occurrences, e)
+		}
+	}
 	if len(occurrences) == 0 {
 		return nil, false
 	}
@@ -182,8 +207,8 @@ func (o *marshalOracle) erratum(t testing.TB, key string, gen uint64) (body []by
 // TestStitchedMatchesMarshal holds the stitched read path to the
 // marshal oracle across the six corpus seeds: every filter-matrix page
 // and every unique key's point lookup is byte-identical to json.Marshal
-// of the DTOs for the page a fresh index answers, and an unknown key is
-// a 404. Caching is disabled so every request runs the full path.
+// of the DTOs for the page the reference scan answers, every invalid
+// query is a 400, and an unknown key is a 404. Caching is disabled so every request runs the full path.
 func TestStitchedMatchesMarshal(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		db := datedCorpus(t, seed)
@@ -198,6 +223,14 @@ func TestStitchedMatchesMarshal(t *testing.T) {
 			}
 			if code, got := getErrata(h, q); code != http.StatusOK || !bytes.Equal(got, want) {
 				t.Fatalf("seed %d ?%s: %d %q != oracle %q", seed, q, code, truncate(got), truncate(want))
+			}
+		}
+		for _, q := range serveInvalidMatrix {
+			if _, ok := oracle.errata(t, q, gen); ok {
+				t.Fatalf("seed %d: oracle accepts invalid query %q", seed, q)
+			}
+			if code, got := getErrata(h, q); code != http.StatusBadRequest || !isErrorObject(got) {
+				t.Fatalf("seed %d ?%s: %d %q, want a 400 error object", seed, q, code, truncate(got))
 			}
 		}
 		for _, e := range db.Unique() {
@@ -215,13 +248,24 @@ func TestStitchedMatchesMarshal(t *testing.T) {
 	}
 }
 
+// isErrorObject reports whether body is a JSON {"error": "..."} object.
+func isErrorObject(body []byte) bool {
+	var e map[string]any
+	if err := json.Unmarshal(body, &e); err != nil || len(e) != 1 {
+		return false
+	}
+	_, isString := e["error"].(string)
+	return isString
+}
+
 // FuzzErrataQuery is the differential oracle for /v1/errata over
 // arbitrary query strings. Every combination of source (v1 heap, v2
 // heap, v2 mmap) and response cache (on, off) must answer with the same
 // status and body; every 200 must equal the marshal oracle, and every
-// 4xx must be a JSON {"error": "..."} object.
+// 4xx must be a query the oracle rejects, answered with a JSON
+// {"error": "..."} object.
 func FuzzErrataQuery(f *testing.F) {
-	for _, q := range serveFilterMatrix {
+	for _, q := range append(serveFilterMatrix, serveInvalidMatrix...) {
 		f.Add(q)
 	}
 	db := datedCorpus(f, 1)
@@ -283,12 +327,8 @@ func FuzzErrataQuery(f *testing.F) {
 			if ok {
 				t.Fatalf("?%s: served %d for a query the oracle accepts", rawQuery, code)
 			}
-			var e map[string]any
-			if err := json.Unmarshal(body, &e); err != nil || len(e) != 1 {
+			if !isErrorObject(body) {
 				t.Fatalf("?%s: %d body %q is not an error object", rawQuery, code, truncate(body))
-			}
-			if _, isString := e["error"].(string); !isString {
-				t.Fatalf("?%s: %d body %q has no error message", rawQuery, code, truncate(body))
 			}
 		default:
 			t.Fatalf("?%s: unexpected status %d %q", rawQuery, code, truncate(body))

@@ -3,7 +3,7 @@
 // The API is versioned under /v1; operational endpoints stay at the
 // root:
 //
-//	GET /v1/errata        filtered query (see parseFilters for parameters)
+//	GET /v1/errata        filtered query (see index.FilterTable and parseFilters)
 //	GET /v1/errata/{key}  every occurrence of one deduplicated erratum
 //	GET /v1/stats         corpus statistics
 //	GET /v1/metrics.json  JSON snapshot of the server's instruments
@@ -49,10 +49,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"net/url"
-	"slices"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -704,31 +701,12 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, body)
 }
 
-// filterParams lists every /errata query parameter in canonical order;
-// the cache key is built by walking this list, so two requests with
-// reordered parameters (or reordered values of a multi-valued
-// parameter) share one cache entry.
-var filterParams = []string{
-	"vendor", "doc", "category", "any_category", "class", "trigger",
-	"min_triggers", "msr", "title", "complex", "sim_only", "workaround",
-	"fix", "disclosed_from", "disclosed_to", "unique", "limit", "offset",
-}
-
-// multiValued marks the parameters where each occurrence adds another
-// filter. Every other parameter is single-valued, and repeating one is
-// a 400: silently using only the first value turned
-// ?vendor=Intel&vendor=AMD into an Intel-only result.
-var multiValued = map[string]bool{
-	"category": true, "any_category": true, "class": true,
-	"trigger": true, "msr": true,
-}
-
-// errataRequest is one compiled /v1/errata query: a list of filters to
-// apply to an index-backed query plus pagination, decoupled from any
+// errataRequest is one compiled /v1/errata query: the filters to
+// compile onto an index query plus pagination, decoupled from any
 // particular index so it runs against whichever snapshot the request
 // loaded.
 type errataRequest struct {
-	filters []func(*index.Query)
+	filters index.FilterSet
 	unique  bool
 	limit   int
 	offset  int
@@ -738,10 +716,7 @@ type errataRequest struct {
 // run executes the request's filters against one index and returns the
 // requested page plus the total match count.
 func (req *errataRequest) run(ix *index.Index) (page []*domain.Erratum, total int) {
-	q := ix.Query()
-	for _, f := range req.filters {
-		f(q)
-	}
+	q := req.filters.Apply(ix.Query())
 	if req.unique {
 		page = q.Unique()
 	} else {
@@ -752,220 +727,62 @@ func (req *errataRequest) run(ix *index.Index) (page []*domain.Erratum, total in
 	return page[:min(req.limit, len(page))], total
 }
 
-func parseBool(s string) (bool, error) {
-	switch strings.ToLower(s) {
-	case "1", "true", "yes":
-		return true, nil
-	case "0", "false", "no":
-		return false, nil
-	default:
-		return false, fmt.Errorf("bad boolean %q", s)
-	}
-}
+// pageParams are the /v1/errata parameters outside index.FilterTable.
+var pageParams = [...]string{"unique", "limit", "offset"}
 
-const dateFmt = "2006-01-02"
+// defaultLimit is the /v1/errata page size when limit is not given;
+// maxLimit caps a larger one.
+const (
+	defaultLimit = 100
+	maxLimit     = 1000
+)
 
-// defaultLimit is the /v1/errata page size when limit is not given.
-const defaultLimit = 100
-
-// parseFilters compiles URL query parameters into an index-independent
-// filter request plus a canonical cache key. Unknown parameters are
-// rejected so that typos surface as 400s instead of silently matching
-// everything, and repeating a single-valued parameter is a 400 instead
-// of a silent first-value win. A parameter given at its default value
-// adds no key part, so it shares the bare query's cache entry.
+// parseFilters compiles /v1/errata query parameters: the filters of
+// index.FilterTable plus unique, limit and offset. A parameter given at
+// its default value adds no key part, so it shares the bare query's
+// cache entry.
 func parseFilters(values url.Values) (*errataRequest, error) {
-	var unknown []string
-	for p := range values {
-		if !slices.Contains(filterParams, p) {
-			unknown = append(unknown, p)
-		}
+	filters, err := index.ParseFilters(values, pageParams[:]...)
+	if err != nil {
+		return nil, err
 	}
-	if len(unknown) > 0 {
-		// Name the smallest, not the first in map order, so a query with
-		// several unknown parameters always gets the same 400 body.
-		return nil, fmt.Errorf("unknown parameter %q", slices.Min(unknown))
-	}
-
-	req := &errataRequest{unique: true, limit: defaultLimit}
-	var keyParts []string
-	// canon appends one cache-key part; multi-valued parameters are
-	// sorted (on a copy — filters may alias vals) so value order never
-	// fragments the cache. Positionally distinct parameters must go in
-	// under distinct param names: collapsing disclosed_from/_to into one
-	// sorted "disclosed" part made swapped date ranges collide onto a
-	// single cache entry.
-	canon := func(param string, vals ...string) {
-		vs := append([]string(nil), vals...)
-		sort.Strings(vs)
-		keyParts = append(keyParts, param+"="+strings.Join(vs, ","))
-	}
-
-	for _, param := range filterParams {
-		vals, ok := values[param]
-		if !ok || len(vals) == 0 {
+	req := &errataRequest{filters: filters, unique: true, limit: defaultLimit}
+	for _, p := range pageParams {
+		vals := values[p]
+		if len(vals) == 0 {
 			continue
 		}
-		if !multiValued[param] && len(vals) > 1 {
-			return nil, fmt.Errorf("parameter %q is single-valued but was given %d times", param, len(vals))
+		if len(vals) > 1 {
+			return nil, fmt.Errorf("parameter %q is single-valued but was given %d times", p, len(vals))
 		}
-		switch param {
-		case "vendor":
-			v, err := domain.ParseVendor(vals[0])
-			if err != nil {
+		if p == "unique" {
+			if req.unique, err = index.ParseBool(vals[0]); err != nil {
 				return nil, err
 			}
-			req.filters = append(req.filters, func(q *index.Query) { q.Vendor(v) })
-			canon(param, v.String())
-		case "doc":
-			doc := vals[0]
-			req.filters = append(req.filters, func(q *index.Query) { q.InDocument(doc) })
-			canon(param, doc)
-		case "category":
-			for _, c := range vals {
-				req.filters = append(req.filters, func(q *index.Query) { q.WithCategory(c) })
-			}
-			canon(param, vals...)
-		case "any_category":
-			// Each occurrence is one disjunctive group of
-			// comma-separated categories; groups compose conjunctively.
-			groups := make([]string, 0, len(vals))
-			for _, group := range vals {
-				ids := splitList(group)
-				req.filters = append(req.filters, func(q *index.Query) { q.AnyCategory(ids...) })
-				sorted := append([]string(nil), ids...)
-				sort.Strings(sorted)
-				groups = append(groups, strings.Join(sorted, ","))
-			}
-			canon(param, groups...)
-		case "class":
-			for _, c := range vals {
-				req.filters = append(req.filters, func(q *index.Query) { q.WithClass(c) })
-			}
-			canon(param, vals...)
-		case "trigger":
-			triggers := vals
-			req.filters = append(req.filters, func(q *index.Query) { q.WithAllTriggers(triggers...) })
-			canon(param, vals...)
-		case "min_triggers":
-			n, err := strconv.Atoi(vals[0])
-			if err != nil {
-				return nil, fmt.Errorf("bad min_triggers %q", vals[0])
-			}
-			req.filters = append(req.filters, func(q *index.Query) { q.MinTriggers(n) })
-			canon(param, strconv.Itoa(n))
-		case "msr":
-			for _, m := range vals {
-				req.filters = append(req.filters, func(q *index.Query) { q.ObservableIn(m) })
-			}
-			canon(param, vals...)
-		case "title":
-			title := vals[0]
-			req.filters = append(req.filters, func(q *index.Query) { q.TitleContains(title) })
-			canon(param, strings.ToLower(title))
-		case "complex":
-			b, err := parseBool(vals[0])
-			if err != nil {
-				return nil, err
-			}
-			if b {
-				req.filters = append(req.filters, func(q *index.Query) { q.Complex() })
-				canon(param, "true")
-			}
-		case "sim_only":
-			b, err := parseBool(vals[0])
-			if err != nil {
-				return nil, err
-			}
-			if b {
-				req.filters = append(req.filters, func(q *index.Query) { q.SimulationOnly() })
-				canon(param, "true")
-			}
-		case "workaround":
-			wc, err := domain.ParseWorkaroundCategory(vals[0])
-			if err != nil {
-				return nil, err
-			}
-			req.filters = append(req.filters, func(q *index.Query) { q.Workaround(wc) })
-			canon(param, wc.String())
-		case "fix":
-			fx, err := domain.ParseFixStatus(vals[0])
-			if err != nil {
-				return nil, err
-			}
-			req.filters = append(req.filters, func(q *index.Query) { q.Fix(fx) })
-			canon(param, fx.String())
-		case "disclosed_from", "disclosed_to":
-			// Handled together below; canonicalized there.
-		case "unique":
-			b, err := parseBool(vals[0])
-			if err != nil {
-				return nil, err
-			}
-			req.unique = b
-			if !b {
-				canon(param, "false")
-			}
-		case "limit":
-			n, err := strconv.Atoi(vals[0])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("bad limit %q", vals[0])
-			}
-			if n > 1000 {
-				n = 1000
-			}
-			req.limit = n
-			if n != defaultLimit {
-				canon(param, strconv.Itoa(n))
-			}
-		case "offset":
-			n, err := strconv.Atoi(vals[0])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("bad offset %q", vals[0])
-			}
+			continue
+		}
+		n, err := strconv.Atoi(vals[0])
+		if err != nil || n < 0 {
+			return nil, fmt.Errorf("bad %s %q", p, vals[0])
+		}
+		if p == "limit" {
+			req.limit = min(n, maxLimit)
+		} else {
 			req.offset = n
-			if n != 0 {
-				canon(param, strconv.Itoa(n))
-			}
 		}
 	}
-
-	fromS, toS := values.Get("disclosed_from"), values.Get("disclosed_to")
-	if fromS != "" || toS != "" {
-		from := time.Time{}
-		to := time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC)
-		var err error
-		if fromS != "" {
-			if from, err = time.Parse(dateFmt, fromS); err != nil {
-				return nil, fmt.Errorf("bad disclosed_from %q", fromS)
-			}
-		}
-		if toS != "" {
-			if to, err = time.Parse(dateFmt, toS); err != nil {
-				return nil, fmt.Errorf("bad disclosed_to %q", toS)
-			}
-		}
-		req.filters = append(req.filters, func(q *index.Query) { q.DisclosedBetween(from, to) })
-		// from and to stay under separate key parts: they are positional,
-		// and a combined sorted part served one range's cached body for
-		// the swapped (empty) range.
-		canon("disclosed_from", from.Format(dateFmt))
-		canon("disclosed_to", to.Format(dateFmt))
+	var keyParts []string
+	if !req.unique {
+		keyParts = append(keyParts, "unique=false")
 	}
-
-	sort.Strings(keyParts)
-	req.key = strings.Join(keyParts, "&")
+	if req.limit != defaultLimit {
+		keyParts = append(keyParts, "limit="+strconv.Itoa(req.limit))
+	}
+	if req.offset != 0 {
+		keyParts = append(keyParts, "offset="+strconv.Itoa(req.offset))
+	}
+	req.key = req.filters.Key(keyParts...)
 	return req, nil
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // The canonical response representations (summary rows, per-occurrence
@@ -985,7 +802,14 @@ func cacheKey(gen uint64, filterKey string) string {
 func (s *Server) handleErrata(w http.ResponseWriter, r *http.Request) {
 	snap := s.acquireSnap()
 	defer snap.release()
-	req, err := parseFilters(r.URL.Query())
+	// A query string that does not decode (a bad %-escape, a ';') is a
+	// 400, not a silently dropped pair.
+	values, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	req, err := parseFilters(values)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

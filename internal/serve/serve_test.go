@@ -172,7 +172,7 @@ func TestEndpoints(t *testing.T) {
 
 	// Bad requests are 400s, not empty 200s.
 	for _, q := range []string{
-		"?nope=1", "?vendor=VIA", "?min_triggers=many", "?limit=-1",
+		"?nope=1", "?vendor=VIA", "?min_triggers=many", "?min_triggers=-1", "?limit=-1",
 		"?offset=x", "?unique=maybe", "?disclosed_from=yesterday",
 		"?workaround=magic", "?fix=eventually", "?complex=perhaps",
 	} {
@@ -211,6 +211,10 @@ func TestCacheCanonicalization(t *testing.T) {
 		{"offset default", []string{"", "offset=0"}},
 		{"complex default", []string{"", "complex=false", "complex=0"}},
 		{"sim_only default", []string{"", "sim_only=false"}},
+		{"min_triggers zero", []string{"", "min_triggers=0", "min_triggers=00"}},
+		{"empty title", []string{"", "title="}},
+		{"empty dates", []string{"", "disclosed_from=&disclosed_to="}},
+		{"repeated values", []string{"category=Eff_HNG_hng", "category=Eff_HNG_hng&category=Eff_HNG_hng"}},
 		{"defaults with a filter", []string{
 			"vendor=AMD",
 			"vendor=AMD&unique=true&limit=100&offset=0&complex=false&sim_only=false",
@@ -240,6 +244,32 @@ func TestCacheCanonicalization(t *testing.T) {
 				t.Fatalf("cache entries = %d, want 1", m.Cache.Entries)
 			}
 		})
+	}
+}
+
+// TestCacheKeyDistinct holds distinct filter sets to distinct cache
+// entries where a value's own ',' or '&' once made two keys equal: a
+// comma inside one category against two categories, two regroupings of
+// one any_category item set, and a '&' inside a doc value. Each pair
+// must answer as the uncached server does.
+func TestCacheKeyDistinct(t *testing.T) {
+	gt, err := corpus.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]string{
+		{"category=Eff_HNG_hng,Trg_POW_pwc", "category=Eff_HNG_hng&category=Trg_POW_pwc"},
+		{"any_category=Eff_HNG_hng,Eff_HNG_crh&any_category=Trg_POW_pwc", "any_category=Eff_HNG_hng&any_category=Eff_HNG_crh,Trg_POW_pwc"},
+		{"doc=intel-06%26vendor%3DIntel", "doc=intel-06&vendor=Intel"},
+	} {
+		cached := newDBServer(gt.DB, Options{}).Handler()
+		uncached := newDBServer(gt.DB, Options{CacheSize: -1}).Handler()
+		for _, q := range pair {
+			_, want := getErrata(uncached, q)
+			if code, got := getErrata(cached, q); code != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("?%s after ?%s: cached %d %q != uncached %q", q, pair[0], code, truncate(got), truncate(want))
+			}
+		}
 	}
 }
 

@@ -145,9 +145,8 @@ func (x *LSHIndex) Len() int { return len(x.texts) }
 
 // CandidatePairs returns all item pairs (i<j) colliding in at least one
 // band whose exact Jaccard similarity reaches min, sorted by decreasing
-// similarity. Unlike Corpus.RankPairs, only colliding pairs are
-// examined, so the cost scales with the number of collisions rather
-// than n^2.
+// similarity. Only colliding pairs are examined, so the cost scales
+// with the number of collisions rather than n^2.
 func (x *LSHIndex) CandidatePairs(min float64) []Pair {
 	seen := make(map[[2]int]bool)
 	var out []Pair

@@ -1,7 +1,7 @@
 // Package textsim provides the text primitives RemembERR's duplicate
 // detection relies on: title normalization, tokenization, and several
 // string-similarity metrics (Jaccard, Sørensen-Dice, Levenshtein,
-// TF-IDF cosine, n-gram shingles).
+// n-gram shingles), plus MinHash signatures and an LSH candidate index.
 //
 // The paper detects Intel cross-generation duplicates by (nearly)
 // identical titles, then manually reviews remaining candidates sorted by
@@ -9,12 +9,8 @@
 package textsim
 
 import (
-	"math"
-	"sort"
 	"strings"
 	"unicode"
-
-	"repro/internal/parallel"
 )
 
 // Normalize lower-cases s, strips punctuation, and collapses whitespace,
@@ -195,152 +191,10 @@ func ShingleJaccard(a, b string, n int) float64 {
 	return float64(inter) / float64(union)
 }
 
-// Corpus supports TF-IDF cosine similarity over a document collection.
-// Build one with NewCorpus; it is immutable afterwards.
-type Corpus struct {
-	df     map[string]int
-	nDocs  int
-	vecs   []map[string]float64
-	titles []string
-}
-
-// NewCorpus builds a TF-IDF model over the given texts using all
-// available CPUs; see NewCorpusParallel for the worker knob.
-func NewCorpus(texts []string) *Corpus {
-	return NewCorpusParallel(texts, 0)
-}
-
-// NewCorpusParallel builds a TF-IDF model over the given texts with a
-// bounded worker pool (0 = GOMAXPROCS, 1 = sequential). Per-document
-// tokenization and vectorization are embarrassingly parallel; the
-// document-frequency accumulation between them is a cheap sequential
-// reduction over per-document sets, so the model is identical at every
-// worker count.
-func NewCorpusParallel(texts []string, workers int) *Corpus {
-	c := &Corpus{
-		df:     make(map[string]int),
-		nDocs:  len(texts),
-		titles: append([]string(nil), texts...),
-	}
-	tfs, _ := parallel.Map(len(texts), workers, func(i int) (map[string]int, error) {
-		tf := make(map[string]int)
-		for _, tok := range Tokens(texts[i]) {
-			tf[tok]++
-		}
-		return tf, nil
-	})
-	for _, tf := range tfs {
-		for tok := range tf {
-			c.df[tok]++
-		}
-	}
-	c.vecs = make([]map[string]float64, len(texts))
-	_ = parallel.Do(len(texts), workers, func(i int) error {
-		tf := tfs[i]
-		// Accumulate the norm in sorted token order: float addition is
-		// not associative, and map iteration order is randomized per
-		// run, so a fixed summation order is what makes the vectors
-		// reproducible run to run.
-		toks := make([]string, 0, len(tf))
-		for tok := range tf {
-			toks = append(toks, tok)
-		}
-		sort.Strings(toks)
-		vec := make(map[string]float64, len(tf))
-		var norm float64
-		for _, tok := range toks {
-			w := float64(tf[tok]) * c.idf(tok)
-			vec[tok] = w
-			norm += w * w
-		}
-		if norm > 0 {
-			norm = math.Sqrt(norm)
-			for tok := range vec {
-				vec[tok] /= norm
-			}
-		}
-		c.vecs[i] = vec
-		return nil
-	})
-	return c
-}
-
-func (c *Corpus) idf(tok string) float64 {
-	df := c.df[tok]
-	if df == 0 {
-		df = 1
-	}
-	return math.Log(float64(c.nDocs+1)/float64(df)) + 1
-}
-
-// Len returns the number of documents in the corpus.
-func (c *Corpus) Len() int { return c.nDocs }
-
-// Cosine returns the TF-IDF cosine similarity between documents i and j.
-func (c *Corpus) Cosine(i, j int) float64 {
-	vi, vj := c.vecs[i], c.vecs[j]
-	if len(vi) > len(vj) {
-		vi, vj = vj, vi
-	}
-	// Sum the dot product in sorted token order so the score is
-	// reproducible run to run (see NewCorpusParallel).
-	toks := make([]string, 0, len(vi))
-	for tok := range vi {
-		if _, ok := vj[tok]; ok {
-			toks = append(toks, tok)
-		}
-	}
-	sort.Strings(toks)
-	var dot float64
-	for _, tok := range toks {
-		dot += vi[tok] * vj[tok]
-	}
-	if dot > 1 {
-		dot = 1 // guard against rounding
-	}
-	return dot
-}
-
 // Pair is a scored candidate pair of corpus documents.
 type Pair struct {
 	I, J  int
 	Score float64
-}
-
-// RankPairs returns all pairs (i<j) with similarity of at least min,
-// sorted by decreasing score (stable for equal scores by (I,J)). This
-// mirrors the paper's manual review of candidate duplicates "sorted by
-// decreasing title similarity". It uses all available CPUs; see
-// RankPairsParallel for the worker knob.
-func (c *Corpus) RankPairs(min float64) []Pair {
-	return c.RankPairsParallel(min, 0)
-}
-
-// RankPairsParallel is RankPairs with a bounded worker pool (0 =
-// GOMAXPROCS, 1 = sequential). The O(n^2) scan is sharded by row;
-// per-row matches are merged in row order, so the pre-sort order — and
-// with the total (score, I, J) ordering, the final ranking — is
-// identical to the sequential scan at every worker count.
-func (c *Corpus) RankPairsParallel(min float64, workers int) []Pair {
-	out := parallel.Gather(c.nDocs, workers, func(i int) []Pair {
-		var row []Pair
-		for j := i + 1; j < c.nDocs; j++ {
-			if s := c.Cosine(i, j); s >= min {
-				row = append(row, Pair{I: i, J: j, Score: s})
-			}
-		}
-		return row
-	})
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
-		}
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
-		}
-		return out[a].J < out[b].J
-	})
-	return out
 }
 
 // Metric names a similarity function usable for duplicate ranking; used

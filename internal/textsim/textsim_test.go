@@ -134,51 +134,6 @@ func TestShingles(t *testing.T) {
 	}
 }
 
-func TestCorpusCosine(t *testing.T) {
-	c := NewCorpus([]string{
-		"processor may hang during power transition",
-		"processor may hang during power transition",
-		"usb controller drops packets",
-	})
-	if got := c.Cosine(0, 1); math.Abs(got-1) > 1e-9 {
-		t.Errorf("identical docs cosine = %v", got)
-	}
-	if got := c.Cosine(0, 2); got > 0.2 {
-		t.Errorf("unrelated docs cosine = %v, want near 0", got)
-	}
-	if c.Len() != 3 {
-		t.Errorf("Len = %d", c.Len())
-	}
-}
-
-func TestRankPairs(t *testing.T) {
-	c := NewCorpus([]string{
-		"alpha beta gamma",
-		"alpha beta gamma",
-		"alpha beta delta",
-		"unrelated text entirely",
-	})
-	pairs := c.RankPairs(0.3)
-	if len(pairs) == 0 {
-		t.Fatal("no pairs found")
-	}
-	if pairs[0].I != 0 || pairs[0].J != 1 {
-		t.Errorf("best pair = %+v, want (0,1)", pairs[0])
-	}
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i].Score > pairs[i-1].Score {
-			t.Error("pairs not sorted by decreasing score")
-		}
-	}
-	for _, p := range pairs {
-		if p.I == 3 || p.J == 3 {
-			if p.Score >= 0.3 {
-				t.Errorf("unrelated doc scored %v", p.Score)
-			}
-		}
-	}
-}
-
 func TestSimilarityDispatch(t *testing.T) {
 	a, b := "processor hang", "processor hang"
 	for _, m := range []Metric{MetricJaccard, MetricDice, MetricLevenshtein, MetricShingle2, Metric("unknown")} {

@@ -1,11 +1,8 @@
 package rememberr
 
-// Benchmarks contrasting the two query execution paths on the default
-// corpus. The workload is a representative mix of narrow and broad
-// filter combinations; both benchmarks execute the identical queries,
-// one through the closure scan and one through the inverted index, so
-// ns/op is directly comparable. Acceptance target: the indexed path
-// sustains at least 5x the closure throughput.
+// Benchmarks of the fluent Query on the default corpus: a
+// representative mix of narrow and broad filter combinations, and the
+// index build the first query on a database pays.
 
 import "testing"
 
@@ -17,18 +14,6 @@ func benchQueries(db *Database) []*Query {
 		db.Query().Vendor(AMD).SimulationOnly(),
 		db.Query().AnyCategory("Eff_HNG_hng", "Eff_HNG_crh").Workaround(WorkaroundCategory(0)),
 		db.Query().ObservableIn("MCx_STATUS").Fix(FixStatus(0)),
-	}
-}
-
-func BenchmarkQueryClosure(b *testing.B) {
-	db := benchDB(b)
-	queries := benchQueries(FromCore(db.Core()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		if len(q.uniqueClosure()) == 0 && len(q.allClosure()) == 0 {
-			b.Fatal("empty result")
-		}
 	}
 }
 

@@ -317,11 +317,10 @@ func uniformFractions(n int) []float64 {
 func (db *Database) Core() *domain.Database { return db.core }
 
 // BuildIndex builds the inverted-index query engine over the current
-// database contents and returns it. Afterwards, Query terminal
-// operations compile to postings-list intersections instead of scanning
-// every entry; results are identical on both paths. The index is a
-// snapshot: call BuildIndex again after mutating the underlying core
-// database. Safe for concurrent use with Query execution, and
+// database contents and returns it; Query terminal operations run on
+// it, and the first of them builds it when no index exists yet. The
+// index is a snapshot: call BuildIndex again after mutating the
+// underlying core database. Safe for concurrent use with Query execution, and
 // singleflight under contention: concurrent callers coalesce onto one
 // construction and all receive the same *index.Index; a call issued
 // after that construction finished builds a fresh snapshot.
@@ -356,8 +355,8 @@ func (db *Database) buildIndexWith(build func(*domain.Database) *index.Index) *i
 	return f.ix
 }
 
-// Index returns the inverted index built by BuildIndex, or nil when
-// queries run on the closure-scan path.
+// Index returns the inverted index built by BuildIndex, or nil before
+// the first build.
 func (db *Database) Index() *index.Index { return db.idx.Load() }
 
 // Report returns the build report, or nil for loaded databases.
@@ -390,7 +389,7 @@ func (db *Database) Document(key string) *Document { return db.core.Docs[key] }
 // FromCore wraps an existing core database (e.g. one loaded from JSON)
 // in the facade. The resulting Database has no build provenance:
 // Report returns nil (callers must nil-check before reading build
-// artifacts) and Index returns nil until BuildIndex is called; every
+// artifacts) and Index returns nil until the index is first built; every
 // other accessor — Stats, Errata, Unique, Query, the serving layer —
 // works identically to a freshly built database.
 func FromCore(c *domain.Database) *Database { return &Database{core: c} }
