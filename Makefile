@@ -33,8 +33,10 @@ bench-classify:
 bench-pipeline:
 	./scripts/bench_pipeline.sh
 
-# Serving-tier latency through the real binary (errserve + errload);
-# emits BENCH_serve.json with server-side /v1/errata p50/p99.
+# Serving tier: the BenchmarkServeLadder alloc gate (full Handler() at
+# most 3 allocs/op above the bare handler), then latency through the
+# real binary (errserve + errload); emits BENCH_serve.json with the
+# exact client-side /v1/errata p50/p99 and the ladder rows.
 bench-serve:
 	./scripts/bench_serve.sh
 

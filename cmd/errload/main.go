@@ -10,8 +10,10 @@
 // filtered /v1/errata queries cycling through the serving filter
 // vocabulary, /v1/errata/{key} point lookups over keys harvested from
 // an initial bootstrap query, and /v1/stats — at the requested
-// aggregate rate. Client-side latency percentiles are computed from
-// the full sample; server-side per-endpoint percentiles come from the
+// aggregate rate. Client-side latency percentiles are exact
+// nearest-rank quantiles of every successful request's latency, for the
+// mixed sample and for each request class (errata, erratum, stats);
+// server-side per-endpoint percentiles are interpolated from the
 // /metrics Prometheus histograms, scraped before and after the run and
 // differenced so only this run's observations count.
 //
@@ -61,17 +63,71 @@ type report struct {
 	Errors    int64   `json:"errors"`
 	ActualRPS float64 `json:"actual_rps"`
 
-	Client struct {
-		P50 float64 `json:"p50_seconds"`
-		P90 float64 `json:"p90_seconds"`
-		P99 float64 `json:"p99_seconds"`
-		Max float64 `json:"max_seconds"`
-	} `json:"client"`
+	// Client is the mixed client-side sample; Classes splits it by
+	// request class. Both are exact.
+	Client  latencySummary            `json:"client"`
+	Classes map[string]latencySummary `json:"classes"`
 
 	Server map[string]endpointQuantiles `json:"server"`
 
 	SLO []sloResult `json:"slo,omitempty"`
 	OK  bool        `json:"ok"`
+}
+
+// latencySummary is the exact nearest-rank summary of a client-side
+// latency sample (seconds).
+type latencySummary struct {
+	Count int     `json:"count"`
+	P50   float64 `json:"p50_seconds"`
+	P90   float64 `json:"p90_seconds"`
+	P99   float64 `json:"p99_seconds"`
+	Max   float64 `json:"max_seconds"`
+}
+
+// The request classes of the traffic mix: a filtered /v1/errata
+// query, a /v1/errata/{key} point lookup, /v1/stats. classNames names
+// them in the report.
+const (
+	classErrata = iota
+	classErratum
+	classStats
+)
+
+var classNames = [...]string{"errata", "erratum", "stats"}
+
+// request is one generated URL and its request class.
+type request struct {
+	url   string
+	class int
+}
+
+// summarize sorts sample in place and returns its exact summary.
+func summarize(sample []float64) latencySummary {
+	sort.Float64s(sample)
+	s := latencySummary{
+		Count: len(sample),
+		P50:   clientQuantile(sample, 0.50),
+		P90:   clientQuantile(sample, 0.90),
+		P99:   clientQuantile(sample, 0.99),
+	}
+	if len(sample) > 0 {
+		s.Max = sample[len(sample)-1]
+	}
+	return s
+}
+
+// summarizeClasses returns the summary of the mixed sample — every
+// class's latencies together — and of each class that saw requests.
+func summarizeClasses(lats [len(classNames)][]float64) (latencySummary, map[string]latencySummary) {
+	var mixed []float64
+	per := make(map[string]latencySummary, len(classNames))
+	for c, sample := range lats {
+		mixed = append(mixed, sample...)
+		if len(sample) > 0 {
+			per[classNames[c]] = summarize(sample)
+		}
+	}
+	return summarize(mixed), per
 }
 
 type endpointQuantiles struct {
@@ -132,7 +188,7 @@ func run(baseURL string, rps float64, duration time.Duration, workers int, sloP5
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap against %s: %w", baseURL, err)
 	}
-	urls := buildTraffic(baseURL, keys)
+	reqs := buildTraffic(baseURL, keys)
 
 	before, err := scrape(client, baseURL)
 	if err != nil {
@@ -144,7 +200,7 @@ func run(baseURL string, rps float64, duration time.Duration, workers int, sloP5
 		requests atomic.Int64
 		errors   atomic.Int64
 		mu       sync.Mutex
-		lats     []float64
+		lats     [len(classNames)][]float64
 	)
 	tokens := make(chan struct{}, workers)
 	done := make(chan struct{})
@@ -177,19 +233,21 @@ func run(baseURL string, rps float64, duration time.Duration, workers int, sloP5
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := make([]float64, 0, 1024)
+			var local [len(classNames)][]float64
 			for {
 				select {
 				case <-done:
 					mu.Lock()
-					lats = append(lats, local...)
+					for c := range lats {
+						lats[c] = append(lats[c], local[c]...)
+					}
 					mu.Unlock()
 					return
 				case <-tokens:
 				}
-				url := urls[int(next.Add(1))%len(urls)]
+				req := reqs[int(next.Add(1))%len(reqs)]
 				start := time.Now()
-				resp, err := client.Get(url)
+				resp, err := client.Get(req.url)
 				elapsed := time.Since(start).Seconds()
 				requests.Add(1)
 				if err != nil {
@@ -202,7 +260,7 @@ func run(baseURL string, rps float64, duration time.Duration, workers int, sloP5
 					errors.Add(1)
 					continue
 				}
-				local = append(local, elapsed)
+				local[req.class] = append(local[req.class], elapsed)
 			}
 		}()
 	}
@@ -227,13 +285,7 @@ func run(baseURL string, rps float64, duration time.Duration, workers int, sloP5
 		rep.ActualRPS = float64(rep.Requests) / secs
 	}
 
-	sort.Float64s(lats)
-	rep.Client.P50 = clientQuantile(lats, 0.50)
-	rep.Client.P90 = clientQuantile(lats, 0.90)
-	rep.Client.P99 = clientQuantile(lats, 0.99)
-	if len(lats) > 0 {
-		rep.Client.Max = lats[len(lats)-1]
-	}
+	rep.Client, rep.Classes = summarizeClasses(lats)
 
 	for endpoint, h := range after {
 		d, err := h.delta(before[endpoint])
@@ -314,18 +366,18 @@ func harvestKeys(client *http.Client, baseURL string) ([]string, error) {
 
 // buildTraffic interleaves the deterministic request mix: roughly 60%
 // filtered queries, 30% point lookups (when keys exist), 10% stats.
-func buildTraffic(baseURL string, keys []string) []string {
-	var urls []string
+func buildTraffic(baseURL string, keys []string) []request {
+	var reqs []request
 	for i, q := range queryMix {
-		urls = append(urls, baseURL+q)
+		reqs = append(reqs, request{baseURL + q, classErrata})
 		if len(keys) > 0 {
-			urls = append(urls, baseURL+"/v1/errata/"+keys[i%len(keys)])
+			reqs = append(reqs, request{baseURL + "/v1/errata/" + keys[i%len(keys)], classErratum})
 		}
 		if i%3 == 0 {
-			urls = append(urls, baseURL+"/v1/stats")
+			reqs = append(reqs, request{baseURL + "/v1/stats", classStats})
 		}
 	}
-	return urls
+	return reqs
 }
 
 // scrape fetches /metrics and extracts the per-endpoint request

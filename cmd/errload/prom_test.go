@@ -164,23 +164,53 @@ func TestClientQuantile(t *testing.T) {
 	}
 }
 
+// TestClassQuantiles pins the exact per-class client quantiles: each
+// class is summarized from its own requests only, by nearest rank, and
+// the mixed summary covers every class's requests.
+func TestClassQuantiles(t *testing.T) {
+	// Known samples, out of order: errata 1..100 ms, erratum a constant
+	// 7 ms, stats none.
+	var lats [len(classNames)][]float64
+	for i := 100; i >= 1; i-- {
+		lats[classErrata] = append(lats[classErrata], float64(i)/1000)
+	}
+	lats[classErratum] = []float64{0.007, 0.007, 0.007}
+	mixed, per := summarizeClasses(lats)
+	errata := per["errata"]
+	if errata.Count != 100 || errata.P50 != 0.050 || errata.P90 != 0.090 || errata.P99 != 0.099 || errata.Max != 0.100 {
+		t.Fatalf("errata summary %+v, want 100 samples, p50 50ms, p90 90ms, p99 99ms, max 100ms", errata)
+	}
+	if erratum := per["erratum"]; erratum.Count != 3 || erratum.P50 != 0.007 || erratum.P99 != 0.007 {
+		t.Fatalf("erratum summary %+v, want 3 samples at 7ms", erratum)
+	}
+	if _, ok := per["stats"]; ok {
+		t.Fatal("a class without requests was summarized")
+	}
+	// 103 samples, four of them 7ms: rank 52 is 49ms.
+	if mixed.Count != 103 || mixed.P50 != 0.049 || mixed.Max != 0.100 {
+		t.Fatalf("mixed summary %+v, want 103 samples, p50 49ms, max 100ms", mixed)
+	}
+}
+
 func TestBuildTraffic(t *testing.T) {
 	withKeys := buildTraffic("http://x", []string{"k1", "k2"})
 	var lookups, stats int
-	for _, u := range withKeys {
-		if strings.Contains(u, "/v1/errata/k") {
+	for _, r := range withKeys {
+		switch {
+		case r.class == classErratum && strings.Contains(r.url, "/v1/errata/k"):
 			lookups++
-		}
-		if strings.HasSuffix(u, "/v1/stats") {
+		case r.class == classStats && strings.HasSuffix(r.url, "/v1/stats"):
 			stats++
+		case r.class != classErrata || !strings.Contains(r.url, "/v1/errata?"):
+			t.Fatalf("request %s labelled %s", r.url, classNames[r.class])
 		}
 	}
 	if lookups == 0 || stats == 0 {
 		t.Fatalf("traffic mix missing lookups (%d) or stats (%d): %v", lookups, stats, withKeys)
 	}
-	for _, u := range buildTraffic("http://x", nil) {
-		if strings.Contains(u, "/v1/errata/k") {
-			t.Fatalf("keyless traffic contains point lookup %s", u)
+	for _, r := range buildTraffic("http://x", nil) {
+		if strings.Contains(r.url, "/v1/errata/k") {
+			t.Fatalf("keyless traffic contains point lookup %s", r.url)
 		}
 	}
 }

@@ -59,6 +59,17 @@
 // the freshly produced database (previously ingested documents not in
 // the rebuilt source are dropped). It shuts down gracefully on
 // SIGINT/SIGTERM, draining in-flight requests.
+//
+// # Deadlines
+//
+// -timeout is each request's deadline, counted from when its handler
+// starts. A read whose first write comes later answers 503
+// {"error":"request timed out"}. POST /v1/admin/ingest and
+// /v1/admin/reload answer 503 and change nothing when the deadline
+// passes before they commit, and 200 once they have committed, however
+// late; SIGHUP reloads have no deadline. The transport reads each
+// request within -timeout and writes each response within -timeout plus
+// a fixed grace, so a slow client cannot hold a connection.
 package main
 
 import (
@@ -88,7 +99,7 @@ func main() {
 	par := fs.Int("parallelism", 0, "pipeline worker goroutines (0 = all CPUs, 1 = sequential)")
 	cacheSize := fs.Int("cache", 256, "query result cache capacity (negative disables)")
 	cacheDir := fs.String("cache-dir", "", "pipeline artifact cache directory (incremental rebuilds)")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-request handler timeout")
+	timeout := fs.Duration("timeout", 10*time.Second, "request deadline: a handler's first write after it answers 503; it also bounds reload, ingest and the transport's reads and writes")
 	spool := fs.String("spool", "", "spool directory to watch for arriving documents")
 	spoolInterval := fs.Duration("spool-interval", time.Second, "spool poll period")
 	useMmap := fs.Bool("mmap", true, "serve FormatVersion 2 store files from a memory mapping (larger-than-RAM corpora)")
@@ -177,9 +188,15 @@ func run(addr, dbFile string, seed int64, par, cacheSize int, cacheDir, spool st
 	ing := newIngester(db)
 
 	var srv *serve.Server
-	doIngest := func(_ context.Context, text string) (serve.IngestSummary, error) {
+	doIngest := func(ctx context.Context, text string) (serve.IngestSummary, error) {
 		ingestMu.Lock()
 		defer ingestMu.Unlock()
+		// A request whose deadline passed while it waited for the lock
+		// installs nothing; once Apply runs, the document is committed
+		// and the request answers 200 however late.
+		if err := ctx.Err(); err != nil {
+			return serve.IngestSummary{}, err
+		}
 		res, err := ing.Apply([]string{text})
 		if err != nil {
 			return serve.IngestSummary{}, err
@@ -197,13 +214,14 @@ func run(addr, dbFile string, seed int64, par, cacheSize int, cacheDir, spool st
 		return sum, nil
 	}
 
-	// A reload resets the ingest state to the freshly produced database:
-	// the rebuilt source is authoritative, and documents ingested into
-	// the previous corpus but absent from it are dropped. With -db the
-	// reload reopens the file (picking up a replaced store) and hands
-	// the reader to the server, which closes it after installing the
-	// snapshot — mmap regions stay alive exactly as long as snapshots
-	// reference them.
+	// A reload resets the ingest state to the freshly produced database
+	// (a request whose deadline passed meanwhile changes nothing and
+	// answers 503): the rebuilt source is authoritative, and documents
+	// ingested into the previous corpus but absent from it are dropped.
+	// With -db the reload reopens the file (picking up a replaced store)
+	// and hands the reader to the server, which closes it after
+	// installing the snapshot — mmap regions stay alive exactly as long
+	// as snapshots reference them.
 	sopts := serve.Options{
 		CacheSize:       cacheSize,
 		RequestTimeout:  timeout,
@@ -212,12 +230,15 @@ func run(addr, dbFile string, seed int64, par, cacheSize int, cacheDir, spool st
 		Ingest:          doIngest,
 	}
 	if dbFile != "" {
-		sopts.ReloadSource = func(context.Context) (store.Reader, error) {
+		sopts.ReloadSource = func(ctx context.Context) (store.Reader, error) {
 			r, err := openStore()
 			if err != nil {
 				return nil, err
 			}
 			db, err := r.Database()
+			if err == nil {
+				err = ctx.Err()
+			}
 			if err != nil {
 				r.Close()
 				return nil, err
@@ -230,6 +251,9 @@ func run(addr, dbFile string, seed int64, par, cacheSize int, cacheDir, spool st
 	} else {
 		sopts.Reloader = func(ctx context.Context) (*domain.Database, error) {
 			db, err := build(ctx)
+			if err == nil {
+				err = ctx.Err()
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -273,7 +297,9 @@ func run(addr, dbFile string, seed int64, par, cacheSize int, cacheDir, spool st
 			Dir:      spool,
 			Interval: spoolInterval,
 			Apply: func(ctx context.Context, _ string, text string) error {
-				_, err := doIngest(ctx, text)
+				// Shutdown must not move a spool file to failed/: the
+				// context check in doIngest is for request deadlines.
+				_, err := doIngest(context.WithoutCancel(ctx), text)
 				return err
 			},
 			Observability: reg,

@@ -15,12 +15,16 @@
 //     _test.go files, and imports neither internal/index (which holds
 //     the filter table) nor internal/serve — an oracle that shares code
 //     with what it checks checks nothing.
+//   - no non-test Go file calls net/http's TimeoutHandler — it starts a
+//     goroutine and buffers the whole body for every request it wraps;
+//     serve enforces request deadlines in its own response recorder.
 //
 // The exported surface of pkg/ is additionally pinned by a golden
 // snapshot (see apisnapshot_test.go).
 package archtest
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -175,5 +179,41 @@ func TestQueryrefStaysIndependent(t *testing.T) {
 				t.Errorf("%s imports %s: the reference evaluator must not share code with what it checks", rel, imp)
 			}
 		}
+	}
+}
+
+// TestNoTimeoutHandler keeps the per-request goroutine out of the serve
+// path: no non-test file refers to net/http's TimeoutHandler, under
+// whatever name the file imports net/http.
+func TestNoTimeoutHandler(t *testing.T) {
+	root := repoRoot(t)
+	for _, rel := range sourceFiles(t, root, ".") {
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, rel), nil, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", rel, err)
+		}
+		httpName := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value != `"net/http"` {
+				continue
+			}
+			httpName = "http"
+			if imp.Name != nil {
+				httpName = imp.Name.Name
+			}
+		}
+		if httpName == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "TimeoutHandler" {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == httpName {
+				t.Errorf("%s: uses http.TimeoutHandler: it starts a goroutine per request; enforce the deadline in serve's recorder", rel)
+			}
+			return true
+		})
 	}
 }

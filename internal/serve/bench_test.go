@@ -107,3 +107,34 @@ func BenchmarkIngestPost(b *testing.B) {
 		srv.SwapDelta(res.DB)
 	}
 }
+
+// BenchmarkServeLadder is a layer benchmark, not serving latency: it
+// climbs the serve stack one layer at a time for one v2 point lookup
+// (/v1/errata/{key}) with the cache off — the bare handler, the handler
+// inside instrument, and the full Handler() through the mux — so the
+// cost of each wrapper shows as the difference between two rungs.
+// scripts/bench_serve.sh gates the full rung's allocs/op against the
+// bare rung's. Socket, parsing and transport costs are e2ebench's.
+func BenchmarkServeLadder(b *testing.B) {
+	srv, key := benchV2Server(b)
+	rungs := []struct {
+		name string
+		h    http.HandlerFunc
+	}{
+		{"bare", srv.handleErratum},
+		{"instrument", srv.instrument("erratum", srv.handleErratum)},
+		{"handler", srv.Handler().ServeHTTP},
+	}
+	for _, rung := range rungs {
+		b.Run(rung.name, func(b *testing.B) {
+			req := httptest.NewRequest("GET", "/v1/errata/"+key, nil)
+			req.SetPathValue("key", key)
+			w := &benchWriter{header: make(http.Header, 4)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rung.h(w, req)
+			}
+		})
+	}
+}

@@ -102,20 +102,20 @@ func TestDisclosedRangeCacheKeys(t *testing.T) {
 // TestTimeoutCountsAsError is the regression test for timeouts being
 // invisible to the error metrics: http.TimeoutHandler wrote its 503 on
 // the real writer, but instrumentation only saw the buffered inner
-// status, so rememberr_http_errors_total never moved. The route chain
-// now instruments outside the timeout wrapper.
+// status, so rememberr_http_errors_total never moved. The deadline now
+// lives in instrument's own recorder, which answers a first write after
+// it with the 503 and counts it. Nothing can pre-empt a handler, so the
+// slow one here returns — after its 20ms deadline — instead of blocking.
 func TestTimeoutCountsAsError(t *testing.T) {
 	s := testServer(t, Options{RequestTimeout: 20 * time.Millisecond})
 
-	release := make(chan struct{})
 	slow := func(w http.ResponseWriter, r *http.Request) {
-		<-release
+		time.Sleep(60 * time.Millisecond)
 		w.Write([]byte(`{"status":"too late"}`))
 	}
 	// The same chain Handler() builds for every endpoint, with a
 	// deliberately slow handler in place of the real one.
-	h := s.route("errata", slow)
-	defer close(release)
+	h := s.instrument("errata", slow)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/errata", nil))
@@ -131,7 +131,7 @@ func TestTimeoutCountsAsError(t *testing.T) {
 	}
 
 	// A fast request through the same chain stays error-free.
-	fast := s.route("stats", func(w http.ResponseWriter, r *http.Request) {
+	fast := s.instrument("stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{}`))
 	})
 	rec = httptest.NewRecorder()

@@ -38,6 +38,16 @@
 // rebuilds (or re-loads) the database and swaps it in. The server is
 // safe for arbitrary concurrency: snapshots are immutable, the cache is
 // mutex-guarded, and the instruments are lock-free.
+//
+// Every request has a deadline, Options.RequestTimeout after its
+// handler starts, enforced without a goroutine, timer or context per
+// request: a handler runs inline on its connection's goroutine, and one
+// whose first write comes after the deadline answers 503
+// {"error":"request timed out"} instead. Reload and ingest, which call
+// user callbacks, pass the deadline on as a context deadline. The
+// transport bounds slow clients: Serve reads each request within
+// RequestTimeout and writes each response within RequestTimeout plus a
+// fixed grace.
 package serve
 
 import (
@@ -49,6 +59,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"net/url"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -66,8 +77,13 @@ type Options struct {
 	// CacheSize is the LRU capacity in cached responses. 0 selects the
 	// default 256; negative disables caching.
 	CacheSize int
-	// RequestTimeout bounds handler execution per request. 0 selects
-	// the default 10s.
+	// RequestTimeout is each request's deadline, counted from when its
+	// handler starts. It covers the handler's first write: a handler
+	// that writes later answers 503 {"error":"request timed out"}
+	// instead. Reload and ingest get it as their callbacks' context
+	// deadline. Serve's transport reads each request within
+	// RequestTimeout and writes each response within RequestTimeout
+	// plus a fixed grace. 0 selects the default 10s.
 	RequestTimeout time.Duration
 	// ShutdownGrace bounds how long Serve waits for in-flight requests
 	// on shutdown. 0 selects the default 5s.
@@ -77,14 +93,17 @@ type Options struct {
 	// pass the registry used for the build to expose its metrics too.
 	Observability *obs.Registry
 	// EnableProfiling mounts net/http/pprof under /debug/pprof/,
-	// outside the request-timeout wrapper (profiles legitimately run
-	// longer than API requests).
+	// outside instrument, so no request deadline applies (profiles
+	// legitimately run longer than API requests), and moves the
+	// connection's write deadline past the requested profile.
 	EnableProfiling bool
 	// Reloader, when non-nil, produces a fresh database for
 	// POST /v1/admin/reload (and Server.Reload): typically a warm
 	// pipeline rebuild or a store-file load. The returned database is
 	// swapped in atomically; the reloader must not mutate it afterwards.
-	// When nil, the reload endpoint answers 501 Not Implemented.
+	// When nil, the reload endpoint answers 501 Not Implemented. Over
+	// HTTP, ctx ends at the request deadline: a callback that gives up
+	// returns ctx's error, and the endpoint answers 503.
 	Reloader func(ctx context.Context) (*domain.Database, error)
 	// ReloadSource, when non-nil, produces a fresh store.Reader for
 	// POST /v1/admin/reload (and Server.Reload) — the store-backed
@@ -100,8 +119,11 @@ type Options struct {
 	// closure over an ingest.Ingester whose Apply feeds Server.SwapDelta.
 	// The callback owns the ordering discipline — it must serialize
 	// apply+swap pairs so concurrent ingests cannot install snapshots
-	// out of order. When nil, the ingest endpoint answers 501 Not
-	// Implemented.
+	// out of order. ctx ends at the request deadline: a callback that
+	// sees it expire before committing installs nothing and returns
+	// ctx's error, and the endpoint answers 503; once it has committed
+	// it returns its summary, and the endpoint answers 200 however late.
+	// When nil, the ingest endpoint answers 501 Not Implemented.
 	Ingest func(ctx context.Context, text string) (IngestSummary, error)
 }
 
@@ -513,15 +535,19 @@ func (s *Server) acquireSnap() *snapshot {
 
 // Reload produces a fresh snapshot via Options.ReloadSource (preferred)
 // or Options.Reloader and swaps it in, returning the new generation.
-// Reloads are serialized: concurrent calls run one at a time. Returns
-// an error when neither callback is configured or the callback fails
-// (the served snapshot is untouched).
+// Reloads are serialized: concurrent calls run one at a time, and one
+// whose ctx ended while it waited does not call the callback. Returns
+// an error when neither callback is configured, ctx has ended or the
+// callback fails (the served snapshot is untouched).
 func (s *Server) Reload(ctx context.Context) (uint64, error) {
 	if s.opts.Reloader == nil && s.opts.ReloadSource == nil {
 		return 0, errors.New("serve: no reloader configured")
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return 0, fmt.Errorf("serve: reload: %w", err)
+	}
 	if s.opts.ReloadSource != nil {
 		r, err := s.opts.ReloadSource(ctx)
 		if err != nil {
@@ -550,33 +576,55 @@ func (s *Server) Reload(ctx context.Context) (uint64, error) {
 // one passed in Options.Observability, or the private default).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Handler returns the routed HTTP handler with request timeouts
-// applied. Profiling routes, when enabled, bypass the timeout.
+// Handler returns the routed HTTP handler. Every API route runs inside
+// instrument, which counts it and enforces its request deadline;
+// profiling routes, when enabled, bypass both.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET /v1/errata", s.route("errata", s.handleErrata))
-	mux.Handle("GET /v1/errata/{key}", s.route("erratum", s.handleErratum))
-	mux.Handle("GET /v1/stats", s.route("stats", s.handleStats))
-	mux.Handle("GET /v1/metrics.json", s.route("metrics_json", s.handleMetricsJSON))
-	mux.Handle("GET /healthz", s.route("healthz", s.handleHealthz))
-	mux.Handle("GET /metrics", s.route("metrics", s.handleMetrics))
-	mux.Handle("POST /v1/admin/reload", s.route("admin_reload", s.handleReload))
-	mux.Handle("POST /v1/admin/ingest", s.route("admin_ingest", s.handleIngest))
-	mux.Handle("GET /errata", s.route("redirect", s.handleRedirect))
-	mux.Handle("GET /errata/{key}", s.route("redirect", s.handleRedirect))
-	mux.Handle("GET /stats", s.route("redirect", s.handleRedirect))
+	mux.Handle("GET /v1/errata", s.instrument("errata", s.handleErrata))
+	mux.Handle("GET /v1/errata/{key}", s.instrument("erratum", s.handleErratum))
+	mux.Handle("GET /v1/stats", s.instrument("stats", s.handleStats))
+	mux.Handle("GET /v1/metrics.json", s.instrument("metrics_json", s.handleMetricsJSON))
+	mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
+	mux.Handle("GET /metrics", s.instrument("metrics", s.handleMetrics))
+	mux.Handle("POST /v1/admin/reload", s.instrument("admin_reload", s.handleReload))
+	mux.Handle("POST /v1/admin/ingest", s.instrument("admin_ingest", s.handleIngest))
+	mux.Handle("GET /errata", s.instrument("redirect", s.handleRedirect))
+	mux.Handle("GET /errata/{key}", s.instrument("redirect", s.handleRedirect))
+	mux.Handle("GET /stats", s.instrument("redirect", s.handleRedirect))
 	h := http.Handler(mux)
 	if s.opts.EnableProfiling {
 		outer := http.NewServeMux()
-		outer.HandleFunc("GET /debug/pprof/", pprof.Index)
-		outer.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		outer.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		outer.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		outer.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		outer.HandleFunc("GET /debug/pprof/", profiled(pprof.Index))
+		outer.HandleFunc("GET /debug/pprof/cmdline", profiled(pprof.Cmdline))
+		outer.HandleFunc("GET /debug/pprof/profile", profiled(pprof.Profile))
+		outer.HandleFunc("GET /debug/pprof/symbol", profiled(pprof.Symbol))
+		outer.HandleFunc("GET /debug/pprof/trace", profiled(pprof.Trace))
 		outer.Handle("/", h)
 		h = outer
 	}
 	return h
+}
+
+// profiled runs a net/http/pprof handler with the connection's write
+// deadline moved past the profile it was asked for: the server's
+// WriteTimeout plus the requested seconds (30, pprof's longest
+// default, when none are given). Go 1.24's pprof moves the deadline
+// the same way, but Go 1.22's answers 400 to any profile at least as
+// long as WriteTimeout. Both find the server in the request context,
+// so the handler runs without it.
+func profiled(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if srv, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok && srv.WriteTimeout > 0 {
+			sec, err := strconv.ParseFloat(r.FormValue("seconds"), 64)
+			if err != nil || sec <= 0 {
+				sec = 30
+			}
+			_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(srv.WriteTimeout + time.Duration(sec*float64(time.Second))))
+			r = r.WithContext(context.WithValue(r.Context(), http.ServerContextKey, nil))
+		}
+		h(w, r)
+	}
 }
 
 // handleRedirect answers a legacy unversioned path with a permanent
@@ -594,22 +642,38 @@ func (s *Server) handleRedirect(w http.ResponseWriter, r *http.Request) {
 // header block exceeds maxHeaderBytes is refused with 431 before any
 // handler runs; the longest legitimate request is a /v1/errata query
 // string, far below the limit.
+//
+// The transport reads each request, body included, within
+// RequestTimeout of its first byte, and writes each response within
+// RequestTimeout + transportGrace of the end of its header block. The
+// request deadline covers a handler up to its first write; the grace
+// lets that answer — a 408 for a body cut off by the read deadline
+// among them — reach a slow client.
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 2 * time.Minute
 	maxHeaderBytes    = 64 << 10
+	transportGrace    = 2 * time.Second
 )
+
+// httpServer builds the *http.Server that Serve runs: Handler() behind
+// the transport limits.
+func (s *Server) httpServer() *http.Server {
+	return &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       s.opts.RequestTimeout,
+		WriteTimeout:      s.opts.RequestTimeout + transportGrace,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
 
 // Serve listens on addr until ctx is cancelled, then shuts down
 // gracefully, draining in-flight requests within the shutdown grace.
 func (s *Server) Serve(ctx context.Context, addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: readHeaderTimeout,
-		IdleTimeout:       idleTimeout,
-		MaxHeaderBytes:    maxHeaderBytes,
-	}
+	srv := s.httpServer()
+	srv.Addr = addr
 	done := make(chan error, 1)
 	go func() {
 		<-ctx.Done()
@@ -623,22 +687,65 @@ func (s *Server) Serve(ctx context.Context, addr string) error {
 	return <-done
 }
 
-// statusRecorder captures the response status for error counting while
-// forwarding optional ResponseWriter capabilities to the wrapped
-// writer.
+// timeoutBody is the 503 body of a request that ran past its deadline.
+const timeoutBody = `{"error":"request timed out"}`
+
+// statusRecorder captures the response status for error counting,
+// enforces the request deadline on the handler's first write, and
+// forwards optional ResponseWriter capabilities to the wrapped writer.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	// deadline is when the request's time runs out; zero once an admin
+	// handler has taken it over (see callbackContext).
+	deadline time.Time
+	// wroteHeader is set by the first WriteHeader, explicit or implied
+	// by Write or Flush; timedOut when that came after the deadline and
+	// was answered with the timeout 503.
+	wroteHeader, timedOut bool
 }
 
+// WriteHeader forwards the handler's status, unless this first write
+// comes after the deadline: then the response is the timeout 503 and
+// everything the handler writes afterwards is dropped.
 func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
+	if r.timedOut {
+		return
+	}
+	if !r.wroteHeader {
+		r.wroteHeader = true
+		if !r.deadline.IsZero() && time.Now().After(r.deadline) {
+			r.timedOut = true
+			r.status = http.StatusServiceUnavailable
+			r.ResponseWriter.Header().Set("Content-Type", "application/json")
+			r.ResponseWriter.WriteHeader(http.StatusServiceUnavailable)
+			io.WriteString(r.ResponseWriter, timeoutBody)
+			return
+		}
+		r.status = code
+	}
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards to the underlying writer so streaming handlers keep
-// working behind the instrumentation wrapper.
+// Write sends the implied 200 first, so the deadline check sees it, and
+// drops the bytes of a timed-out response.
+func (r *statusRecorder) Write(b []byte) (int, error) {
+	if !r.wroteHeader {
+		r.WriteHeader(http.StatusOK)
+	}
+	if r.timedOut {
+		return 0, http.ErrHandlerTimeout
+	}
+	return r.ResponseWriter.Write(b)
+}
+
+// Flush sends the implied 200 first, as Write does, then forwards to
+// the underlying writer so streaming handlers keep working behind the
+// instrumentation wrapper.
 func (r *statusRecorder) Flush() {
+	if !r.wroteHeader {
+		r.WriteHeader(http.StatusOK)
+	}
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -647,11 +754,15 @@ func (r *statusRecorder) Flush() {
 // Unwrap exposes the underlying writer to http.ResponseController.
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
+// instrument is the one per-route wrapper: it stamps the request
+// deadline on the response recorder, runs the handler inline, and
+// records the request, its latency and any status >= 400 — the timeout
+// 503 included — in the route's instruments.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	m := s.endpoints[name]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK, deadline: start.Add(s.opts.RequestTimeout)}
 		h(rec, r)
 		m.requests.Inc()
 		m.latency.Observe(time.Since(start).Seconds())
@@ -661,16 +772,29 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// route wraps one endpoint in the per-request timeout and then the
-// instrumentation, in that order. The timeout must sit inside the
-// instrumentation: http.TimeoutHandler writes its 503 on the real
-// writer while the wrapped handler only ever sees a buffered one, so a
-// single TimeoutHandler around the whole mux (outside instrument) left
-// timeouts invisible to rememberr_http_errors_total — the recorder saw
-// only the inner handler's doomed 200.
-func (s *Server) route(name string, h http.HandlerFunc) http.Handler {
-	inner := http.TimeoutHandler(h, s.opts.RequestTimeout, `{"error":"request timed out"}`)
-	return s.instrument(name, inner.ServeHTTP)
+// callbackContext returns the context reload and ingest hand to their
+// callbacks: the request's, ending at the deadline instrument stamped
+// (RequestTimeout from now when w is not instrument's). From this call
+// on the handler answers for itself — 408 for a body the transport cut
+// off, 503 when the deadline ended the callback, 200 once it committed,
+// however late — so the recorder stops converting late writes.
+func (s *Server) callbackContext(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc) {
+	deadline := time.Now().Add(s.opts.RequestTimeout)
+	if rec, ok := w.(*statusRecorder); ok {
+		deadline, rec.deadline = rec.deadline, time.Time{}
+	}
+	return context.WithDeadline(r.Context(), deadline)
+}
+
+// writeCallbackError answers a failed reload or ingest callback: the
+// timeout 503 when the request's context ended it (the callback
+// installed nothing), else status with the error.
+func writeCallbackError(w http.ResponseWriter, status int, err error) {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		writeJSON(w, http.StatusServiceUnavailable, []byte(timeoutBody))
+		return
+	}
+	writeError(w, status, err.Error())
 }
 
 // marshalJSON is the marshal function behind every handler response
@@ -969,9 +1093,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "reload is not configured on this server")
 		return
 	}
-	gen, err := s.Reload(r.Context())
+	ctx, cancel := s.callbackContext(w, r)
+	defer cancel()
+	gen, err := s.Reload(ctx)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		writeCallbackError(w, http.StatusInternalServerError, err)
 		return
 	}
 	body, err := marshalJSON(struct {
@@ -997,19 +1123,26 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "ingest is not configured on this server")
 		return
 	}
+	ctx, cancel := s.callbackContext(w, r)
+	defer cancel()
 	text, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBytes))
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
 		return
 	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		// The body trickled in past the transport's ReadTimeout.
+		writeError(w, http.StatusRequestTimeout, fmt.Sprintf("reading body: %v", err))
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 		return
 	}
-	sum, err := s.opts.Ingest(r.Context(), string(text))
+	sum, err := s.opts.Ingest(ctx, string(text))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeCallbackError(w, http.StatusBadRequest, err)
 		return
 	}
 	body, err := marshalJSON(struct {
