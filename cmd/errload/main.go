@@ -10,18 +10,15 @@
 // filtered /v1/errata queries cycling through the serving filter
 // vocabulary, /v1/errata/{key} point lookups over keys harvested from
 // an initial bootstrap query, and /v1/stats — at the requested
-// aggregate rate. Client-side latency percentiles are exact
-// nearest-rank quantiles of every successful request's latency, for the
-// mixed sample and for each request class (errata, erratum, stats);
-// server-side per-endpoint percentiles are interpolated from the
-// /metrics Prometheus histograms, scraped before and after the run and
-// differenced so only this run's observations count.
+// aggregate rate. Latency percentiles are exact nearest-rank quantiles
+// of every successful request's latency, for the mixed sample and for
+// each request class (errata, erratum, stats).
 //
 // The SLO gates (-slo-p50/-slo-p99, zero disables) are asserted
-// against the server-side "errata" endpoint histogram delta. On
-// violation — or any request error — the JSON report is still written
-// and the exit status is non-zero, so CI and bench scripts can gate on
-// it directly.
+// against the errata class's exact p50 and p99; a run without a
+// successful errata request fails. On violation — or any request
+// error — the JSON report is still written and the exit status is
+// non-zero, so CI and bench scripts can gate on it directly.
 package main
 
 import (
@@ -29,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -37,11 +35,9 @@ import (
 	"time"
 )
 
-const durationFamily = "rememberr_http_request_duration_seconds"
-
 // queryMix is the /v1/errata vocabulary the generator cycles through:
 // broad scans, selective filters, compound filters and pagination, so
-// cache hits and full scatter-gather fan-outs both occur.
+// both result-cache hits and index evaluations occur.
 var queryMix = []string{
 	"/v1/errata?limit=20",
 	"/v1/errata?vendor=Intel&limit=20",
@@ -67,8 +63,6 @@ type report struct {
 	// request class. Both are exact.
 	Client  latencySummary            `json:"client"`
 	Classes map[string]latencySummary `json:"classes"`
-
-	Server map[string]endpointQuantiles `json:"server"`
 
 	SLO []sloResult `json:"slo,omitempty"`
 	OK  bool        `json:"ok"`
@@ -101,6 +95,22 @@ type request struct {
 	class int
 }
 
+// clientQuantile returns the q-quantile of a sorted latency sample
+// (seconds) by nearest rank: the ceil(q·n)-th smallest value.
+func clientQuantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
+}
+
 // summarize sorts sample in place and returns its exact summary.
 func summarize(sample []float64) latencySummary {
 	sort.Float64s(sample)
@@ -130,12 +140,6 @@ func summarizeClasses(lats [len(classNames)][]float64) (latencySummary, map[stri
 	return summarize(mixed), per
 }
 
-type endpointQuantiles struct {
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50_seconds"`
-	P99   float64 `json:"p99_seconds"`
-}
-
 type sloResult struct {
 	Name   string  `json:"name"`
 	Target float64 `json:"target_seconds"`
@@ -149,8 +153,8 @@ func main() {
 	rps := fs.Float64("rps", 200, "aggregate request rate to sustain")
 	duration := fs.Duration("duration", 10*time.Second, "length of the load run")
 	workers := fs.Int("workers", 8, "concurrent request workers")
-	sloP50 := fs.Duration("slo-p50", 0, "server-side p50 SLO for /v1/errata (0 disables)")
-	sloP99 := fs.Duration("slo-p99", 0, "server-side p99 SLO for /v1/errata (0 disables)")
+	sloP50 := fs.Duration("slo-p50", 0, "p50 SLO for the /v1/errata request class (0 disables)")
+	sloP99 := fs.Duration("slo-p99", 0, "p99 SLO for the /v1/errata request class (0 disables)")
 	out := fs.String("out", "", "write the JSON report to this file (default stdout)")
 	fs.Parse(os.Args[1:])
 
@@ -189,11 +193,6 @@ func run(baseURL string, rps float64, duration time.Duration, workers int, sloP5
 		return nil, fmt.Errorf("bootstrap against %s: %w", baseURL, err)
 	}
 	reqs := buildTraffic(baseURL, keys)
-
-	before, err := scrape(client, baseURL)
-	if err != nil {
-		return nil, fmt.Errorf("pre-run metrics scrape: %w", err)
-	}
 
 	var (
 		next     atomic.Int64 // deterministic round-robin over urls
@@ -268,18 +267,12 @@ func run(baseURL string, rps float64, duration time.Duration, workers int, sloP5
 	wg.Wait()
 	elapsed := time.Since(startedAt)
 
-	after, err := scrape(client, baseURL)
-	if err != nil {
-		return nil, fmt.Errorf("post-run metrics scrape: %w", err)
-	}
-
 	rep := &report{
 		URL:      baseURL,
 		RPS:      rps,
 		Duration: duration.String(),
 		Requests: requests.Load(),
 		Errors:   errors.Load(),
-		Server:   map[string]endpointQuantiles{},
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		rep.ActualRPS = float64(rep.Requests) / secs
@@ -287,26 +280,11 @@ func run(baseURL string, rps float64, duration time.Duration, workers int, sloP5
 
 	rep.Client, rep.Classes = summarizeClasses(lats)
 
-	for endpoint, h := range after {
-		d, err := h.delta(before[endpoint])
-		if err != nil {
-			return rep, fmt.Errorf("endpoint %q: %w", endpoint, err)
-		}
-		if d.count == 0 {
-			continue
-		}
-		rep.Server[endpoint] = endpointQuantiles{
-			Count: d.count,
-			P50:   d.quantile(0.50),
-			P99:   d.quantile(0.99),
-		}
-	}
-
 	rep.OK = rep.Errors == 0
-	errata, servedErrata := rep.Server["errata"]
+	errata, servedErrata := rep.Classes["errata"]
 	if !servedErrata {
 		rep.OK = false
-		return rep, fmt.Errorf("no /v1/errata observations recorded server-side")
+		return rep, fmt.Errorf("no successful /v1/errata request")
 	}
 	for _, gate := range []struct {
 		name   string
@@ -378,18 +356,4 @@ func buildTraffic(baseURL string, keys []string) []request {
 		}
 	}
 	return reqs
-}
-
-// scrape fetches /metrics and extracts the per-endpoint request
-// duration histograms.
-func scrape(client *http.Client, baseURL string) (map[string]*promHist, error) {
-	resp, err := client.Get(baseURL + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/metrics: status %d", resp.StatusCode)
-	}
-	return parseHistograms(resp.Body, durationFamily, "endpoint")
 }

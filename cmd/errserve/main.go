@@ -94,7 +94,7 @@ import (
 func main() {
 	fs := flag.NewFlagSet("errserve", flag.ExitOnError)
 	addr := fs.String("addr", ":8372", "listen address")
-	dbFile := fs.String("db", "", "load a saved database JSON instead of building")
+	dbFile := fs.String("db", "", "load a saved database (v1 JSON or v2, optionally .gz) instead of building")
 	seed := fs.Int64("seed", 1, "corpus generator seed (when building)")
 	par := fs.Int("parallelism", 0, "pipeline worker goroutines (0 = all CPUs, 1 = sequential)")
 	cacheSize := fs.Int("cache", 256, "query result cache capacity (negative disables)")

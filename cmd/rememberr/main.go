@@ -115,7 +115,7 @@ common flags: -seed N (build seed), -db FILE (load saved JSON instead),
 
 func buildDB(fs *flag.FlagSet, args []string) (*rememberr.Database, error) {
 	seed := fs.Int64("seed", 1, "corpus generator seed")
-	dbFile := fs.String("db", "", "load a saved database JSON instead of building")
+	dbFile := fs.String("db", "", "load a saved database (v1 JSON or v2, optionally .gz) instead of building")
 	par := fs.Int("parallelism", 0, "pipeline worker goroutines (0 = all CPUs, 1 = sequential)")
 	cacheDir := fs.String("cache-dir", "", "pipeline artifact cache directory (incremental rebuilds)")
 	if err := fs.Parse(args); err != nil {

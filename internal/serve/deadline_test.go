@@ -143,12 +143,16 @@ func TestSlowIngestBodyCutOff(t *testing.T) {
 			return IngestSummary{}, nil
 		}})
 	hs := s.httpServer()
-	conn, err := net.Dial("tcp", listenTransport(t, hs))
+	addr := listenTransport(t, hs)
+	// The server's ReadTimeout clock starts once it has accepted the
+	// connection, which can be before Dial returns here, so the lower
+	// bound is measured from before the dial.
+	start := time.Now()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	if _, err := io.WriteString(conn, "POST /v1/admin/ingest HTTP/1.1\r\nHost: x\r\nContent-Length: 4096\r\n\r\n"); err != nil {
 		t.Fatal(err)
 	}

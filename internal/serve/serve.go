@@ -275,16 +275,6 @@ func WithCacheSize(n int) Option {
 	return optionFunc(func(c *config) { c.opts.CacheSize = n })
 }
 
-// WithObservability sets Options.Observability.
-func WithObservability(reg *obs.Registry) Option {
-	return optionFunc(func(c *config) { c.opts.Observability = reg })
-}
-
-// WithReloadSource sets Options.ReloadSource.
-func WithReloadSource(f func(ctx context.Context) (store.Reader, error)) Option {
-	return optionFunc(func(c *config) { c.opts.ReloadSource = f })
-}
-
 // New returns a ready server serving generation 1 from the configured
 // source. It errors when no source option was given, when both were
 // given, or when a store source fails to materialize.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/pkg/domain"
 )
@@ -117,16 +116,6 @@ func Open(path string, opts ...OpenOption) (Reader, error) {
 		return nil, fmt.Errorf("store: unknown format %q (want v1 or v2)", cfg.format)
 	}
 
-	if strings.HasSuffix(path, ".gz") {
-		if cfg.mmap == mmapOn {
-			return nil, fmt.Errorf("store: cannot mmap gzip-compressed %s", path)
-		}
-		data, err := readMaybeGzip(path)
-		if err != nil {
-			return nil, err
-		}
-		return openBytes(data, cfg)
-	}
 	if cfg.mmap == mmapOff || !mmapSupported {
 		if cfg.mmap == mmapOn {
 			return nil, fmt.Errorf("store: mmap requested but unsupported on this platform")

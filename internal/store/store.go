@@ -6,7 +6,6 @@
 package store
 
 import (
-	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
@@ -320,27 +319,6 @@ func writeAtomicTo(path string, fill func(io.Writer) error) error {
 		return err
 	}
 	return nil
-}
-
-func readMaybeGzip(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasSuffix(path, ".gz") {
-		zr, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		data, err = io.ReadAll(zr)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		if err := zr.Close(); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-	}
-	return data, nil
 }
 
 // EncodeStructured serializes errata in the paper's proposed

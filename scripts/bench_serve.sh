@@ -25,8 +25,8 @@
 # 300 rps for 10s there are ~1,250, so p99 has ~12 samples beyond it.
 #
 # Knobs (env): RPS (default 300), DURATION (default 10s), OUT (default
-# BENCH_serve.json), SLO_P50/SLO_P99 (errload SLO gates against the
-# server-side /v1/errata histogram, 0 = off), RACE=1 builds both
+# BENCH_serve.json), SLO_P50/SLO_P99 (errload SLO gates on the exact
+# client-side p50/p99 of the /v1/errata class, 0 = off), RACE=1 builds both
 # binaries with the race detector (slower; used by the CI smoke).
 set -euo pipefail
 cd "$(dirname "$0")/.."
