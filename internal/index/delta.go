@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/taxonomy"
 	"repro/pkg/domain"
@@ -61,14 +62,17 @@ func MergeDelta(prev *Index, db *domain.Database) *Index {
 		}
 	}
 
-	// Positional trigger counts are written through this heap slice by
-	// both the remap below and the scratch index's addEntry walk; prev's
-	// counts are read through List so a span-backed previous index works.
+	// Positional trigger counts and lowered titles are written by both
+	// the remap below and the scratch index's addEntry walk, so only
+	// fresh entries are lowered; prev's counts are read through List so
+	// a span-backed previous index works.
 	trig := make(Ords, len(errata))
+	low := make([]string, len(errata))
 	ix := &Index{
 		db:           db,
 		scheme:       db.Scheme,
 		errata:       errata,
+		lowTitles:    low,
 		byVendor:     remapPostings(prev.byVendor, remap),
 		byDoc:        remapPostings(prev.byDoc, remap),
 		byCategory:   remapPostings(prev.byCategory, remap),
@@ -85,6 +89,7 @@ func MergeDelta(prev *Index, db *domain.Database) *Index {
 	for old, n := range remap {
 		if n >= 0 {
 			trig[n] = prev.triggerCount.At(old)
+			low[n] = prev.lowTitles[old]
 		}
 	}
 
@@ -107,6 +112,7 @@ func MergeDelta(prev *Index, db *domain.Database) *Index {
 		byFix:        make(map[domain.FixStatus]List),
 		byMSR:        make(map[string]List),
 		triggerCount: trig, // written positionally, no union needed
+		lowTitles:    low,
 	}
 	for ord, e := range errata {
 		if e.Key != "" { // a clone may carry a widened or shrunk label: rebuilt, never remapped
@@ -138,8 +144,8 @@ func MergeDelta(prev *Index, db *domain.Database) *Index {
 
 // addEntry walks one entry's indexable attributes, appending its ordinal
 // to every postings list except byKey (which Build and MergeDelta manage
-// themselves). Callers append in ascending ordinal order so every list
-// stays sorted.
+// themselves) and writing its trigger count and lowered title at ord.
+// Callers append in ascending ordinal order so every list stays sorted.
 func (ix *Index) addEntry(ord int, e *domain.Erratum, vendorOf map[string]domain.Vendor) {
 	if v, ok := vendorOf[e.DocKey]; ok {
 		pushOrd(ix.byVendor, v, ord)
@@ -170,6 +176,7 @@ func (ix *Index) addEntry(ord int, e *domain.Erratum, vendorOf map[string]domain
 		}
 	}
 	ix.triggerCount.(Ords)[ord] = len(e.Ann.Categories(taxonomy.Trigger, ix.scheme))
+	ix.lowTitles[ord] = strings.ToLower(e.Title)
 }
 
 // remapPostings rewrites every list of a postings map through remap,
@@ -205,17 +212,17 @@ func unionPostings[K comparable](dst, add map[K]List) {
 	}
 }
 
-// DebugDump renders the complete index state — entry identities, every
-// postings family in sorted key order, flags, trigger counts and the
-// unique-representative ordinals — as deterministic text. Two indexes
-// over equal databases dump identically iff they are structurally equal,
-// which is what the delta-merge differential tests and the
-// FuzzDeltaMerge target compare.
+// DebugDump renders the complete index state — entry identities with
+// their trigger counts and lowered titles, every postings family in
+// sorted key order, flags and the unique-representative ordinals — as
+// deterministic text. Two indexes over equal databases dump identically
+// iff they are structurally equal, which is what the delta-merge
+// differential tests and the FuzzDeltaMerge target compare.
 func (ix *Index) DebugDump() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "entries %d\n", len(ix.errata))
 	for ord, e := range ix.errata {
-		fmt.Fprintf(&b, "e %d %s key=%q trig=%d\n", ord, e.FullID(), e.Key, ix.triggerCount.At(ord))
+		fmt.Fprintf(&b, "e %d %s key=%q trig=%d low=%q\n", ord, e.FullID(), e.Key, ix.triggerCount.At(ord), ix.lowTitles[ord])
 	}
 	fmt.Fprintf(&b, "unique %v\n", toInts(ix.uniqueOrds))
 	dumpPostings(&b, "vendor", ix.byVendor)

@@ -38,6 +38,10 @@ type Index struct {
 
 	// errata maps ordinal -> entry, in db.Errata() order.
 	errata []*domain.Erratum
+	// lowTitles holds, per ordinal, strings.ToLower of the entry's
+	// title: the table TitleContains scans. Every constructor fills it
+	// once per snapshot; MergeDelta carries survivors' rows over.
+	lowTitles []string
 	// uniqueOrds lists the ordinals of the unique representatives, in
 	// db.Unique() order (DocKey, then Seq).
 	uniqueOrds List
@@ -88,6 +92,7 @@ func Build(db *domain.Database) *Index {
 		db:           db,
 		scheme:       db.Scheme,
 		errata:       errata,
+		lowTitles:    make([]string, len(errata)),
 		byVendor:     make(map[domain.Vendor]List),
 		byDoc:        make(map[string]List),
 		byCategory:   make(map[string]List),
@@ -254,66 +259,80 @@ func (q *Query) DisclosedBetween(from, to time.Time) *Query {
 	})
 }
 
-// TitleContains keeps errata whose title contains the substring
-// (case-insensitive). Full-text search stays a residual predicate.
+// TitleContains keeps errata whose title contains the substring, both
+// sides lowered with strings.ToLower. It stays a residual predicate,
+// but it scans the lowered-title table built once per snapshot
+// (MergeDelta reuses surviving entries' rows), so a query lowers only
+// its own substring.
 func (q *Query) TitleContains(sub string) *Query {
 	lower := strings.ToLower(sub)
-	return q.pred(func(ord int) bool {
-		return strings.Contains(strings.ToLower(q.ix.errata[ord].Title), lower)
-	})
+	titles := q.ix.lowTitles
+	return q.pred(func(ord int) bool { return strings.Contains(titles[ord], lower) })
 }
 
 // matchOrdinals evaluates the query to a sorted ordinal slice.
 func (q *Query) matchOrdinals() []int {
-	var cand []int
 	if len(q.lists) == 0 {
-		// No indexable filter: every entry is a candidate.
-		cand = make([]int, len(q.ix.errata))
-		for i := range cand {
-			cand[i] = i
+		// No indexable filter: the predicates run over every ordinal
+		// directly, with no all-ordinals candidate slice.
+		n := len(q.ix.errata)
+		if len(q.preds) > 0 {
+			q.ix.residuals.Add(int64(n))
 		}
-	} else {
-		lists := make([]List, len(q.lists))
-		copy(lists, q.lists)
-		sort.Slice(lists, func(i, j int) bool { return lists[i].Len() < lists[j].Len() })
-		cand = toInts(lists[0])
-		merged := int64(0)
-		for _, l := range lists[1:] {
-			if len(cand) == 0 {
-				break
+		out := make([]int, 0, n)
+		for ord := 0; ord < n; ord++ {
+			if q.keep(ord) {
+				out = append(out, ord)
 			}
-			cand = intersectInto(cand, l)
-			merged++
 		}
-		q.ix.intersections.Add(merged)
+		return out
 	}
+	lists := make([]List, len(q.lists))
+	copy(lists, q.lists)
+	sort.Slice(lists, func(i, j int) bool { return lists[i].Len() < lists[j].Len() })
+	cand := toInts(lists[0])
+	merged := int64(0)
+	for _, l := range lists[1:] {
+		if len(cand) == 0 {
+			break
+		}
+		cand = intersectInto(cand, l)
+		merged++
+	}
+	q.ix.intersections.Add(merged)
 	if len(q.preds) == 0 || len(cand) == 0 {
 		return cand
 	}
 	q.ix.residuals.Add(int64(len(cand)))
 	out := make([]int, 0, len(cand))
 	for _, ord := range cand {
-		ok := true
-		for _, p := range q.preds {
-			if !p(ord) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if q.keep(ord) {
 			out = append(out, ord)
 		}
 	}
 	return out
 }
 
+// keep reports whether ord passes every residual predicate.
+func (q *Query) keep(ord int) bool {
+	for _, p := range q.preds {
+		if !p(ord) {
+			return false
+		}
+	}
+	return true
+}
+
 // All returns every matching entry (duplicates counted individually),
 // in db.Errata() order.
 func (q *Query) All() []*domain.Erratum {
 	ords := q.matchOrdinals()
-	var out []*domain.Erratum
-	for _, ord := range ords {
-		out = append(out, q.ix.errata[ord])
+	if len(ords) == 0 {
+		return nil
+	}
+	out := make([]*domain.Erratum, len(ords))
+	for i, ord := range ords {
+		out[i] = q.ix.errata[ord]
 	}
 	return out
 }
@@ -329,11 +348,14 @@ func (q *Query) Unique() []*domain.Erratum {
 	for _, ord := range ords {
 		matched[ord] = true
 	}
-	var out []*domain.Erratum
+	out := make([]*domain.Erratum, 0, len(ords))
 	for i, n := 0, listLen(q.ix.uniqueOrds); i < n; i++ {
 		if ord := q.ix.uniqueOrds.At(i); matched[ord] {
 			out = append(out, q.ix.errata[ord])
 		}
+	}
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }

@@ -37,10 +37,21 @@ func TestInstrumentedQueries(t *testing.T) {
 		t.Fatalf("intersections = %d, want 1", inters.Value())
 	}
 
-	// A title filter is a residual predicate over every candidate.
-	n := ix.Size()
+	// A bare title filter is a residual predicate over every entry,
+	// whether or not anything matches.
+	n := int64(ix.Size())
 	ix.Query().TitleContains("the").Count()
-	if resid.Value() != int64(n) {
+	if resid.Value() != n {
 		t.Fatalf("residuals = %d, want %d (every entry scanned)", resid.Value(), n)
+	}
+	ix.Query().TitleContains("no title holds this").Count()
+	if resid.Value() != 2*n {
+		t.Fatalf("residuals = %d after a missing title, want %d", resid.Value(), 2*n)
+	}
+
+	// Behind a postings list it examines only that list's candidates.
+	ix.Query().Vendor(0).TitleContains("the").Count()
+	if want := 2*n + int64(len(ix.Query().Vendor(0).All())); resid.Value() != want {
+		t.Fatalf("residuals = %d after a vendor-scoped title, want %d", resid.Value(), want)
 	}
 }

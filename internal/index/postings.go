@@ -3,6 +3,7 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"repro/pkg/domain"
 )
@@ -144,7 +145,8 @@ type ListParts struct {
 
 // FromLists reconstructs an Index over db from List-typed parts —
 // typically spans over a mapped FormatVersion 2 file — skipping both
-// the annotation walk and the postings materialization. Only the cheap
+// the annotation walk and the postings materialization; it only lowers
+// every title into the table TitleContains scans. Only the cheap
 // structural invariant — one trigger count per entry, every unique
 // ordinal in range — is re-checked here; the store's open-time
 // validation already bounds-checked every ordinal and sorted every
@@ -159,10 +161,15 @@ func FromLists(db *domain.Database, p *ListParts) (*Index, error) {
 			return nil, fmt.Errorf("index: parts unique ordinal %d out of range [0,%d)", ord, len(errata))
 		}
 	}
+	low := make([]string, len(errata))
+	for ord, e := range errata {
+		low[ord] = strings.ToLower(e.Title)
+	}
 	ix := &Index{
 		db:           db,
 		scheme:       db.Scheme,
 		errata:       errata,
+		lowTitles:    low,
 		uniqueOrds:   p.UniqueOrds,
 		byVendor:     p.ByVendor,
 		byDoc:        p.ByDoc,

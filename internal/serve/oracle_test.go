@@ -268,6 +268,10 @@ func FuzzErrataQuery(f *testing.F) {
 	for _, q := range append(serveFilterMatrix, serveInvalidMatrix...) {
 		f.Add(q)
 	}
+	// Title substrings whose strings.ToLower changes byte length: the
+	// Kelvin sign folds to ASCII k and İ to ASCII i.
+	f.Add("title=LOC%E2%84%AA")
+	f.Add("title=%C4%B0NVALID&vendor=Intel")
 	db := datedCorpus(f, 1)
 	v1, err := store.Encode(db)
 	if err != nil {
