@@ -36,7 +36,8 @@ bench-pipeline:
 # Serving tier: the BenchmarkServeLadder alloc gate (full Handler() at
 # most 3 allocs/op above the bare handler), then latency through the
 # real binary (errserve + errload); emits BENCH_serve.json with the
-# exact client-side /v1/errata p50/p99 and the ladder rows.
+# exact client-side /v1/errata p50/p99, the ladder rows and the ingest
+# layer rows (Apply and SwapDelta of one revised document).
 bench-serve:
 	./scripts/bench_serve.sh
 

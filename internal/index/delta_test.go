@@ -25,6 +25,43 @@ func mustEqual(t *testing.T, got, want *Index, what string) {
 	}
 }
 
+// merged runs MergeDelta and checks the remap it returns: it has one
+// slot per previous entry, every survivor maps to the same pointer at a
+// strictly increasing new ordinal, and no entry db still holds is
+// dropped.
+func merged(t *testing.T, prev *Index, db *domain.Database) *Index {
+	t.Helper()
+	ix, remap := MergeDelta(prev, db)
+	if prev == nil {
+		if remap != nil {
+			t.Fatalf("MergeDelta(nil, db) returned a remap of %d slots", len(remap))
+		}
+		return ix
+	}
+	if len(remap) != prev.Size() {
+		t.Fatalf("remap has %d slots for %d previous entries", len(remap), prev.Size())
+	}
+	at := make(map[*domain.Erratum]int, ix.Size())
+	for ord := 0; ord < ix.Size(); ord++ {
+		at[ix.Entry(ord)] = ord
+	}
+	last := -1
+	for old, o := range remap {
+		e := prev.Entry(old)
+		if o < 0 {
+			if ord, ok := at[e]; ok {
+				t.Fatalf("previous entry %s dropped though db holds it at %d", e.FullID(), ord)
+			}
+			continue
+		}
+		if ix.Entry(o) != e || o <= last {
+			t.Fatalf("remap[%d] = %d: entry %s, previous survivor at %d", old, o, e.FullID(), last)
+		}
+		last = o
+	}
+	return ix
+}
+
 // shareDB returns a database holding the same document pointers as db,
 // minus the listed keys — the deletion shape of a delta.
 func shareDB(t *testing.T, db *domain.Database, drop ...string) *domain.Database {
@@ -45,13 +82,13 @@ func shareDB(t *testing.T, db *domain.Database, drop ...string) *domain.Database
 
 func TestMergeDeltaNilPrevEqualsBuild(t *testing.T) {
 	db := smallDB(t)
-	mustEqual(t, MergeDelta(nil, db), Build(db), "nil prev")
+	mustEqual(t, merged(t, nil, db), Build(db), "nil prev")
 }
 
 func TestMergeDeltaNoChange(t *testing.T) {
 	db := smallDB(t)
 	prev := Build(db)
-	mustEqual(t, MergeDelta(prev, shareDB(t, db)), Build(db), "identity delta")
+	mustEqual(t, merged(t, prev, shareDB(t, db)), Build(db), "identity delta")
 }
 
 func TestMergeDeltaAddDocument(t *testing.T) {
@@ -87,14 +124,14 @@ func TestMergeDeltaAddDocument(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	mustEqual(t, MergeDelta(prev, next), Build(next), "add document")
+	mustEqual(t, merged(t, prev, next), Build(next), "add document")
 }
 
 func TestMergeDeltaRemoveDocument(t *testing.T) {
 	db := smallDB(t)
 	prev := Build(db)
 	next := shareDB(t, db, "intel-01")
-	mustEqual(t, MergeDelta(prev, next), Build(next), "remove document")
+	mustEqual(t, merged(t, prev, next), Build(next), "remove document")
 }
 
 // TestMergeDeltaRelabelClone exercises the clone-on-change half of the
@@ -111,7 +148,7 @@ func TestMergeDeltaRelabelClone(t *testing.T) {
 	dc := *old
 	dc.Errata = []*domain.Erratum{renamed}
 	next.Docs["intel-02"] = &dc
-	got := MergeDelta(prev, next)
+	got := merged(t, prev, next)
 	mustEqual(t, got, Build(next), "relabel clone")
 	if hits := got.ByKey("k9"); len(hits) != 1 || hits[0] != renamed {
 		t.Fatalf("ByKey(k9) = %v, want the renamed clone", hits)
@@ -134,5 +171,5 @@ func TestMergeDeltaForeignPrev(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	mustEqual(t, MergeDelta(Build(foreign), db), Build(db), "foreign prev")
+	mustEqual(t, merged(t, Build(foreign), db), Build(db), "foreign prev")
 }

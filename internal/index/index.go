@@ -84,15 +84,31 @@ func (ix *Index) Instrument(reg *obs.Registry) {
 		"Candidate ordinals filtered through residual predicates (non-indexable filters).")
 }
 
-// Build constructs the index for a database. The database must not be
-// mutated afterwards while the index is in use.
+// Build constructs the index for a database: the postings walk, then
+// the lowered-title table. The database must not be mutated afterwards
+// while the index is in use.
 func Build(db *domain.Database) *Index {
+	ix := buildPostings(db)
+	ix.lowTitles = make([]string, len(ix.errata))
+	for ord, e := range ix.errata {
+		ix.lowTitles[ord] = strings.ToLower(e.Title)
+	}
+	return ix
+}
+
+// BuildParts returns Parts of Build(db) from the postings walk alone,
+// lowering no title: what the FormatVersion 2 encoder persists.
+func BuildParts(db *domain.Database) *Parts { return buildPostings(db).Parts() }
+
+// buildPostings walks every entry once with addEntry and derives the
+// unique-representative list from db.Unique(). The result has no
+// lowered-title table; Build adds it.
+func buildPostings(db *domain.Database) *Index {
 	errata := db.Errata()
 	ix := &Index{
 		db:           db,
 		scheme:       db.Scheme,
 		errata:       errata,
-		lowTitles:    make([]string, len(errata)),
 		byVendor:     make(map[domain.Vendor]List),
 		byDoc:        make(map[string]List),
 		byCategory:   make(map[string]List),
@@ -104,16 +120,10 @@ func Build(db *domain.Database) *Index {
 		byMSR:        make(map[string]List),
 		triggerCount: make(Ords, len(errata)),
 	}
-	vendorOf := make(map[string]domain.Vendor, len(db.Docs))
-	for key, d := range db.Docs {
-		vendorOf[key] = d.Vendor
-	}
+	vendorOf := vendorsOf(db)
 	for ord, e := range errata {
 		// Postings are appended in ascending ordinal order, so every
 		// list is sorted by construction.
-		if e.Key != "" {
-			pushOrd(ix.byKey, e.Key, ord)
-		}
 		ix.addEntry(ord, e, vendorOf)
 	}
 	ordOf := make(map[*domain.Erratum]int, len(errata))
@@ -128,14 +138,24 @@ func Build(db *domain.Database) *Index {
 	return ix
 }
 
-// appendOnce appends ord to m[key] unless it is already the last
-// element (the same erratum can carry a category or MSR several times).
-func appendOnce(m map[string]List, key string, ord int) {
-	l, _ := m[key].(Ords)
-	if n := len(l); n > 0 && l[n-1] == ord {
-		return
+// vendorsOf maps each document key of db to its vendor.
+func vendorsOf(db *domain.Database) map[string]domain.Vendor {
+	vendorOf := make(map[string]domain.Vendor, len(db.Docs))
+	for key, d := range db.Docs {
+		vendorOf[key] = d.Vendor
 	}
-	m[key] = append(l, ord)
+	return vendorOf
+}
+
+// appendOnce appends ord to m[key] unless it is already the last
+// element (the same erratum can carry a category or MSR several times),
+// and reports whether it appended.
+func appendOnce(m map[string]List, key string, ord int) bool {
+	if l := m[key]; l != nil && l.At(l.Len()-1) == ord {
+		return false
+	}
+	pushOrd(m, key, ord)
+	return true
 }
 
 // Database returns the indexed database snapshot.
@@ -147,6 +167,15 @@ func (ix *Index) Size() int { return len(ix.errata) }
 
 // UniqueCount returns the number of unique representatives.
 func (ix *Index) UniqueCount() int { return listLen(ix.uniqueOrds) }
+
+// Stats computes the corpus statistics of the indexed database from the
+// precomputed unique-representative list, equal to db.ComputeStats()
+// without its Unique pass.
+func (ix *Index) Stats() domain.Stats {
+	return ix.db.StatsOf(listLen(ix.uniqueOrds), func(i int) *domain.Erratum {
+		return ix.errata[ix.uniqueOrds.At(i)]
+	})
+}
 
 // ByKey returns every entry bearing the given cluster key, in document
 // order.
@@ -323,23 +352,15 @@ func (q *Query) keep(ord int) bool {
 	return true
 }
 
-// All returns every matching entry (duplicates counted individually),
-// in db.Errata() order.
-func (q *Query) All() []*domain.Erratum {
-	ords := q.matchOrdinals()
-	if len(ords) == 0 {
-		return nil
-	}
-	out := make([]*domain.Erratum, len(ords))
-	for i, ord := range ords {
-		out[i] = q.ix.errata[ord]
-	}
-	return out
-}
+// AllOrdinals returns the ordinals of every matching entry (duplicates
+// counted individually), ascending, which is db.Errata() order. The
+// slice may be a postings list of the index itself and must be treated
+// as read-only.
+func (q *Query) AllOrdinals() []int { return q.matchOrdinals() }
 
-// Unique returns one representative per matching deduplicated erratum,
-// in db.Unique() order.
-func (q *Query) Unique() []*domain.Erratum {
+// UniqueOrdinals returns the ordinal of one representative per matching
+// deduplicated erratum, in db.Unique() order.
+func (q *Query) UniqueOrdinals() []int {
 	ords := q.matchOrdinals()
 	if len(ords) == 0 {
 		return nil
@@ -348,10 +369,10 @@ func (q *Query) Unique() []*domain.Erratum {
 	for _, ord := range ords {
 		matched[ord] = true
 	}
-	out := make([]*domain.Erratum, 0, len(ords))
+	out := make([]int, 0, len(ords))
 	for i, n := 0, listLen(q.ix.uniqueOrds); i < n; i++ {
 		if ord := q.ix.uniqueOrds.At(i); matched[ord] {
-			out = append(out, q.ix.errata[ord])
+			out = append(out, ord)
 		}
 	}
 	if len(out) == 0 {
@@ -360,8 +381,28 @@ func (q *Query) Unique() []*domain.Erratum {
 	return out
 }
 
+// All returns every matching entry (duplicates counted individually),
+// in db.Errata() order.
+func (q *Query) All() []*domain.Erratum { return q.ix.entries(q.AllOrdinals()) }
+
+// Unique returns one representative per matching deduplicated erratum,
+// in db.Unique() order.
+func (q *Query) Unique() []*domain.Erratum { return q.ix.entries(q.UniqueOrdinals()) }
+
+// entries maps ordinals to their entries.
+func (ix *Index) entries(ords []int) []*domain.Erratum {
+	if len(ords) == 0 {
+		return nil
+	}
+	out := make([]*domain.Erratum, len(ords))
+	for i, ord := range ords {
+		out[i] = ix.errata[ord]
+	}
+	return out
+}
+
 // Count returns the number of unique matches.
-func (q *Query) Count() int { return len(q.Unique()) }
+func (q *Query) Count() int { return len(q.UniqueOrdinals()) }
 
 // intersect merges two sorted ordinal slices into their intersection.
 func intersect(a, b []int) []int {

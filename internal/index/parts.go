@@ -69,6 +69,10 @@ func partsMap[K comparable](m map[K]List) map[K][]int {
 // lookup relies on.
 func (ix *Index) KeyList(key string) List { return ix.byKey[key] }
 
+// Errata returns the indexed entries by ordinal, in db.Errata() order.
+// The slice is shared with the index and must be treated as read-only.
+func (ix *Index) Errata() []*domain.Erratum { return ix.errata }
+
 // Entry returns the entry at the given ordinal. The ordinal must come
 // from this index's postings (KeyList or query results).
 func (ix *Index) Entry(ord int) *domain.Erratum { return ix.errata[ord] }

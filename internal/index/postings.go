@@ -22,7 +22,10 @@ type List interface {
 	At(i int) int
 }
 
-// Ords is the heap-resident List: a sorted slice of ordinals.
+// Ords is the heap-resident List: a sorted slice of ordinals. Postings
+// maps hold it boxed as *Ords, so a builder appends in place and
+// storing a list in a map allocates no interface box; both forms are
+// Lists.
 type Ords []int
 
 func (o Ords) Len() int     { return len(o) }
@@ -48,36 +51,54 @@ func NewSpan(b []byte) Span {
 func (s Span) Len() int     { return len(s.b) / 4 }
 func (s Span) At(i int) int { return int(binary.LittleEndian.Uint32(s.b[i*4:])) }
 
+// heapInts returns the ordinals of a heap-resident list (Ords or *Ords)
+// without copying; ok is false for any other List.
+func heapInts(l List) (ords []int, ok bool) {
+	switch v := l.(type) {
+	case Ords:
+		return v, true
+	case *Ords:
+		return *v, true
+	}
+	return nil, false
+}
+
 // toInts materializes a List as []int, aliasing the underlying slice
 // when the list already lives in the heap.
 func toInts(l List) []int {
-	switch v := l.(type) {
-	case nil:
+	if l == nil {
 		return nil
-	case Ords:
-		return v
-	default:
-		out := make([]int, l.Len())
-		for i := range out {
-			out[i] = l.At(i)
-		}
-		return out
 	}
+	if o, ok := heapInts(l); ok {
+		return o
+	}
+	out := make([]int, l.Len())
+	for i := range out {
+		out[i] = l.At(i)
+	}
+	return out
 }
 
-// apOrd appends one ordinal to a heap-resident list. Builders (Build,
-// MergeDelta) only ever grow Ords; appending to a Span would mean
-// mutating a file mapping and panics via the type assertion.
+// apOrd appends one ordinal to a list under construction: nil, or the
+// *Ords box a previous apOrd returned, grown in place. Builders (Build,
+// MergeDelta) only ever grow their own lists; appending to any other
+// List (a Span over a file mapping, a finished Ords) panics.
 func apOrd(l List, ord int) List {
-	o, _ := l.(Ords)
-	return append(o, ord)
+	p, ok := l.(*Ords)
+	if !ok {
+		if l != nil {
+			panic(fmt.Sprintf("index: append to a finished %T postings list", l))
+		}
+		p = new(Ords)
+	}
+	*p = append(*p, ord)
+	return p
 }
 
 // pushOrd appends one ordinal to a postings map entry, creating it on
 // first use.
 func pushOrd[K comparable](m map[K]List, k K, ord int) {
-	o, _ := m[k].(Ords)
-	m[k] = append(o, ord)
+	m[k] = apOrd(m[k], ord)
 }
 
 // listLen is Len with a nil guard (map lookups of absent keys return a
@@ -93,7 +114,7 @@ func listLen(l List) int {
 // into their intersection. The common Ords case degenerates to the
 // two-slice walk; a Span is walked element-wise off its bytes.
 func intersectInto(a []int, b List) []int {
-	if o, ok := b.(Ords); ok {
+	if o, ok := heapInts(b); ok {
 		return intersect(a, o)
 	}
 	nb := b.Len()

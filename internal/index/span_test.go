@@ -93,7 +93,8 @@ func TestSpanIndexEquivalence(t *testing.T) {
 		}
 		// A delta merge from a span-backed previous index must equal one
 		// from the heap-built index (and both equal a fresh Build).
-		if !bytes.Equal(MergeDelta(spanned, gt.DB).DebugDump(), MergeDelta(built, gt.DB).DebugDump()) {
+		fromSpans, fromHeap := merged(t, spanned, gt.DB), merged(t, built, gt.DB)
+		if !bytes.Equal(fromSpans.DebugDump(), fromHeap.DebugDump()) {
 			t.Fatalf("seed %d: MergeDelta from span-backed prev diverges", seed)
 		}
 	}

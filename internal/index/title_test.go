@@ -76,12 +76,13 @@ func TestTitleContainsNonASCII(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	mergedIx, _ := index.MergeDelta(index.Build(before), after)
 	indexes := []struct {
 		name string
 		ix   *index.Index
 	}{
 		{"build", index.Build(after)},
-		{"merge-delta", index.MergeDelta(index.Build(before), after)},
+		{"merge-delta", mergedIx},
 		{"from-lists", fromLists},
 	}
 	want := indexes[0].ix.DebugDump()

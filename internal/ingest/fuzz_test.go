@@ -52,7 +52,8 @@ func fuzzTexts(tb testing.TB) []string {
 // batch through Ingester.Apply. After every flush the index merged along
 // the published snapshots (a chain of index.MergeDelta calls, as
 // serve.SwapDelta runs them) must dump identically
-// to a cold index.Build over the same database, every entry's key must
+// to a cold index.Build over the same database, the stats it counts
+// must equal db.ComputeStats(), every entry's key must
 // equal the naiveKeys oracle's, and a key present in two consecutive
 // generations must name the same normalized title in both. After the
 // last flush the database must be byte-identical to a cold Build over
@@ -89,6 +90,9 @@ func FuzzDeltaMerge(f *testing.F) {
 			cold := index.Build(res.DB)
 			if got, want := ix.DebugDump(), cold.DebugDump(); !bytes.Equal(got, want) {
 				t.Fatalf("merged index diverged from cold Build:\n%s", firstDiff(got, want))
+			}
+			if got, want := ix.Stats(), res.DB.ComputeStats(); got != want {
+				t.Fatalf("merged index stats %+v, ComputeStats %+v", got, want)
 			}
 			for e, want := range naiveKeys(res.DB) {
 				if e.Key != want {

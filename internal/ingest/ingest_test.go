@@ -74,7 +74,7 @@ func applyMerged(t testing.TB, in *Ingester, ix *index.Index, batch []string) (*
 		t.Fatalf("Apply: %v", err)
 	}
 	if res.Changed {
-		ix = index.MergeDelta(ix, res.DB)
+		ix, _ = index.MergeDelta(ix, res.DB)
 	}
 	return res, ix
 }

@@ -86,25 +86,43 @@ func BenchmarkServeErrataPage(b *testing.B) {
 }
 
 // BenchmarkIngestPost is a layer benchmark, not serving latency: it
-// times errserve's ingest step — ingest.Ingester.Apply, then SwapDelta —
-// without the HTTP stack, against a warm server backed by a
-// memory-mapped v2 store. Each iteration replaces one document's live
-// text with its rendering from another corpus seed, so every Apply
-// changes the corpus and every SwapDelta merges.
+// times errserve's ingest step without the HTTP stack, against a warm
+// server backed by a memory-mapped v2 store, as two layer rows. Each
+// iteration replaces one document's live text with its rendering from
+// another corpus seed — ingest.Ingester.Apply, then SwapDelta — so every
+// Apply changes the corpus and every SwapDelta merges. The apply row
+// times Apply alone and the swap_delta row SwapDelta alone; the other
+// half runs with the timer stopped, so both rows walk the same sequence
+// of snapshots. scripts/bench_serve.sh reports both rows.
 func BenchmarkIngestPost(b *testing.B) {
-	srv, ing := mappedIngestServer(b)
 	texts := append(ingestTexts(b, 2), ingestTexts(b, 3)...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ing.Apply([]string{texts[i%len(texts)]})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Changed {
-			b.Fatal("Apply skipped a revised document")
-		}
-		srv.SwapDelta(res.DB)
+	for _, layer := range []string{"apply", "swap_delta"} {
+		b.Run(layer, func(b *testing.B) {
+			srv, ing := mappedIngestServer(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if layer != "apply" {
+					b.StopTimer()
+				}
+				res, err := ing.Apply([]string{texts[i%len(texts)]})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Changed {
+					b.Fatal("Apply skipped a revised document")
+				}
+				if layer == "apply" {
+					b.StopTimer()
+				} else {
+					b.StartTimer()
+				}
+				srv.SwapDelta(res.DB)
+				if layer == "apply" {
+					b.StartTimer()
+				}
+			}
+		})
 	}
 }
 

@@ -344,9 +344,11 @@ func mappedIngestServer(t testing.TB) (*Server, *ingest.Ingester) {
 
 // TestSwapDeltaIndexMatchesBuild is the index half of the convergence
 // contract on the serving side, where the only delta merge of an ingest
-// runs: starting from a mapped store's postings, the index SwapDelta
-// merges after every revised document dumps identically to a cold
-// index.Build over the installed database.
+// runs: starting from a mapped store's postings and fragment rows, the
+// index SwapDelta merges after every revised document dumps identically
+// to a cold index.Build over the installed database, the stats equal
+// db.ComputeStats(), and every fragment row is byte-equal to a fresh
+// store.BuildFragments over the installed database.
 func TestSwapDeltaIndexMatchesBuild(t *testing.T) {
 	srv, ing := mappedIngestServer(t)
 	texts := append(ingestTexts(t, 2), ingestTexts(t, 3)...)
@@ -365,6 +367,23 @@ func TestSwapDeltaIndexMatchesBuild(t *testing.T) {
 		}
 		if got, want := snap.ix.DebugDump(), index.Build(snap.db).DebugDump(); !bytes.Equal(got, want) {
 			t.Fatalf("document %d: merged index differs from index.Build (%d vs %d dump bytes)", i, len(got), len(want))
+		}
+		if got, want := snap.stats, snap.db.ComputeStats(); got != want {
+			t.Fatalf("document %d: stats %+v, ComputeStats %+v", i, got, want)
+		}
+		cold, err := store.BuildFragments(snap.db)
+		if err != nil {
+			t.Fatalf("document %d: BuildFragments: %v", i, err)
+		}
+		if got, want := snap.frags.Len(), cold.Len(); got != want {
+			t.Fatalf("document %d: %d fragment rows, a full build has %d", i, got, want)
+		}
+		for ord := 0; ord < cold.Len(); ord++ {
+			if !bytes.Equal(snap.frags.Detail(ord), cold.Detail(ord)) ||
+				!bytes.Equal(snap.frags.Summary(ord), cold.Summary(ord)) ||
+				!bytes.Equal(snap.frags.KeyJSON(ord), cold.KeyJSON(ord)) {
+				t.Fatalf("document %d: fragment row %d (%s) differs from a full build", i, ord, snap.ix.Entry(ord).FullID())
+			}
 		}
 	}
 }

@@ -169,7 +169,7 @@ var endpointNames = []string{
 }
 
 // snapshot is one immutable serving state: a database, its inverted
-// index, its response fragments, the precomputed stats, and a
+// index, its response fragments, the stats computed from the index, and a
 // monotonically increasing generation id. Handlers load the current
 // snapshot exactly once per request, so every response is internally
 // consistent with a single generation even while Swap installs a new
@@ -180,9 +180,9 @@ type snapshot struct {
 	stats domain.Stats
 	gen   uint64
 	// frags holds the precomputed canonical JSON response fragments of
-	// this snapshot's entries, from which the errata handlers stitch
-	// every response. Never nil; an entry missing from it (its DTO
-	// failed to marshal) answers 500.
+	// this snapshot's entries, one row per index ordinal, from which the
+	// errata handlers stitch every response. Never nil; an entry without
+	// a row (its DTO failed to marshal) answers 500.
 	frags *store.Fragments
 	// region is the mapped store region this snapshot's strings alias,
 	// nil for heap-backed snapshots. The snapshot owns one reference;
@@ -351,13 +351,14 @@ func newServer(opts Options) *Server {
 
 // Swap atomically installs db as the served snapshot and returns its
 // generation id. The index and fragments are built and the stats
-// computed before the pointer flips, so requests only ever see complete
-// snapshots; in-flight requests on the previous generation finish
-// against it undisturbed, and response-cache entries of older
-// generations are never served again (keys are generation-scoped). The
-// caller must not mutate db after Swap.
+// counted from the index before the pointer flips, so requests only
+// ever see complete snapshots; in-flight requests on the previous
+// generation finish against it undisturbed, and response-cache entries
+// of older generations are never served again (keys are
+// generation-scoped). The caller must not mutate db after Swap.
 func (s *Server) Swap(db *domain.Database) uint64 {
-	snap := &snapshot{db: db, ix: index.Build(db), stats: db.ComputeStats(), frags: fragmentsOf(db)}
+	ix := index.Build(db)
+	snap := &snapshot{db: db, ix: ix, stats: ix.Stats(), frags: fragmentsOf(db)}
 	snap.ix.Instrument(s.reg)
 	s.install(snap)
 	return snap.gen
@@ -427,7 +428,7 @@ func (s *Server) buildStoreSnapshot(sv *store.StoreV2) (*snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := &snapshot{db: db, stats: db.ComputeStats()}
+	snap := &snapshot{db: db}
 	if l := sv.IndexLists(); l != nil {
 		// Postings stay disk-resident: the index walks the file's
 		// arrays (or the mapping) directly via index.List spans.
@@ -438,45 +439,47 @@ func (s *Server) buildStoreSnapshot(sv *store.StoreV2) (*snapshot, error) {
 		snap.ix = index.Build(db)
 	}
 	snap.ix.Instrument(s.reg)
-	if snap.frags, err = sv.Fragments(); err != nil {
-		return nil, err
-	}
-	if snap.frags == nil {
+	snap.stats = snap.ix.Stats()
+	if snap.frags = sv.Fragments(); snap.frags == nil {
 		snap.frags = fragmentsOf(db)
 	}
 	return snap, nil
 }
 
 // SwapDelta installs db as the served snapshot by merging against the
-// currently served one instead of rebuilding from scratch: it runs
-// index.MergeDelta from the previous snapshot's index and reuses the
-// fragments of every unchanged entry. db must honor the delta sharing
-// contract with the currently served database (see index.MergeDelta):
-// any *Erratum shared by pointer is completely unchanged, surviving
-// entries keep their relative order. internal/ingest's copy-on-write Apply produces
-// exactly such databases, and leaves their index merge to SwapDelta.
+// currently served one instead of rebuilding from scratch. db must
+// honor the delta sharing contract with the currently served database
+// (see index.MergeDelta): any *Erratum shared by pointer is completely
+// unchanged, surviving entries keep their relative order.
+// internal/ingest's copy-on-write Apply produces exactly such
+// databases, and leaves their index merge to SwapDelta.
+//
+// Every per-snapshot table shares the index's ordinals, so the install
+// costs O(batch) apart from integer work over the survivors:
+// index.MergeDelta remaps the previous postings and indexes only the
+// fresh entries, the fragment rows of survivors are carried through the
+// same remap and only fresh entries are marshaled, and the stats are
+// counted from the merged index's unique-representative list. No map
+// keyed by entry, no db.Unique() and no db.ComputeStats() runs here
+// (TestSwapDeltaAllocs gates the allocations by the batch size).
 //
 // Unlike Swap, the merge runs under swapMu: the previous snapshot must
 // still be the installed one when the merged successor lands, otherwise
 // two concurrent delta swaps could each merge against the same
 // predecessor and the loser would silently drop the winner's documents.
-// The merge is index-only (annotation walks happen per new entry), so
-// the critical section stays far below a cold Build. The caller must
-// not mutate db after SwapDelta.
+// The caller must not mutate db after SwapDelta.
 func (s *Server) SwapDelta(db *domain.Database) uint64 {
 	start := time.Now()
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	prev := s.snap.Load()
 	t0 := time.Now()
-	snap := &snapshot{db: db, ix: index.MergeDelta(prev.ix, db)}
+	ix, remap := index.MergeDelta(prev.ix, db)
 	s.mergeLat.Observe(time.Since(t0).Seconds())
-	snap.stats = db.ComputeStats()
-	snap.ix.Instrument(s.reg)
-	// Entries shared by pointer with the previous snapshot reuse its
-	// fragment bytes, so the cost scales with the delta like the index
-	// merge does. The error is dropped for the reason fragmentsOf gives.
-	snap.frags, _ = store.BuildFragmentsDelta(prev.frags, db)
+	ix.Instrument(s.reg)
+	snap := &snapshot{db: db, ix: ix, stats: ix.Stats()}
+	// The error is dropped for the reason fragmentsOf gives.
+	snap.frags, _ = store.BuildFragmentsDelta(prev.frags, ix, remap)
 	if prev.region != nil {
 		// The delta database shares surviving entries by pointer with the
 		// previous snapshot, so its strings may alias the mapping: the
@@ -828,13 +831,13 @@ type errataRequest struct {
 }
 
 // run executes the request's filters against one index and returns the
-// requested page plus the total match count.
-func (req *errataRequest) run(ix *index.Index) (page []*domain.Erratum, total int) {
+// ordinals of the requested page plus the total match count.
+func (req *errataRequest) run(ix *index.Index) (page []int, total int) {
 	q := req.filters.Apply(ix.Query())
 	if req.unique {
-		page = q.Unique()
+		page = q.UniqueOrdinals()
 	} else {
-		page = q.All()
+		page = q.AllOrdinals()
 	}
 	total = len(page)
 	page = page[min(req.offset, total):]
@@ -948,14 +951,14 @@ func (s *Server) handleErrata(w http.ResponseWriter, r *http.Request) {
 // state stitches without allocating.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// stitchErrataPage assembles the /v1/errata response from precomputed
-// summary fragments, byte-identical to json.Marshal of the store DTOs.
-// The returned body is an exact-size copy (it outlives the request in
-// the response cache); the working buffer is pooled. ok is false when
-// any fragment is missing.
-func stitchErrataPage(snap *snapshot, req *errataRequest, page []*domain.Erratum, total int) (body []byte, ok bool) {
-	for _, e := range page {
-		if snap.frags.Summary(e) == nil {
+// stitchErrataPage assembles the /v1/errata response from the summary
+// rows of the page's ordinals, byte-identical to json.Marshal of the
+// store DTOs. The returned body is an exact-size copy (it outlives the
+// request in the response cache); the working buffer is pooled. ok is
+// false when any row is missing.
+func stitchErrataPage(snap *snapshot, req *errataRequest, page []int, total int) (body []byte, ok bool) {
+	for _, ord := range page {
+		if snap.frags.Summary(ord) == nil {
 			return nil, false
 		}
 	}
@@ -972,11 +975,11 @@ func stitchErrataPage(snap *snapshot, req *errataRequest, page []*domain.Erratum
 	buf = append(buf, `,"generation":`...)
 	buf = strconv.AppendUint(buf, snap.gen, 10)
 	buf = append(buf, `,"errata":[`...)
-	for i, e := range page {
+	for i, ord := range page {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, snap.frags.Summary(e)...)
+		buf = append(buf, snap.frags.Summary(ord)...)
 	}
 	buf = append(buf, "]}"...)
 	body = make([]byte, len(buf))
@@ -986,10 +989,11 @@ func stitchErrataPage(snap *snapshot, req *errataRequest, page []*domain.Erratum
 	return body, true
 }
 
-// handleErratum answers a point lookup from the snapshot's detail
-// fragments: occurrences resolve through the key's ordinal postings and
-// the body is stitched into a pooled buffer, so the only allocation is
-// the Content-Type header.
+// handleErratum answers a point lookup from the snapshot's fragment
+// rows: occurrences resolve through the key's ordinal postings, the key
+// literal comes from the first occurrence's row, and the body is
+// stitched into a pooled buffer, so the only allocation is the
+// Content-Type header.
 func (s *Server) handleErratum(w http.ResponseWriter, r *http.Request) {
 	snap := s.acquireSnap()
 	defer snap.release()
@@ -999,10 +1003,10 @@ func (s *Server) handleErratum(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no erratum with key %q", key))
 		return
 	}
-	keyJSON := snap.frags.KeyJSON(key)
+	keyJSON := snap.frags.KeyJSON(ords.At(0))
 	n := ords.Len()
 	for i := 0; i < n; i++ {
-		if keyJSON == nil || snap.frags.Detail(snap.ix.Entry(ords.At(i))) == nil {
+		if keyJSON == nil || snap.frags.Detail(ords.At(i)) == nil {
 			writeMarshalError(w)
 			return
 		}
@@ -1020,7 +1024,7 @@ func (s *Server) handleErratum(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, snap.frags.Detail(snap.ix.Entry(ords.At(i)))...)
+		buf = append(buf, snap.frags.Detail(ords.At(i))...)
 	}
 	buf = append(buf, "]}"...)
 	writeJSON(w, http.StatusOK, buf)

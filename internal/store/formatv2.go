@@ -190,7 +190,6 @@ func EncodeV2To(w io.Writer, db *domain.Database, opts V2Options) error {
 	e := &v2Encoder{strings: []byte{0}, strMap: make(map[string]strRef)}
 
 	docs := db.Documents()
-	var errata []*domain.Erratum
 	for _, d := range docs {
 		key := e.addString(d.Key)
 		label := e.addString(d.Label)
@@ -210,7 +209,6 @@ func EncodeV2To(w io.Writer, db *domain.Database, opts V2Options) error {
 
 		errOff := e.nErr
 		for _, er := range d.Errata {
-			errata = append(errata, er)
 			id := e.addString(er.ID)
 			title := e.addString(er.Title)
 			desc := e.addString(er.Description)
@@ -285,7 +283,7 @@ func EncodeV2To(w io.Writer, db *domain.Database, opts V2Options) error {
 		}
 	}
 	if opts.Fragments {
-		if frags, fragIdx, err = encodeFragments(db, errata); err != nil {
+		if frags, fragIdx, err = encodeFragments(db); err != nil {
 			return err
 		}
 	}
@@ -382,7 +380,7 @@ func EncodeV2To(w io.Writer, db *domain.Database, opts V2Options) error {
 // u32 ordCount) in sorted key order; then nErr raw u32 per-entry
 // trigger counts.
 func encodePostings(db *domain.Database, e *v2Encoder) (ords, post []byte, err error) {
-	p := index.Build(db).Parts()
+	p := index.BuildParts(db)
 
 	var nOrds uint32
 	addList := func(l []int) (uint32, uint32) {
@@ -469,20 +467,17 @@ func encodePostings(db *domain.Database, e *v2Encoder) (ords, post []byte, err e
 // entry and lays them out as FRAGS (raw bytes) plus FRAGIDX (per
 // ordinal: u32 detailOff, u32 detailLen, u32 summaryOff, u32
 // summaryLen).
-func encodeFragments(db *domain.Database, errata []*domain.Erratum) (frags, fragIdx []byte, err error) {
+func encodeFragments(db *domain.Database) (frags, fragIdx []byte, err error) {
 	fr, err := BuildFragments(db)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, e := range errata {
-		d := fr.details[e]
-		s := fr.summaries[e]
-		fragIdx = apU32(fragIdx, uint32(len(frags)))
-		fragIdx = apU32(fragIdx, uint32(len(d)))
-		frags = append(frags, d...)
-		fragIdx = apU32(fragIdx, uint32(len(frags)))
-		fragIdx = apU32(fragIdx, uint32(len(s)))
-		frags = append(frags, s...)
+	for _, row := range fr.rows {
+		for _, b := range row {
+			fragIdx = apU32(fragIdx, uint32(len(frags)))
+			fragIdx = apU32(fragIdx, uint32(len(b)))
+			frags = append(frags, b...)
+		}
 	}
 	return frags, fragIdx, nil
 }
@@ -524,10 +519,6 @@ type StoreV2 struct {
 	dbOnce sync.Once
 	db     *domain.Database
 	dbErr  error
-
-	frOnce sync.Once
-	fr     *Fragments
-	frErr  error
 }
 
 type v2list struct{ off, n uint32 }
@@ -1062,8 +1053,8 @@ func (s *StoreV2) DocErrataRange(i int) (off, n int) {
 
 // Erratum decodes the erratum record at the given ordinal, attributed
 // to docKey. Strings alias the file buffer. Each call decodes afresh;
-// callers wanting shared identity (pointer-keyed fragments) must decode
-// once and share the pointer.
+// callers wanting shared identity (the delta merge's pointer-sharing
+// contract) must decode once and share the pointer.
 func (s *StoreV2) Erratum(ord int, docKey string) *domain.Erratum {
 	s.decodes.Add(1)
 	eb := ord * errRecSize
@@ -1182,41 +1173,14 @@ func (s *StoreV2) IndexLists() *index.ListParts {
 	return p
 }
 
-// Fragments returns the precomputed response fragments, keyed by the
-// materialized errata of Database(). Fragment bytes alias the file
-// buffer. Returns nil (a valid, always-missing Fragments) when the file
-// carries none; the error reports a failed materialization.
-func (s *StoreV2) Fragments() (*Fragments, error) {
-	s.frOnce.Do(func() {
-		if s.frags == nil {
-			return
-		}
-		s.fr, s.frErr = s.loadFragments()
-	})
-	return s.fr, s.frErr
-}
-
-func (s *StoreV2) loadFragments() (*Fragments, error) {
-	db, err := s.Database()
-	if err != nil {
-		return nil, err
+// Fragments returns the precomputed response fragments as rows read in
+// place from the FRAGS and FRAGIDX sections, row i for record i — which
+// is ordinal i of Database() and of the index over it. Fragment bytes
+// alias the file buffer. Returns nil (a valid, always-missing
+// Fragments) when the file carries none.
+func (s *StoreV2) Fragments() *Fragments {
+	if s.frags == nil {
+		return nil
 	}
-	// Database() decodes record i into errata[i], so the ordinal-indexed
-	// fragment table keys straight onto the materialized pointers.
-	errata := db.Errata()
-	if len(errata) != s.nErr {
-		return nil, fmt.Errorf("store: v2: fragments keyed by %d errata, file holds %d", len(errata), s.nErr)
-	}
-	fr := newFragments(len(errata))
-	for i, e := range errata {
-		base := i * fragIdxSize
-		dOff, dLn := gu32(s.fragIdx, base), gu32(s.fragIdx, base+4)
-		sOff, sLn := gu32(s.fragIdx, base+8), gu32(s.fragIdx, base+12)
-		fr.details[e] = s.frags[dOff : dOff+dLn]
-		fr.summaries[e] = s.frags[sOff : sOff+sLn]
-		if err := fr.addKey(e.Key); err != nil {
-			return nil, err
-		}
-	}
-	return fr, nil
+	return &Fragments{frags: s.frags, idx: s.fragIdx}
 }

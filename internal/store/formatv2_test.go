@@ -113,8 +113,8 @@ func TestV2MinimalOptions(t *testing.T) {
 	if sv.IndexLists() != nil {
 		t.Fatal("IndexLists should be nil without a postings section")
 	}
-	if fr, err := sv.Fragments(); err != nil || fr != nil {
-		t.Fatalf("Fragments = %v, %v; want nil, nil without a fragment section", fr, err)
+	if fr := sv.Fragments(); fr != nil {
+		t.Fatalf("Fragments = %v; want nil without a fragment section", fr)
 	}
 	got, err := sv.Database()
 	if err != nil {

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 
+	"repro/internal/index"
 	"repro/pkg/domain"
 )
 
@@ -98,120 +100,161 @@ func toResponseItems(items []domain.Item) []ResponseItem {
 }
 
 // Fragments holds the precomputed canonical JSON fragments of one
-// database snapshot: per entry the marshaled ErratumDetail and
-// ErratumSummary bytes, plus the JSON string literal of every cluster
-// key. Lookups are pointer-keyed (entries are immutable while served)
-// and allocation-free, so the serving layer can stitch whole responses
-// without touching encoding/json. A nil *Fragments is valid and answers
-// nil for everything.
+// database snapshot as per-ordinal rows aligned with index.Index's
+// ordinals (db.Errata() order): per entry the marshaled ErratumDetail
+// and ErratumSummary bytes, and the JSON literal of its cluster key as
+// a view into the summary. Rows are read by ordinal without allocating,
+// so the serving layer stitches whole responses from the ordinals its
+// index yields without touching encoding/json. The rows either live in
+// the heap (BuildFragments, BuildFragmentsDelta) or are read in place
+// from a FormatVersion 2 file's FRAGS and FRAGIDX sections. A nil or
+// zero *Fragments is valid and answers nil for everything, as does an
+// ordinal out of range or an entry whose DTO failed to marshal.
 type Fragments struct {
-	details   map[*domain.Erratum][]byte
-	summaries map[*domain.Erratum][]byte
-	keys      map[string][]byte
+	rows [][2][]byte // heap rows: detail, summary
+	// frags and idx are a v2 file's FRAGS and FRAGIDX sections; when
+	// idx is set, row i is its 16-byte FRAGIDX entry instead of rows[i].
+	frags, idx []byte
 }
 
-// Detail returns the marshaled ErratumDetail bytes of e, or nil when
-// unknown. The returned slice is shared and must not be modified.
-func (f *Fragments) Detail(e *domain.Erratum) []byte {
-	if f == nil {
-		return nil
+// Columns of a fragment row, in FRAGIDX entry order.
+const (
+	detailCol  = 0
+	summaryCol = 1
+)
+
+// Len returns the number of rows.
+func (f *Fragments) Len() int {
+	switch {
+	case f == nil:
+		return 0
+	case f.idx != nil:
+		return len(f.idx) / fragIdxSize
+	default:
+		return len(f.rows)
 	}
-	return f.details[e]
 }
 
-// Summary returns the marshaled ErratumSummary bytes of e, or nil when
-// unknown. The returned slice is shared and must not be modified.
-func (f *Fragments) Summary(e *domain.Erratum) []byte {
-	if f == nil {
+func (f *Fragments) cell(ord, col int) []byte {
+	switch {
+	case ord < 0 || ord >= f.Len():
 		return nil
+	case f.idx != nil:
+		b := ord*fragIdxSize + col*8
+		off, ln := gu32(f.idx, b), gu32(f.idx, b+4)
+		return f.frags[off : off+ln : off+ln]
+	default:
+		return f.rows[ord][col]
 	}
-	return f.summaries[e]
 }
+
+// Detail returns the marshaled ErratumDetail bytes of the entry at ord,
+// or nil. The returned slice is shared and must not be modified.
+func (f *Fragments) Detail(ord int) []byte { return f.cell(ord, detailCol) }
+
+// Summary returns the marshaled ErratumSummary bytes of the entry at
+// ord, or nil. The returned slice is shared and must not be modified.
+func (f *Fragments) Summary(ord int) []byte { return f.cell(ord, summaryCol) }
 
 // KeyJSON returns the JSON string literal (quotes and escapes included)
-// of a cluster key present in the snapshot, or nil for unknown keys.
-func (f *Fragments) KeyJSON(key string) []byte {
-	if f == nil {
+// of the cluster key of the entry at ord, or nil when the entry has no
+// key or no summary. An ErratumSummary marshals full_id first and key
+// second, so the literal is sliced out of the summary row. The returned
+// slice is shared and must not be modified.
+func (f *Fragments) KeyJSON(ord int) []byte {
+	const head, keyField = `{"full_id":`, `,"key":`
+	rest, ok := bytes.CutPrefix(f.Summary(ord), []byte(head))
+	if !ok {
 		return nil
 	}
-	return f.keys[key]
+	n := jsonStringLen(rest)
+	if rest, ok = bytes.CutPrefix(rest[n:], []byte(keyField)); !ok || n == 0 {
+		return nil
+	}
+	if n = jsonStringLen(rest); n == 0 {
+		return nil
+	}
+	return rest[:n:n]
 }
 
-func newFragments(n int) *Fragments {
-	return &Fragments{
-		details:   make(map[*domain.Erratum][]byte, n),
-		summaries: make(map[*domain.Erratum][]byte, n),
-		keys:      make(map[string][]byte),
+// jsonStringLen returns the length of the JSON string literal b starts
+// with, or 0 when b does not start with a complete one. Inside a
+// literal every '"' is escaped, so the first unescaped one closes it.
+func jsonStringLen(b []byte) int {
+	if len(b) == 0 || b[0] != '"' {
+		return 0
 	}
+	for i := 1; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
+	return 0
 }
 
 // BuildFragments precomputes the canonical response fragments for every
-// entry of db. The per-entry cost is one json.Marshal each for the
-// detail and summary forms — the same work a single uncached request
-// pair used to pay — so a swap amortizes the whole corpus's marshaling
-// into one pass and the hot path never marshals again.
+// entry of db, row i for db.Errata()[i]. The per-entry cost is one
+// json.Marshal each for the detail and summary forms — the same work a
+// single uncached request pair used to pay — so a swap amortizes the
+// whole corpus's marshaling into one pass and the hot path never
+// marshals again.
 //
-// The result is never nil: it holds the fragments of every entry that
+// The result is never nil: it holds the rows of every entry that
 // marshaled, and err reports the first entry that did not. An entry
-// without fragments is simply absent from the lookups.
+// whose DTO failed to marshal has a nil row.
 func BuildFragments(db *domain.Database) (*Fragments, error) {
-	return BuildFragmentsDelta(nil, db)
+	errata := db.Errata()
+	f := &Fragments{rows: make([][2][]byte, len(errata))}
+	return f, f.marshalMissing(db, errata)
 }
 
-// BuildFragmentsDelta precomputes fragments for db, reusing the bytes
-// of every entry shared by pointer with prev. It honors the same
-// sharing contract as index.MergeDelta: a pointer-shared entry is
-// completely unchanged, so its fragments are still canonical. With a
-// nil prev it is BuildFragments. Like BuildFragments it returns every
-// fragment it could build together with the first error.
-func BuildFragmentsDelta(prev *Fragments, db *domain.Database) (*Fragments, error) {
-	errata := db.Errata()
-	f := newFragments(len(errata))
+// BuildFragmentsDelta precomputes the fragments of ix's snapshot from
+// prev's, where remap is what index.MergeDelta returned with ix: every
+// surviving entry's row is carried over from its previous ordinal, and
+// only the rows left empty are marshaled: the fresh entries' (and a
+// survivor's whose DTO never marshaled, which fails again). It
+// honors MergeDelta's sharing contract: a pointer-shared entry is
+// completely unchanged, so its row is still canonical. Like
+// BuildFragments it returns every row it could build together with the
+// first error.
+func BuildFragmentsDelta(prev *Fragments, ix *index.Index, remap []int) (*Fragments, error) {
+	f := &Fragments{rows: make([][2][]byte, ix.Size())}
+	for old, ord := range remap {
+		if ord >= 0 {
+			f.rows[ord] = [2][]byte{prev.Detail(old), prev.Summary(old)}
+		}
+	}
+	return f, f.marshalMissing(ix.Database(), ix.Errata())
+}
+
+// marshalMissing marshals the rows of f that are still empty, entry
+// errata[i] into row i, and returns the first error.
+func (f *Fragments) marshalMissing(db *domain.Database, errata []*domain.Erratum) error {
 	var first error
-	for _, e := range errata {
-		if d := prev.Detail(e); d != nil {
-			f.details[e] = d
-			f.summaries[e] = prev.summaries[e]
-			if kj := prev.KeyJSON(e.Key); kj != nil {
-				f.keys[e.Key] = kj
-			} else if err := f.addKey(e.Key); err != nil && first == nil {
-				first = err
-			}
+	for ord, e := range errata {
+		if f.rows[ord][summaryCol] != nil {
 			continue
 		}
-		if err := f.add(db, e); err != nil && first == nil {
+		if err := f.marshalRow(ord, db, e); err != nil && first == nil {
 			first = err
 		}
 	}
-	return f, first
+	return first
 }
 
-func (f *Fragments) add(db *domain.Database, e *domain.Erratum) error {
-	detail, err := json.Marshal(DetailOf(db, e))
+func (f *Fragments) marshalRow(ord int, db *domain.Database, e *domain.Erratum) error {
+	d := DetailOf(db, e)
+	detail, err := json.Marshal(d)
 	if err != nil {
 		return err
 	}
-	summary, err := json.Marshal(Summarize(db, e))
+	summary, err := json.Marshal(d.ErratumSummary)
 	if err != nil {
 		return err
 	}
-	f.details[e] = detail
-	f.summaries[e] = summary
-	return f.addKey(e.Key)
-}
-
-// addKey records the JSON literal of a non-empty cluster key once.
-func (f *Fragments) addKey(key string) error {
-	if key == "" {
-		return nil
-	}
-	if _, ok := f.keys[key]; ok {
-		return nil
-	}
-	kj, err := json.Marshal(key)
-	if err != nil {
-		return err
-	}
-	f.keys[key] = kj
+	f.rows[ord] = [2][]byte{detail, summary}
 	return nil
 }

@@ -609,8 +609,17 @@ type Stats struct {
 
 // ComputeStats recomputes corpus statistics from the database.
 func (db *Database) ComputeStats() Stats {
+	u := db.Unique()
+	return db.StatsOf(len(u), func(i int) *Erratum { return u[i] })
+}
+
+// StatsOf computes the corpus statistics of db given its n unique
+// representatives, rep(i) being the i-th in any order. ComputeStats
+// passes db.Unique(); an index passes its precomputed list, so the
+// statistics cost no Unique pass.
+func (db *Database) StatsOf(n int, rep func(i int) *Erratum) Stats {
 	var s Stats
-	for _, d := range db.Documents() {
+	for _, d := range db.Docs {
 		s.Documents++
 		if d.Vendor == Intel {
 			s.IntelDocs++
@@ -621,8 +630,9 @@ func (db *Database) ComputeStats() Stats {
 		}
 		s.Total += len(d.Errata)
 	}
-	// One Unique pass, split by vendor as UniqueVendor splits it.
-	for _, e := range db.Unique() {
+	// Split by vendor as UniqueVendor splits it.
+	for i := 0; i < n; i++ {
+		e := rep(i)
 		d := db.Docs[e.DocKey]
 		if d == nil || (d.Vendor != Intel && d.Vendor != AMD) {
 			continue

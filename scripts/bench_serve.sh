@@ -8,7 +8,13 @@
 #    not serving latency. The script fails when the full Handler()
 #    allocates more than MAX_EXTRA_ALLOCS (3) allocs/op above the bare
 #    handler — the gate that keeps per-request wrappers cheap.
-# 2. Builds errserve and errload, boots a server on a private port,
+# 2. Runs BenchmarkIngestPost (internal/serve): errserve's ingest step
+#    for one revised document onto a warm server backed by a mapped v2
+#    store, without HTTP, as two layer rows — ingest.Ingester.Apply
+#    ("apply") and Server.SwapDelta ("swap_delta"). They are layer rows,
+#    not serving latency; the POST's end-to-end figure is e2ebench's
+#    ingest-mixed workload.
+# 3. Builds errserve and errload, boots a server on a private port,
 #    drives the errload traffic mix at a fixed rate, and records the
 #    exact client-side latency of the /v1/errata request class (errload
 #    keeps every request's latency per class; no histogram
@@ -19,7 +25,9 @@
 #   {"suite": "serve", "rps": ..., "duration": "...",
 #    "runs": [{"class": "errata", "p50_seconds": ..., "p99_seconds": ...,
 #              "samples": ..., "requests": ..., "errors": 0}],
-#    "ladder": [{"rung": "bare", "ns_per_op": ..., "allocs_per_op": ...}, ...]}
+#    "ladder": [{"rung": "bare", "ns_per_op": ..., "allocs_per_op": ...}, ...],
+#    "ingest": [{"layer": "apply", "ns_per_op": ..., "bytes_per_op": ...,
+#                "allocs_per_op": ...}, {"layer": "swap_delta", ...}]}
 #
 # samples is the errata class's successful requests; at the default
 # 300 rps for 10s there are ~1,250, so p99 has ~12 samples beyond it.
@@ -62,6 +70,21 @@ if [ -z "$bare_allocs" ] || [ -z "$full_allocs" ]; then
 fi
 if [ "$((full_allocs - bare_allocs))" -gt "$MAX_EXTRA_ALLOCS" ]; then
     echo "FAIL: full Handler() point lookup allocates ${full_allocs}/op, bare handler ${bare_allocs}/op (at most ${MAX_EXTRA_ALLOCS} more allowed)" >&2
+    exit 1
+fi
+
+echo "running the ingest layer rows..." >&2
+go test -run '^$' -bench '^BenchmarkIngestPost$' -benchmem -count 1 ./internal/serve/ >"$WORK/ingest.txt"
+# Lines read "BenchmarkIngestPost/<layer>-<procs> N <ns> ns/op <bytes>
+# B/op <allocs> allocs/op".
+awk '/^BenchmarkIngestPost\// {
+    layer = $1; sub(/^BenchmarkIngestPost\//, "", layer); sub(/-[0-9]+$/, "", layer)
+    print layer, $3, $5, $7
+}' "$WORK/ingest.txt" >"$WORK/ingest.rows"
+cat "$WORK/ingest.rows" >&2
+if [ "$(wc -l <"$WORK/ingest.rows")" -ne 2 ]; then
+    echo "FAIL: BenchmarkIngestPost did not report the apply and swap_delta rows" >&2
+    cat "$WORK/ingest.txt" >&2
     exit 1
 fi
 
@@ -112,6 +135,9 @@ errs=$(awk -F': ' '/"errors"/ {gsub(/,/, "", $2); print $2; exit}' "$rep")
     printf '  ],\n  "ladder": [\n'
     awk '{printf "%s    {\"rung\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s}", (NR > 1 ? ",\n" : ""), $1, $2, $3}
         END {print ""}' "$WORK/ladder.rows"
+    printf '  ],\n  "ingest": [\n'
+    awk '{printf "%s    {\"layer\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", (NR > 1 ? ",\n" : ""), $1, $2, $3, $4}
+        END {print ""}' "$WORK/ingest.rows"
     printf '  ]\n}\n'
 } >"$OUT"
 
