@@ -56,9 +56,11 @@
 // /v1/admin/reload: the database is rebuilt (or re-read from -db) in
 // the background and atomically swapped in; in-flight requests keep
 // the snapshot they started with. A reload resets the ingest state to
-// the freshly produced database (previously ingested documents not in
-// the rebuilt source are dropped). It shuts down gracefully on
-// SIGINT/SIGTERM, draining in-flight requests.
+// the freshly produced database. Reloads and ingests, from HTTP, SIGHUP
+// or the spool, commit one at a time in one order: a reload drops the
+// documents acknowledged before it began, unless its source holds them,
+// and never drops one acknowledged after it. It shuts down gracefully
+// on SIGINT/SIGTERM, draining in-flight requests.
 //
 // # Deadlines
 //
@@ -79,7 +81,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -135,44 +136,44 @@ func run(addr, dbFile string, seed int64, par, cacheSize int, cacheDir, spool st
 		return db.Core(), nil
 	}
 
-	// openStore opens -db through the unified store entry point, which
-	// sniffs the format itself: FormatVersion 2 files take the
-	// zero-decode fast path (the validated file bytes back the
+	// load produces the corpus to serve, at startup and on every
+	// reload: a build, or -db (re)opened through the unified store entry
+	// point, which sniffs the format itself. FormatVersion 2 files take
+	// the zero-decode fast path (the validated file bytes back the
 	// database, index postings load from the file's arrays, response
 	// fragments come from the fragment region) and are memory-mapped
 	// unless -mmap=false; v1 JSON and ".gz" files decode from the heap.
-	openStore := func() (store.Reader, error) {
+	// It also materializes the corpus the ingester needs; StoreV2
+	// memoizes it, so the served snapshot shares these exact pointers.
+	load := func(ctx context.Context) (store.Reader, *domain.Database, error) {
+		if dbFile == "" {
+			db, err := build(ctx)
+			return nil, db, err
+		}
 		var opts []store.OpenOption
 		if !useMmap {
 			opts = append(opts, store.WithMmap(false))
 		}
-		return store.Open(dbFile, opts...)
+		r, err := store.Open(dbFile, opts...)
+		if err != nil {
+			return nil, nil, err
+		}
+		db, err := r.Database()
+		if err != nil {
+			r.Close()
+			return nil, nil, err
+		}
+		return r, db, nil
 	}
-
-	var rd store.Reader
-	var db *domain.Database
-	if dbFile != "" {
-		var err error
-		if rd, err = openStore(); err != nil {
-			return err
-		}
-		// The ingester needs the materialized corpus; StoreV2 memoizes
-		// it, so the server's snapshot shares these exact pointers.
-		if db, err = rd.Database(); err != nil {
-			rd.Close()
-			return err
-		}
-	} else {
-		var err error
-		if db, err = build(context.Background()); err != nil {
-			return err
-		}
+	rd, db, err := load(context.Background())
+	if err != nil {
+		return err
 	}
 
 	// The ingester maintains the live corpus fed by /v1/admin/ingest and
-	// the spool watcher. ingestMu serializes each Apply with its
-	// SwapDelta so two concurrent ingests cannot install their snapshots
-	// in the wrong order, and guards ingester replacement on reload.
+	// the spool watcher. The server runs the ingest and reload callbacks
+	// below one at a time, so they use and replace ing without a lock of
+	// their own.
 	newIngester := func(db *domain.Database) *ingest.Ingester {
 		iopts := ingest.Options{Parallelism: par, Observability: reg}
 		if cacheDir != "" {
@@ -184,19 +185,10 @@ func run(addr, dbFile string, seed int64, par, cacheSize int, cacheDir, spool st
 		}
 		return ingest.NewFrom(db, iopts)
 	}
-	var ingestMu sync.Mutex
 	ing := newIngester(db)
 
 	var srv *serve.Server
-	doIngest := func(ctx context.Context, text string) (serve.IngestSummary, error) {
-		ingestMu.Lock()
-		defer ingestMu.Unlock()
-		// A request whose deadline passed while it waited for the lock
-		// installs nothing; once Apply runs, the document is committed
-		// and the request answers 200 however late.
-		if err := ctx.Err(); err != nil {
-			return serve.IngestSummary{}, err
-		}
+	doIngest := func(_ context.Context, text string) (serve.IngestSummary, error) {
 		res, err := ing.Apply([]string{text})
 		if err != nil {
 			return serve.IngestSummary{}, err
@@ -214,56 +206,45 @@ func run(addr, dbFile string, seed int64, par, cacheSize int, cacheDir, spool st
 		return sum, nil
 	}
 
-	// A reload resets the ingest state to the freshly produced database
-	// (a request whose deadline passed meanwhile changes nothing and
-	// answers 503): the rebuilt source is authoritative, and documents
-	// ingested into the previous corpus but absent from it are dropped.
-	// With -db the reload reopens the file (picking up a replaced store)
-	// and hands the reader to the server, which closes it after
-	// installing the snapshot — mmap regions stay alive exactly as long
-	// as snapshots reference them.
+	// A reload installs a freshly loaded corpus and resets the ingest
+	// state to it: the fresh source is authoritative. A request whose
+	// deadline passed before the install changes nothing and answers
+	// 503. The reopened reader is closed once installed, so mmap regions
+	// stay alive exactly as long as snapshots reference them, and the
+	// ingester is replaced exactly when the install succeeded.
+	reload := func(ctx context.Context) (uint64, error) {
+		r, db, err := load(ctx)
+		if err != nil {
+			return 0, err
+		}
+		var gen uint64
+		switch {
+		case ctx.Err() != nil:
+			err = ctx.Err()
+		case r != nil:
+			gen, err = srv.SwapReader(r)
+		default:
+			gen = srv.Swap(db)
+		}
+		if r != nil {
+			// An installed snapshot holds its own region reference, so
+			// dropping the opener's cannot unmap (or fail) here.
+			r.Close()
+		}
+		if err != nil {
+			return 0, err
+		}
+		ing = newIngester(db)
+		return gen, nil
+	}
 	sopts := serve.Options{
 		CacheSize:       cacheSize,
 		RequestTimeout:  timeout,
 		Observability:   reg,
 		EnableProfiling: enablePprof,
+		Reloader:        reload,
 		Ingest:          doIngest,
 	}
-	if dbFile != "" {
-		sopts.ReloadSource = func(ctx context.Context) (store.Reader, error) {
-			r, err := openStore()
-			if err != nil {
-				return nil, err
-			}
-			db, err := r.Database()
-			if err == nil {
-				err = ctx.Err()
-			}
-			if err != nil {
-				r.Close()
-				return nil, err
-			}
-			ingestMu.Lock()
-			ing = newIngester(db)
-			ingestMu.Unlock()
-			return r, nil
-		}
-	} else {
-		sopts.Reloader = func(ctx context.Context) (*domain.Database, error) {
-			db, err := build(ctx)
-			if err == nil {
-				err = ctx.Err()
-			}
-			if err != nil {
-				return nil, err
-			}
-			ingestMu.Lock()
-			ing = newIngester(db)
-			ingestMu.Unlock()
-			return db, nil
-		}
-	}
-	var err error
 	if rd != nil {
 		srv, err = serve.New(serve.WithStore(rd), sopts)
 	} else {
@@ -298,8 +279,8 @@ func run(addr, dbFile string, seed int64, par, cacheSize int, cacheDir, spool st
 			Interval: spoolInterval,
 			Apply: func(ctx context.Context, _ string, text string) error {
 				// Shutdown must not move a spool file to failed/: the
-				// context check in doIngest is for request deadlines.
-				_, err := doIngest(context.WithoutCancel(ctx), text)
+				// server's context check is for request deadlines.
+				_, err := srv.Ingest(context.WithoutCancel(ctx), text)
 				return err
 			},
 			Observability: reg,

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/pkg/domain"
 )
 
 // TestIngestDeadline pins what POST /v1/admin/ingest answers around its
@@ -65,14 +64,14 @@ func TestIngestDeadline(t *testing.T) {
 }
 
 // TestReloadDeadline: a reloader that gives up at the request deadline
-// answers 503 and leaves the served snapshot alone, and a reload whose
-// deadline passed while it waited behind another never calls the
-// reloader.
+// answers 503 and leaves the served snapshot alone, and a reload or
+// ingest whose deadline passed while it waited behind another commit
+// never calls its callback.
 func TestReloadDeadline(t *testing.T) {
 	s := testServer(t, Options{RequestTimeout: 20 * time.Millisecond})
-	s.opts.Reloader = func(ctx context.Context) (*domain.Database, error) {
+	s.opts.Reloader = func(ctx context.Context) (uint64, error) {
 		<-ctx.Done()
-		return nil, ctx.Err()
+		return 0, ctx.Err()
 	}
 	gen := s.Generation()
 	rec := httptest.NewRecorder()
@@ -88,25 +87,34 @@ func TestReloadDeadline(t *testing.T) {
 	}
 
 	var calls atomic.Int32
-	s.opts.Reloader = func(context.Context) (*domain.Database, error) {
+	s.opts.Reloader = func(context.Context) (uint64, error) {
 		calls.Add(1)
-		return s.snap.Load().db, nil
+		return s.Swap(s.snap.Load().db), nil
 	}
-	s.reloadMu.Lock()
-	rec = httptest.NewRecorder()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/admin/reload", nil))
-	}()
-	time.Sleep(60 * time.Millisecond)
-	s.reloadMu.Unlock()
-	<-done
-	if rec.Code != http.StatusServiceUnavailable || calls.Load() != 0 {
-		t.Fatalf("reload expired while queued = %d with %d reloader calls, want 503 and 0", rec.Code, calls.Load())
+	s.opts.Ingest = func(context.Context, string) (IngestSummary, error) {
+		calls.Add(1)
+		return IngestSummary{Generation: s.Swap(s.snap.Load().db), Documents: 1}, nil
 	}
-	if got := s.Generation(); got != gen {
-		t.Fatalf("generation after queued expired reload = %d, want %d", got, gen)
+	for _, path := range []string{"/v1/admin/reload", "/v1/admin/ingest"} {
+		t.Run("queued "+path, func(t *testing.T) {
+			s.commitMu.Lock()
+			rec := httptest.NewRecorder()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader("doc")))
+			}()
+			time.Sleep(60 * time.Millisecond)
+			s.commitMu.Unlock()
+			<-done
+			if rec.Code != http.StatusServiceUnavailable || rec.Body.String() != timeoutBody || calls.Load() != 0 {
+				t.Fatalf("%s expired while queued = %d %s with %d callback calls, want 503 %s and 0",
+					path, rec.Code, rec.Body, calls.Load(), timeoutBody)
+			}
+			if got := s.Generation(); got != gen {
+				t.Fatalf("generation after queued expired %s = %d, want %d", path, got, gen)
+			}
+		})
 	}
 }
 

@@ -43,15 +43,16 @@ func ingestTexts(t testing.TB, seed int64) []string {
 }
 
 // ingestingServer wires an Ingester to a Server the way errserve does:
-// one mutex serializes each Apply with its SwapDelta so snapshots
-// install in application order.
-func ingestingServer(initial *domain.Database) (*Server, *ingest.Ingester) {
+// Ingest applies each document and installs it with SwapDelta, and,
+// when source is non-nil, the Reloader installs source's database with
+// Swap and then resets the ingester to it. The server runs both in its
+// commit order, so neither takes a lock of its own. The returned
+// function reads the current ingester; call it only while no reload
+// runs.
+func ingestingServer(initial *domain.Database, source func(context.Context) (*domain.Database, error)) (*Server, func() *ingest.Ingester) {
 	ing := ingest.NewFrom(initial, ingest.Options{Parallelism: 1})
-	var mu sync.Mutex
 	var srv *Server
-	srv = newDBServer(initial, Options{CacheSize: -1, Ingest: func(_ context.Context, text string) (IngestSummary, error) {
-		mu.Lock()
-		defer mu.Unlock()
+	opts := Options{CacheSize: -1, Ingest: func(_ context.Context, text string) (IngestSummary, error) {
 		res, err := ing.Apply([]string{text})
 		if err != nil {
 			return IngestSummary{}, err
@@ -63,8 +64,20 @@ func ingestingServer(initial *domain.Database) (*Server, *ingest.Ingester) {
 			sum.Generation = srv.Generation()
 		}
 		return sum, nil
-	}})
-	return srv, ing
+	}}
+	if source != nil {
+		opts.Reloader = func(ctx context.Context) (uint64, error) {
+			db, err := source(ctx)
+			if err != nil {
+				return 0, err
+			}
+			gen := srv.Swap(db)
+			ing = ingest.NewFrom(db, ingest.Options{Parallelism: 1})
+			return gen, nil
+		}
+	}
+	srv = newDBServer(initial, opts)
+	return srv, func() *ingest.Ingester { return ing }
 }
 
 // postIngest pushes one document through POST /v1/admin/ingest.
@@ -105,7 +118,7 @@ func TestIngestEndpointNotConfigured(t *testing.T) {
 // TestIngestEndpointRejectsBadDocument pins the 400 contract: an
 // unparseable body leaves the served snapshot untouched.
 func TestIngestEndpointRejectsBadDocument(t *testing.T) {
-	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()))
+	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()), nil)
 	gen := srv.Generation()
 	code, body := postIngest(t, srv, "not a specification update\n")
 	if code != 400 {
@@ -120,7 +133,7 @@ func TestIngestEndpointRejectsBadDocument(t *testing.T) {
 // one byte over maxIngestBytes is refused as too large, not as a bad
 // request, counts as an error, and leaves the snapshot untouched.
 func TestIngestEndpointRejectsOversizeBody(t *testing.T) {
-	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()))
+	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()), nil)
 	gen := srv.Generation()
 	code, body := postIngest(t, srv, strings.Repeat("x", maxIngestBytes+1))
 	if code != http.StatusRequestEntityTooLarge {
@@ -146,7 +159,7 @@ func TestIngestEndpointEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := newDBServer(unionDB, Options{CacheSize: -1})
-	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()))
+	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()), nil)
 	for i, text := range texts {
 		code, body := postIngest(t, srv, text)
 		if code != 200 {

@@ -25,14 +25,15 @@ func TestMarshalFailuresAre500s(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newDBServer(gt.DB, Options{
+	var srv *Server
+	srv = newDBServer(gt.DB, Options{
 		CacheSize: -1,
-		Reloader: func(context.Context) (*domain.Database, error) {
+		Reloader: func(context.Context) (uint64, error) {
 			g, err := corpus.Generate(1)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			return g.DB, nil
+			return srv.Swap(g.DB), nil
 		},
 		Ingest: func(context.Context, string) (IngestSummary, error) {
 			return IngestSummary{}, nil

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
@@ -173,21 +174,36 @@ func TestMmapSwapUnderLoad(t *testing.T) {
 	}
 }
 
-// TestSwapDeltaInheritsRegion pins the delta-swap lifecycle: a delta
-// snapshot shares entries (and so mapped strings) with its predecessor,
-// so it must retain the predecessor's region; a later full Swap to a
-// heap database is what finally unmaps it.
+// TestSwapDeltaInheritsRegion pins the mapped snapshot lifecycle: a
+// delta snapshot shares entries (and so mapped strings) with its
+// predecessor, so it must retain the predecessor's region. A reload
+// that reopens a mapped v2 store the way errserve's does (store.Open,
+// SwapReader, Close) unmaps the displaced region and answers
+// byte-identically to a heap server over the new file, and a later
+// full Swap to a heap database unmaps the reloaded region.
 func TestSwapDeltaInheritsRegion(t *testing.T) {
-	gt, err := corpus.Generate(1)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	paths := make([]string, 2)
+	for i, seed := range []int64{1, 2} {
+		gt, err := corpus.Generate(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = filepath.Join(dir, "db"+strconv.Itoa(i)+".v2")
+		if err := store.SaveFormat(gt.DB, paths[i], "v2"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	path := filepath.Join(t.TempDir(), "db.v2")
-	if err := store.SaveFormat(gt.DB, path, "v2"); err != nil {
-		t.Fatal(err)
-	}
-	sv := openMapped(t, path)
-	srv, err := New(WithStore(sv), Options{CacheSize: -1})
+	sv := openMapped(t, paths[0])
+	var srv *Server
+	var reloaded *store.Region
+	srv, err := New(WithStore(sv), Options{CacheSize: -1, Reloader: func(context.Context) (uint64, error) {
+		r := openMapped(t, paths[1])
+		gen, err := srv.SwapReader(r)
+		reloaded = r.Region()
+		r.Close()
+		return gen, err
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +216,48 @@ func TestSwapDeltaInheritsRegion(t *testing.T) {
 		t.Fatal("delta swap released the region its entries alias")
 	}
 
+	gen, err := srv.Reload(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if region.Active() {
+		t.Error("region still active after a reload displaced every snapshot holding it")
+	}
+	if !reloaded.Active() {
+		t.Fatal("reload released the region it serves from")
+	}
+	heapReader, err := store.Open(paths[1], store.WithMmap(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heapSrv, err := New(WithStore(heapReader), Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heapReader.Close()
+	db := srv.snap.Load().db
+	urls := []string{"/v1/stats", "/healthz", "/v1/errata?unique=false&limit=1000"}
+	for _, key := range sampleKeys(db, 16) {
+		urls = append(urls, "/v1/errata/"+url.PathEscape(key))
+	}
+	genField := []byte(`"generation":` + strconv.FormatUint(gen, 10))
+	want, got := heapSrv.Handler(), srv.Handler()
+	for _, u := range urls {
+		wantCode, wantBody := get(t, want, u)
+		gotCode, gotBody := get(t, got, u)
+		wantBody = bytes.Replace(wantBody, []byte(`"generation":1`), genField, 1)
+		if gotCode != wantCode || !bytes.Equal(gotBody, wantBody) {
+			t.Fatalf("reloaded %s: mmap %d %q != heap %d %q", u, gotCode, truncate(gotBody), wantCode, truncate(wantBody))
+		}
+	}
+
 	gt2, err := corpus.Generate(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Swap(gt2.DB)
-	if region.Active() {
-		t.Error("region still active after a full swap to a heap database")
+	if reloaded.Active() {
+		t.Error("reloaded region still active after a full swap to a heap database")
 	}
 }
 

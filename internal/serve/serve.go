@@ -34,10 +34,15 @@
 // generation finish unperturbed. Response-cache entries are keyed by
 // generation, so a swap implicitly invalidates the cache without a
 // stop-the-world flush and a stale entry is never served for a newer
-// generation. When Options.Reloader is set, POST /v1/admin/reload
-// rebuilds (or re-loads) the database and swaps it in. The server is
-// safe for arbitrary concurrency: snapshots are immutable, the cache is
-// mutex-guarded, and the instruments are lock-free.
+// generation. The server is safe for arbitrary concurrency: snapshots
+// are immutable, the cache is mutex-guarded, and the instruments are
+// lock-free.
+//
+// Reload and Ingest, the two writers of the served state, run their
+// callbacks one at a time in one commit order, so an ingest that
+// arrives during a reload lands on the reloaded snapshot: a reload
+// drops documents acknowledged before it began, unless its source holds
+// them, and never drops one acknowledged after it.
 //
 // Every request has a deadline, Options.RequestTimeout after its
 // handler starts, enforced without a goroutine, timer or context per
@@ -97,33 +102,25 @@ type Options struct {
 	// legitimately run longer than API requests), and moves the
 	// connection's write deadline past the requested profile.
 	EnableProfiling bool
-	// Reloader, when non-nil, produces a fresh database for
-	// POST /v1/admin/reload (and Server.Reload): typically a warm
-	// pipeline rebuild or a store-file load. The returned database is
-	// swapped in atomically; the reloader must not mutate it afterwards.
-	// When nil, the reload endpoint answers 501 Not Implemented. Over
-	// HTTP, ctx ends at the request deadline: a callback that gives up
+	// Reloader, when non-nil, installs a fresh snapshot for
+	// POST /v1/admin/reload (and Server.Reload) and returns its
+	// generation: typically a warm pipeline rebuild handed to Swap, or a
+	// reopened store file handed to SwapReader. It runs in the commit
+	// order, so it must not call Reload or Ingest. When nil, the reload
+	// endpoint answers 501 Not Implemented. Over HTTP, ctx ends at the
+	// request deadline: a callback that gives up installs nothing and
 	// returns ctx's error, and the endpoint answers 503.
-	Reloader func(ctx context.Context) (*domain.Database, error)
-	// ReloadSource, when non-nil, produces a fresh store.Reader for
-	// POST /v1/admin/reload (and Server.Reload) — the store-backed
-	// sibling of Reloader, so a reload of an mmap-backed corpus reopens
-	// the file instead of materializing a database first. The server
-	// swaps the reader in via SwapReader and closes it afterwards
-	// (snapshots hold their own region reference), so the callback must
-	// hand over ownership. Takes precedence over Reloader when both are
-	// set.
-	ReloadSource func(ctx context.Context) (store.Reader, error)
+	Reloader func(ctx context.Context) (uint64, error)
 	// Ingest, when non-nil, applies one specification-update document
-	// text to the live corpus for POST /v1/admin/ingest: typically a
-	// closure over an ingest.Ingester whose Apply feeds Server.SwapDelta.
-	// The callback owns the ordering discipline — it must serialize
-	// apply+swap pairs so concurrent ingests cannot install snapshots
-	// out of order. ctx ends at the request deadline: a callback that
-	// sees it expire before committing installs nothing and returns
-	// ctx's error, and the endpoint answers 503; once it has committed
-	// it returns its summary, and the endpoint answers 200 however late.
-	// When nil, the ingest endpoint answers 501 Not Implemented.
+	// text to the live corpus for POST /v1/admin/ingest (and
+	// Server.Ingest): typically a closure over an ingest.Ingester whose
+	// Apply feeds Server.SwapDelta. It runs in the commit order, so it
+	// needs no lock of its own and must not call Reload or Ingest. ctx
+	// ends at the request deadline: a callback that sees it expire before
+	// committing installs nothing and returns ctx's error, and the
+	// endpoint answers 503; once it has committed it returns its summary,
+	// and the endpoint answers 200 however late. When nil, the ingest
+	// endpoint answers 501 Not Implemented.
 	Ingest func(ctx context.Context, text string) (IngestSummary, error)
 }
 
@@ -209,11 +206,11 @@ type Server struct {
 	reg   *obs.Registry
 
 	// swapMu serializes snapshot installation so generation ids are
-	// stored in increasing order; reloadMu additionally serializes
-	// whole reloads (build + swap) so concurrent reload requests don't
-	// run redundant rebuilds.
+	// stored in increasing order; commitMu serializes whole reloads and
+	// ingests (callback plus install), the one order in which they
+	// change the served state.
 	swapMu     sync.Mutex
-	reloadMu   sync.Mutex
+	commitMu   sync.Mutex
 	swaps      *obs.Counter
 	deltaSwaps *obs.Counter
 	swapLag    *obs.Histogram
@@ -526,43 +523,41 @@ func (s *Server) acquireSnap() *snapshot {
 	}
 }
 
-// Reload produces a fresh snapshot via Options.ReloadSource (preferred)
-// or Options.Reloader and swaps it in, returning the new generation.
-// Reloads are serialized: concurrent calls run one at a time, and one
-// whose ctx ended while it waited does not call the callback. Returns
-// an error when neither callback is configured, ctx has ended or the
-// callback fails (the served snapshot is untouched).
+// Reload installs a fresh snapshot through Options.Reloader, in the
+// commit order, and returns its generation. It errors when no reloader
+// is configured, ctx ended or the callback fails.
 func (s *Server) Reload(ctx context.Context) (uint64, error) {
-	if s.opts.Reloader == nil && s.opts.ReloadSource == nil {
+	if s.opts.Reloader == nil {
 		return 0, errors.New("serve: no reloader configured")
 	}
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return 0, fmt.Errorf("serve: reload: %w", err)
-	}
-	if s.opts.ReloadSource != nil {
-		r, err := s.opts.ReloadSource(ctx)
-		if err != nil {
-			return 0, fmt.Errorf("serve: reload: %w", err)
-		}
-		gen, err := s.SwapReader(r)
-		// The snapshot holds its own region reference; dropping the
-		// opener's here means the mapping lives exactly as long as
-		// snapshots using it do.
-		if cerr := r.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return 0, fmt.Errorf("serve: reload: %w", err)
-		}
-		return gen, nil
-	}
-	db, err := s.opts.Reloader(ctx)
+	gen, err := commit(s, ctx, s.opts.Reloader)
 	if err != nil {
 		return 0, fmt.Errorf("serve: reload: %w", err)
 	}
-	return s.Swap(db), nil
+	return gen, nil
+}
+
+// Ingest applies one specification-update document text through
+// Options.Ingest, in the commit order, and returns what it changed.
+func (s *Server) Ingest(ctx context.Context, text string) (IngestSummary, error) {
+	if s.opts.Ingest == nil {
+		return IngestSummary{}, errors.New("serve: no ingest configured")
+	}
+	return commit(s, ctx, func(ctx context.Context) (IngestSummary, error) {
+		return s.opts.Ingest(ctx, text)
+	})
+}
+
+// commit runs f in the commit order, under commitMu. A call whose ctx
+// ended while it waited runs nothing and returns ctx's error.
+func commit[T any](s *Server, ctx context.Context, f func(context.Context) (T, error)) (T, error) {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	if err := ctx.Err(); err != nil {
+		var zero T
+		return zero, err
+	}
+	return f(ctx)
 }
 
 // Registry returns the registry backing the server's instruments (the
@@ -1083,7 +1078,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleReload swaps in a freshly produced database with zero downtime.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Reloader == nil && s.opts.ReloadSource == nil {
+	if s.opts.Reloader == nil {
 		writeError(w, http.StatusNotImplemented, "reload is not configured on this server")
 		return
 	}
@@ -1111,7 +1106,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 const maxIngestBytes = 16 << 20
 
 // handleIngest feeds one specification-update document into the live
-// corpus via Options.Ingest and reports the resulting generation.
+// corpus via Server.Ingest and reports the resulting generation.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Ingest == nil {
 		writeError(w, http.StatusNotImplemented, "ingest is not configured on this server")
@@ -1134,7 +1129,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 		return
 	}
-	sum, err := s.opts.Ingest(ctx, string(text))
+	sum, err := s.Ingest(ctx, string(text))
 	if err != nil {
 		writeCallbackError(w, http.StatusBadRequest, err)
 		return

@@ -218,11 +218,12 @@ func TestAdminReload(t *testing.T) {
 
 	// With a reloader: swap to dbB, generation advances, stats follow.
 	var fail bool
-	s2 := newDBServer(dbA, Options{Reloader: func(context.Context) (*domain.Database, error) {
+	var s2 *Server
+	s2 = newDBServer(dbA, Options{Reloader: func(context.Context) (uint64, error) {
 		if fail {
-			return nil, errors.New("synthetic reload failure")
+			return 0, errors.New("synthetic reload failure")
 		}
-		return dbB, nil
+		return s2.Swap(dbB), nil
 	}})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()

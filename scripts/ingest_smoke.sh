@@ -15,6 +15,10 @@
 #      moved to done/ within a few poll periods.
 #   5. After POSTing an earlier-generation document, the key recorded in
 #      step 1 must still name the same erratum title.
+#   6. SIGHUP must reload: the generation advances, /v1/stats is back to
+#      its pre-step-1 errata count, and re-POSTing the step-1 document
+#      ingests it again (documents=1, skipped=0), so the ingest state was
+#      reset together with the served snapshot.
 #
 # Finally the ingest metric families must be present on /metrics.
 # Exits non-zero on any violation.
@@ -52,7 +56,9 @@ for _ in $(seq 1 100); do
     sleep 0.2
 done
 gen() { curl -fsS "http://${ADDR}/healthz" | sed -n 's/.*"generation":\([0-9]*\).*/\1/p'; }
+errata() { curl -fsS "http://${ADDR}/v1/stats" | sed -n 's/.*"errata":\([0-9]*\).*/\1/p'; }
 GEN0=$(gen)
+ERRATA0=$(errata)
 
 # 1. Ingest over HTTP: generation must advance by one.
 RESP=$(curl -fsS -X POST --data-binary @"$LATE" "http://${ADDR}/v1/admin/ingest")
@@ -100,6 +106,22 @@ curl -fsS "http://${ADDR}/v1/errata/${KEY}" | grep -qF "\"title\":\"${TITLE}\"" 
 
 # The ingested documents must be queryable.
 curl -fsS "http://${ADDR}/v1/errata?limit=1" | grep -q '"total"'
+
+# 6. A SIGHUP reload rebuilds the seed corpus, dropping every document
+# ingested before it, and resets the ingester with it.
+GEN3=$(gen)
+kill -HUP "$SERVER_PID"
+for _ in $(seq 1 300); do
+    if [ "$(gen)" -gt "$GEN3" ]; then
+        break
+    fi
+    sleep 0.2
+done
+[ "$(gen)" -gt "$GEN3" ] || { echo "FAIL: SIGHUP did not advance generation $GEN3" >&2; exit 1; }
+[ "$(errata)" -eq "$ERRATA0" ] || { echo "FAIL: $(errata) errata after SIGHUP, want $ERRATA0" >&2; exit 1; }
+RESP=$(curl -fsS -X POST --data-binary @"$LATE" "http://${ADDR}/v1/admin/ingest")
+grep -q '"documents":1,"errata":[0-9]*,"skipped":0' <<<"$RESP" ||
+    { echo "FAIL: re-POST after SIGHUP: $RESP" >&2; exit 1; }
 
 # Ingest metric families on the shared registry.
 EXPO=$(curl -fsS "http://${ADDR}/metrics")
