@@ -150,11 +150,7 @@ func run(addr, dbFile string, seed int64, par, cacheSize int, cacheDir, spool st
 			db, err := build(ctx)
 			return nil, db, err
 		}
-		var opts []store.OpenOption
-		if !useMmap {
-			opts = append(opts, store.WithMmap(false))
-		}
-		r, err := store.Open(dbFile, opts...)
+		r, err := store.Open(dbFile, store.WithMmap(useMmap))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -19,7 +19,7 @@
 //	rememberr convert -in F [-o F] [-format v1|v2]   convert a saved database between formats
 //
 // Every data command accepts -seed N (build seed) or -db FILE (load a
-// previously saved database, ".gz" supported).
+// previously saved database: v1 JSON or v2, optionally ".gz").
 package main
 
 import (
@@ -106,7 +106,8 @@ commands:
   report         write the full reproduction report as one HTML page
   taxonomy       print the 60-category classification scheme (Tables IV-VI)
 
-common flags: -seed N (build seed), -db FILE (load saved JSON instead),
+common flags: -seed N (build seed), -db FILE (load a saved database
+              instead: v1 JSON or v2, optionally .gz),
               -parallelism N (pipeline workers; 0 = all CPUs, 1 = sequential),
               -cache-dir D (content-addressed pipeline cache; warm rebuilds
               replay unchanged stages)

@@ -755,13 +755,6 @@ func (x *Experiments) Figure12() *Experiment {
 	return ex
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Figure13 reproduces the trigger classes over Intel generations.
 func (x *Experiments) Figure13() *Experiment {
 	ex := &Experiment{

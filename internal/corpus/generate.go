@@ -53,8 +53,10 @@ type ErrorInventory struct {
 // GroundTruth is the output of the generator: the fully annotated and
 // keyed database, plus everything the pipeline is expected to recover.
 type GroundTruth struct {
-	// DB is the ground-truth database (annotations and cluster keys set).
-	DB *domain.Database
+	// DB is the ground-truth database (annotations and cluster keys
+	// set). It is left out of the JSON form: a cached ground truth
+	// carries it as its store.Artifact's database.
+	DB *domain.Database `json:"-"`
 	// Lineages maps ground-truth keys to lineages.
 	Lineages map[string]*Lineage
 	// ConfirmedPairs lists entry-reference pairs whose titles were

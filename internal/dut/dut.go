@@ -113,16 +113,6 @@ func New(bugs []Bug, cfg Config) (*DUT, error) {
 // NumBugs returns the number of hidden bugs.
 func (d *DUT) NumBugs() int { return len(d.bugs) }
 
-// BugIDs returns the hidden bug identifiers (for evaluation only — a
-// real campaign would not see them).
-func (d *DUT) BugIDs() []string {
-	out := make([]string, len(d.bugs))
-	for i, b := range d.bugs {
-		out[i] = b.ID
-	}
-	return out
-}
-
 // Execute runs one stimulus and reports triggered and detected bugs.
 func (d *DUT) Execute(s Stimulus) Result {
 	applied := map[string]bool{}

@@ -314,7 +314,7 @@ func mergePostings[K comparable](prev, add map[K]List, remap []int) map[K]List {
 	out := make(map[K]List, len(prev)+len(add))
 	for k, l := range prev {
 		start := len(arena)
-		arena = mergeInto(arena, l, toInts(add[k]), remap)
+		arena = mergeInto(arena, l, Ints(add[k]), remap)
 		if len(arena) > start {
 			boxes = append(boxes, arena[start:len(arena):len(arena)])
 			out[k] = &boxes[len(boxes)-1]
@@ -330,7 +330,7 @@ func mergePostings[K comparable](prev, add map[K]List, remap []int) map[K]List {
 
 // mergeList is mergePostings for one list.
 func mergeList(l, add List, remap []int) List {
-	out := Ords(mergeInto(make([]int, 0, listLen(l)+listLen(add)), l, toInts(add), remap))
+	out := Ords(mergeInto(make([]int, 0, listLen(l)+listLen(add)), l, Ints(add), remap))
 	return &out
 }
 
@@ -364,7 +364,7 @@ func (ix *Index) DebugDump() []byte {
 	for ord, e := range ix.errata {
 		fmt.Fprintf(&b, "e %d %s key=%q trig=%d low=%q\n", ord, e.FullID(), e.Key, ix.triggerCount.At(ord), ix.lowTitles[ord])
 	}
-	fmt.Fprintf(&b, "unique %v\n", toInts(ix.uniqueOrds))
+	fmt.Fprintf(&b, "unique %v\n", Ints(ix.uniqueOrds))
 	dumpPostings(&b, "vendor", ix.byVendor)
 	dumpPostings(&b, "doc", ix.byDoc)
 	dumpPostings(&b, "category", ix.byCategory)
@@ -374,8 +374,8 @@ func (ix *Index) DebugDump() []byte {
 	dumpPostings(&b, "workaround", ix.byWorkaround)
 	dumpPostings(&b, "fix", ix.byFix)
 	dumpPostings(&b, "msr", ix.byMSR)
-	fmt.Fprintf(&b, "complex %v\n", toInts(ix.complexSet))
-	fmt.Fprintf(&b, "simonly %v\n", toInts(ix.simOnlySet))
+	fmt.Fprintf(&b, "complex %v\n", Ints(ix.complexSet))
+	fmt.Fprintf(&b, "simonly %v\n", Ints(ix.simOnlySet))
 	return b.Bytes()
 }
 
@@ -385,7 +385,7 @@ func dumpPostings[K comparable](b *bytes.Buffer, family string, m map[K]List) {
 	for k, l := range m {
 		label := fmt.Sprint(k)
 		keys = append(keys, label)
-		byLabel[label] = toInts(l) // %v of a materialized slice: span- and heap-backed dump identically
+		byLabel[label] = Ints(l) // %v of a materialized slice: span- and heap-backed dump identically
 	}
 	sort.Strings(keys)
 	for _, k := range keys {

@@ -96,9 +96,27 @@ func Build(db *domain.Database) *Index {
 	return ix
 }
 
-// BuildParts returns Parts of Build(db) from the postings walk alone,
-// lowering no title: what the FormatVersion 2 encoder persists.
-func BuildParts(db *domain.Database) *Parts { return buildPostings(db).Parts() }
+// BuildParts returns the postings of Build(db) from the postings walk
+// alone, lowering no title: what the FormatVersion 2 encoder persists.
+// Every list lives in the heap, so Ints reads it without copying.
+func BuildParts(db *domain.Database) *ListParts {
+	ix := buildPostings(db)
+	return &ListParts{
+		UniqueOrds:   ix.uniqueOrds,
+		ByVendor:     ix.byVendor,
+		ByDoc:        ix.byDoc,
+		ByCategory:   ix.byCategory,
+		ByTriggerCat: ix.byTriggerCat,
+		ByClass:      ix.byClass,
+		ByKey:        ix.byKey,
+		ByWorkaround: ix.byWorkaround,
+		ByFix:        ix.byFix,
+		ByMSR:        ix.byMSR,
+		ComplexSet:   ix.complexSet,
+		SimOnlySet:   ix.simOnlySet,
+		TriggerCount: ix.triggerCount,
+	}
+}
 
 // buildPostings walks every entry once with addEntry and derives the
 // unique-representative list from db.Unique(). The result has no
@@ -238,7 +256,7 @@ func (q *Query) WithCategory(categoryID string) *Query {
 func (q *Query) AnyCategory(categoryIDs ...string) *Query {
 	var u []int
 	for _, c := range categoryIDs {
-		u = union(u, toInts(q.ix.byCategory[c]))
+		u = union(u, Ints(q.ix.byCategory[c]))
 	}
 	return q.list(Ords(u))
 }
@@ -319,7 +337,7 @@ func (q *Query) matchOrdinals() []int {
 	lists := make([]List, len(q.lists))
 	copy(lists, q.lists)
 	sort.Slice(lists, func(i, j int) bool { return lists[i].Len() < lists[j].Len() })
-	cand := toInts(lists[0])
+	cand := Ints(lists[0])
 	merged := int64(0)
 	for _, l := range lists[1:] {
 		if len(cand) == 0 {

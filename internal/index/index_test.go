@@ -113,7 +113,7 @@ func TestPostingsSortedAndComplete(t *testing.T) {
 		for key, l := range m {
 			for i := 1; i < l.Len(); i++ {
 				if l.At(i-1) >= l.At(i) {
-					t.Errorf("%s[%q] not strictly sorted: %v", name, key, toInts(l))
+					t.Errorf("%s[%q] not strictly sorted: %v", name, key, Ints(l))
 				}
 			}
 		}

@@ -63,9 +63,10 @@ func heapInts(l List) (ords []int, ok bool) {
 	return nil, false
 }
 
-// toInts materializes a List as []int, aliasing the underlying slice
-// when the list already lives in the heap.
-func toInts(l List) []int {
+// Ints materializes a List as []int, aliasing the underlying slice
+// when the list already lives in the heap (the caller must then treat
+// it as read-only).
+func Ints(l List) []int {
 	if l == nil {
 		return nil
 	}
@@ -140,12 +141,18 @@ func intersectInto(a []int, b List) []int {
 	return out
 }
 
-// ListParts is the List-typed sibling of Parts: the complete structural
-// state of an index with every postings family behind the List
-// interface, so a FormatVersion 2 store can hand the index spans over
-// its mapped ords section instead of materializing []int copies.
-// FromLists is the only consumer; Parts stays the exported flat-slice
-// carrier the encoder persists.
+// ListParts is the complete structural state of an index in exported
+// form: every postings family behind the List interface, the
+// precomputed flag sets and trigger counts, and the unique-
+// representative ordinals. It is the one carrier of postings across
+// the index/store boundary: BuildParts hands the FormatVersion 2
+// encoder heap lists to persist, and a v2 store hands FromLists spans
+// over its mapped ords section to reassemble an index from, without
+// re-walking any annotation or materializing []int copies.
+//
+// Ordinals are positions in db.Errata() order, exactly as Build
+// produces them, so parts are only meaningful for a database whose
+// Errata() order is identical.
 type ListParts struct {
 	UniqueOrds   List
 	ByVendor     map[domain.Vendor]List

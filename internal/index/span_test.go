@@ -112,14 +112,14 @@ func TestFromListsRejects(t *testing.T) {
 
 	short := &ListParts{
 		UniqueOrds:   built.uniqueOrds,
-		TriggerCount: Ords(toInts(built.triggerCount)[:n-1]),
+		TriggerCount: Ords(Ints(built.triggerCount)[:n-1]),
 	}
 	if _, err := FromLists(gt.DB, short); err == nil {
 		t.Fatal("FromLists accepted a short TriggerCount")
 	}
 
 	outOfRange := &ListParts{
-		UniqueOrds:   spanOf(t, Ords(append(toInts(built.uniqueOrds), n))),
+		UniqueOrds:   spanOf(t, Ords(append(Ints(built.uniqueOrds), n))),
 		TriggerCount: built.triggerCount,
 	}
 	if _, err := FromLists(gt.DB, outOfRange); err == nil {

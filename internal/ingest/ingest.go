@@ -47,7 +47,6 @@ package ingest
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
@@ -71,7 +70,7 @@ import (
 // docArtifactVersion versions the cached per-document artifact (parsed
 // document + auto-classification). Bump it when the parser, the
 // classifier rules, or the artifact encoding change semantics.
-const docArtifactVersion = "ingest-doc@v1"
+const docArtifactVersion = "ingest-doc@v2"
 
 // Options configures an Ingester.
 type Options struct {
@@ -648,36 +647,22 @@ func sha256hex(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// artifactDTO is the cached per-document artifact: the parsed,
-// classified document encoded as a single-document store database, plus
-// its parse diagnostics.
-type artifactDTO struct {
-	Doc   json.RawMessage      `json:"doc"`
-	Diags []specdoc.Diagnostic `json:"diags,omitempty"`
-}
-
+// encodeArtifact caches a parsed document as a single-document
+// database with its parse diagnostics as metadata.
 func encodeArtifact(p *parsedDoc) ([]byte, error) {
 	one := domain.NewDatabase(taxonomy.Base())
 	if err := one.Add(p.doc); err != nil {
 		return nil, err
 	}
-	raw, err := store.Encode(one)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(artifactDTO{Doc: raw, Diags: p.diags})
+	return store.NewArtifact(one, p.diags).Marshal()
 }
 
 func decodeArtifact(raw []byte) (*parsedDoc, error) {
-	var dto artifactDTO
-	if err := json.Unmarshal(raw, &dto); err != nil {
-		return nil, err
-	}
-	r, err := store.OpenBytes(dto.Doc, store.WithFormat("v1"))
+	a, err := store.UnmarshalArtifact[[]specdoc.Diagnostic](raw)
 	if err != nil {
 		return nil, err
 	}
-	one, err := r.Database()
+	one, err := a.Database()
 	if err != nil {
 		return nil, err
 	}
@@ -685,7 +670,7 @@ func decodeArtifact(raw []byte) (*parsedDoc, error) {
 		return nil, fmt.Errorf("ingest: artifact holds %d documents", len(one.Docs))
 	}
 	for _, d := range one.Docs {
-		return &parsedDoc{doc: d, diags: dto.Diags}, nil
+		return &parsedDoc{doc: d, diags: a.Meta}, nil
 	}
 	return nil, fmt.Errorf("ingest: empty artifact")
 }

@@ -2,8 +2,10 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/specdoc"
 	"repro/internal/store"
+	"repro/internal/taxonomy"
 	"repro/internal/textsim"
 	"repro/pkg/domain"
 )
@@ -256,7 +259,11 @@ func TestApplyIdempotentAndRevision(t *testing.T) {
 }
 
 // TestArtifactCacheHits pins the per-document artifact cache: a second
-// ingester over the same cache re-parses nothing and still converges.
+// ingester over the same cache re-parses nothing and still converges,
+// and every cache hit yields exactly what a fresh parse yields — the
+// document byte-identical in both store encodings (its entries still
+// unkeyed and undated: keys and disclosure dates are assigned at Apply
+// time) and the same diagnostics.
 func TestArtifactCacheHits(t *testing.T) {
 	texts := seedTexts(t, 4)
 	cache := pipeline.NewMemCache()
@@ -280,6 +287,168 @@ func TestArtifactCacheHits(t *testing.T) {
 	if got, want := mustEncode(t, res2.DB), mustEncode(t, res1.DB); !bytes.Equal(got, want) {
 		t.Fatalf("cached parse converged to a different database")
 	}
+
+	fresh, cached := New(Options{}), New(Options{Cache: cache})
+	var diags, unkeyed, undated int
+	for _, text := range texts {
+		want, err := fresh.parseOne(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cached.parseOne(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := want.doc.Key
+		if got.digest != want.digest {
+			t.Fatalf("%s: cached digest %s, fresh %s", key, got.digest, want.digest)
+		}
+		for _, enc := range []func(testing.TB, *domain.Document) []byte{docV1, docV2} {
+			if g, w := enc(t, got.doc), enc(t, want.doc); !bytes.Equal(g, w) {
+				t.Fatalf("%s: cached document differs from a fresh parse:\n got %s\nwant %s", key, g, w)
+			}
+		}
+		if !reflect.DeepEqual(got.diags, want.diags) {
+			t.Fatalf("%s: cached diagnostics %+v, fresh %+v", key, got.diags, want.diags)
+		}
+		diags += len(want.diags)
+		for _, e := range want.doc.Errata {
+			if e.Key == "" {
+				unkeyed++
+			}
+			if e.Disclosed.IsZero() {
+				undated++
+			}
+		}
+	}
+	if hits := cached.cacheHits.Value(); hits != int64(len(texts)) {
+		t.Fatalf("per-document pass: %d cache hits, want %d", hits, len(texts))
+	}
+	if diags == 0 || unkeyed == 0 || undated == 0 {
+		t.Fatalf("corpus exercises %d diagnostics, %d unkeyed and %d undated entries; want some of each", diags, unkeyed, undated)
+	}
+}
+
+// TestArtifactCacheCorruption pins the documented fallback of the
+// per-document artifact cache: an artifact that does not decode to
+// exactly one FormatVersion 2 document degrades to a cache miss, the
+// text is parsed afresh, and the batch converges to the database the
+// intact cache gives.
+func TestArtifactCacheCorruption(t *testing.T) {
+	texts := seedTexts(t, 4)[:6]
+	cache := pipeline.NewMemCache()
+	res, err := New(Options{Cache: cache}).Apply(texts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustEncode(t, res.DB)
+
+	// envelope re-marshals an intact artifact after f rewrote its
+	// database bytes.
+	envelope := func(f func(db []byte) []byte) func([]byte) []byte {
+		return func(raw []byte) []byte {
+			a, err := store.UnmarshalArtifact[[]specdoc.Diagnostic](raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.DB = f(a.DB)
+			b, err := json.Marshal(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(raw []byte) []byte
+	}{
+		{"truncated", func(raw []byte) []byte { return raw[:len(raw)/2] }},
+		{"empty", func([]byte) []byte { return nil }},
+		{"not json", func([]byte) []byte { return []byte("REMBERR2 not an envelope") }},
+		{"database truncated", envelope(func(db []byte) []byte { return db[:len(db)-1] })},
+		{"database bit-flipped", envelope(func(db []byte) []byte {
+			db[len(db)/2] ^= 0x10
+			return db
+		})},
+		{"database header bit-flipped", envelope(func(db []byte) []byte {
+			db[3] ^= 0x01
+			return db
+		})},
+		{"no database", envelope(func([]byte) []byte { return nil })},
+		{"non-database payload", envelope(func([]byte) []byte { return []byte(texts[0]) })},
+		{"v1 database payload", envelope(func(db []byte) []byte {
+			r, err := store.OpenBytes(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := r.Database()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mustEncode(t, one)
+		})},
+		{"two-document payload", envelope(func([]byte) []byte {
+			two, _, err := Build(nil, texts[:2], Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := store.EncodeV2(two, store.V2Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := New(Options{Cache: corruptingCache{cache, tc.corrupt}})
+			got, err := in.Apply(texts)
+			if err != nil {
+				t.Fatalf("Apply over corrupt artifacts: %v", err)
+			}
+			if hits, misses := in.cacheHits.Value(), in.cacheMisses.Value(); hits != 0 || misses != int64(len(texts)) {
+				t.Fatalf("%d hits, %d misses; want 0 and %d", hits, misses, len(texts))
+			}
+			if !bytes.Equal(mustEncode(t, got.DB), want) {
+				t.Fatal("re-parsed batch converged to a different database")
+			}
+		})
+	}
+}
+
+// corruptingCache serves every stored artifact through corrupt.
+type corruptingCache struct {
+	pipeline.Cache
+	corrupt func(raw []byte) []byte
+}
+
+func (c corruptingCache) Get(key string) ([]byte, pipeline.Meta, bool) {
+	raw, meta, ok := c.Cache.Get(key)
+	if !ok {
+		return nil, meta, false
+	}
+	return c.corrupt(bytes.Clone(raw)), meta, true
+}
+
+// docV1 and docV2 are the two store encodings of a one-document
+// database.
+func docV1(t testing.TB, d *domain.Document) []byte { return mustEncode(t, oneDoc(t, d)) }
+
+func docV2(t testing.TB, d *domain.Document) []byte {
+	b, err := store.EncodeV2(oneDoc(t, d), store.V2Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func oneDoc(t testing.TB, d *domain.Document) *domain.Database {
+	t.Helper()
+	db := domain.NewDatabase(taxonomy.Base())
+	if err := db.Add(d); err != nil {
+		t.Fatal(err)
+	}
+	return db
 }
 
 // TestApplyRejectsBadBatch pins batch atomicity: a batch containing an

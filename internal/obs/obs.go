@@ -249,11 +249,6 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry.
-func Default() *Registry { return defaultRegistry }
-
 // validName matches the Prometheus metric-name grammar.
 func validName(s string) bool {
 	if s == "" {

@@ -30,7 +30,7 @@ func benchV2Server(b *testing.B) (*Server, string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sv, err := store.OpenV2(enc)
+	sv, err := store.OpenBytes(enc)
 	if err != nil {
 		b.Fatal(err)
 	}

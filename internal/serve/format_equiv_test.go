@@ -36,7 +36,7 @@ func TestFormatEquivalence(t *testing.T) {
 		}
 		reference := newDBServer(v1DB, Options{CacheSize: -1}).Handler()
 
-		sv, err := store.OpenV2(v2Bytes)
+		sv, err := store.OpenBytes(v2Bytes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -273,10 +273,11 @@ func TestStoreBootDecodesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := store.OpenV2(enc)
+	r, err := store.OpenBytes(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sv := r.(*store.StoreV2)
 	srv, err := New(WithStore(sv), Options{CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)

@@ -110,13 +110,6 @@ func (p *parser) next() (string, bool) {
 	return "", false
 }
 
-func (p *parser) peek() (string, bool) {
-	if p.pos < len(p.lines) {
-		return p.lines[p.pos], true
-	}
-	return "", false
-}
-
 func (p *parser) parseHeader() error {
 	for {
 		l, ok := p.next()

@@ -55,7 +55,7 @@ func BenchmarkColdOpenV2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sv, err := OpenV2(v2)
+		sv, err := openStoreV2(v2)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,6 +29,12 @@ import (
 // from the fragment region — so cold `errserve -db` start is dominated
 // by the record walk instead of a corpus-sized JSON parse.
 //
+// It is the served format (Save of a ".v2" path embeds postings and
+// fragments) and the program's only encoding for databases it caches
+// for itself: bare, with neither optional section, inside an Artifact.
+// FormatVersion 1 JSON stays the interchange format, readable and
+// writable forever.
+//
 // File layout (all integers little-endian):
 //
 //	header   32 B  magic "REMBERR2", u32 version=2, u32 sectionCount,
@@ -38,10 +44,10 @@ import (
 //	directory      sectionCount × (u32 id, u64 off, u64 len)
 //	sections       byte ranges named by the directory
 //
-// Every access is bounds-checked eagerly by OpenV2: a truncated or
-// bit-flipped file fails with a checksum or bounds error before any
-// accessor runs. FormatVersion 1 stays readable forever; Open and
-// OpenBytes sniff the magic and route to the right decoder.
+// Every access is bounds-checked eagerly when the file is opened: a
+// truncated or bit-flipped file fails Open or OpenBytes with a checksum
+// or bounds error before any accessor runs. Open and OpenBytes sniff
+// the magic and route to the right decoder.
 
 // FormatVersion2 identifies the flat binary serialization layout.
 const FormatVersion2 = 2
@@ -92,8 +98,8 @@ type V2Options struct {
 	Fragments bool
 }
 
-// IsV2 reports whether data carries the FormatVersion 2 magic.
-func IsV2(data []byte) bool {
+// isV2 reports whether data carries the FormatVersion 2 magic.
+func isV2(data []byte) bool {
 	return len(data) >= len(v2Magic) && string(data[:len(v2Magic)]) == v2Magic
 }
 
@@ -383,18 +389,16 @@ func encodePostings(db *domain.Database, e *v2Encoder) (ords, post []byte, err e
 	p := index.BuildParts(db)
 
 	var nOrds uint32
-	addList := func(l []int) (uint32, uint32) {
-		off := nOrds
-		for _, o := range l {
-			ords = apU32(ords, uint32(o))
-			nOrds++
+	emitList := func(l index.List) {
+		// BuildParts' lists live in the heap: Ints aliases them, so the
+		// copy below makes no per-element interface call.
+		o := index.Ints(l)
+		post = apU32(post, nOrds)
+		post = apU32(post, uint32(len(o)))
+		for _, ord := range o {
+			ords = apU32(ords, uint32(ord))
 		}
-		return off, uint32(len(l))
-	}
-	emitList := func(l []int) {
-		off, n := addList(l)
-		post = apU32(post, off)
-		post = apU32(post, n)
+		nOrds += uint32(len(o))
 	}
 
 	post = apU32(post, e.nErr)
@@ -403,7 +407,7 @@ func encodePostings(db *domain.Database, e *v2Encoder) (ords, post []byte, err e
 	emitList(p.ComplexSet)
 	emitList(p.SimOnlySet)
 
-	emitEnumMap := func(vals []uint32, lists [][]int) {
+	emitEnumMap := func(vals []uint32, lists []index.List) {
 		post = apU32(post, uint32(len(vals)))
 		for i, v := range vals {
 			post = apU32(post, v)
@@ -411,7 +415,7 @@ func encodePostings(db *domain.Database, e *v2Encoder) (ords, post []byte, err e
 		}
 	}
 	var vvals []uint32
-	var vlists [][]int
+	var vlists []index.List
 	for _, v := range domain.Vendors {
 		if l, ok := p.ByVendor[v]; ok {
 			vvals = append(vvals, uint32(v))
@@ -436,7 +440,7 @@ func encodePostings(db *domain.Database, e *v2Encoder) (ords, post []byte, err e
 	}
 	emitEnumMap(vvals, vlists)
 
-	emitStrMap := func(m map[string][]int) {
+	emitStrMap := func(m map[string]index.List) {
 		keys := make([]string, 0, len(m))
 		for k := range m {
 			keys = append(keys, k)
@@ -457,7 +461,7 @@ func encodePostings(db *domain.Database, e *v2Encoder) (ords, post []byte, err e
 	emitStrMap(p.ByKey)
 	emitStrMap(p.ByMSR)
 
-	for _, c := range p.TriggerCount {
+	for _, c := range index.Ints(p.TriggerCount) {
 		post = apU32(post, uint32(c))
 	}
 	return ords, post, nil
@@ -486,11 +490,11 @@ func encodeFragments(db *domain.Database) (frags, fragIdx []byte, err error) {
 // Decoder
 
 // StoreV2 is an opened FormatVersion 2 database. All sections are
-// bounds-checked at Open time; accessors afterwards are infallible
-// slices into the file buffer — which may be heap bytes (OpenV2) or an
-// mmap'ed file (Open with a .v2 path), in which case everything
-// materialized from the store aliases the mapping and is only valid
-// while the region holds a reference. The caller must not mutate data
+// bounds-checked at open time; accessors afterwards are infallible
+// slices into the file buffer — which may be heap bytes (OpenBytes) or
+// an mmap'ed file (Open of an uncompressed v2 file), in which case
+// everything materialized from the store aliases the mapping and is
+// only valid while the region holds a reference. The caller must not mutate data
 // while the store (or anything materialized from it) is in use.
 type StoreV2 struct {
 	data    []byte
@@ -546,17 +550,17 @@ type v2Postings struct {
 func gu32(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
 func gu64(b []byte, off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
 
-// OpenV2 validates a FormatVersion 2 buffer and returns the opened
+// openV2 validates a FormatVersion 2 buffer and returns the opened
 // store. Validation is exhaustive: magic, version, declared file size,
 // whole-file checksum, directory bounds, record-size alignment, every
 // string reference, every record range, enum values, document ordering
 // and errata coverage, postings bounds/order and fragment index bounds.
-// After OpenV2 succeeds no accessor can read out of bounds.
-func OpenV2(data []byte) (*StoreV2, error) {
+// After openV2 succeeds no accessor can read out of bounds.
+func openV2(data []byte) (*StoreV2, error) {
 	if len(data) < v2HeaderSize {
 		return nil, fmt.Errorf("store: v2: file too short (%d bytes)", len(data))
 	}
-	if !IsV2(data) {
+	if !isV2(data) {
 		return nil, fmt.Errorf("store: v2: bad magic")
 	}
 	if v := gu32(data, 8); v != FormatVersion2 {
@@ -1084,14 +1088,6 @@ func (s *StoreV2) Erratum(ord int, docKey string) *domain.Erratum {
 		},
 	}
 }
-
-// HasPostings reports whether the file embeds the inverted index's
-// postings lists.
-func (s *StoreV2) HasPostings() bool { return s.post != nil }
-
-// HasFragments reports whether the file embeds precomputed response
-// fragments.
-func (s *StoreV2) HasFragments() bool { return s.frags != nil }
 
 // Database materializes the core database. Strings are zero-copy views
 // over the file buffer, so the buffer must outlive the database. The

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -28,6 +29,20 @@ func fullV2(t *testing.T, db *domain.Database) []byte {
 // corruption tests reach the validation layers behind it.
 func fixCRC(data []byte) {
 	binary.LittleEndian.PutUint64(data[24:], uint64(crc32.Checksum(data[v2HeaderSize:], crcTable)))
+}
+
+// openStoreV2 opens a v2 buffer the way every caller does, through
+// OpenBytes, and returns the store.
+func openStoreV2(data []byte) (*StoreV2, error) {
+	r, err := OpenBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	sv, ok := r.(*StoreV2)
+	if !ok {
+		return nil, fmt.Errorf("opened as format %d, want a v2 store", r.Format())
+	}
+	return sv, nil
 }
 
 // sectionRange parses the directory and returns the [off, off+len)
@@ -72,13 +87,13 @@ func TestV2RoundTripSeeds(t *testing.T) {
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("seed %d: EncodeV2 not deterministic", seed)
 		}
-		sv, err := OpenV2(enc)
+		sv, err := openStoreV2(enc)
 		if err != nil {
 			t.Fatalf("seed %d: open: %v", seed, err)
 		}
-		if !sv.HasPostings() || !sv.HasFragments() {
+		if sv.IndexLists() == nil || sv.Fragments() == nil {
 			t.Fatalf("seed %d: optional sections missing: postings=%v fragments=%v",
-				seed, sv.HasPostings(), sv.HasFragments())
+				seed, sv.IndexLists() != nil, sv.Fragments() != nil)
 		}
 		db2, err := sv.Database()
 		if err != nil {
@@ -103,12 +118,9 @@ func TestV2MinimalOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := OpenV2(enc)
+	sv, err := openStoreV2(enc)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sv.HasPostings() || sv.HasFragments() {
-		t.Fatal("bare encoding reports optional sections")
 	}
 	if sv.IndexLists() != nil {
 		t.Fatal("IndexLists should be nil without a postings section")
@@ -136,7 +148,7 @@ func TestV2ZeroDates(t *testing.T) {
 	db := sampleDB(t)
 	db.Documents()[0].Released = time.Time{}
 	db.Documents()[0].Errata[0].Disclosed = time.Time{}
-	sv, err := OpenV2(fullV2(t, db))
+	sv, err := openStoreV2(fullV2(t, db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +164,13 @@ func TestV2ZeroDates(t *testing.T) {
 	}
 }
 
-// TestOpenV2Truncation feeds every prefix of a valid v2 file to OpenV2;
+// TestOpenV2Truncation feeds every prefix of a valid v2 file to OpenBytes;
 // each one must fail with a clean error, never panic, never succeed.
 func TestOpenV2Truncation(t *testing.T) {
 	enc := fullV2(t, sampleDB(t))
 	for i := 0; i < len(enc); i++ {
-		if _, err := OpenV2(enc[:i:i]); err == nil {
-			t.Fatalf("OpenV2 accepted a %d/%d-byte truncation", i, len(enc))
+		if _, err := OpenBytes(enc[:i:i]); err == nil {
+			t.Fatalf("OpenBytes accepted a %d/%d-byte truncation", i, len(enc))
 		}
 	}
 }
@@ -173,8 +185,8 @@ func TestOpenV2BitFlips(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			copy(buf, enc)
 			buf[i] ^= 1 << bit
-			if _, err := OpenV2(buf); err == nil {
-				t.Fatalf("OpenV2 accepted a bit flip at byte %d bit %d", i, bit)
+			if _, err := OpenBytes(buf); err == nil {
+				t.Fatalf("OpenBytes accepted a bit flip at byte %d bit %d", i, bit)
 			}
 		}
 	}
@@ -248,8 +260,8 @@ func TestOpenV2HostileInputs(t *testing.T) {
 		})},
 	}
 	for _, tc := range cases {
-		if _, err := OpenV2(tc.data); err == nil {
-			t.Errorf("%s: OpenV2 accepted corrupted input", tc.name)
+		if _, err := OpenBytes(tc.data); err == nil {
+			t.Errorf("%s: OpenBytes accepted corrupted input", tc.name)
 		}
 	}
 }
@@ -285,7 +297,7 @@ func TestSaveFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsV2(raw) {
+	if !isV2(raw) {
 		t.Fatal("SaveFormat(v2) did not write the v2 magic")
 	}
 	check(explicit)
@@ -294,13 +306,13 @@ func TestSaveFormat(t *testing.T) {
 	if err := Save(db, suffixed); err != nil {
 		t.Fatal(err)
 	}
-	if raw, err = os.ReadFile(suffixed); err != nil || !IsV2(raw) {
+	if raw, err = os.ReadFile(suffixed); err != nil || !isV2(raw) {
 		t.Fatalf("Save(*.v2) did not write v2: %v", err)
 	}
 	check(suffixed)
 	if r, err := Open(suffixed); err != nil {
 		t.Fatal(err)
-	} else if sv := r.(*StoreV2); !sv.HasPostings() || !sv.HasFragments() {
+	} else if sv := r.(*StoreV2); sv.IndexLists() == nil || sv.Fragments() == nil {
 		t.Fatal("Save(*.v2) should embed postings and fragments")
 	} else if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -310,7 +322,7 @@ func TestSaveFormat(t *testing.T) {
 	if err := Save(db, zipped); err != nil {
 		t.Fatal(err)
 	}
-	if raw, err = os.ReadFile(zipped); err != nil || IsV2(raw) {
+	if raw, err = os.ReadFile(zipped); err != nil || isV2(raw) {
 		t.Fatalf("Save(*.v2.gz) should be gzip on the outside: %v", err)
 	}
 	check(zipped)

@@ -28,7 +28,7 @@ func TestFragmentsMatchMarshal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := OpenV2(enc)
+	sv, err := openStoreV2(enc)
 	if err != nil {
 		t.Fatal(err)
 	}

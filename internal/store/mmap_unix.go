@@ -16,7 +16,7 @@ const mmapSupported = true
 // MAP_SHARED: the page cache backs the corpus, not the Go heap) and
 // returns the mapping plus the matching unmap function. An empty file
 // maps to empty heap bytes — mmap of length 0 is an error on Linux, and
-// OpenV2's header check rejects it with a proper message either way.
+// openV2's header check rejects it with a proper message either way.
 func mmapFile(f *os.File) ([]byte, func([]byte) error, error) {
 	st, err := f.Stat()
 	if err != nil {

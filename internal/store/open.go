@@ -38,67 +38,19 @@ type Reader interface {
 	Close() error
 }
 
-type mmapMode int
-
-const (
-	mmapAuto mmapMode = iota // map v2 files when the platform supports it
-	mmapOn                   // require a mapping, fail otherwise
-	mmapOff                  // always read into the heap
-)
-
 type openConfig struct {
-	mmap   mmapMode
-	format string // "", "v1", "v2": required format, "" accepts any
+	heap bool // read into the heap even where a mapping is possible
 }
 
 // OpenOption configures Open and OpenBytes.
 type OpenOption func(*openConfig)
 
-// WithMmap forces the mapping decision: WithMmap(true) fails rather
-// than fall back to a heap copy (gzip input, format-1 files and
-// unsupported platforms all fail), WithMmap(false) always reads into
-// the heap. The default maps exactly when it can: uncompressed
-// FormatVersion 2 files on platforms with mmap.
+// WithMmap sets the mapping decision: WithMmap(true), the default, maps
+// exactly when it can — uncompressed FormatVersion 2 files on platforms
+// with mmap — and reads everything else into the heap; WithMmap(false)
+// always reads into the heap.
 func WithMmap(on bool) OpenOption {
-	return func(c *openConfig) {
-		if on {
-			c.mmap = mmapOn
-		} else {
-			c.mmap = mmapOff
-		}
-	}
-}
-
-// WithFormat requires the opened file to carry the given format ("v1"
-// or "v2") instead of accepting whatever the sniff finds.
-func WithFormat(format string) OpenOption {
-	return func(c *openConfig) { c.format = format }
-}
-
-func openCfg(opts []OpenOption) openConfig {
-	var cfg openConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
-func (c *openConfig) checkFormat(got int) error {
-	switch c.format {
-	case "":
-		return nil
-	case "v1":
-		if got != FormatVersion {
-			return fmt.Errorf("store: file is format %d, format v1 required", got)
-		}
-	case "v2":
-		if got != FormatVersion2 {
-			return fmt.Errorf("store: file is format %d, format v2 required", got)
-		}
-	default:
-		return fmt.Errorf("store: unknown format %q (want v1 or v2)", c.format)
-	}
-	return nil
+	return func(c *openConfig) { c.heap = !on }
 }
 
 // Open opens a database file behind the unified Reader interface,
@@ -107,24 +59,14 @@ func (c *openConfig) checkFormat(got int) error {
 // platform supports it, so the page cache — not the Go heap — holds
 // the corpus and a file larger than RAM stays serveable; mapped
 // regions get the madvise(MADV_RANDOM) hint. Everything else is read
-// into the heap. See WithMmap and WithFormat for the knobs.
+// into the heap. WithMmap(false) reads every file into the heap.
 func Open(path string, opts ...OpenOption) (Reader, error) {
-	cfg := openCfg(opts)
-	switch cfg.format {
-	case "", "v1", "v2":
-	default:
-		return nil, fmt.Errorf("store: unknown format %q (want v1 or v2)", cfg.format)
+	var cfg openConfig
+	for _, o := range opts {
+		o(&cfg)
 	}
-
-	if cfg.mmap == mmapOff || !mmapSupported {
-		if cfg.mmap == mmapOn {
-			return nil, fmt.Errorf("store: mmap requested but unsupported on this platform")
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return openBytes(data, cfg)
+	if cfg.heap || !mmapSupported {
+		return openFile(path)
 	}
 
 	f, err := os.Open(path)
@@ -138,31 +80,17 @@ func Open(path string, opts ...OpenOption) (Reader, error) {
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, err
 	}
-	if !IsV2(magic[:n]) {
+	if !isV2(magic[:n]) {
 		// Not a v2 file: there is nothing to map (a v1 database is
 		// materialized structs, not served bytes).
-		if cfg.mmap == mmapOn {
-			return nil, fmt.Errorf("store: %s is not a FormatVersion 2 file, cannot mmap", path)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return openBytes(data, cfg)
+		return openFile(path)
 	}
 
 	data, munmap, err := mmapFile(f)
 	if err != nil {
-		if cfg.mmap == mmapOn {
-			return nil, err
-		}
-		heap, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return openBytes(heap, cfg)
+		return openFile(path)
 	}
-	sv, err := OpenV2(data)
+	sv, err := openV2(data)
 	if err != nil {
 		munmap(data)
 		return nil, err
@@ -172,22 +100,23 @@ func Open(path string, opts ...OpenOption) (Reader, error) {
 	// pages the workload never touches. Advisory only: a kernel refusing
 	// the hint costs readahead, not correctness.
 	_ = madviseRandom(data)
-	if err := cfg.checkFormat(FormatVersion2); err != nil {
-		sv.Close()
+	return sv, nil
+}
+
+// openFile reads the whole file into the heap and opens it there.
+func openFile(path string) (Reader, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		return nil, err
 	}
-	return sv, nil
+	return OpenBytes(data)
 }
 
 // OpenBytes opens an in-memory database buffer behind the Reader
 // interface, sniffing gzip compression and the serialization format
 // exactly like Open. The caller must not mutate data while the reader
 // (or anything materialized from it) is in use.
-func OpenBytes(data []byte, opts ...OpenOption) (Reader, error) {
-	return openBytes(data, openCfg(opts))
-}
-
-func openBytes(data []byte, cfg openConfig) (Reader, error) {
+func OpenBytes(data []byte) (Reader, error) {
 	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
 		zr, err := gzip.NewReader(bytes.NewReader(data))
 		if err != nil {
@@ -201,14 +130,8 @@ func openBytes(data []byte, cfg openConfig) (Reader, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	if IsV2(data) {
-		if err := cfg.checkFormat(FormatVersion2); err != nil {
-			return nil, err
-		}
-		return OpenV2(data)
-	}
-	if err := cfg.checkFormat(FormatVersion); err != nil {
-		return nil, err
+	if isV2(data) {
+		return openV2(data)
 	}
 	db, err := decode(data)
 	if err != nil {

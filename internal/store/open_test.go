@@ -78,52 +78,27 @@ func TestOpenSniffsEveryShape(t *testing.T) {
 	}
 }
 
-func TestOpenFormatConstraints(t *testing.T) {
+// TestOpenMmapOn pins WithMmap(true) as the default: it maps exactly
+// what a plain Open maps — an uncompressed v2 file where the platform
+// has mmap — and reads every other shape into the heap instead of
+// failing.
+func TestOpenMmapOn(t *testing.T) {
 	_, paths := openTestFiles(t)
-	if _, err := Open(paths["v2"], WithFormat("v1")); err == nil {
-		t.Error("Open(v2 file, WithFormat(v1)) succeeded, want error")
-	}
-	if _, err := Open(paths["v1"], WithFormat("v2")); err == nil {
-		t.Error("Open(v1 file, WithFormat(v2)) succeeded, want error")
-	}
-	if _, err := Open(paths["v1"], WithFormat("v3")); err == nil ||
-		!strings.Contains(err.Error(), "unknown format") {
-		t.Errorf("Open(WithFormat(v3)) = %v, want unknown-format error", err)
-	}
-	for _, shape := range []string{"v1", "v1.gz", "v2", "v2.gz"} {
-		want := "v1"
-		if strings.HasPrefix(shape, "v2") {
-			want = "v2"
-		}
-		r, err := Open(paths[shape], WithFormat(want), WithMmap(false))
+	for shape, path := range paths {
+		r, err := Open(path, WithMmap(true))
 		if err != nil {
-			t.Errorf("Open(%s, WithFormat(%s)): %v", shape, want, err)
-			continue
+			t.Fatalf("Open(%s, WithMmap(true)): %v", shape, err)
 		}
-		r.Close()
-	}
-}
-
-func TestOpenMmapForced(t *testing.T) {
-	_, paths := openTestFiles(t)
-	if _, err := Open(paths["v2.gz"], WithMmap(true)); err == nil {
-		t.Error("Open(gz, WithMmap(true)) succeeded, want error")
-	}
-	if !mmapExpected() {
-		t.Skip("no mmap on this platform")
-	}
-	if _, err := Open(paths["v1"], WithMmap(true)); err == nil {
-		t.Error("Open(v1, WithMmap(true)) succeeded, want error")
-	}
-	r, err := Open(paths["v2"], WithMmap(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Mapped() || !r.Region().Mapped() {
-		t.Error("forced mmap open is not mapped")
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
+		want := shape == "v2" && mmapExpected()
+		if r.Mapped() != want {
+			t.Errorf("Open(%s, WithMmap(true)).Mapped() = %v, want %v", shape, r.Mapped(), want)
+		}
+		if reg := r.Region(); reg != nil && reg.Mapped() != want {
+			t.Errorf("Open(%s, WithMmap(true)) region Mapped() = %v, want %v", shape, reg.Mapped(), want)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -167,8 +142,8 @@ func TestOpenBytesSniffs(t *testing.T) {
 			t.Errorf("OpenBytes(%s) reports Mapped", shape)
 		}
 	}
-	if _, err := OpenBytes([]byte("{"), WithFormat("v2")); err == nil {
-		t.Error("OpenBytes(junk, WithFormat(v2)) succeeded, want error")
+	if _, err := OpenBytes([]byte("{")); err == nil {
+		t.Error("OpenBytes(junk) succeeded, want error")
 	}
 }
 
@@ -205,7 +180,7 @@ func TestRegionLifecycleMapped(t *testing.T) {
 		t.Skip("no mmap on this platform")
 	}
 	_, paths := openTestFiles(t)
-	r, err := Open(paths["v2"], WithMmap(true))
+	r, err := Open(paths["v2"])
 	if err != nil {
 		t.Fatal(err)
 	}

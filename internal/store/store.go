@@ -1,8 +1,13 @@
-// Package store persists the RemembERR database as JSON — the
-// machine-readable distribution format the paper advocates (its own
-// release ships the database as structured files). Encoding is
-// deterministic: documents, errata and annotation items keep a stable
-// order, so repeated encodings of the same database are byte-identical.
+// Package store persists the RemembERR database in two formats.
+// FormatVersion 1 is indented JSON — the machine-readable interchange
+// format the paper advocates (its own release ships the database as
+// structured files). FormatVersion 2 (formatv2.go) is the flat binary
+// layout the server opens zero-copy or memory-mapped, and the one
+// encoding of every database the program caches for itself (Artifact).
+// Open and OpenBytes read either, gzip-compressed or not; Save and
+// SaveFormat write either. Both encodings are deterministic: documents,
+// errata and annotation items keep a stable order, so repeated
+// encodings of the same database are byte-identical.
 package store
 
 import (

@@ -121,7 +121,7 @@ func levenshteinRunes(ra, rb []rune) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			cur[j] = minInt(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
@@ -140,16 +140,6 @@ func LevenshteinSimilarity(a, b string) float64 {
 		return 1
 	}
 	return 1 - float64(levenshteinRunes(ra, rb))/float64(maxLen)
-}
-
-func minInt(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }
 
 // Shingles returns the set of n-grams (as strings of n consecutive

@@ -24,16 +24,14 @@ import (
 // runner adds content-addressed memoization when Build runs with
 // WithCache.
 //
-// Artifact encoding reuses internal/store's deterministic FormatVersion
-// 2 database encoding (no postings/fragments — mid-pipeline databases
-// are still being mutated), embedded as a base64 []byte inside a small
-// per-stage container. Decoding sniffs the format, so the code would
-// still read a v1-JSON payload; in practice the stage Version bumps
-// that came with the v2 switch retired all v1 cache entries.
-// Database payloads stay as undecoded bytes (pipeDB) until a
-// live downstream stage — or the final report assembly — actually needs
-// the value, so a fully warm rebuild decodes exactly two databases (the
-// ground truth and the final output) and nothing else.
+// Every stage that outputs a database outputs a store.Artifact: the
+// database as bare FormatVersion 2 plus the stage's metadata (the
+// ground truth's lineages, the parse diagnostics, the dedup summary,
+// the annotation results, the timeline stats). A cached database stays
+// undecoded until a live downstream stage — or the final report
+// assembly — actually needs it, so a fully warm rebuild decodes
+// exactly two databases (the ground truth and the final output) and
+// nothing else.
 //
 // Mutation contract: dedup, annotate and timeline take over their input
 // database and mutate it in place, exactly like the monolith did. The
@@ -41,95 +39,59 @@ import (
 // bytes always reflect the stage's own output, never a downstream
 // mutation.
 
-// pipeDB is a database artifact payload that can hold either the live
-// in-memory database, its deterministic store encoding, or both. Both
-// directions memoize, so a value shared between stages (timeline and
-// validate share one) is encoded and decoded at most once.
-type pipeDB struct {
-	raw []byte
-	db  *domain.Database
-}
+// The values of the database stages. The validate stage passes the
+// timeline value through, so its artifact shares the timeline stage's
+// encoded bytes.
+type (
+	parseValue    = store.Artifact[[]specdoc.Diagnostic]
+	dedupValue    = store.Artifact[dedupSummary]
+	annotateValue = store.Artifact[*annotate.Result]
+	timelineValue = store.Artifact[timeline.Stats]
+)
 
-func (p *pipeDB) database() (*domain.Database, error) {
-	if p.db == nil {
-		r, err := store.OpenBytes(p.raw)
-		if err != nil {
-			return nil, fmt.Errorf("rememberr: decode cached database artifact: %w", err)
-		}
-		db, err := r.Database()
-		if err != nil {
-			return nil, fmt.Errorf("rememberr: decode cached database artifact: %w", err)
-		}
-		p.db = db
-	}
-	return p.db, nil
-}
+// encodeArtifact and decodeArtifact are the Encode and Decode of every
+// stage whose value is a *store.Artifact[T].
+func encodeArtifact[T any](v any) ([]byte, error) { return v.(*store.Artifact[T]).Marshal() }
 
-func (p *pipeDB) encoded() ([]byte, error) {
-	if p.raw == nil {
-		raw, err := store.EncodeV2(p.db, store.V2Options{})
-		if err != nil {
-			return nil, fmt.Errorf("rememberr: encode database artifact: %w", err)
-		}
-		p.raw = raw
-	}
-	return p.raw, nil
-}
-
-// gtArtifact is the cached form of the generator's ground truth.
-type gtArtifact struct {
-	DB             []byte                     `json:"db"`
-	Lineages       map[string]*corpus.Lineage `json:"lineages"`
-	ConfirmedPairs [][2]string                `json:"confirmed_pairs"`
-	Inventory      corpus.ErrorInventory      `json:"inventory"`
-	Seed           int64                      `json:"seed"`
-}
-
-func encodeGroundTruth(gt *corpus.GroundTruth) ([]byte, error) {
-	raw, err := store.EncodeV2(gt.DB, store.V2Options{})
+func decodeArtifact[T any](b []byte) (any, error) {
+	a, err := store.UnmarshalArtifact[T](b)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(gtArtifact{
-		DB:             raw,
-		Lineages:       gt.Lineages,
-		ConfirmedPairs: gt.ConfirmedPairs,
-		Inventory:      gt.Inventory,
-		Seed:           gt.Seed,
-	})
+	return a, nil
+}
+
+// database decodes a stage value's database, naming a corrupt cached
+// artifact as such.
+func database[T any](a *store.Artifact[T]) (*domain.Database, error) {
+	db, err := a.Database()
+	if err != nil {
+		return nil, fmt.Errorf("rememberr: decode cached database artifact: %w", err)
+	}
+	return db, nil
+}
+
+// The corpus stage's value is the ground truth itself, which every
+// later stage reads directly; its artifact carries the database as the
+// envelope's and the rest (corpus.GroundTruth.DB is not marshalled) as
+// metadata, and decodes eagerly.
+func encodeGroundTruth(v any) ([]byte, error) {
+	gt := v.(*corpus.GroundTruth)
+	return store.NewArtifact(gt.DB, gt).Marshal()
 }
 
 func decodeGroundTruth(b []byte) (any, error) {
-	var a gtArtifact
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, err
-	}
-	r, err := store.OpenBytes(a.DB)
+	a, err := store.UnmarshalArtifact[*corpus.GroundTruth](b)
 	if err != nil {
 		return nil, err
 	}
-	db, err := r.Database()
-	if err != nil {
+	if a.Meta == nil {
+		return nil, fmt.Errorf("rememberr: ground-truth artifact without metadata")
+	}
+	if a.Meta.DB, err = a.Database(); err != nil {
 		return nil, err
 	}
-	return &corpus.GroundTruth{
-		DB:             db,
-		Lineages:       a.Lineages,
-		ConfirmedPairs: a.ConfirmedPairs,
-		Inventory:      a.Inventory,
-		Seed:           a.Seed,
-	}, nil
-}
-
-// parseValue carries the parsed database plus the parser diagnostics.
-type parseValue struct {
-	db    *pipeDB
-	diags []specdoc.Diagnostic
-}
-
-type parseArtifact struct {
-	DB          []byte               `json:"db"`
-	Diagnostics []specdoc.Diagnostic `json:"diagnostics"`
+	return a.Meta, nil
 }
 
 // reviewedRef is a CandidatePair with the entry pointers replaced by
@@ -198,60 +160,6 @@ func reviveDedup(s dedupSummary, db *domain.Database) (*dedup.Result, error) {
 	return r, nil
 }
 
-// dedupValue carries the deduplicated database plus the ref-based
-// summary of the run.
-type dedupValue struct {
-	db  *pipeDB
-	sum dedupSummary
-}
-
-type dedupArtifact struct {
-	DB     []byte       `json:"db"`
-	Result dedupSummary `json:"result"`
-}
-
-// annotateValue carries the annotated database plus the four-eyes
-// protocol results.
-type annotateValue struct {
-	db  *pipeDB
-	res *annotate.Result
-}
-
-type annotateArtifact struct {
-	DB     []byte           `json:"db"`
-	Result *annotate.Result `json:"result"`
-}
-
-// timelineValue carries the final database plus the disclosure-date
-// inference stats. The validate stage passes the same value through, so
-// its artifact shares the timeline stage's encoded bytes.
-type timelineValue struct {
-	db    *pipeDB
-	stats timeline.Stats
-}
-
-type timelineArtifact struct {
-	DB    []byte         `json:"db"`
-	Stats timeline.Stats `json:"stats"`
-}
-
-func encodeTimelineValue(v any) ([]byte, error) {
-	tv := v.(*timelineValue)
-	raw, err := tv.db.encoded()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(timelineArtifact{DB: raw, Stats: tv.stats})
-}
-
-func decodeTimelineValue(b []byte) (any, error) {
-	var a timelineArtifact
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, err
-	}
-	return &timelineValue{db: &pipeDB{raw: a.DB}, stats: a.Stats}, nil
-}
-
 // buildStages declares the build graph for one configuration.
 // Parallelism is deliberately absent from every Config fingerprint: the
 // build contract guarantees byte-identical output at every worker
@@ -262,7 +170,7 @@ func buildStages(opts buildConfig) []*pipeline.Stage {
 	reg := opts.Observability
 	return []*pipeline.Stage{
 		{
-			ID: "corpus", Version: "v2",
+			ID: "corpus", Version: "v3",
 			Config: pipeline.Fingerprint("seed=" + strconv.FormatInt(opts.Seed, 10)),
 			Run: func(c *pipeline.Ctx) (any, error) {
 				gt, err := corpus.Generate(opts.Seed)
@@ -272,7 +180,7 @@ func buildStages(opts buildConfig) []*pipeline.Stage {
 				c.SetItems(len(gt.DB.Errata()))
 				return gt, nil
 			},
-			Encode: func(v any) ([]byte, error) { return encodeGroundTruth(v.(*corpus.GroundTruth)) },
+			Encode: encodeGroundTruth,
 			Decode: decodeGroundTruth,
 		},
 		{
@@ -305,7 +213,7 @@ func buildStages(opts buildConfig) []*pipeline.Stage {
 			},
 		},
 		{
-			ID: "parse", Version: "v2", Inputs: []string{"render"},
+			ID: "parse", Version: "v3", Inputs: []string{"render"},
 			Run: func(c *pipeline.Ctx) (any, error) {
 				v, err := c.Input(0)
 				if err != nil {
@@ -317,26 +225,13 @@ func buildStages(opts buildConfig) []*pipeline.Stage {
 					return nil, fmt.Errorf("rememberr: parse: %w", err)
 				}
 				c.SetItems(len(texts))
-				return &parseValue{db: &pipeDB{db: db}, diags: diags}, nil
+				return store.NewArtifact(db, diags), nil
 			},
-			Encode: func(v any) ([]byte, error) {
-				pv := v.(*parseValue)
-				raw, err := pv.db.encoded()
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(parseArtifact{DB: raw, Diagnostics: pv.diags})
-			},
-			Decode: func(b []byte) (any, error) {
-				var a parseArtifact
-				if err := json.Unmarshal(b, &a); err != nil {
-					return nil, err
-				}
-				return &parseValue{db: &pipeDB{raw: a.DB}, diags: a.Diagnostics}, nil
-			},
+			Encode: encodeArtifact[[]specdoc.Diagnostic],
+			Decode: decodeArtifact[[]specdoc.Diagnostic],
 		},
 		{
-			ID: "dedup", Version: "v2", Inputs: []string{"parse", "corpus"},
+			ID: "dedup", Version: "v3", Inputs: []string{"parse", "corpus"},
 			Config: pipeline.Fingerprint(
 				"metric="+string(opts.SimilarityMetric),
 				"threshold="+strconv.FormatFloat(opts.SimilarityThreshold, 'g', -1, 64),
@@ -351,7 +246,7 @@ func buildStages(opts buildConfig) []*pipeline.Stage {
 				if err != nil {
 					return nil, err
 				}
-				db, err := v0.(*parseValue).db.database()
+				db, err := database(v0.(*parseValue))
 				if err != nil {
 					return nil, err
 				}
@@ -379,26 +274,13 @@ func buildStages(opts buildConfig) []*pipeline.Stage {
 					return nil, fmt.Errorf("rememberr: dedup: %w", err)
 				}
 				c.SetItems(len(dres.Reviewed))
-				return &dedupValue{db: &pipeDB{db: db}, sum: summarizeDedup(dres)}, nil
+				return store.NewArtifact(db, summarizeDedup(dres)), nil
 			},
-			Encode: func(v any) ([]byte, error) {
-				dv := v.(*dedupValue)
-				raw, err := dv.db.encoded()
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(dedupArtifact{DB: raw, Result: dv.sum})
-			},
-			Decode: func(b []byte) (any, error) {
-				var a dedupArtifact
-				if err := json.Unmarshal(b, &a); err != nil {
-					return nil, err
-				}
-				return &dedupValue{db: &pipeDB{raw: a.DB}, sum: a.Result}, nil
-			},
+			Encode: encodeArtifact[dedupSummary],
+			Decode: decodeArtifact[dedupSummary],
 		},
 		{
-			ID: "annotate", Version: "v2", Inputs: []string{"dedup", "corpus"},
+			ID: "annotate", Version: "v3", Inputs: []string{"dedup", "corpus"},
 			Config: pipeline.Fingerprint(
 				"seed="+strconv.FormatInt(opts.Seed, 10),
 				"steps="+strconv.Itoa(opts.AnnotationSteps),
@@ -412,7 +294,7 @@ func buildStages(opts buildConfig) []*pipeline.Stage {
 				if err != nil {
 					return nil, err
 				}
-				db, err := v0.(*dedupValue).db.database()
+				db, err := database(v0.(*dedupValue))
 				if err != nil {
 					return nil, err
 				}
@@ -439,51 +321,38 @@ func buildStages(opts buildConfig) []*pipeline.Stage {
 				if err != nil {
 					return nil, fmt.Errorf("rememberr: annotate: %w", err)
 				}
-				return &annotateValue{db: &pipeDB{db: db}, res: ares}, nil
+				return store.NewArtifact(db, ares), nil
 			},
-			Encode: func(v any) ([]byte, error) {
-				av := v.(*annotateValue)
-				raw, err := av.db.encoded()
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(annotateArtifact{DB: raw, Result: av.res})
-			},
-			Decode: func(b []byte) (any, error) {
-				var a annotateArtifact
-				if err := json.Unmarshal(b, &a); err != nil {
-					return nil, err
-				}
-				return &annotateValue{db: &pipeDB{raw: a.DB}, res: a.Result}, nil
-			},
+			Encode: encodeArtifact[*annotate.Result],
+			Decode: decodeArtifact[*annotate.Result],
 		},
 		{
-			ID: "timeline", Version: "v2", Inputs: []string{"annotate"},
+			ID: "timeline", Version: "v3", Inputs: []string{"annotate"},
 			Config: pipeline.Fingerprint("interpolate=" + strconv.FormatBool(opts.Interpolate)),
 			Run: func(c *pipeline.Ctx) (any, error) {
 				v, err := c.Input(0)
 				if err != nil {
 					return nil, err
 				}
-				db, err := v.(*annotateValue).db.database()
+				db, err := database(v.(*annotateValue))
 				if err != nil {
 					return nil, err
 				}
 				stats := timeline.InferDisclosures(db, timeline.Options{Interpolate: opts.Interpolate})
-				return &timelineValue{db: &pipeDB{db: db}, stats: stats}, nil
+				return store.NewArtifact(db, stats), nil
 			},
-			Encode: encodeTimelineValue,
-			Decode: decodeTimelineValue,
+			Encode: encodeArtifact[timeline.Stats],
+			Decode: decodeArtifact[timeline.Stats],
 		},
 		{
-			ID: "validate", Version: "v2", Inputs: []string{"timeline"},
+			ID: "validate", Version: "v3", Inputs: []string{"timeline"},
 			Run: func(c *pipeline.Ctx) (any, error) {
 				v, err := c.Input(0)
 				if err != nil {
 					return nil, err
 				}
 				tv := v.(*timelineValue)
-				db, err := tv.db.database()
+				db, err := database(tv)
 				if err != nil {
 					return nil, err
 				}
@@ -491,12 +360,12 @@ func buildStages(opts buildConfig) []*pipeline.Stage {
 					return nil, fmt.Errorf("rememberr: validation: %w", err)
 				}
 				// Pass the timeline value straight through: the shared
-				// pipeDB means the artifact reuses the already-encoded
-				// bytes (same digest, deduplicated in the object store).
+				// artifact reuses the already-encoded bytes (same
+				// digest, deduplicated in the object store).
 				return tv, nil
 			},
-			Encode: encodeTimelineValue,
-			Decode: decodeTimelineValue,
+			Encode: encodeArtifact[timeline.Stats],
+			Decode: decodeArtifact[timeline.Stats],
 		},
 	}
 }
@@ -526,19 +395,19 @@ func assembleBuild(res *pipeline.Result) (*Database, *BuildReport, error) {
 	}
 	gt := gtv.(*corpus.GroundTruth)
 	tv := tvv.(*timelineValue)
-	db, err := tv.db.database()
+	db, err := database(tv)
 	if err != nil {
 		return nil, nil, err
 	}
-	dres, err := reviveDedup(dvv.(*dedupValue).sum, db)
+	dres, err := reviveDedup(dvv.(*dedupValue).Meta, db)
 	if err != nil {
 		return nil, nil, err
 	}
 	rep := &BuildReport{
-		Diagnostics: pvv.(*parseValue).diags,
+		Diagnostics: pvv.(*parseValue).Meta,
 		Dedup:       dres,
-		Annotation:  avv.(*annotateValue).res,
-		Timeline:    tv.stats,
+		Annotation:  avv.(*annotateValue).Meta,
+		Timeline:    tv.Meta,
 		GroundTruth: gt,
 		Trace:       res.Trace,
 	}
