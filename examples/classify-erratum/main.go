@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"repro/internal/classify"
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 
 	// Wire the built-in rule pack and corpus profile as the defaults.
@@ -56,7 +55,7 @@ func main() {
 	fmt.Printf("workaround category: %s; fix status: %s\n\n", rep.WorkaroundCat, rep.Fix)
 
 	// Cross-ISA extension: register a RISC-V-specific trigger category.
-	reg := taxonomy.NewRegistry()
+	reg := domain.NewSchemeRegistry()
 	if err := reg.AddCategory("Trg_FEA", "vec", "a RISC-V vector (RVV) instruction interaction"); err != nil {
 		log.Fatal(err)
 	}

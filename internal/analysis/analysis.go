@@ -11,7 +11,6 @@ package analysis
 import (
 	"sort"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -339,7 +338,7 @@ type CategoryShare struct {
 // the abstract categories inside one class (Figures 15 and 16 for
 // Trg_EXT and Trg_FEA).
 func ClassBreakdown(db *domain.Database, classID string) map[domain.Vendor][]CategoryShare {
-	kind, _, _, err := taxonomy.Parse(classID)
+	kind, _, _, err := domain.ParseDescriptor(classID)
 	if err != nil {
 		return nil
 	}

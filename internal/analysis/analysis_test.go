@@ -4,14 +4,13 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
 // buildDB builds a small annotated database with known statistics.
 func buildDB(t *testing.T) *domain.Database {
 	t.Helper()
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	ann := func(trgs, ctxs, effs []string, msrs ...string) domain.Annotation {
 		var a domain.Annotation
 		for _, c := range trgs {

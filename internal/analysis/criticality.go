@@ -53,7 +53,7 @@ var effectSeverity = map[string]Severity{
 
 // Grade returns the conservative (maximum) severity over an erratum's
 // effects.
-func Grade(e *domain.Erratum, scheme domain.Scheme) Severity {
+func Grade(e *domain.Erratum, scheme *domain.Scheme) Severity {
 	max := SeverityUnknown
 	for _, it := range e.Ann.Effects {
 		if s := effectSeverity[scheme.ClassOf(it.Category)]; s > max {

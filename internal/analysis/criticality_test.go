@@ -3,12 +3,11 @@ package analysis
 import (
 	"testing"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
 func TestGrade(t *testing.T) {
-	scheme := taxonomy.Base()
+	scheme := domain.BaseScheme()
 	mk := func(effects ...string) *domain.Erratum {
 		e := &domain.Erratum{}
 		for _, c := range effects {

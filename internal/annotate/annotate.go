@@ -307,7 +307,7 @@ func truthConcrete(ann *domain.Annotation, cat string) (string, bool) {
 // applyAnnotation writes the final (post-discussion) annotation of one
 // unique erratum: auto-included categories plus undecided categories
 // resolved to the truth.
-func applyAnnotation(e *domain.Erratum, rep *classify.Report, truthAnn *domain.Annotation, scheme domain.Scheme) {
+func applyAnnotation(e *domain.Erratum, rep *classify.Report, truthAnn *domain.Annotation, scheme *domain.Scheme) {
 	var ann domain.Annotation
 	add := func(cat, concrete string) {
 		c, ok := scheme.Category(cat)

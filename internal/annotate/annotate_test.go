@@ -7,7 +7,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dedup"
 	"repro/internal/specdoc"
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 	corpusprofile "repro/plugins/corpusprofile/intelamd"
 )
@@ -62,7 +61,7 @@ func TestFullPipelineRecoversGroundTruth(t *testing.T) {
 	// Every unique erratum's recovered categories must equal the ground
 	// truth exactly on all three dimensions.
 	truth := truthFromGT(gt)
-	scheme := taxonomy.Base()
+	scheme := domain.BaseScheme()
 	checked := 0
 	for _, e := range db.Unique() {
 		want := truth(e)
@@ -171,7 +170,7 @@ func TestDuplicatesInheritAnnotation(t *testing.T) {
 	if _, err := Run(db, engine, truthFromGT(gt), DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	scheme := taxonomy.Base()
+	scheme := domain.BaseScheme()
 	byCluster := map[string][]*domain.Erratum{}
 	for _, e := range db.Errata() {
 		byCluster[e.DocKeyVendor()+"|"+e.Key] = append(byCluster[e.DocKeyVendor()+"|"+e.Key], e)
@@ -213,7 +212,7 @@ func TestRunWithoutTruthResolvesToExclude(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	engine := classify.NewEngine()
 	if _, err := Run(db, engine, nil, Options{Steps: 0}); err == nil {
 		t.Error("accepted zero steps")

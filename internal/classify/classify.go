@@ -87,7 +87,7 @@ type Report struct {
 
 // UndecidedPairs returns the categories requiring human decisions, in
 // scheme order.
-func (r *Report) UndecidedPairs(scheme domain.Scheme) []string {
+func (r *Report) UndecidedPairs(scheme *domain.Scheme) []string {
 	var out []string
 	for cat, d := range r.Decisions {
 		if d == Undecided {
@@ -99,7 +99,7 @@ func (r *Report) UndecidedPairs(scheme domain.Scheme) []string {
 
 // IncludedCategories returns the auto-included categories in scheme
 // order.
-func (r *Report) IncludedCategories(scheme domain.Scheme) []string {
+func (r *Report) IncludedCategories(scheme *domain.Scheme) []string {
 	var out []string
 	for cat, d := range r.Decisions {
 		if d == Include {

@@ -55,6 +55,42 @@ func TestNewEngineForRejectsBadPacks(t *testing.T) {
 	}
 }
 
+// TestNewEngineForExtendedScheme compiles a pack whose rule targets a
+// category added through NewSchemeRegistry (the cross-ISA extension):
+// it classifies against the extended scheme and is rejected against
+// the base scheme, which lacks the category.
+func TestNewEngineForExtendedScheme(t *testing.T) {
+	reg := domain.NewSchemeRegistry()
+	if err := reg.AddClass(domain.Trigger, "CLIC", "related to the core-local interrupt controller"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.AddCategory("Trg_CLIC", "nst", "nested CLIC interrupt preemption"); err != nil {
+		t.Fatal(err)
+	}
+	pack := staticPack{specs: []pluginapi.RuleSpec{
+		{Kind: domain.Trigger, Category: "Trg_CLIC_nst", Strong: []string{`nested\s+clic\s+interrupt`}},
+	}}
+	e, err := NewEngineFor(pack, reg.Scheme(), Config{Prefilter: true, Memo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := e.Classify(&domain.Erratum{
+		DocKey:      "doc",
+		ID:          "R1",
+		Title:       "Hart May Hang",
+		Description: "When a nested CLIC interrupt preempts the resume sequence, the hart may hang.",
+	})
+	if d := rep.Decisions["Trg_CLIC_nst"]; d != Include {
+		t.Errorf("Trg_CLIC_nst = %v, want Include", d)
+	}
+	if got := rep.IncludedCategories(e.Scheme()); len(got) != 1 || got[0] != "Trg_CLIC_nst" {
+		t.Errorf("included = %v, want [Trg_CLIC_nst]", got)
+	}
+	if _, err := NewEngineFor(pack, domain.BaseScheme(), Config{}); err == nil {
+		t.Error("base scheme accepted a rule for Trg_CLIC_nst")
+	}
+}
+
 type staticPack struct{ specs []pluginapi.RuleSpec }
 
 func (p staticPack) Info() pluginapi.Info {

@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 	"repro/pkg/pluginapi"
 )
@@ -73,7 +72,7 @@ func baseCompiled() (map[domain.Kind][]rule, map[domain.Kind]*kindKernel) {
 			return
 		}
 		defaultRules.rules, defaultRules.kernels, defaultRules.err =
-			compileRules(pack, taxonomy.Base())
+			compileRules(pack, domain.BaseScheme())
 	})
 	if defaultRules.err != nil {
 		panic(defaultRules.err)
@@ -86,7 +85,7 @@ func baseCompiled() (map[domain.Kind][]rule, map[domain.Kind]*kindKernel) {
 // regex. Rule order within a kind is preserved, so matched categories
 // keep the pack's reporting order, and the multi-pattern kernels (see
 // kernel.go) are built once per kind over the compiled rules.
-func compileRules(pack pluginapi.RulePack, scheme domain.Scheme) (map[domain.Kind][]rule, map[domain.Kind]*kindKernel, error) {
+func compileRules(pack pluginapi.RulePack, scheme *domain.Scheme) (map[domain.Kind][]rule, map[domain.Kind]*kindKernel, error) {
 	name := pack.Info().Name
 	specs := make(map[domain.Kind][]ruleSpec)
 	rules := make(map[domain.Kind][]rule)
@@ -113,16 +112,18 @@ func compileRules(pack pluginapi.RulePack, scheme domain.Scheme) (map[domain.Kin
 			weak:     weak,
 		})
 	}
-	kernels := make(map[domain.Kind]*kindKernel, len(specs))
-	for kind, sp := range specs {
-		kernels[kind] = buildKindKernel(rules[kind], sp)
+	// Every kind gets a kernel, so a pack without rules for some kind
+	// still classifies on the prefiltered path.
+	kernels := make(map[domain.Kind]*kindKernel, len(domain.Kinds))
+	for _, kind := range domain.Kinds {
+		kernels[kind] = buildKindKernel(rules[kind], specs[kind])
 	}
 	return rules, kernels, nil
 }
 
 // Engine is a compiled rule engine over a taxonomy scheme.
 type Engine struct {
-	scheme  domain.Scheme
+	scheme  *domain.Scheme
 	rules   map[domain.Kind][]rule
 	kernels map[domain.Kind]*kindKernel
 	// catIDs caches the scheme's category ids so report initialization
@@ -174,15 +175,15 @@ func NewEngine() *Engine {
 // pack does not compile. Engines are safe for concurrent use.
 func NewEngineConfig(cfg Config) *Engine {
 	rules, kernels := baseCompiled()
-	return newEngine(taxonomy.Base(), rules, kernels, cfg)
+	return newEngine(domain.BaseScheme(), rules, kernels, cfg)
 }
 
 // NewEngineFor compiles an engine over an explicit rule pack and
 // scheme, for callers that select plugins by name instead of using the
 // registry default. A nil scheme selects the base taxonomy.
-func NewEngineFor(pack pluginapi.RulePack, scheme domain.Scheme, cfg Config) (*Engine, error) {
+func NewEngineFor(pack pluginapi.RulePack, scheme *domain.Scheme, cfg Config) (*Engine, error) {
 	if scheme == nil {
-		scheme = taxonomy.Base()
+		scheme = domain.BaseScheme()
 	}
 	rules, kernels, err := compileRules(pack, scheme)
 	if err != nil {
@@ -191,14 +192,14 @@ func NewEngineFor(pack pluginapi.RulePack, scheme domain.Scheme, cfg Config) (*E
 	return newEngine(scheme, rules, kernels, cfg), nil
 }
 
-func newEngine(scheme domain.Scheme, rules map[domain.Kind][]rule, kernels map[domain.Kind]*kindKernel, cfg Config) *Engine {
+func newEngine(scheme *domain.Scheme, rules map[domain.Kind][]rule, kernels map[domain.Kind]*kindKernel, cfg Config) *Engine {
 	e := &Engine{
 		scheme:  scheme,
 		rules:   rules,
 		kernels: kernels,
 		cfg:     cfg,
 	}
-	for _, cat := range e.scheme.AllCategories() {
+	for _, cat := range e.scheme.Categories(-1) {
 		e.catIDs = append(e.catIDs, cat.ID)
 	}
 	if cfg.Obs != nil {
@@ -231,7 +232,7 @@ func newEngine(scheme domain.Scheme, rules map[domain.Kind][]rule, kernels map[d
 }
 
 // Scheme returns the scheme the engine classifies against.
-func (e *Engine) Scheme() domain.Scheme { return e.scheme }
+func (e *Engine) Scheme() *domain.Scheme { return e.scheme }
 
 // matchSegment evaluates every rule of a kind against one text segment
 // and reports the strongly and weakly matched categories. The returned

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/taxonomy"
 	"repro/internal/textsim"
 	"repro/pkg/domain"
 	"repro/pkg/pluginapi"
@@ -135,7 +134,7 @@ func GenerateWith(spec pluginapi.CorpusSpec, seed int64) (*GroundTruth, error) {
 	}
 
 	gt := &GroundTruth{
-		DB:       domain.NewDatabase(taxonomy.Base()),
+		DB:       domain.NewDatabase(domain.BaseScheme()),
 		Lineages: make(map[string]*Lineage),
 		Seed:     seed,
 	}
@@ -594,7 +593,7 @@ func (g *generator) uniqueTitle(ann domain.Annotation) string {
 func (g *generator) composeTitle(ann domain.Annotation) string {
 	subject := "Processor"
 	if len(ann.Triggers) > 0 {
-		cls := taxonomy.Base().ClassOf(ann.Triggers[0].Category)
+		cls := domain.BaseScheme().ClassOf(ann.Triggers[0].Category)
 		if bank, ok := titleSubjects[cls]; ok {
 			subject = g.pickString(bank)
 		}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 	intelamd "repro/plugins/corpusprofile/intelamd"
 )
@@ -155,7 +154,7 @@ func TestGeneratedAnnotationsValid(t *testing.T) {
 	if err := testGT.DB.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	scheme := taxonomy.Base()
+	scheme := domain.BaseScheme()
 	classesSeen := map[string]bool{}
 	for _, e := range testGT.DB.Errata() {
 		for _, it := range e.Ann.Triggers {

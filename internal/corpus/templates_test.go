@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -51,7 +50,7 @@ func TestEffectPhrasesAreSeparatorFree(t *testing.T) {
 // Every abstract category of the base scheme must have a phrase bank and
 // a non-trivial number of phrasings, and vice versa.
 func TestBanksCoverScheme(t *testing.T) {
-	scheme := taxonomy.Base()
+	scheme := domain.BaseScheme()
 	banks := PhraseBanks()
 	for _, kind := range domain.Kinds {
 		bank := banks[kind]
@@ -95,7 +94,7 @@ func TestPhrasesUniqueWithinKind(t *testing.T) {
 }
 
 func TestTitleFragmentsCoverEffects(t *testing.T) {
-	scheme := taxonomy.Base()
+	scheme := domain.BaseScheme()
 	for _, cat := range scheme.Categories(domain.Effect) {
 		if len(titleFragments[cat.ID]) == 0 {
 			t.Errorf("no title fragment for effect %s", cat.ID)

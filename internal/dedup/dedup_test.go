@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/specdoc"
-	"repro/internal/taxonomy"
 	"repro/internal/textsim"
 	"repro/pkg/domain"
 	corpusprofile "repro/plugins/corpusprofile/intelamd"
@@ -15,7 +14,7 @@ import (
 
 func buildSmallDB(t *testing.T) *domain.Database {
 	t.Helper()
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	docs := []*domain.Document{
 		{
 			Key: "intel-01d", Vendor: domain.Intel, Label: "1 (D)", Order: 0, GenIndex: 1,
@@ -298,7 +297,7 @@ func TestExplicitZeroThreshold(t *testing.T) {
 // transitively, so the oracle sees the other five pairs and nothing
 // else.
 func TestMergedPairsSkipOracle(t *testing.T) {
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	// Eight shared tokens plus one unique token per title: every pair
 	// has Jaccard 8/10 = 0.8 and a distinct normalized title.
 	common := "alpha beta gamma delta epsilon zeta eta theta"

@@ -28,7 +28,7 @@ type RandomStrategy struct {
 }
 
 // NewRandomStrategy builds the CRV baseline over the full scheme.
-func NewRandomStrategy(scheme domain.Scheme, msrs []string, cfg Config, seed int64) *RandomStrategy {
+func NewRandomStrategy(scheme *domain.Scheme, msrs []string, cfg Config, seed int64) *RandomStrategy {
 	monitors := append([]string(nil), scheme.CategoryIDs(domain.Effect)...)
 	monitors = append(monitors, msrs...)
 	return &RandomStrategy{
@@ -89,7 +89,7 @@ type DirectedStrategy struct {
 }
 
 // NewDirectedStrategy builds the RemembERR-directed strategy.
-func NewDirectedStrategy(directives []DirectiveInput, scheme domain.Scheme, cfg Config, seed int64) *DirectedStrategy {
+func NewDirectedStrategy(directives []DirectiveInput, scheme *domain.Scheme, cfg Config, seed int64) *DirectedStrategy {
 	return &DirectedStrategy{
 		rng:        rand.New(rand.NewSource(seed)),
 		directives: append([]DirectiveInput(nil), directives...),

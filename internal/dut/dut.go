@@ -179,7 +179,7 @@ func observed(b Bug, monitored map[string]bool) bool {
 // skipped (minTriggers <= 1 keeps every triggered erratum) — campaigns
 // about design-testing gaps care about the combined-trigger population
 // the paper highlights (49% of errata need at least two triggers).
-func BugsFromErrata(errata []*domain.Erratum, scheme domain.Scheme, limit, minTriggers int, rng *rand.Rand) []Bug {
+func BugsFromErrata(errata []*domain.Erratum, scheme *domain.Scheme, limit, minTriggers int, rng *rand.Rand) []Bug {
 	if minTriggers < 1 {
 		minTriggers = 1
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -150,7 +149,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestBugsFromErrata(t *testing.T) {
-	scheme := taxonomy.Base()
+	scheme := domain.BaseScheme()
 	errata := []*domain.Erratum{
 		{
 			DocKey: "intel-06", ID: "S1", Seq: 1,
@@ -195,7 +194,7 @@ func TestBugsFromErrata(t *testing.T) {
 }
 
 func TestCampaignStrategies(t *testing.T) {
-	scheme := taxonomy.Base()
+	scheme := domain.BaseScheme()
 	bugs := []Bug{
 		{ID: "B1", Triggers: []string{"Trg_CFG_wrg", "Trg_POW_tht"},
 			Effects: []string{"Eff_CRP_reg"}, MSRs: []string{"MCx_STATUS"}},
@@ -245,7 +244,7 @@ func TestCampaignStrategies(t *testing.T) {
 // budgets, the RemembERR-directed strategy detects many more bugs than
 // uniform CRV on a realistic bug population.
 func TestDirectedBeatsRandom(t *testing.T) {
-	scheme := taxonomy.Base()
+	scheme := domain.BaseScheme()
 	rng := rand.New(rand.NewSource(3))
 	// A synthetic population of 30 bugs with 2-3 conjunctive triggers
 	// drawn from a realistic skew.

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -16,7 +15,7 @@ func date(y, m int) time.Time {
 // disclosure dates.
 func buildDB(t *testing.T) *domain.Database {
 	t.Helper()
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	mk := func(key, label string, order, gen int, released time.Time, entries ...*domain.Erratum) {
 		d := &domain.Document{
 			Key: key, Vendor: domain.Intel, Label: label, Order: order,

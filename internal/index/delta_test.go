@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -66,7 +65,7 @@ func merged(t *testing.T, prev *Index, db *domain.Database) *Index {
 // minus the listed keys — the deletion shape of a delta.
 func shareDB(t *testing.T, db *domain.Database, drop ...string) *domain.Database {
 	t.Helper()
-	next := domain.NewDatabase(taxonomy.Base())
+	next := domain.NewDatabase(domain.BaseScheme())
 	next.Scheme = db.Scheme
 	gone := make(map[string]bool, len(drop))
 	for _, k := range drop {
@@ -160,7 +159,7 @@ func TestMergeDeltaRelabelClone(t *testing.T) {
 // cold Build (everything is indexed fresh, nothing remaps).
 func TestMergeDeltaForeignPrev(t *testing.T) {
 	db := smallDB(t)
-	foreign := domain.NewDatabase(taxonomy.Base())
+	foreign := domain.NewDatabase(domain.BaseScheme())
 	foreign.Scheme = db.Scheme
 	if err := foreign.Add(&domain.Document{
 		Key: "other-01", Vendor: domain.AMD, Label: "x", Order: 0,

@@ -34,7 +34,7 @@ import (
 // Index is an inverted index over one database snapshot.
 type Index struct {
 	db     *domain.Database
-	scheme domain.Scheme
+	scheme *domain.Scheme
 
 	// errata maps ordinal -> entry, in db.Errata() order.
 	errata []*domain.Erratum

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -14,7 +13,7 @@ import (
 // cluster keys and fix/workaround variety.
 func smallDB(t *testing.T) *domain.Database {
 	t.Helper()
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	docs := []*domain.Document{
 		{
 			Key: "intel-01", Vendor: domain.Intel, Label: "1", Order: 0,

@@ -9,7 +9,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/queryref"
 	"repro/internal/store"
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -28,7 +27,7 @@ func titleDoc(key string, vendor domain.Vendor, order int, titles ...string) *do
 
 func titleDB(t *testing.T, docs ...*domain.Document) *domain.Database {
 	t.Helper()
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	for _, d := range docs {
 		if err := db.Add(d); err != nil {
 			t.Fatal(err)

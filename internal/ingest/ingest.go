@@ -61,7 +61,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/specdoc"
 	"repro/internal/store"
-	"repro/internal/taxonomy"
 	"repro/internal/textsim"
 	"repro/internal/timeline"
 	"repro/pkg/domain"
@@ -126,7 +125,7 @@ type Result struct {
 type Ingester struct {
 	mu     sync.Mutex
 	opts   Options
-	scheme domain.Scheme
+	scheme *domain.Scheme
 	engine *classify.Engine
 
 	// frozenKey maps normalized Intel titles of the initial database to
@@ -175,7 +174,7 @@ func NewFrom(initial *domain.Database, opts Options) *Ingester {
 	}
 	in := &Ingester{
 		opts:       opts,
-		scheme:     taxonomy.Base(),
+		scheme:     domain.BaseScheme(),
 		frozenKey:  make(map[string]string),
 		frozenKeys: make(map[string]bool),
 		fresh:      make(map[string]*freshTitle),
@@ -484,7 +483,7 @@ func (in *Ingester) parseOne(text string) (*parsedDoc, error) {
 // flags and per-entry workaround/fix classifications onto the erratum —
 // the oracle-free half of annotate.Run's applyAnnotation (a live feed
 // has no ground truth to resolve undecided pairs against).
-func applyAutoAnnotation(scheme domain.Scheme, rep *classify.Report, e *domain.Erratum) {
+func applyAutoAnnotation(scheme *domain.Scheme, rep *classify.Report, e *domain.Erratum) {
 	var ann domain.Annotation
 	for _, cat := range rep.IncludedCategories(scheme) {
 		c, ok := scheme.Category(cat)
@@ -650,7 +649,7 @@ func sha256hex(b []byte) string {
 // encodeArtifact caches a parsed document as a single-document
 // database with its parse diagnostics as metadata.
 func encodeArtifact(p *parsedDoc) ([]byte, error) {
-	one := domain.NewDatabase(taxonomy.Base())
+	one := domain.NewDatabase(domain.BaseScheme())
 	if err := one.Add(p.doc); err != nil {
 		return nil, err
 	}

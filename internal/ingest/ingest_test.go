@@ -15,7 +15,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/specdoc"
 	"repro/internal/store"
-	"repro/internal/taxonomy"
 	"repro/internal/textsim"
 	"repro/pkg/domain"
 )
@@ -449,7 +448,7 @@ func docV2(t testing.TB, d *domain.Document) []byte {
 
 func oneDoc(t testing.TB, d *domain.Document) *domain.Database {
 	t.Helper()
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/specdoc"
 	"repro/internal/store"
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -107,7 +106,7 @@ func stripGen(t *testing.T, body []byte) string {
 
 // TestIngestEndpointNotConfigured pins the 501 contract.
 func TestIngestEndpointNotConfigured(t *testing.T) {
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	srv := newDBServer(db, Options{})
 	code, body := postIngest(t, srv, "anything")
 	if code != 501 {
@@ -118,7 +117,7 @@ func TestIngestEndpointNotConfigured(t *testing.T) {
 // TestIngestEndpointRejectsBadDocument pins the 400 contract: an
 // unparseable body leaves the served snapshot untouched.
 func TestIngestEndpointRejectsBadDocument(t *testing.T) {
-	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()), nil)
+	srv, _ := ingestingServer(domain.NewDatabase(domain.BaseScheme()), nil)
 	gen := srv.Generation()
 	code, body := postIngest(t, srv, "not a specification update\n")
 	if code != 400 {
@@ -133,7 +132,7 @@ func TestIngestEndpointRejectsBadDocument(t *testing.T) {
 // one byte over maxIngestBytes is refused as too large, not as a bad
 // request, counts as an error, and leaves the snapshot untouched.
 func TestIngestEndpointRejectsOversizeBody(t *testing.T) {
-	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()), nil)
+	srv, _ := ingestingServer(domain.NewDatabase(domain.BaseScheme()), nil)
 	gen := srv.Generation()
 	code, body := postIngest(t, srv, strings.Repeat("x", maxIngestBytes+1))
 	if code != http.StatusRequestEntityTooLarge {
@@ -159,7 +158,7 @@ func TestIngestEndpointEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := newDBServer(unionDB, Options{CacheSize: -1})
-	srv, _ := ingestingServer(domain.NewDatabase(taxonomy.Base()), nil)
+	srv, _ := ingestingServer(domain.NewDatabase(domain.BaseScheme()), nil)
 	for i, text := range texts {
 		code, body := postIngest(t, srv, text)
 		if code != 200 {

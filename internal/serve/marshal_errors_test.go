@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/store"
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -44,7 +43,7 @@ func TestMarshalFailuresAre500s(t *testing.T) {
 
 	// An empty fragment set lacks every entry of the snapshot, as if
 	// each entry's DTO had failed to marshal at swap time.
-	empty, err := store.BuildFragments(domain.NewDatabase(taxonomy.Base()))
+	empty, err := store.BuildFragments(domain.NewDatabase(domain.BaseScheme()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/parallel"
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -495,7 +494,7 @@ func ParseAllParallel(texts map[string]string, workers int) (*domain.Database, [
 		return parsed{doc: doc, diags: ds, err: err}, nil
 	})
 
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	var diags []Diagnostic
 	for i, k := range keys {
 		r := results[i]

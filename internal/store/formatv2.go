@@ -14,7 +14,6 @@ import (
 	"unsafe"
 
 	"repro/internal/index"
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -1100,7 +1099,7 @@ func (s *StoreV2) Database() (*domain.Database, error) {
 }
 
 func (s *StoreV2) materialize() (*domain.Database, error) {
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	for i := 0; i < s.nDocs; i++ {
 		d := s.Doc(i)
 		eOff, eN := s.DocErrataRange(i)

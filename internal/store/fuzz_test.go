@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -14,7 +13,7 @@ import (
 // with concretes, MSRs and all boolean flags.
 func fuzzSeedDB(tb testing.TB) *domain.Database {
 	tb.Helper()
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	docs := []*domain.Document{
 		{
 			Key: "intel-01", Vendor: domain.Intel, Label: "1", Reference: "REF-1",

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -106,7 +105,7 @@ func buildRSSCorpus(t *testing.T, targetBytes int) *domain.Database {
 	}
 	replicas := targetBytes/len(base) + 1
 
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	db.Scheme = gt.DB.Scheme
 	docs := gt.DB.Documents()
 	for k := 0; k < replicas; k++ {

@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -144,7 +143,7 @@ func decode(data []byte) (*domain.Database, error) {
 	if f.Version != FormatVersion {
 		return nil, fmt.Errorf("store: unsupported format version %d", f.Version)
 	}
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	for _, dd := range f.Documents {
 		vendor, err := domain.ParseVendor(dd.Vendor)
 		if err != nil {
@@ -294,8 +293,25 @@ func SaveFormat(db *domain.Database, path, format string) error {
 
 // writeAtomicTo streams fill into a temp file in path's directory and
 // renames it over path, so readers — and a serving process re-opening
-// on SIGHUP — never observe a partially written database.
+// on SIGHUP — never observe a partially written database. An existing
+// symlink is resolved first, so the rename replaces its target and the
+// link stays a link; an existing non-regular target (a device or FIFO)
+// cannot be renamed over and is written in place.
 func writeAtomicTo(path string, fill func(io.Writer) error) error {
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		if err := fill(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}
+	if target, err := filepath.EvalSymlinks(path); err == nil {
+		path = target
+	}
 	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -50,7 +49,7 @@ func openDBFile(tb testing.TB, path string) *domain.Database {
 
 func sampleDB(t *testing.T) *domain.Database {
 	t.Helper()
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	d := &domain.Document{
 		Key: "intel-06", Vendor: domain.Intel, Label: "6", Reference: "332689-028US",
 		Order: 0, GenIndex: 6, Released: date(2015, 8, 1),
@@ -168,6 +167,44 @@ func TestSaveLoad(t *testing.T) {
 	}
 	if _, err := Open(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("Open of missing file should fail")
+	}
+}
+
+// TestSaveThroughSymlink checks that saving to a symlink writes the
+// database to the link's target and leaves the link in place.
+func TestSaveThroughSymlink(t *testing.T) {
+	db := sampleDB(t)
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "data"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	target := filepath.Join(dir, "data", "real.bin")
+	if err := os.WriteFile(target, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	link := filepath.Join(dir, "db.v2")
+	if err := os.Symlink(filepath.Join("data", "real.bin"), link); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveFormat(db, link, "v2"); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Lstat(link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode()&os.ModeSymlink == 0 {
+		t.Fatalf("Save replaced the symlink with a file of mode %v", fi.Mode())
+	}
+	raw, err := os.ReadFile(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !isV2(raw) {
+		t.Fatal("the link's target does not hold the v2 database")
+	}
+	if got := openDBFile(t, target); got.ComputeStats().Total != 1 {
+		t.Error("the saved target lost errata")
 	}
 }
 

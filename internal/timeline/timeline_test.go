@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -32,7 +31,7 @@ func docWith(addedIn ...int) *domain.Document {
 }
 
 func TestDirectDating(t *testing.T) {
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	d := docWith(1, 2, 3)
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -51,7 +50,7 @@ func TestDirectDating(t *testing.T) {
 func TestInterpolationUsesSubsequentErratum(t *testing.T) {
 	// The middle erratum is missing from the notes; its date must come
 	// from the subsequent erratum (the paper's rule).
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	d := docWith(1, 0, 3)
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -68,7 +67,7 @@ func TestInterpolationUsesSubsequentErratum(t *testing.T) {
 func TestInterpolationFallsBackToPrevious(t *testing.T) {
 	// The last erratum is unmentioned: no subsequent known erratum, so
 	// the previous one's date applies.
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	d := docWith(1, 2, 0)
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -80,7 +79,7 @@ func TestInterpolationFallsBackToPrevious(t *testing.T) {
 }
 
 func TestNoInterpolationUsesFirstRevision(t *testing.T) {
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	d := docWith(1, 0, 3)
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -95,7 +94,7 @@ func TestNoInterpolationUsesFirstRevision(t *testing.T) {
 }
 
 func TestAllUnknown(t *testing.T) {
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	d := docWith(0, 0)
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -112,7 +111,7 @@ func TestAllUnknown(t *testing.T) {
 }
 
 func TestCumulative(t *testing.T) {
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	d := docWith(1, 1, 2, 3)
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -166,7 +165,7 @@ func TestPropertyInferenceTotal(t *testing.T) {
 		for i, r := range revs {
 			added[i] = int(r % 4) // 0..3; 0 = unmentioned
 		}
-		db := domain.NewDatabase(taxonomy.Base())
+		db := domain.NewDatabase(domain.BaseScheme())
 		d := docWith(added...)
 		if err := db.Add(d); err != nil {
 			return false

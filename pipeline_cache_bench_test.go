@@ -1,33 +1,6 @@
 package rememberr
 
-import (
-	"os"
-	"sync"
-	"testing"
-)
-
-// The pristine cache is populated once by a default Build and never
-// mutated: fully-warm replays read it directly and write nothing.
-var (
-	pristineOnce sync.Once
-	pristineDir  string
-	pristineErr  error
-)
-
-func pristineCache(b *testing.B) string {
-	b.Helper()
-	pristineOnce.Do(func() {
-		pristineDir, pristineErr = os.MkdirTemp("", "rememberr-bench-cache-")
-		if pristineErr != nil {
-			return
-		}
-		_, _, pristineErr = Build(WithCache(pristineDir))
-	})
-	if pristineErr != nil {
-		b.Fatal(pristineErr)
-	}
-	return pristineDir
-}
+import "testing"
 
 // BenchmarkPipelineColdBuild is the baseline: the full seven-stage
 // build with no artifact cache.
@@ -40,9 +13,14 @@ func BenchmarkPipelineColdBuild(b *testing.B) {
 }
 
 // BenchmarkPipelineWarmFull replays every stage from a fully populated
-// cache: the floor of an incremental rebuild (hash, read, decode).
+// cache: the floor of an incremental rebuild (hash, read, decode). The
+// cache lives in b.TempDir, so it is filled by an untimed cold Build
+// and removed when the benchmark returns.
 func BenchmarkPipelineWarmFull(b *testing.B) {
-	dir := pristineCache(b)
+	dir := b.TempDir()
+	if _, _, err := Build(WithCache(dir)); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Build(WithCache(dir)); err != nil {

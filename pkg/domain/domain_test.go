@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 )
 
@@ -91,7 +90,7 @@ func TestFixStatusRoundTrip(t *testing.T) {
 }
 
 func TestAnnotationAccessors(t *testing.T) {
-	scheme := taxonomy.Base()
+	scheme := domain.BaseScheme()
 	ann := domain.Annotation{
 		Triggers: []domain.Item{
 			{Category: "Trg_POW_pwc"}, {Category: "Trg_CFG_wrg"}, {Category: "Trg_POW_pwc"},
@@ -119,7 +118,7 @@ func TestAnnotationAccessors(t *testing.T) {
 }
 
 func TestAnnotationValidateRejects(t *testing.T) {
-	scheme := taxonomy.Base()
+	scheme := domain.BaseScheme()
 	bad := domain.Annotation{Triggers: []domain.Item{{Category: "Trg_NOPE_xxx"}}}
 	if err := bad.Validate(scheme); err == nil {
 		t.Error("Validate accepted unknown category")
@@ -167,7 +166,7 @@ func TestDocumentLookups(t *testing.T) {
 }
 
 func TestDatabaseBasics(t *testing.T) {
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	if err := db.Add(sampleDoc()); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +207,7 @@ func TestDatabaseBasics(t *testing.T) {
 }
 
 func TestUniqueRepresentatives(t *testing.T) {
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	d1 := sampleDoc()
 	if err := db.Add(d1); err != nil {
 		t.Fatal(err)
@@ -244,7 +243,7 @@ func TestUniqueRepresentatives(t *testing.T) {
 }
 
 func TestOccurrences(t *testing.T) {
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	if err := db.Add(sampleDoc()); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +254,7 @@ func TestOccurrences(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	d := sampleDoc()
 	if err := db.Add(d); err != nil {
 		t.Fatal(err)
@@ -288,7 +287,7 @@ func TestStructuredErratum(t *testing.T) {
 	if len(s.Triggers) != 1 || s.Triggers[0].Category != "Trg_POW_pwc" {
 		t.Errorf("Structure triggers wrong: %+v", s.Triggers)
 	}
-	if err := s.Validate(taxonomy.Base()); err != nil {
+	if err := s.Validate(domain.BaseScheme()); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
 	out := s.Render()
@@ -308,7 +307,7 @@ func TestStructuredErratum(t *testing.T) {
 }
 
 func TestStructuredValidateRejects(t *testing.T) {
-	scheme := taxonomy.Base()
+	scheme := domain.BaseScheme()
 	if err := (domain.StructuredErratum{Title: "t"}).Validate(scheme); err == nil {
 		t.Error("accepted empty ID")
 	}

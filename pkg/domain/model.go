@@ -215,7 +215,7 @@ func (a *Annotation) SetItems(k Kind, items []Item) {
 
 // Categories returns the abstract descriptors of the given kind, sorted
 // in scheme order and deduplicated.
-func (a *Annotation) Categories(k Kind, scheme Scheme) []string {
+func (a *Annotation) Categories(k Kind, scheme *Scheme) []string {
 	items := a.Items(k)
 	seen := make(map[string]bool, len(items))
 	var out []string
@@ -230,7 +230,7 @@ func (a *Annotation) Categories(k Kind, scheme Scheme) []string {
 
 // Classes returns the class descriptors of the given kind, sorted and
 // deduplicated.
-func (a *Annotation) Classes(k Kind, scheme Scheme) []string {
+func (a *Annotation) Classes(k Kind, scheme *Scheme) []string {
 	seen := make(map[string]bool)
 	var out []string
 	for _, it := range a.Items(k) {
@@ -259,7 +259,7 @@ func (a *Annotation) Has(categoryID string) bool {
 
 // Validate checks that every item references a known abstract category
 // of the scheme and that kinds are consistent.
-func (a *Annotation) Validate(scheme Scheme) error {
+func (a *Annotation) Validate(scheme *Scheme) error {
 	for _, k := range Kinds {
 		for _, it := range a.Items(k) {
 			cat, ok := scheme.Category(it.Category)
@@ -457,12 +457,12 @@ type Database struct {
 	// Docs holds all documents keyed by Document.Key.
 	Docs map[string]*Document
 	// Scheme is the taxonomy scheme used by all annotations.
-	Scheme Scheme
+	Scheme *Scheme
 }
 
-// NewDatabase returns an empty database using the given scheme;
-// internal code passes taxonomy.Base() for the paper's base scheme.
-func NewDatabase(scheme Scheme) *Database {
+// NewDatabase returns an empty database using the given scheme, such
+// as BaseScheme() for the paper's scheme.
+func NewDatabase(scheme *Scheme) *Database {
 	return &Database{
 		Docs:   make(map[string]*Document),
 		Scheme: scheme,

@@ -1,45 +1,15 @@
-// Package taxonomy defines the RemembERR classification scheme for
-// microprocessor errata.
-//
-// The scheme is hierarchical with three levels of abstraction:
-//
-//   - the concrete level: the exact action described in an erratum
-//     ("the core resumes from the C6 power state"). Concrete items are
-//     free-form strings attached to annotations and are the only
-//     potentially ISA-specific level.
-//   - the abstract level: a slightly higher abstraction ("a transition
-//     between core power states"), identified by descriptors such as
-//     Trg_POW_pwc. There are 60 abstract categories in the base scheme:
-//     34 triggers, 10 contexts and 16 observable effects.
-//   - the class level: the highest abstraction ("power management"),
-//     identified by descriptors such as Trg_POW.
-//
-// Category identifiers follow the paper's notation: a class descriptor is
-// the concatenation of a kind prefix (Trg, Ctx, Eff) and a class suffix
-// (e.g. Trg_EXT); an abstract descriptor appends a three-letter category
-// suffix (e.g. Trg_EXT_rst).
-//
-// Triggers are conjunctive: all triggers of an erratum must be applied to
-// provoke the bug. Contexts and effects are disjunctive: being in any
-// listed context suffices, and observing any listed effect suffices to
-// detect the bug.
-package taxonomy
+package domain
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/pkg/domain"
 )
-
-// The concrete *Scheme must satisfy the public scheme contract.
-var _ domain.Scheme = (*Scheme)(nil)
 
 // classSpec is the static definition of one class and its abstract
 // categories, used to build the base scheme.
 type classSpec struct {
-	kind    domain.Kind
+	kind    Kind
 	suffix  string
 	desc    string
 	entries []entrySpec
@@ -53,12 +23,12 @@ type entrySpec struct {
 // baseScheme transcribes Tables IV, V and VI of the paper.
 var baseScheme = []classSpec{
 	// ----- Table IV: triggers -----
-	{domain.Trigger, "MBR", "a data operation on a memory boundary", []entrySpec{
+	{Trigger, "MBR", "a data operation on a memory boundary", []entrySpec{
 		{"cbr", "a data operation on a cache line boundary"},
 		{"pgb", "a data operation on a page boundary"},
 		{"mbr", "a data operation on a memory map boundary such as canonical"},
 	}},
-	{domain.Trigger, "MOP", "a memory operation", []entrySpec{
+	{Trigger, "MOP", "a memory operation", []entrySpec{
 		{"mmp", "a memory operation involving an interaction with a memory-mapped element"},
 		{"atp", "an atomic or transactional memory operation"},
 		{"fen", "a memory fence or a serializing instruction"},
@@ -68,26 +38,26 @@ var baseScheme = []classSpec{
 		{"flc", "flushing some cache line or TLB"},
 		{"spe", "a speculative memory operation"},
 	}},
-	{domain.Trigger, "FLT", "related to exceptions and faults", []entrySpec{
+	{Trigger, "FLT", "related to exceptions and faults", []entrySpec{
 		{"ovf", "a counter overflow"},
 		{"tmr", "a timer event"},
 		{"mca", "a machine check exception"},
 		{"ill", "an illegal instruction"},
 	}},
-	{domain.Trigger, "PRV", "related to privilege transitions", []entrySpec{
+	{Trigger, "PRV", "related to privilege transitions", []entrySpec{
 		{"ret", "a resume from System Management or OS mode"},
 		{"vmt", "a transition between hypervisor and guest"},
 	}},
-	{domain.Trigger, "CFG", "related to dynamic configuration", []entrySpec{
+	{Trigger, "CFG", "related to dynamic configuration", []entrySpec{
 		{"pag", "a paging mechanism interaction"},
 		{"vmc", "a virtual machine configuration interaction"},
 		{"wrg", "a configuration register interaction"},
 	}},
-	{domain.Trigger, "POW", "related to power states", []entrySpec{
+	{Trigger, "POW", "related to power states", []entrySpec{
 		{"pwc", "a transition between power states"},
 		{"tht", "a change in thermal or power supply conditions, or throttling"},
 	}},
-	{domain.Trigger, "EXT", "related to external inputs", []entrySpec{
+	{Trigger, "EXT", "related to external inputs", []entrySpec{
 		{"rst", "a cold or warm reset"},
 		{"pci", "an interaction with PCIe"},
 		{"usb", "an interaction with USB"},
@@ -95,7 +65,7 @@ var baseScheme = []classSpec{
 		{"iom", "an access through the IOMMU"},
 		{"bus", "a system bus interaction (HyperTransport, QPI, etc.)"},
 	}},
-	{domain.Trigger, "FEA", "related to features", []entrySpec{
+	{Trigger, "FEA", "related to features", []entrySpec{
 		{"fpu", "floating-point instructions"},
 		{"dbg", "debug features such as breakpoints"},
 		{"cid", "design identification (CPUID reports)"},
@@ -105,42 +75,42 @@ var baseScheme = []classSpec{
 	}},
 
 	// ----- Table V: contexts -----
-	{domain.Context, "PRV", "related to privileges", []entrySpec{
+	{Context, "PRV", "related to privileges", []entrySpec{
 		{"boo", "booting or being in the BIOS"},
 		{"vmg", "being a virtual machine guest"},
 		{"rea", "operating in real mode"},
 		{"vmh", "being a hypervisor"},
 		{"smm", "being in SMM"},
 	}},
-	{domain.Context, "FEA", "related to features", []entrySpec{
+	{Context, "FEA", "related to features", []entrySpec{
 		{"sec", "a security feature enabled (SGX, SVM, etc.)"},
 		{"sgc", "running in a single-core configuration"},
 	}},
-	{domain.Context, "PHY", "non-digital conditions", []entrySpec{
+	{Context, "PHY", "non-digital conditions", []entrySpec{
 		{"pkg", "package-specific"},
 		{"tmp", "temperature-specific"},
 		{"vol", "voltage-specific"},
 	}},
 
 	// ----- Table VI: observable effects -----
-	{domain.Effect, "HNG", "related to hangs", []entrySpec{
+	{Effect, "HNG", "related to hangs", []entrySpec{
 		{"unp", "an unpredictable behavior"},
 		{"hng", "a hang of the processor"},
 		{"crh", "a crash of the processor"},
 		{"boo", "a boot failure"},
 	}},
-	{domain.Effect, "FLT", "related to faults", []entrySpec{
+	{Effect, "FLT", "related to faults", []entrySpec{
 		{"mca", "a machine check exception"},
 		{"unc", "an uncorrectable error"},
 		{"fsp", "one or multiple spurious faults"},
 		{"fms", "one or multiple missing faults"},
 		{"fid", "a wrong fault identifier or order"},
 	}},
-	{domain.Effect, "CRP", "related to corruptions", []entrySpec{
+	{Effect, "CRP", "related to corruptions", []entrySpec{
 		{"prf", "a wrong performance counter value"},
 		{"reg", "a wrong MSR value"},
 	}},
-	{domain.Effect, "EXT", "related to physical outputs", []entrySpec{
+	{Effect, "EXT", "related to physical outputs", []entrySpec{
 		{"pci", "issues observable on the PCIe side"},
 		{"usb", "issues observable on the USB side"},
 		{"mmd", "multimedia issues (e.g., audio, graphics)"},
@@ -149,14 +119,17 @@ var baseScheme = []classSpec{
 	}},
 }
 
-// Scheme is an immutable view of a classification scheme: the set of
-// classes and abstract categories, with deterministic iteration order.
+// Scheme is an immutable classification scheme: the set of classes and
+// abstract categories, with deterministic iteration order. Descriptors
+// follow the paper's notation: a class descriptor joins a kind prefix
+// (Trg, Ctx, Eff) and a class suffix (e.g. Trg_EXT); an abstract
+// descriptor appends a category suffix (e.g. Trg_EXT_rst).
 //
-// The zero value is not usable; obtain a Scheme from Base or from a
-// Registry snapshot.
+// The zero value is not usable; obtain a Scheme from BaseScheme or from
+// a SchemeRegistry snapshot.
 type Scheme struct {
-	classes    []domain.Class
-	categories []domain.Category
+	classes    []Class
+	categories []Category
 	classByID  map[string]int
 	catByID    map[string]int
 	catByClass map[string][]string
@@ -164,9 +137,9 @@ type Scheme struct {
 
 var base = buildScheme(baseScheme)
 
-// Base returns the paper's scheme: the 60 abstract categories of
+// BaseScheme returns the paper's scheme: the 60 abstract categories of
 // Tables IV-VI grouped in 15 classes.
-func Base() *Scheme { return base }
+func BaseScheme() *Scheme { return base }
 
 func buildScheme(specs []classSpec) *Scheme {
 	s := &Scheme{
@@ -180,7 +153,7 @@ func buildScheme(specs []classSpec) *Scheme {
 			panic("taxonomy: duplicate class " + classID)
 		}
 		s.classByID[classID] = len(s.classes)
-		s.classes = append(s.classes, domain.Class{
+		s.classes = append(s.classes, Class{
 			ID:          classID,
 			Kind:        cs.kind,
 			Suffix:      cs.suffix,
@@ -192,7 +165,7 @@ func buildScheme(specs []classSpec) *Scheme {
 				panic("taxonomy: duplicate category " + catID)
 			}
 			s.catByID[catID] = len(s.categories)
-			s.categories = append(s.categories, domain.Category{
+			s.categories = append(s.categories, Category{
 				ID:          catID,
 				Kind:        cs.kind,
 				Class:       classID,
@@ -207,8 +180,8 @@ func buildScheme(specs []classSpec) *Scheme {
 
 // Classes returns all classes of kind k in definition order. With a
 // negative kind it returns every class.
-func (s *Scheme) Classes(k domain.Kind) []domain.Class {
-	var out []domain.Class
+func (s *Scheme) Classes(k Kind) []Class {
+	var out []Class
 	for _, c := range s.classes {
 		if k < 0 || c.Kind == k {
 			out = append(out, c)
@@ -217,13 +190,10 @@ func (s *Scheme) Classes(k domain.Kind) []domain.Class {
 	return out
 }
 
-// AllClasses returns every class in definition order.
-func (s *Scheme) AllClasses() []domain.Class { return s.Classes(-1) }
-
 // Categories returns all abstract categories of kind k in definition
 // order. With a negative kind it returns every category.
-func (s *Scheme) Categories(k domain.Kind) []domain.Category {
-	var out []domain.Category
+func (s *Scheme) Categories(k Kind) []Category {
+	var out []Category
 	for _, c := range s.categories {
 		if k < 0 || c.Kind == k {
 			out = append(out, c)
@@ -231,9 +201,6 @@ func (s *Scheme) Categories(k domain.Kind) []domain.Category {
 	}
 	return out
 }
-
-// AllCategories returns every abstract category in definition order.
-func (s *Scheme) AllCategories() []domain.Category { return s.Categories(-1) }
 
 // CategoriesOf returns the abstract category IDs belonging to the given
 // class descriptor, in definition order.
@@ -245,19 +212,19 @@ func (s *Scheme) CategoriesOf(classID string) []string {
 }
 
 // Class looks up a class by its descriptor.
-func (s *Scheme) Class(id string) (domain.Class, bool) {
+func (s *Scheme) Class(id string) (Class, bool) {
 	i, ok := s.classByID[id]
 	if !ok {
-		return domain.Class{}, false
+		return Class{}, false
 	}
 	return s.classes[i], true
 }
 
 // Category looks up an abstract category by its descriptor.
-func (s *Scheme) Category(id string) (domain.Category, bool) {
+func (s *Scheme) Category(id string) (Category, bool) {
 	i, ok := s.catByID[id]
 	if !ok {
-		return domain.Category{}, false
+		return Category{}, false
 	}
 	return s.categories[i], true
 }
@@ -273,7 +240,7 @@ func (s *Scheme) ClassOf(id string) string {
 
 // NumCategories returns the number of abstract categories of kind k
 // (negative for all kinds).
-func (s *Scheme) NumCategories(k domain.Kind) int {
+func (s *Scheme) NumCategories(k Kind) int {
 	if k < 0 {
 		return len(s.categories)
 	}
@@ -286,30 +253,17 @@ func (s *Scheme) NumCategories(k domain.Kind) int {
 	return n
 }
 
-// NumClasses returns the number of classes of kind k (negative for all).
-func (s *Scheme) NumClasses(k domain.Kind) int {
-	if k < 0 {
-		return len(s.classes)
-	}
-	n := 0
-	for _, c := range s.classes {
-		if c.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
-// Parse parses a descriptor of the form Kind_CLASS or Kind_CLASS_abs
-// (e.g. "Trg_EXT" or "Trg_EXT_rst") and reports the kind, class
-// descriptor and, if present, the abstract descriptor. The parse is
-// purely syntactic; use Validate to also check membership in the scheme.
-func Parse(id string) (kind domain.Kind, classID, categoryID string, err error) {
+// ParseDescriptor parses a descriptor of the form Kind_CLASS or
+// Kind_CLASS_abs (e.g. "Trg_EXT" or "Trg_EXT_rst") and reports the
+// kind, class descriptor and, if present, the abstract descriptor. The
+// parse is purely syntactic; use Validate to also check membership in
+// the scheme.
+func ParseDescriptor(id string) (kind Kind, classID, categoryID string, err error) {
 	parts := strings.Split(id, "_")
 	if len(parts) != 2 && len(parts) != 3 {
 		return 0, "", "", fmt.Errorf("taxonomy: malformed descriptor %q", id)
 	}
-	kind, err = domain.ParseKind(parts[0])
+	kind, err = ParseKind(parts[0])
 	if err != nil {
 		return 0, "", "", err
 	}
@@ -329,7 +283,7 @@ func Parse(id string) (kind domain.Kind, classID, categoryID string, err error) 
 // Validate checks that id denotes a class or abstract category of the
 // scheme and returns its canonical form.
 func (s *Scheme) Validate(id string) (string, error) {
-	_, classID, categoryID, err := Parse(id)
+	_, classID, categoryID, err := ParseDescriptor(id)
 	if err != nil {
 		return "", err
 	}
@@ -347,7 +301,7 @@ func (s *Scheme) Validate(id string) (string, error) {
 
 // CategoryIDs returns the descriptors of all abstract categories of
 // kind k (negative for all kinds), in definition order.
-func (s *Scheme) CategoryIDs(k domain.Kind) []string {
+func (s *Scheme) CategoryIDs(k Kind) []string {
 	cats := s.Categories(k)
 	out := make([]string, len(cats))
 	for i, c := range cats {
@@ -358,7 +312,7 @@ func (s *Scheme) CategoryIDs(k domain.Kind) []string {
 
 // ClassIDs returns the descriptors of all classes of kind k (negative
 // for all kinds), in definition order.
-func (s *Scheme) ClassIDs(k domain.Kind) []string {
+func (s *Scheme) ClassIDs(k Kind) []string {
 	cls := s.Classes(k)
 	out := make([]string, len(cls))
 	for i, c := range cls {
@@ -367,18 +321,19 @@ func (s *Scheme) ClassIDs(k domain.Kind) []string {
 	return out
 }
 
-// Registry is a mutable classification scheme. It starts from a copy of
-// an existing scheme and accepts new classes and abstract categories,
-// supporting the paper's "cross-ISA extension" use case where errata of
-// other ISAs introduce new categories.
-type Registry struct {
+// SchemeRegistry is a mutable classification scheme. It starts from a
+// copy of the base scheme and accepts new classes and abstract
+// categories, supporting the paper's "cross-ISA extension" use case
+// where errata of other ISAs introduce new categories.
+type SchemeRegistry struct {
 	specs map[string]*classSpec // keyed by class ID
 	order []string
 }
 
-// NewRegistry returns a Registry pre-populated with the base scheme.
-func NewRegistry() *Registry {
-	r := &Registry{specs: make(map[string]*classSpec)}
+// NewSchemeRegistry returns a SchemeRegistry pre-populated with the
+// base scheme.
+func NewSchemeRegistry() *SchemeRegistry {
+	r := &SchemeRegistry{specs: make(map[string]*classSpec)}
 	for _, cs := range baseScheme {
 		copyCS := cs
 		copyCS.entries = append([]entrySpec(nil), cs.entries...)
@@ -391,7 +346,7 @@ func NewRegistry() *Registry {
 
 // AddClass registers a new class. The suffix must be non-empty,
 // upper-case alphanumeric and unused for the kind.
-func (r *Registry) AddClass(k domain.Kind, suffix, description string) error {
+func (r *SchemeRegistry) AddClass(k Kind, suffix, description string) error {
 	if err := checkClassSuffix(suffix); err != nil {
 		return err
 	}
@@ -406,7 +361,7 @@ func (r *Registry) AddClass(k domain.Kind, suffix, description string) error {
 
 // AddCategory registers a new abstract category under an existing class
 // descriptor (e.g. "Trg_EXT").
-func (r *Registry) AddCategory(classID, suffix, description string) error {
+func (r *SchemeRegistry) AddCategory(classID, suffix, description string) error {
 	if err := checkCategorySuffix(suffix); err != nil {
 		return err
 	}
@@ -424,7 +379,7 @@ func (r *Registry) AddCategory(classID, suffix, description string) error {
 }
 
 // Scheme returns an immutable snapshot of the registry.
-func (r *Registry) Scheme() *Scheme {
+func (r *SchemeRegistry) Scheme() *Scheme {
 	specs := make([]classSpec, 0, len(r.order))
 	for _, id := range r.order {
 		cs := *r.specs[id]
@@ -477,4 +432,35 @@ func (s *Scheme) SortCategoryIDs(ids []string) []string {
 		}
 	})
 	return ids
+}
+
+// Markdown renders the scheme's classes and abstract categories of one
+// kind as a Markdown table in the layout of the paper's Tables IV-VI.
+// With a negative kind it renders all three tables.
+func (s *Scheme) Markdown(k Kind) string {
+	var b strings.Builder
+	kinds := []Kind{k}
+	if k < 0 {
+		kinds = Kinds
+	}
+	for _, kind := range kinds {
+		fmt.Fprintf(&b, "## %s classification\n\n", titleWord(kind.Name()))
+		b.WriteString("| Descriptor | Description |\n|---|---|\n")
+		for _, cl := range s.Classes(kind) {
+			fmt.Fprintf(&b, "| **%s** | *%s* |\n", cl.ID, cl.Description)
+			for _, catID := range s.CategoriesOf(cl.ID) {
+				cat, _ := s.Category(catID)
+				fmt.Fprintf(&b, "| &nbsp;&nbsp;`_%s` | %s |\n", cat.Suffix, cat.Description)
+			}
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+func titleWord(s string) string {
+	if s == "" {
+		return s
+	}
+	return strings.ToUpper(s[:1]) + s[1:]
 }

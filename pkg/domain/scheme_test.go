@@ -1,4 +1,4 @@
-package taxonomy
+package domain_test
 
 import (
 	"strings"
@@ -9,7 +9,7 @@ import (
 )
 
 func TestBaseCounts(t *testing.T) {
-	s := Base()
+	s := domain.BaseScheme()
 	// The paper defines 60 abstract categories in total.
 	if got := s.NumCategories(-1); got != 60 {
 		t.Fatalf("total abstract categories = %d, want 60", got)
@@ -24,7 +24,7 @@ func TestBaseCounts(t *testing.T) {
 		{domain.Effect, 4, 16},
 	}
 	for _, c := range cases {
-		if got := s.NumClasses(c.kind); got != c.classes {
+		if got := len(s.Classes(c.kind)); got != c.classes {
 			t.Errorf("%s classes = %d, want %d", c.kind.Name(), got, c.classes)
 		}
 		if got := s.NumCategories(c.kind); got != c.categories {
@@ -34,8 +34,8 @@ func TestBaseCounts(t *testing.T) {
 }
 
 func TestBaseWellFormed(t *testing.T) {
-	s := Base()
-	for _, c := range s.AllClasses() {
+	s := domain.BaseScheme()
+	for _, c := range s.Classes(-1) {
 		if !strings.HasPrefix(c.ID, c.Kind.String()+"_") {
 			t.Errorf("class %s: prefix does not match kind %s", c.ID, c.Kind)
 		}
@@ -46,7 +46,7 @@ func TestBaseWellFormed(t *testing.T) {
 			t.Errorf("class %s: no abstract categories", c.ID)
 		}
 	}
-	for _, cat := range s.AllCategories() {
+	for _, cat := range s.Categories(-1) {
 		cl, ok := s.Class(cat.Class)
 		if !ok {
 			t.Errorf("category %s: unknown class %s", cat.ID, cat.Class)
@@ -65,7 +65,7 @@ func TestBaseWellFormed(t *testing.T) {
 }
 
 func TestKnownDescriptors(t *testing.T) {
-	s := Base()
+	s := domain.BaseScheme()
 	// Spot-check descriptors used throughout the paper.
 	known := []string{
 		"Trg_CFG_wrg", "Trg_POW_tht", "Trg_POW_pwc", "Trg_EXT_rst",
@@ -109,26 +109,26 @@ func TestParse(t *testing.T) {
 		{"Trg_EXT_rst_extra", 0, "", "", true},
 	}
 	for _, c := range cases {
-		kind, classID, catID, err := Parse(c.in)
+		kind, classID, catID, err := domain.ParseDescriptor(c.in)
 		if c.shouldErr {
 			if err == nil {
-				t.Errorf("Parse(%q): expected error", c.in)
+				t.Errorf("ParseDescriptor(%q): expected error", c.in)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("Parse(%q): %v", c.in, err)
+			t.Errorf("ParseDescriptor(%q): %v", c.in, err)
 			continue
 		}
 		if kind != c.kind || classID != c.classID || catID != c.catID {
-			t.Errorf("Parse(%q) = (%v,%q,%q), want (%v,%q,%q)",
+			t.Errorf("ParseDescriptor(%q) = (%v,%q,%q), want (%v,%q,%q)",
 				c.in, kind, classID, catID, c.kind, c.classID, c.catID)
 		}
 	}
 }
 
 func TestValidate(t *testing.T) {
-	s := Base()
+	s := domain.BaseScheme()
 	if got, err := s.Validate("trg_pow_PWC"); err != nil || got != "Trg_POW_pwc" {
 		t.Errorf("Validate canonicalization = (%q,%v), want (Trg_POW_pwc,nil)", got, err)
 	}
@@ -144,7 +144,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestClassOf(t *testing.T) {
-	s := Base()
+	s := domain.BaseScheme()
 	if got := s.ClassOf("Trg_MOP_spe"); got != "Trg_MOP" {
 		t.Errorf("ClassOf(Trg_MOP_spe) = %q", got)
 	}
@@ -154,7 +154,7 @@ func TestClassOf(t *testing.T) {
 }
 
 func TestCategoriesOfIsCopy(t *testing.T) {
-	s := Base()
+	s := domain.BaseScheme()
 	a := s.CategoriesOf("Trg_EXT")
 	if len(a) != 6 {
 		t.Fatalf("Trg_EXT has %d categories, want 6", len(a))
@@ -167,7 +167,7 @@ func TestCategoriesOfIsCopy(t *testing.T) {
 }
 
 func TestRegistryExtension(t *testing.T) {
-	r := NewRegistry()
+	r := domain.NewSchemeRegistry()
 	if err := r.AddClass(domain.Trigger, "VEC", "related to vector extensions"); err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +188,13 @@ func TestRegistryExtension(t *testing.T) {
 		t.Errorf("extended scheme has %d categories, want 62", got)
 	}
 	// Base scheme must be unaffected by extension.
-	if _, ok := Base().Category("Trg_VEC_sve"); ok {
+	if _, ok := domain.BaseScheme().Category("Trg_VEC_sve"); ok {
 		t.Error("registry extension leaked into Base scheme")
 	}
 }
 
 func TestRegistryRejections(t *testing.T) {
-	r := NewRegistry()
+	r := domain.NewSchemeRegistry()
 	if err := r.AddClass(domain.Trigger, "EXT", "dup"); err == nil {
 		t.Error("AddClass accepted duplicate class")
 	}
@@ -216,7 +216,7 @@ func TestRegistryRejections(t *testing.T) {
 }
 
 func TestSortCategoryIDs(t *testing.T) {
-	s := Base()
+	s := domain.BaseScheme()
 	ids := []string{"Eff_CRP_reg", "Trg_MBR_cbr", "zzz_unknown", "Ctx_PRV_boo", "aaa_unknown"}
 	s.SortCategoryIDs(ids)
 	want := []string{"Trg_MBR_cbr", "Ctx_PRV_boo", "Eff_CRP_reg", "aaa_unknown", "zzz_unknown"}
@@ -227,10 +227,10 @@ func TestSortCategoryIDs(t *testing.T) {
 	}
 }
 
-// Property: every valid descriptor round-trips through Parse and Validate.
+// Property: every valid descriptor round-trips through ParseDescriptor and Validate.
 func TestPropertyDescriptorRoundTrip(t *testing.T) {
-	s := Base()
-	cats := s.AllCategories()
+	s := domain.BaseScheme()
+	cats := s.Categories(-1)
 	f := func(idx uint) bool {
 		cat := cats[idx%uint(len(cats))]
 		got, err := s.Validate(cat.ID)
@@ -248,7 +248,7 @@ func TestPropertyDescriptorRoundTrip(t *testing.T) {
 
 // Property: SortCategoryIDs is idempotent and a permutation.
 func TestPropertySortIdempotent(t *testing.T) {
-	s := Base()
+	s := domain.BaseScheme()
 	all := s.CategoryIDs(-1)
 	f := func(perm []uint8) bool {
 		// Build an arbitrary multiset of category IDs from the seed bytes.
@@ -289,7 +289,7 @@ func TestPropertySortIdempotent(t *testing.T) {
 }
 
 func TestMarkdownRendering(t *testing.T) {
-	s := Base()
+	s := domain.BaseScheme()
 	md := s.Markdown(domain.Trigger)
 	for _, want := range []string{"## Trigger classification", "**Trg_EXT**", "`_rst`", "cold or warm reset"} {
 		if !strings.Contains(md, want) {

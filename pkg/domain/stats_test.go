@@ -8,7 +8,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/ingest"
 	"repro/internal/specdoc"
-	"repro/internal/taxonomy"
 	"repro/pkg/domain"
 	// The test binary is its own composition root: generating corpora
 	// and classifying ingested documents requires the default plugins.
@@ -105,7 +104,7 @@ func TestComputeStatsMatchesPerVendor(t *testing.T) {
 		check(fmt.Sprintf("ingest snapshot %d", i), res.DB)
 	}
 
-	db := domain.NewDatabase(taxonomy.Base())
+	db := domain.NewDatabase(domain.BaseScheme())
 	intel := sampleDoc()
 	intel.Errata = append(intel.Errata,
 		&domain.Erratum{DocKey: "intel-06", ID: "SKL004", Seq: 4, Title: "Not yet deduplicated"},

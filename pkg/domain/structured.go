@@ -92,7 +92,7 @@ func orNone(s string) string {
 }
 
 // Validate checks the structured erratum against a taxonomy scheme.
-func (s StructuredErratum) Validate(scheme Scheme) error {
+func (s StructuredErratum) Validate(scheme *Scheme) error {
 	if s.ID == "" {
 		return fmt.Errorf("core: structured erratum without ID")
 	}

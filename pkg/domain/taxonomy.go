@@ -1,15 +1,15 @@
 // Package domain is the stable public data model of RemembERR: the
-// taxonomy contracts (kinds, classes, abstract categories and the
-// Scheme view) and the erratum/document/database model that every
-// layer — storage backends, classifier rule packs, corpus profiles,
-// the serving tier — operates on.
+// classification scheme (kinds, classes, abstract categories, the
+// paper's base scheme and the cross-ISA SchemeRegistry) and the
+// erratum/document/database model that every layer — storage
+// backends, classifier rule packs, corpus profiles, the serving tier —
+// operates on.
 //
 // The package is the innermost hexagonal layer: it imports nothing
 // from internal/ and nothing from the plugin trees, so third-party
 // plugins and external consumers can depend on it without reaching
-// into implementation packages. internal/taxonomy re-exports the
-// taxonomy types under their historical names (type aliases), and
-// every internal layer uses the data model directly from here.
+// into implementation packages, and every internal layer uses the data
+// model directly from here.
 //
 // The taxonomy is hierarchical with three levels of abstraction:
 //
@@ -117,51 +117,4 @@ type Category struct {
 	Suffix string
 	// Description is the one-sentence description from the paper tables.
 	Description string
-}
-
-// Scheme is the read-only contract of a classification scheme: the set
-// of classes and abstract categories with deterministic iteration
-// order. internal/taxonomy's *Scheme (the paper's base scheme and any
-// Registry-extended scheme) satisfies it; plugin taxonomies for new
-// fault domains provide their own implementations.
-type Scheme interface {
-	// Classes returns all classes of kind k in definition order; a
-	// negative kind selects every class.
-	Classes(k Kind) []Class
-	// AllClasses returns every class in definition order.
-	AllClasses() []Class
-	// Categories returns all abstract categories of kind k in
-	// definition order; a negative kind selects every category.
-	Categories(k Kind) []Category
-	// AllCategories returns every abstract category in definition order.
-	AllCategories() []Category
-	// CategoriesOf returns the abstract category IDs belonging to the
-	// given class descriptor, in definition order.
-	CategoriesOf(classID string) []string
-	// Class looks up a class by its descriptor.
-	Class(id string) (Class, bool)
-	// Category looks up an abstract category by its descriptor.
-	Category(id string) (Category, bool)
-	// ClassOf returns the class descriptor of the abstract category id,
-	// or the empty string if id is unknown.
-	ClassOf(id string) string
-	// NumCategories returns the number of abstract categories of kind k
-	// (negative for all kinds).
-	NumCategories(k Kind) int
-	// NumClasses returns the number of classes of kind k (negative for
-	// all).
-	NumClasses(k Kind) int
-	// Validate checks that id denotes a class or abstract category of
-	// the scheme and returns its canonical form.
-	Validate(id string) (string, error)
-	// CategoryIDs returns the descriptors of all abstract categories of
-	// kind k (negative for all kinds), in definition order.
-	CategoryIDs(k Kind) []string
-	// ClassIDs returns the descriptors of all classes of kind k
-	// (negative for all kinds), in definition order.
-	ClassIDs(k Kind) []string
-	// SortCategoryIDs sorts descriptors in the scheme's definition
-	// order; unknown descriptors sort last, alphabetically. It sorts in
-	// place and returns its argument for convenience.
-	SortCategoryIDs(ids []string) []string
 }

@@ -42,7 +42,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/pipeline"
 	"repro/internal/specdoc"
-	"repro/internal/taxonomy"
 	"repro/internal/timeline"
 	"repro/pkg/domain"
 
@@ -67,7 +66,7 @@ type (
 	// Kind discriminates triggers, contexts and effects.
 	Kind = domain.Kind
 	// Scheme is the three-level classification scheme.
-	Scheme = taxonomy.Scheme
+	Scheme = domain.Scheme
 	// WorkaroundCategory classifies where a workaround applies.
 	WorkaroundCategory = domain.WorkaroundCategory
 	// FixStatus captures whether a bug's root cause was fixed.
@@ -88,7 +87,7 @@ const (
 
 // BaseScheme returns the paper's 60-category classification scheme
 // (Tables IV-VI).
-func BaseScheme() *Scheme { return taxonomy.Base() }
+func BaseScheme() *Scheme { return domain.BaseScheme() }
 
 // Registry re-exports the observability registry so callers can wire
 // Build and the serving layer onto one metrics namespace without
@@ -301,7 +300,7 @@ func (db *Database) Index() *index.Index { return db.idx.Load() }
 func (db *Database) Report() *BuildReport { return db.report }
 
 // Scheme returns the classification scheme in force.
-func (db *Database) Scheme() domain.Scheme { return db.core.Scheme }
+func (db *Database) Scheme() *Scheme { return db.core.Scheme }
 
 // Stats summarizes corpus-level counts.
 type Stats = domain.Stats
