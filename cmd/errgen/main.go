@@ -31,13 +31,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	dup := make(map[string]string)
-	for _, fe := range gt.Inventory.FieldErrors {
-		if fe.Kind == "duplicate" {
-			dup[fe.Ref] = fe.Field
-		}
-	}
-	texts := specdoc.WriteAll(gt.DB, specdoc.WriteOptions{DuplicateFields: dup})
+	texts := specdoc.WriteAll(gt.DB, specdoc.WriteOptions{DuplicateFields: gt.DuplicateFields()})
 
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		fatal(err)

@@ -19,12 +19,11 @@ package annotate
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/classify"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/pkg/domain"
 )
 
@@ -48,9 +47,10 @@ type Options struct {
 	// step; it must have Steps entries summing to ~1. Nil selects the
 	// default batching.
 	StepFractions []float64
-	// Workers is the number of goroutines classifying errata (the
-	// regex stage is embarrassingly parallel; the annotator simulation
-	// stays sequential for determinism). 0 selects GOMAXPROCS.
+	// Workers bounds the parallel.Map fan-out that classifies the
+	// unique errata (the regex stage is embarrassingly parallel; the
+	// annotator simulation stays sequential for determinism). 0 selects
+	// GOMAXPROCS.
 	Workers int
 	// Trace, when non-nil, receives child spans for the stage's phases
 	// (regex classification, the protocol simulation, annotation
@@ -138,7 +138,10 @@ func Run(db *domain.Database, engine *classify.Engine, truth Truth, opts Options
 	// result.
 	csp := opts.Trace.StartChild("classify")
 	csp.SetItems(len(uniques))
-	reports := classifyAll(engine, uniques, opts.Workers)
+	// Classify cannot fail, so Map returns no error.
+	reports, _ := parallel.Map(len(uniques), opts.Workers, func(i int) (*classify.Report, error) {
+		return engine.Classify(uniques[i]), nil
+	})
 	for _, rep := range reports {
 		res.FilterStats.Accumulate(rep)
 	}
@@ -187,7 +190,7 @@ func Run(db *domain.Database, engine *classify.Engine, truth Truth, opts Options
 					res.ResolvedExcludes++
 				}
 			}
-			applyAnnotation(e, rep, truthAnn, scheme)
+			Apply(e, rep, truthAnn, scheme)
 		}
 		if sr.Decisions > 0 {
 			sr.AgreementPct = 100 * float64(sr.Agreed) / float64(sr.Decisions)
@@ -211,40 +214,6 @@ func Run(db *domain.Database, engine *classify.Engine, truth Truth, opts Options
 	propagate(db, engine)
 	prsp.End()
 	return res, nil
-}
-
-// classifyAll runs the engine over the errata with a worker pool.
-func classifyAll(engine *classify.Engine, errata []*domain.Erratum, workers int) []*classify.Report {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(errata) {
-		workers = len(errata)
-	}
-	reports := make([]*classify.Report, len(errata))
-	if workers <= 1 {
-		for i, e := range errata {
-			reports[i] = engine.Classify(e)
-		}
-		return reports
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				reports[i] = engine.Classify(errata[i])
-			}
-		}()
-	}
-	for i := range errata {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return reports
 }
 
 // cohenKappa computes Cohen's kappa from the decision counts: po is
@@ -304,10 +273,13 @@ func truthConcrete(ann *domain.Annotation, cat string) (string, bool) {
 	return "", false
 }
 
-// applyAnnotation writes the final (post-discussion) annotation of one
-// unique erratum: auto-included categories plus undecided categories
-// resolved to the truth.
-func applyAnnotation(e *domain.Erratum, rep *classify.Report, truthAnn *domain.Annotation, scheme *domain.Scheme) {
+// Apply writes the final (post-discussion) annotation of one erratum
+// from its classifier report: the auto-included categories plus the
+// undecided categories that truthAnn includes, the report's flags and
+// MSRs, and its workaround and fix classifications. With a nil truthAnn
+// (streaming ingest has no ground truth) every undecided pair resolves
+// to exclude.
+func Apply(e *domain.Erratum, rep *classify.Report, truthAnn *domain.Annotation, scheme *domain.Scheme) {
 	var ann domain.Annotation
 	add := func(cat, concrete string) {
 		c, ok := scheme.Category(cat)
@@ -327,32 +299,28 @@ func applyAnnotation(e *domain.Erratum, rep *classify.Report, truthAnn *domain.A
 	for _, cat := range rep.IncludedCategories(scheme) {
 		add(cat, rep.Concrete[cat])
 	}
-	for _, cat := range rep.UndecidedPairs(scheme) {
-		if truthHas(truthAnn, cat) {
-			// The human annotator writes the concrete description while
-			// resolving the pair.
-			concrete, _ := truthConcrete(truthAnn, cat)
-			if concrete == "" {
-				concrete = rep.Concrete[cat]
+	// Listing the undecided pairs allocates and sorts per erratum, and
+	// without a truth none of them resolves to include.
+	if truthAnn != nil {
+		for _, cat := range rep.UndecidedPairs(scheme) {
+			if truthAnn.Has(cat) {
+				// The human annotator writes the concrete description
+				// while resolving the pair.
+				concrete, _ := truthConcrete(truthAnn, cat)
+				if concrete == "" {
+					concrete = rep.Concrete[cat]
+				}
+				add(cat, concrete)
 			}
-			add(cat, concrete)
 		}
 	}
-	ann.MSRs = filterKnownMSRs(rep.MSRs)
+	ann.MSRs = append([]string(nil), rep.MSRs...)
 	ann.ComplexConditions = rep.Complex
 	ann.TrivialTrigger = rep.Trivial
 	ann.SimulationOnly = rep.SimulationOnly
 	e.Ann = ann
 	e.WorkaroundCat = rep.WorkaroundCat
 	e.Fix = rep.Fix
-}
-
-func filterKnownMSRs(msrs []string) []string {
-	var out []string
-	for _, m := range msrs {
-		out = append(out, m)
-	}
-	return out
 }
 
 // propagate copies each unique representative's annotation to all other

@@ -68,6 +68,19 @@ type GroundTruth struct {
 	Seed int64
 }
 
+// DuplicateFields maps the entry reference of every injected duplicate
+// field to the field's name: the specdoc.WriteOptions.DuplicateFields
+// with which the documents are rendered.
+func (gt *GroundTruth) DuplicateFields() map[string]string {
+	dup := make(map[string]string)
+	for _, fe := range gt.Inventory.FieldErrors {
+		if fe.Kind == "duplicate" {
+			dup[fe.Ref] = fe.Field
+		}
+	}
+	return dup
+}
+
 // lineageText is the rendered erratum text shared by all occurrences of
 // a lineage.
 type lineageText struct {

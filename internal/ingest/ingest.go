@@ -18,8 +18,10 @@
 //   - Per-document work (parse, classification, disclosure inference) is
 //     a function of the document text alone, and is memoized in the
 //     content-addressed artifact cache keyed by the text's sha256.
-//   - Chronological Order indices are recomputed from the union exactly
-//     as domain.AssignOrders would assign them.
+//   - Per-entry annotation is annotate.Apply with no ground truth, the
+//     build's own rule: every undecided pair resolves to exclude.
+//   - Chronological Order indices are domain.Orders of the union, the
+//     rule domain.AssignOrders applies to a cold build.
 //   - Dedup keys: AMD entries key by shared ID ("A-<ID>"); Intel entries
 //     join the cluster of any initial-database entry with the same
 //     normalized title (frozen keys — the live database's oracle-reviewed
@@ -50,10 +52,10 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/annotate"
 	"repro/internal/classify"
 	"repro/internal/index"
 	"repro/internal/obs"
@@ -291,7 +293,9 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 	defer in.mu.Unlock()
 	in.batches.Inc()
 
-	parsed, err := in.parseBatch(texts)
+	parsed, err := parallel.Map(len(texts), in.opts.Parallelism, func(i int) (*parsedDoc, error) {
+		return in.parseOne(texts[i])
+	})
 	if err != nil {
 		in.errorsTotal.Inc()
 		return nil, err
@@ -343,7 +347,7 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 		res.Errata += len(p.doc.Errata)
 	}
 	relabel := in.retitle(delta)
-	orders := computeOrders(union)
+	orders := domain.Orders(union)
 
 	// rekeyed is the union rule's key for a pre-existing entry: the
 	// entry's own key unless it is an initial entry awaiting its first
@@ -411,7 +415,7 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 	for k := range batch {
 		tdb.Docs[k] = final[k]
 	}
-	timeline.InferDisclosures(tdb, timeline.Options{Interpolate: true})
+	timeline.InferDisclosures(tdb, timeline.DefaultOptions())
 
 	db := &domain.Database{Docs: final, Scheme: in.scheme}
 	in.db, in.ix, in.rekey = db, nil, nil
@@ -429,18 +433,6 @@ type parsedDoc struct {
 	doc    *domain.Document
 	digest string
 	diags  []specdoc.Diagnostic
-}
-
-// parseBatch parses and auto-classifies every text with a bounded
-// worker pool, going through the content-addressed artifact cache.
-func (in *Ingester) parseBatch(texts []string) ([]*parsedDoc, error) {
-	out, err := parallel.Map(len(texts), in.opts.Parallelism, func(i int) (*parsedDoc, error) {
-		return in.parseOne(texts[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // parseOne produces the per-document artifact for one text: the parsed
@@ -466,7 +458,7 @@ func (in *Ingester) parseOne(text string) (*parsedDoc, error) {
 		return nil, err
 	}
 	for _, e := range doc.Errata {
-		applyAutoAnnotation(in.scheme, in.engine.Classify(e), e)
+		annotate.Apply(e, in.engine.Classify(e), nil, in.scheme)
 	}
 	p := &parsedDoc{doc: doc, digest: digest, diags: diags}
 	if in.opts.Cache != nil {
@@ -477,62 +469,6 @@ func (in *Ingester) parseOne(text string) (*parsedDoc, error) {
 		}
 	}
 	return p, nil
-}
-
-// applyAutoAnnotation writes the classifier's auto-included categories,
-// flags and per-entry workaround/fix classifications onto the erratum —
-// the oracle-free half of annotate.Run's applyAnnotation (a live feed
-// has no ground truth to resolve undecided pairs against).
-func applyAutoAnnotation(scheme *domain.Scheme, rep *classify.Report, e *domain.Erratum) {
-	var ann domain.Annotation
-	for _, cat := range rep.IncludedCategories(scheme) {
-		c, ok := scheme.Category(cat)
-		if !ok {
-			continue
-		}
-		item := domain.Item{Category: cat, Concrete: rep.Concrete[cat]}
-		switch c.Kind {
-		case domain.Trigger:
-			ann.Triggers = append(ann.Triggers, item)
-		case domain.Context:
-			ann.Contexts = append(ann.Contexts, item)
-		case domain.Effect:
-			ann.Effects = append(ann.Effects, item)
-		}
-	}
-	ann.MSRs = append([]string(nil), rep.MSRs...)
-	ann.ComplexConditions = rep.Complex
-	ann.TrivialTrigger = rep.Trivial
-	ann.SimulationOnly = rep.SimulationOnly
-	e.Ann = ann
-	e.WorkaroundCat = rep.WorkaroundCat
-	e.Fix = rep.Fix
-}
-
-// computeOrders assigns chronological Order indices for the union
-// exactly as domain.AssignOrders would — per vendor, sorted by (GenIndex,
-// Released, Key) — but functionally, without mutating shared documents.
-func computeOrders(union map[string]*domain.Document) map[string]int {
-	byVendor := make(map[domain.Vendor][]*domain.Document)
-	for _, d := range union {
-		byVendor[d.Vendor] = append(byVendor[d.Vendor], d)
-	}
-	orders := make(map[string]int, len(union))
-	for _, docs := range byVendor {
-		sort.Slice(docs, func(i, j int) bool {
-			if docs[i].GenIndex != docs[j].GenIndex {
-				return docs[i].GenIndex < docs[j].GenIndex
-			}
-			if !docs[i].Released.Equal(docs[j].Released) {
-				return docs[i].Released.Before(docs[j].Released)
-			}
-			return docs[i].Key < docs[j].Key
-		})
-		for i, d := range docs {
-			orders[d.Key] = i
-		}
-	}
-	return orders
 }
 
 // labelDigits is the shortest fresh label, in hex digits of the

@@ -2,9 +2,13 @@ package ingest
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -18,6 +22,8 @@ import (
 	"repro/internal/textsim"
 	"repro/pkg/domain"
 )
+
+var update = flag.Bool("update", false, "rewrite the pinned ingest digests")
 
 // seedTexts renders the corpus for one seed into ingestible document
 // texts, in deterministic (document-key) order.
@@ -100,6 +106,39 @@ func TestApplyMatchesColdBuild(t *testing.T) {
 	}
 	if got, want := ix.DebugDump(), wantIX.DebugDump(); !bytes.Equal(got, want) {
 		t.Fatalf("single-batch Apply index differs from cold Build:\n%s", firstDiff(got, want))
+	}
+}
+
+// TestIngestBuildDigests pins the bytes of a cold ingest Build over
+// each of seeds 1-3: one "seed sha256" line per seed of the canonical
+// encoding. The convergence suites compare ingest runs of one commit
+// with each other; this test catches a byte that moves between commits.
+// Re-pin with -update only for a deliberate change to ingest's output.
+func TestIngestBuildDigests(t *testing.T) {
+	var got strings.Builder
+	for seed := int64(1); seed <= 3; seed++ {
+		db, _, err := Build(nil, seedTexts(t, seed), Options{})
+		if err != nil {
+			t.Fatalf("seed %d: Build: %v", seed, err)
+		}
+		fmt.Fprintf(&got, "%d %x\n", seed, sha256.Sum256(mustEncode(t, db)))
+	}
+	pin := filepath.Join("testdata", "ingest_build_digests.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(pin, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(pin)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("ingest Build digests differ from %s; run with -update only for a deliberate output change.\ngot:\n%swant:\n%s",
+			pin, got.String(), want)
 	}
 }
 

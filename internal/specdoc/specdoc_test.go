@@ -251,17 +251,7 @@ func TestFullCorpusRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dup := make(map[string]string)
-	for _, fe := range gt.Inventory.FieldErrors {
-		if fe.Kind == "duplicate" {
-			field := fe.Field
-			if field == "Description" {
-				field = "Problem"
-			}
-			dup[fe.Ref] = field
-		}
-	}
-	texts := WriteAll(gt.DB, WriteOptions{DuplicateFields: dup})
+	texts := WriteAll(gt.DB, WriteOptions{DuplicateFields: gt.DuplicateFields()})
 	if len(texts) != 28 {
 		t.Fatalf("rendered %d documents, want 28", len(texts))
 	}

@@ -393,25 +393,41 @@ type Document struct {
 	Withdrawn []string
 }
 
-// AssignOrders normalizes the Order index of every document: per vendor,
-// documents are sorted by generation index, release date and key. Both
-// the generator and the parsing pipeline use this rule, so order indices
-// agree regardless of how the database was obtained.
-func AssignOrders(db *Database) {
-	for _, v := range Vendors {
-		docs := db.VendorDocuments(v)
-		sort.Slice(docs, func(i, j int) bool {
-			if docs[i].GenIndex != docs[j].GenIndex {
-				return docs[i].GenIndex < docs[j].GenIndex
+// Orders returns the chronological Order index of every document,
+// keyed by document key: per vendor, documents are sorted by generation
+// index, release date and key. It writes nothing to the documents, so
+// it can order a set that shares documents with a published snapshot.
+func Orders(docs map[string]*Document) map[string]int {
+	byVendor := make(map[Vendor][]*Document)
+	for _, d := range docs {
+		byVendor[d.Vendor] = append(byVendor[d.Vendor], d)
+	}
+	orders := make(map[string]int, len(docs))
+	for _, vd := range byVendor {
+		sort.Slice(vd, func(i, j int) bool {
+			if vd[i].GenIndex != vd[j].GenIndex {
+				return vd[i].GenIndex < vd[j].GenIndex
 			}
-			if !docs[i].Released.Equal(docs[j].Released) {
-				return docs[i].Released.Before(docs[j].Released)
+			if !vd[i].Released.Equal(vd[j].Released) {
+				return vd[i].Released.Before(vd[j].Released)
 			}
-			return docs[i].Key < docs[j].Key
+			return vd[i].Key < vd[j].Key
 		})
-		for i, d := range docs {
-			d.Order = i
+		for i, d := range vd {
+			orders[d.Key] = i
 		}
+	}
+	return orders
+}
+
+// AssignOrders sets the Order index of every document from Orders. The
+// generator, the parsing pipeline and streaming ingest all use this
+// rule, so order indices agree regardless of how the database was
+// obtained.
+func AssignOrders(db *Database) {
+	orders := Orders(db.Docs)
+	for _, d := range db.Docs {
+		d.Order = orders[d.Key]
 	}
 }
 

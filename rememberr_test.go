@@ -1,11 +1,20 @@
 package rememberr
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
+
+var update = flag.Bool("update", false, "rewrite the pinned build digest")
 
 var (
 	buildOnce sync.Once
@@ -39,6 +48,36 @@ func TestBuildStats(t *testing.T) {
 	}
 	if st.Unclassified != 0 {
 		t.Errorf("unclassified unique errata = %d, want 0", st.Unclassified)
+	}
+}
+
+// TestBuildDigest pins the bytes of the default build: the sha256 of
+// its canonical encoding, the file `rememberr build -seed 1 -o x.json`
+// writes. The determinism suites compare two runs of one commit; this
+// test catches a byte that moves between commits. Re-pin with -update
+// only for a deliberate change to the build's output.
+func TestBuildDigest(t *testing.T) {
+	b, err := store.Encode(testDB(t).Core())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := filepath.Join("testdata", "build_digest.txt")
+	got := fmt.Sprintf("%x\n", sha256.Sum256(b))
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(pin, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(pin)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("build digest %s differs from %s %s; run with -update only for a deliberate output change",
+			strings.TrimSpace(got), pin, strings.TrimSpace(string(want)))
 	}
 }
 

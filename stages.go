@@ -192,17 +192,7 @@ func buildStages(opts buildConfig) []*pipeline.Stage {
 					return nil, err
 				}
 				gt := v.(*corpus.GroundTruth)
-				dup := make(map[string]string)
-				for _, fe := range gt.Inventory.FieldErrors {
-					if fe.Kind == "duplicate" {
-						field := fe.Field
-						if field == "Description" {
-							field = "Problem"
-						}
-						dup[fe.Ref] = field
-					}
-				}
-				texts := specdoc.WriteAllParallel(gt.DB, specdoc.WriteOptions{DuplicateFields: dup}, opts.Parallelism)
+				texts := specdoc.WriteAllParallel(gt.DB, specdoc.WriteOptions{DuplicateFields: gt.DuplicateFields()}, opts.Parallelism)
 				c.SetItems(len(texts))
 				return texts, nil
 			},
