@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/pkg/domain"
 )
@@ -36,8 +35,9 @@ import (
 // The cost is O(batch) apart from integer work over the survivors: the
 // remap compares each document's entries with its previous ordinal
 // block (byDoc) by pointer, every postings family — byKey included — is
-// remapped through it, and the unique-representative list is carried
-// over with only the clusters that lost or gained an entry recomputed.
+// remapped through it, the unique-representative list is carried over
+// with only the clusters that lost or gained an entry recomputed, and
+// the unique ranks are rebuilt from it.
 //
 // MergeDelta(nil, db) and a merge against an unrelated previous index
 // both degenerate to Build(db) semantics: with no shared entries nothing
@@ -72,13 +72,14 @@ func MergeDelta(prev *Index, db *domain.Database) (*Index, []int) {
 	// appends in ascending ordinal order, so its lists are sorted, and
 	// each merged list below is one pass over a remapped previous list
 	// (sorted, since remap is monotonic) and the scratch list — exactly
-	// what a full Build appends. Positional trigger counts and lowered
-	// titles go straight into the merged tables: the scratch walk and
-	// the lowering write the fresh rows, the remap loop the survivors'
-	// (prev's counts are read through List so a span-backed previous
-	// index works).
+	// what a full Build appends. Positional trigger counts, lowered
+	// titles and their signatures go straight into the merged tables:
+	// the scratch walk and the lowering write the fresh rows, the remap
+	// loop the survivors' (prev's counts are read through List so a
+	// span-backed previous index works).
 	trig := make(Ords, n)
 	low := make([]string, n)
+	sigs := make([]bigrams, n)
 	add := &Index{
 		scheme:       db.Scheme,
 		byVendor:     make(map[domain.Vendor]List),
@@ -95,12 +96,12 @@ func MergeDelta(prev *Index, db *domain.Database) (*Index, []int) {
 	vendorOf := vendorsOf(db)
 	for _, ord := range fresh {
 		add.addEntry(ord, errata[ord], vendorOf)
-		low[ord] = strings.ToLower(errata[ord].Title)
+		low[ord], sigs[ord] = lowerTitle(errata[ord].Title)
 	}
 	for old, o := range remap {
 		if o >= 0 {
 			trig[o] = prev.triggerCount.At(old)
-			low[o] = prev.lowTitles[old]
+			low[o], sigs[o] = prev.lowTitles[old], prev.titleSigs[old]
 		}
 	}
 	ix := &Index{
@@ -108,6 +109,7 @@ func MergeDelta(prev *Index, db *domain.Database) (*Index, []int) {
 		scheme:       db.Scheme,
 		errata:       errata,
 		lowTitles:    low,
+		titleSigs:    sigs,
 		byVendor:     mergePostings(prev.byVendor, add.byVendor, remap),
 		byDoc:        mergePostings(prev.byDoc, add.byDoc, remap),
 		byCategory:   mergePostings(prev.byCategory, add.byCategory, remap),
@@ -123,6 +125,7 @@ func MergeDelta(prev *Index, db *domain.Database) (*Index, []int) {
 	}
 
 	ix.uniqueOrds = ix.mergeUnique(prev, remap, fresh, docs, starts)
+	ix.uniqueRank, _ = ranks(ix.uniqueOrds, n)
 	return ix, remap
 }
 
@@ -352,7 +355,8 @@ func mergeInto(dst []int, l List, fresh, remap []int) []int {
 }
 
 // DebugDump renders the complete index state — entry identities with
-// their trigger counts and lowered titles, every postings family in
+// their trigger counts, unique ranks, lowered titles and title
+// signatures, every postings family in
 // sorted key order, flags and the unique-representative ordinals — as
 // deterministic text. Two indexes over equal databases dump identically
 // iff they are structurally equal, which is what the delta-merge
@@ -361,7 +365,8 @@ func (ix *Index) DebugDump() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "entries %d\n", len(ix.errata))
 	for ord, e := range ix.errata {
-		fmt.Fprintf(&b, "e %d %s key=%q trig=%d low=%q\n", ord, e.FullID(), e.Key, ix.triggerCount.At(ord), ix.lowTitles[ord])
+		fmt.Fprintf(&b, "e %d %s key=%q trig=%d rank=%d low=%q sig=%x\n",
+			ord, e.FullID(), e.Key, ix.triggerCount.At(ord), ix.uniqueRank[ord], ix.lowTitles[ord], ix.titleSigs[ord])
 	}
 	fmt.Fprintf(&b, "unique %v\n", Ints(ix.uniqueOrds))
 	dumpPostings(&b, "vendor", ix.byVendor)

@@ -2,9 +2,19 @@
 // precomputes postings lists — sorted slices of erratum ordinals — per
 // vendor, document, abstract category, class, workaround category, fix
 // status, observable MSR and boolean flag, and answers conjunctive
-// filter queries by sorted-slice intersection (with per-filter union
-// for disjunctive category sets) plus residual predicates for the
-// filters no postings list answers.
+// filter queries by one windowed evaluation (Query.Page): the shortest
+// postings list drives, the others advance cursors in place, residual
+// predicates run on the candidates that survive every list, and only
+// the requested window of matches is kept while every match is
+// counted. Disjunctive category sets are unioned into one list first.
+//
+// Beside the postings, every snapshot keeps per-ordinal tables: the
+// lowered title, its 256-bit bigram signature (title filters call
+// strings.Contains only on titles whose signature holds every bit of
+// the needle's), and the entry's rank in db.Unique() order (a unique
+// page marks the ranks of its matches in a bit set and reads the window
+// off it in order). The signature and rank cost about 36 bytes per
+// entry.
 //
 // FilterTable (filters.go) declares the filter vocabulary once: the
 // /v1/errata query parameters and the `rememberr query` flags derive
@@ -15,15 +25,18 @@
 // (internal/serve) relies on. Mutating the underlying database after
 // Build leaves the index stale; rebuild it instead.
 //
-// Ordinals are positions in db.Errata() order, so intersection results
-// come out in that order, and the unique-representative list is
-// precomputed in db.Unique() order. Results therefore equal a linear
-// scan of db.Errata() or db.Unique(), which the reference evaluator
+// Ordinals are positions in db.Errata() order, so matches stream out in
+// that order, and the unique-representative list is precomputed in
+// db.Unique() order. Results therefore equal a linear scan of
+// db.Errata() or db.Unique(), which the reference evaluator
 // (internal/queryref) performs in the tests.
 package index
 
 import (
-	"sort"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"strings"
 	"time"
 
@@ -39,12 +52,17 @@ type Index struct {
 	// errata maps ordinal -> entry, in db.Errata() order.
 	errata []*domain.Erratum
 	// lowTitles holds, per ordinal, strings.ToLower of the entry's
-	// title: the table TitleContains scans. Every constructor fills it
-	// once per snapshot; MergeDelta carries survivors' rows over.
+	// title, and titleSigs the bigram signature of that lowered title:
+	// the tables TitleContains scans. Every constructor fills them once
+	// per snapshot; MergeDelta carries survivors' rows over.
 	lowTitles []string
+	titleSigs []bigrams
 	// uniqueOrds lists the ordinals of the unique representatives, in
-	// db.Unique() order (DocKey, then Seq).
+	// db.Unique() order (DocKey, then Seq), and uniqueRank holds, per
+	// ordinal, its position in uniqueOrds, or -1 for an entry that is
+	// not a representative.
 	uniqueOrds List
+	uniqueRank []int32
 
 	// Postings lists are held behind the List interface: Build and
 	// MergeDelta produce heap-resident Ords, while FromLists installs
@@ -72,11 +90,12 @@ type Index struct {
 	residuals     *obs.Counter
 }
 
-// Instrument registers the index's query counters in reg: the number
-// of pairwise postings-list intersections performed and the number of
-// residual-predicate evaluations (candidates that could not be answered
-// from postings lists alone and fell back to per-entry predicates).
-// Call it once, before the index serves concurrent queries.
+// Instrument registers the index's query counters in reg: one
+// intersection per postings list a query walks beyond the first, and
+// one residual-predicate evaluation per candidate that survives every
+// postings list (every entry when the query has no postings list) and
+// reaches the per-entry predicates. Call it once, before the index
+// serves concurrent queries.
 func (ix *Index) Instrument(reg *obs.Registry) {
 	ix.intersections = reg.Counter("rememberr_index_intersections_total",
 		"Pairwise postings-list intersections performed by queries.")
@@ -85,15 +104,71 @@ func (ix *Index) Instrument(reg *obs.Registry) {
 }
 
 // Build constructs the index for a database: the postings walk, then
-// the lowered-title table. The database must not be mutated afterwards
-// while the index is in use.
+// the per-ordinal title and rank tables. The database must not be
+// mutated afterwards while the index is in use.
 func Build(db *domain.Database) *Index {
 	ix := buildPostings(db)
-	ix.lowTitles = make([]string, len(ix.errata))
-	for ord, e := range ix.errata {
-		ix.lowTitles[ord] = strings.ToLower(e.Title)
-	}
+	ix.lowerTitles()
+	ix.uniqueRank, _ = ranks(ix.uniqueOrds, len(ix.errata))
 	return ix
+}
+
+// lowerTitles fills lowTitles and titleSigs for every entry, lowering
+// each title once and signing it in the same pass.
+func (ix *Index) lowerTitles() {
+	ix.lowTitles = make([]string, len(ix.errata))
+	ix.titleSigs = make([]bigrams, len(ix.errata))
+	for ord, e := range ix.errata {
+		ix.lowTitles[ord], ix.titleSigs[ord] = lowerTitle(e.Title)
+	}
+}
+
+// lowerTitle returns strings.ToLower of title and its bigram signature.
+func lowerTitle(title string) (string, bigrams) {
+	low := strings.ToLower(title)
+	return low, sigOf(low)
+}
+
+// ranks returns, per ordinal of an n-entry index, its position in uniq,
+// or -1 for an entry that is not a representative. It fails on an
+// ordinal out of range or listed twice.
+func ranks(uniq List, n int) ([]int32, error) {
+	rank := make([]int32, n)
+	for i := range rank {
+		rank[i] = -1
+	}
+	for i, m := 0, listLen(uniq); i < m; i++ {
+		ord := uniq.At(i)
+		if ord < 0 || ord >= n {
+			return nil, fmt.Errorf("index: parts unique ordinal %d out of range [0,%d)", ord, n)
+		}
+		if rank[ord] >= 0 {
+			return nil, fmt.Errorf("index: parts list unique ordinal %d twice", ord)
+		}
+		rank[ord] = int32(i)
+	}
+	return rank, nil
+}
+
+// bigrams is a 256-bit signature of a lowered title: bit h is set when
+// some pair of adjacent bytes hashes to h. A substring's adjacent pairs
+// are a subset of its title's, so a title whose signature lacks a bit
+// of the needle's cannot contain it; a collision only costs one
+// strings.Contains.
+type bigrams [4]uint64
+
+// sigOf returns the bigram signature of s.
+func sigOf(s string) (g bigrams) {
+	for i := 1; i < len(s); i++ {
+		h := (uint32(s[i-1])<<8 | uint32(s[i])) * 0x9e3779b1 >> 24
+		g[h>>6] |= 1 << (h & 63)
+	}
+	return g
+}
+
+// holds reports whether g has every bit of n.
+func (g *bigrams) holds(n *bigrams) bool {
+	return g[0]&n[0] == n[0] && g[1]&n[1] == n[1] && g[2]&n[2] == n[2] && g[3]&n[3] == n[3]
 }
 
 // BuildParts returns the postings of Build(db) from the postings walk
@@ -210,8 +285,8 @@ func (ix *Index) ByKey(key string) []*domain.Erratum {
 // postings lists that must all match, plus residual predicates for the
 // non-indexable filters (title substrings, disclosure windows, trigger
 // count thresholds). Build one with Index.Query, chain filters, then
-// call All or Unique. A Query is single-use per goroutine; the Index
-// behind it is safe to share.
+// call Page, All, Unique or Count. A Query is single-use per goroutine;
+// the Index behind it is safe to share.
 type Query struct {
 	ix    *Index
 	lists []List
@@ -307,57 +382,147 @@ func (q *Query) DisclosedBetween(from, to time.Time) *Query {
 }
 
 // TitleContains keeps errata whose title contains the substring, both
-// sides lowered with strings.ToLower. It stays a residual predicate,
-// but it scans the lowered-title table built once per snapshot
-// (MergeDelta reuses surviving entries' rows), so a query lowers only
-// its own substring.
+// sides lowered with strings.ToLower. It stays a residual predicate
+// over the lowered-title table built once per snapshot (MergeDelta
+// reuses surviving entries' rows), so a query lowers only its own
+// substring, and it calls strings.Contains only on titles whose bigram
+// signature holds every bit of the substring's.
 func (q *Query) TitleContains(sub string) *Query {
 	lower := strings.ToLower(sub)
-	titles := q.ix.lowTitles
-	return q.pred(func(ord int) bool { return strings.Contains(titles[ord], lower) })
+	want := sigOf(lower)
+	titles, sigs := q.ix.lowTitles, q.ix.titleSigs
+	return q.pred(func(ord int) bool {
+		return sigs[ord].holds(&want) && strings.Contains(titles[ord], lower)
+	})
 }
 
-// matchOrdinals evaluates the query to a sorted ordinal slice.
-func (q *Query) matchOrdinals() []int {
-	if len(q.lists) == 0 {
-		// No indexable filter: the predicates run over every ordinal
-		// directly, with no all-ordinals candidate slice.
-		n := len(q.ix.errata)
-		if len(q.preds) > 0 {
-			q.ix.residuals.Add(int64(n))
+// Page evaluates the query and returns the window [offset,
+// offset+limit) of its matches, with the total number of matches. The
+// matches are every matching entry (duplicates counted individually)
+// in db.Errata() order, or with unique one representative per matching
+// deduplicated erratum in db.Unique() order. Only the window is kept:
+// matches stream out of the postings intersection in ascending ordinal
+// order and are counted, and a unique page marks its representatives'
+// ranks in a bit set of UniqueCount() bits and reads the window off it
+// in rank order. offset and limit must not be negative.
+func (q *Query) Page(offset, limit int, unique bool) (ords []int, total int) {
+	ix := q.ix
+	if len(q.lists) == 0 && len(q.preds) == 0 {
+		// No filter: the matches are every ordinal, or uniqueOrds.
+		total = len(ix.errata)
+		if unique {
+			total = listLen(ix.uniqueOrds)
 		}
-		out := make([]int, 0, n)
-		for ord := 0; ord < n; ord++ {
-			if q.keep(ord) {
-				out = append(out, ord)
+		lo := min(offset, total)
+		ords = make([]int, min(limit, total-lo))
+		for i := range ords {
+			if ords[i] = lo + i; unique {
+				ords[i] = ix.uniqueOrds.At(lo + i)
 			}
 		}
-		return out
+		return ords, total
 	}
-	lists := make([]List, len(q.lists))
-	copy(lists, q.lists)
-	sort.Slice(lists, func(i, j int) bool { return lists[i].Len() < lists[j].Len() })
-	cand := Ints(lists[0])
-	merged := int64(0)
-	for _, l := range lists[1:] {
-		if len(cand) == 0 {
+	if !unique {
+		bound := len(ix.errata)
+		for _, l := range q.lists {
+			bound = min(bound, l.Len())
+		}
+		ords = make([]int, 0, min(limit, max(bound-offset, 0)))
+		q.each(func(ord int) {
+			if total >= offset && total-offset < limit {
+				ords = append(ords, ord)
+			}
+			total++
+		})
+		return ords, total
+	}
+	var set []uint64
+	if limit > 0 {
+		set = make([]uint64, (listLen(ix.uniqueOrds)+63)/64)
+	}
+	q.each(func(ord int) {
+		if r := ix.uniqueRank[ord]; r >= 0 {
+			total++
+			if set != nil {
+				set[r>>6] |= 1 << (r & 63)
+			}
+		}
+	})
+	return ix.ranked(set, offset, min(limit, max(total-offset, 0))), total
+}
+
+// ranked returns the ordinals of the ranks set in set, skipping the
+// first offset of them and keeping at most limit, in rank order.
+func (ix *Index) ranked(set []uint64, offset, limit int) []int {
+	out := make([]int, 0, limit)
+	for w, word := range set {
+		if len(out) == limit {
 			break
 		}
-		cand = intersectInto(cand, l)
-		merged++
-	}
-	q.ix.intersections.Add(merged)
-	if len(q.preds) == 0 || len(cand) == 0 {
-		return cand
-	}
-	q.ix.residuals.Add(int64(len(cand)))
-	out := make([]int, 0, len(cand))
-	for _, ord := range cand {
-		if q.keep(ord) {
-			out = append(out, ord)
+		if c := bits.OnesCount64(word); offset >= c {
+			offset -= c
+			continue
+		}
+		for ; word != 0 && len(out) < limit; word &= word - 1 {
+			if offset > 0 {
+				offset--
+				continue
+			}
+			out = append(out, ix.uniqueOrds.At(w<<6|bits.TrailingZeros64(word)))
 		}
 	}
 	return out
+}
+
+// each calls visit with every matching ordinal, ascending. The shortest
+// postings list drives; every other list keeps a cursor that only moves
+// forward, so the intersection allocates nothing per candidate.
+func (q *Query) each(visit func(ord int)) {
+	ix := q.ix
+	if len(q.lists) == 0 {
+		// No indexable filter: the predicates run over every ordinal.
+		n := len(ix.errata)
+		ix.residuals.Add(int64(n))
+		for ord := 0; ord < n; ord++ {
+			if q.keep(ord) {
+				visit(ord)
+			}
+		}
+		return
+	}
+	var buf [8]cursor
+	curs := buf[:0]
+	for _, l := range q.lists {
+		curs = append(curs, cursorOf(l))
+	}
+	slices.SortFunc(curs, func(a, b cursor) int { return a.n - b.n })
+	ix.intersections.Add(int64(len(curs) - 1))
+	drive, rest := curs[0], curs[1:]
+	residuals := 0
+next:
+	for d := 0; d < drive.n; d++ {
+		ord := drive.at(d)
+		for k := range rest {
+			c := &rest[k]
+			for c.i < c.n && c.at(c.i) < ord {
+				c.i++
+			}
+			if c.i == c.n {
+				break next // a list ran out: nothing further matches
+			}
+			if c.at(c.i) != ord {
+				continue next
+			}
+		}
+		if len(q.preds) > 0 {
+			residuals++
+			if !q.keep(ord) {
+				continue
+			}
+		}
+		visit(ord)
+	}
+	ix.residuals.Add(int64(residuals))
 }
 
 // keep reports whether ord passes every residual predicate.
@@ -370,42 +535,19 @@ func (q *Query) keep(ord int) bool {
 	return true
 }
 
-// AllOrdinals returns the ordinals of every matching entry (duplicates
-// counted individually), ascending, which is db.Errata() order. The
-// slice may be a postings list of the index itself and must be treated
-// as read-only.
-func (q *Query) AllOrdinals() []int { return q.matchOrdinals() }
-
-// UniqueOrdinals returns the ordinal of one representative per matching
-// deduplicated erratum, in db.Unique() order.
-func (q *Query) UniqueOrdinals() []int {
-	ords := q.matchOrdinals()
-	if len(ords) == 0 {
-		return nil
-	}
-	matched := make([]bool, len(q.ix.errata))
-	for _, ord := range ords {
-		matched[ord] = true
-	}
-	out := make([]int, 0, len(ords))
-	for i, n := 0, listLen(q.ix.uniqueOrds); i < n; i++ {
-		if ord := q.ix.uniqueOrds.At(i); matched[ord] {
-			out = append(out, ord)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
 // All returns every matching entry (duplicates counted individually),
 // in db.Errata() order.
-func (q *Query) All() []*domain.Erratum { return q.ix.entries(q.AllOrdinals()) }
+func (q *Query) All() []*domain.Erratum {
+	ords, _ := q.Page(0, math.MaxInt, false)
+	return q.ix.entries(ords)
+}
 
 // Unique returns one representative per matching deduplicated erratum,
 // in db.Unique() order.
-func (q *Query) Unique() []*domain.Erratum { return q.ix.entries(q.UniqueOrdinals()) }
+func (q *Query) Unique() []*domain.Erratum {
+	ords, _ := q.Page(0, math.MaxInt, true)
+	return q.ix.entries(ords)
+}
 
 // entries maps ordinals to their entries.
 func (ix *Index) entries(ords []int) []*domain.Erratum {
@@ -419,29 +561,10 @@ func (ix *Index) entries(ords []int) []*domain.Erratum {
 	return out
 }
 
-// Count returns the number of unique matches.
-func (q *Query) Count() int { return len(q.UniqueOrdinals()) }
-
-// intersect merges two sorted ordinal slices into their intersection.
-func intersect(a, b []int) []int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	out := make([]int, 0, len(a))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
+// Count returns the number of unique matches, keeping no ordinals.
+func (q *Query) Count() int {
+	_, n := q.Page(0, 0, true)
+	return n
 }
 
 // union merges two sorted ordinal slices into their sorted union.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/corpus"
 	"repro/pkg/domain"
 )
 
@@ -214,9 +215,14 @@ func TestIntersectUnion(t *testing.T) {
 		{[]int{7}, []int{7}, []int{7}, []int{7}},
 		{[]int{1, 2}, []int{3, 4}, []int{}, []int{1, 2, 3, 4}},
 	}
+	// The streaming intersection walks heap lists and spans alike.
+	ix := &Index{errata: make([]*domain.Erratum, 8)}
 	for _, c := range cases {
-		if got := intersect(c.a, c.b); !sameInts(got, c.inter) {
-			t.Errorf("intersect(%v,%v) = %v, want %v", c.a, c.b, got, c.inter)
+		for _, lists := range [][]List{{Ords(c.a), Ords(c.b)}, {spanOf(t, Ords(c.a)), Ords(c.b)}, {spanOf(t, Ords(c.b)), spanOf(t, Ords(c.a))}} {
+			got, total := (&Query{ix: ix, lists: lists}).Page(0, len(ix.errata), false)
+			if !sameInts(got, c.inter) || total != len(c.inter) {
+				t.Errorf("intersect(%v,%v) = %v (total %d), want %v", c.a, c.b, got, total, c.inter)
+			}
 		}
 		if got := union(c.a, c.b); !sameInts(got, c.uni) {
 			t.Errorf("union(%v,%v) = %v, want %v", c.a, c.b, got, c.uni)
@@ -234,4 +240,24 @@ func sameInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestTitleSigSubset checks that the title signatures never drop a
+// match: every substring of length 16 or less of every seed-1 lowered
+// title has a signature its title's table row holds.
+func TestTitleSigSubset(t *testing.T) {
+	gt, err := corpus.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := Build(gt.DB)
+	for ord, low := range ix.lowTitles {
+		for i := range low {
+			for j := i + 1; j <= min(i+16, len(low)); j++ {
+				if sub := sigOf(low[i:j]); !ix.titleSigs[ord].holds(&sub) {
+					t.Fatalf("title %q: signature misses substring %q", low, low[i:j])
+				}
+			}
+		}
+	}
 }

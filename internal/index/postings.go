@@ -3,7 +3,6 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"repro/pkg/domain"
 )
@@ -111,34 +110,30 @@ func listLen(l List) int {
 	return l.Len()
 }
 
-// intersectInto merges the sorted []int candidates with a sorted List
-// into their intersection. The common Ords case degenerates to the
-// two-slice walk; a Span is walked element-wise off its bytes.
-func intersectInto(a []int, b List) []int {
-	if o, ok := heapInts(b); ok {
-		return intersect(a, o)
+// cursor walks one postings list forward for Query.each: a heap
+// slice, or a Span's u32 bytes read in place, so the intersection makes
+// no interface call per element.
+type cursor struct {
+	ints []int
+	span []byte
+	i, n int
+}
+
+// cursorOf opens a cursor at the start of l. A List that is neither
+// heap-resident nor a Span is materialized once.
+func cursorOf(l List) cursor {
+	if s, ok := l.(Span); ok {
+		return cursor{span: s.b, n: s.Len()}
 	}
-	nb := b.Len()
-	n := len(a)
-	if nb < n {
-		n = nb
+	o := Ints(l)
+	return cursor{ints: o, n: len(o)}
+}
+
+func (c *cursor) at(i int) int {
+	if c.span != nil {
+		return int(binary.LittleEndian.Uint32(c.span[4*i:]))
 	}
-	out := make([]int, 0, n)
-	i, j := 0, 0
-	for i < len(a) && j < nb {
-		bv := b.At(j)
-		switch {
-		case a[i] < bv:
-			i++
-		case a[i] > bv:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
+	return c.ints[i]
 }
 
 // ListParts is the complete structural state of an index in exported
@@ -173,32 +168,28 @@ type ListParts struct {
 
 // FromLists reconstructs an Index over db from List-typed parts —
 // typically spans over a mapped FormatVersion 2 file — skipping both
-// the annotation walk and the postings materialization; it only lowers
-// every title into the table TitleContains scans. Only the cheap
-// structural invariant — one trigger count per entry, every unique
-// ordinal in range — is re-checked here; the store's open-time
-// validation already bounds-checked every ordinal and sorted every
-// list. db must not be mutated while the index is in use.
+// the annotation walk and the postings materialization; it only fills
+// the per-ordinal tables: lowered titles with their signatures, and
+// unique ranks. Only the cheap structural invariant — one trigger
+// count per entry, every unique ordinal in range and listed once — is
+// re-checked here; the store's open-time validation already
+// bounds-checked every ordinal and sorted every list. db must not be
+// mutated while the index is in use.
 func FromLists(db *domain.Database, p *ListParts) (*Index, error) {
 	errata := db.Errata()
 	if n := listLen(p.TriggerCount); n != len(errata) {
 		return nil, fmt.Errorf("index: parts carry %d trigger counts for %d entries", n, len(errata))
 	}
-	for i, n := 0, listLen(p.UniqueOrds); i < n; i++ {
-		if ord := p.UniqueOrds.At(i); ord < 0 || ord >= len(errata) {
-			return nil, fmt.Errorf("index: parts unique ordinal %d out of range [0,%d)", ord, len(errata))
-		}
-	}
-	low := make([]string, len(errata))
-	for ord, e := range errata {
-		low[ord] = strings.ToLower(e.Title)
+	rank, err := ranks(p.UniqueOrds, len(errata))
+	if err != nil {
+		return nil, err
 	}
 	ix := &Index{
 		db:           db,
 		scheme:       db.Scheme,
 		errata:       errata,
-		lowTitles:    low,
 		uniqueOrds:   p.UniqueOrds,
+		uniqueRank:   rank,
 		byVendor:     p.ByVendor,
 		byDoc:        p.ByDoc,
 		byCategory:   p.ByCategory,
@@ -212,5 +203,6 @@ func FromLists(db *domain.Database, p *ListParts) (*Index, error) {
 		simOnlySet:   p.SimOnlySet,
 		triggerCount: p.TriggerCount,
 	}
+	ix.lowerTitles()
 	return ix, nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"repro/internal/corpus"
@@ -67,22 +68,40 @@ func BenchmarkServeErratumByKey(b *testing.B) {
 }
 
 // BenchmarkServeErrataPage measures the /v1/errata page handler with
-// the cache disabled, stitching summary fragments.
+// the cache disabled, stitching summary fragments, for three pages of
+// 25: the bare query (every erratum matches), a bare title filter, and
+// a title filter one erratum matches.
 func BenchmarkServeErrataPage(b *testing.B) {
-	run := func(b *testing.B, srv *Server) {
-		b.Helper()
-		req := httptest.NewRequest("GET", "/v1/errata?limit=25", nil)
-		w := &benchWriter{header: make(http.Header, 4)}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			srv.handleErrata(w, req)
+	srv, _ := benchV2Server(b)
+	for _, page := range []struct{ name, query string }{
+		{"stitched", "limit=25"},
+		{"title", "title=cache&limit=25"},
+		{"one_match", "title=" + url.QueryEscape(oneMatchTitle(b, srv)) + "&limit=25"},
+	} {
+		b.Run(page.name, func(b *testing.B) {
+			req := httptest.NewRequest("GET", "/v1/errata?"+page.query, nil)
+			w := &benchWriter{header: make(http.Header, 4)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv.handleErrata(w, req)
+			}
+		})
+	}
+}
+
+// oneMatchTitle returns the first title, in ordinal order, that only
+// one unique erratum of srv's snapshot contains.
+func oneMatchTitle(tb testing.TB, srv *Server) string {
+	tb.Helper()
+	ix := srv.snap.Load().ix
+	for _, e := range ix.Errata() {
+		if ix.Query().TitleContains(e.Title).Count() == 1 {
+			return e.Title
 		}
 	}
-	b.Run("stitched", func(b *testing.B) {
-		srv, _ := benchV2Server(b)
-		run(b, srv)
-	})
+	tb.Fatal("no title matches exactly one erratum")
+	return ""
 }
 
 // BenchmarkIngestPost is a layer benchmark, not serving latency: it

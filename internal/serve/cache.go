@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"sync"
 
@@ -55,10 +56,13 @@ func (c *lruCache) get(key string) ([]byte, bool) {
 	return nil, false
 }
 
+// put stores a copy of val under key, so the caller may reuse val's
+// buffer.
 func (c *lruCache) put(key string, val []byte) {
 	if c.max <= 0 {
 		return
 	}
+	val = bytes.Clone(val)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

@@ -821,20 +821,6 @@ type errataRequest struct {
 	key     string // canonicalized filter set
 }
 
-// run executes the request's filters against one index and returns the
-// ordinals of the requested page plus the total match count.
-func (req *errataRequest) run(ix *index.Index) (page []int, total int) {
-	q := req.filters.Apply(ix.Query())
-	if req.unique {
-		page = q.UniqueOrdinals()
-	} else {
-		page = q.AllOrdinals()
-	}
-	total = len(page)
-	page = page[min(req.offset, total):]
-	return page[:min(req.limit, len(page))], total
-}
-
 // pageParams are the /v1/errata parameters outside index.FilterTable.
 var pageParams = [...]string{"unique", "limit", "offset"}
 
@@ -927,12 +913,15 @@ func (s *Server) handleErrata(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, body)
 		return
 	}
-	page, total := req.run(snap.ix)
-	body, ok := stitchErrataPage(snap, req, page, total)
+	page, total := req.filters.Apply(snap.ix.Query()).Page(req.offset, req.limit, req.unique)
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	body, ok := stitchErrataPage((*bp)[:0], snap, req, page, total)
 	if !ok {
 		writeMarshalError(w)
 		return
 	}
+	*bp = body
 	s.cache.put(key, body)
 	writeJSON(w, http.StatusOK, body)
 }
@@ -942,19 +931,16 @@ func (s *Server) handleErrata(w http.ResponseWriter, r *http.Request) {
 // state stitches without allocating.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// stitchErrataPage assembles the /v1/errata response from the summary
-// rows of the page's ordinals, byte-identical to json.Marshal of the
-// store DTOs. The returned body is an exact-size copy (it outlives the
-// request in the response cache); the working buffer is pooled. ok is
-// false when any row is missing.
-func stitchErrataPage(snap *snapshot, req *errataRequest, page []int, total int) (body []byte, ok bool) {
+// stitchErrataPage appends the /v1/errata response to buf from the
+// summary rows of the page's ordinals, byte-identical to json.Marshal
+// of the store DTOs. The caller passes a pooled buffer; the response
+// cache keeps its own copy. ok is false when any row is missing.
+func stitchErrataPage(buf []byte, snap *snapshot, req *errataRequest, page []int, total int) (body []byte, ok bool) {
 	for _, ord := range page {
 		if snap.frags.Summary(ord) == nil {
 			return nil, false
 		}
 	}
-	bp := bufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
 	buf = append(buf, `{"total":`...)
 	buf = strconv.AppendInt(buf, int64(total), 10)
 	buf = append(buf, `,"offset":`...)
@@ -972,12 +958,7 @@ func stitchErrataPage(snap *snapshot, req *errataRequest, page []int, total int)
 		}
 		buf = append(buf, snap.frags.Summary(ord)...)
 	}
-	buf = append(buf, "]}"...)
-	body = make([]byte, len(buf))
-	copy(body, buf)
-	*bp = buf
-	bufPool.Put(bp)
-	return body, true
+	return append(buf, "]}"...), true
 }
 
 // handleErratum answers a point lookup from the snapshot's fragment

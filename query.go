@@ -152,7 +152,7 @@ func (q *Query) All() []*Erratum { return q.compiled().All() }
 func (q *Query) Unique() []*Erratum { return q.compiled().Unique() }
 
 // Count returns the number of unique matches.
-func (q *Query) Count() int { return len(q.Unique()) }
+func (q *Query) Count() int { return q.compiled().Count() }
 
 // Keys returns the cluster keys of the unique matches.
 func (q *Query) Keys() []string {
