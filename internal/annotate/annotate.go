@@ -351,8 +351,8 @@ func propagate(db *domain.Database, engine *classify.Engine) {
 			if ann, ok := repAnn[vendorKey(e)]; ok {
 				e.Ann = ann.Clone()
 			}
-			e.WorkaroundCat = classify.ClassifyWorkaround(e.Workaround)
-			e.Fix = classify.ClassifyStatus(e.Status)
+			e.WorkaroundCat = engine.Workaround(e.Workaround)
+			e.Fix = engine.Status(e.Status)
 		}
 	}
 }

@@ -58,8 +58,10 @@ type Segment struct {
 
 // Report is the auto-classification of one erratum.
 type Report struct {
-	// Decisions maps every abstract category to its filter outcome.
-	Decisions map[string]Decision
+	// Decisions holds the filter outcome of every abstract category, in
+	// the engine scheme's category order; read one category's through
+	// Decision.
+	Decisions []Decision
 	// Concrete maps included or undecided categories to the clause that
 	// triggered the match.
 	Concrete map[string]string
@@ -83,30 +85,63 @@ type Report struct {
 	WorkaroundCat domain.WorkaroundCategory
 	// Fix is the classified fix status (Figure 7).
 	Fix domain.FixStatus
+
+	// cats names the positions of Decisions; shared with the engine.
+	cats *categoryIndex
+}
+
+// categoryIndex numbers a scheme's categories in definition order: ids
+// maps a Decisions position to its category and pos maps back.
+type categoryIndex struct {
+	scheme *domain.Scheme
+	ids    []string
+	pos    map[string]int
+}
+
+func newCategoryIndex(scheme *domain.Scheme) *categoryIndex {
+	ci := &categoryIndex{scheme: scheme, ids: scheme.CategoryIDs(-1)}
+	ci.pos = make(map[string]int, len(ci.ids))
+	for i, id := range ci.ids {
+		ci.pos[id] = i
+	}
+	return ci
+}
+
+// Decision returns the filter outcome of one category; a category the
+// engine's scheme does not know is excluded.
+func (r *Report) Decision(cat string) Decision {
+	if i, ok := r.cats.pos[cat]; ok {
+		return r.Decisions[i]
+	}
+	return Exclude
 }
 
 // UndecidedPairs returns the categories requiring human decisions, in
 // scheme order.
 func (r *Report) UndecidedPairs(scheme *domain.Scheme) []string {
-	var out []string
-	for cat, d := range r.Decisions {
-		if d == Undecided {
-			out = append(out, cat)
-		}
-	}
-	return scheme.SortCategoryIDs(out)
+	return r.categoriesWith(Undecided, scheme)
 }
 
 // IncludedCategories returns the auto-included categories in scheme
 // order.
 func (r *Report) IncludedCategories(scheme *domain.Scheme) []string {
+	return r.categoriesWith(Include, scheme)
+}
+
+// categoriesWith lists the categories decided d in scheme order.
+// Decisions already follows the engine scheme's order, so only another
+// scheme needs a sort.
+func (r *Report) categoriesWith(d Decision, scheme *domain.Scheme) []string {
 	var out []string
-	for cat, d := range r.Decisions {
-		if d == Include {
-			out = append(out, cat)
+	for i, got := range r.Decisions {
+		if got == d {
+			out = append(out, r.cats.ids[i])
 		}
 	}
-	return scheme.SortCategoryIDs(out)
+	if scheme != r.cats.scheme {
+		scheme.SortCategoryIDs(out)
+	}
+	return out
 }
 
 // The extractor pattern sources are named so the flags kernel
@@ -142,11 +177,19 @@ var knownMSRVocabulary = map[string]bool{
 // Classify runs the rule engine over one erratum.
 func (e *Engine) Classify(err *domain.Erratum) *Report {
 	r := &Report{
-		Decisions: make(map[string]Decision, len(e.catIDs)),
+		Decisions: make([]Decision, len(e.cats.ids)),
 		Concrete:  make(map[string]string),
+		cats:      e.cats,
 	}
-	for _, id := range e.catIDs {
-		r.Decisions[id] = Exclude
+	// surface raises an excluded category to undecided and records the
+	// first clause that surfaced it.
+	surface := func(cat, text string) {
+		if i := e.cats.pos[cat]; r.Decisions[i] == Exclude {
+			r.Decisions[i] = Undecided
+			if _, ok := r.Concrete[cat]; !ok {
+				r.Concrete[cat] = text
+			}
+		}
 	}
 
 	segments := e.segment(err)
@@ -158,12 +201,7 @@ func (e *Engine) Classify(err *domain.Erratum) *Report {
 			// categories for review.
 			for _, cats := range [2][]string{seg.Strong, seg.Weak} {
 				for _, cat := range cats {
-					if r.Decisions[cat] == Exclude {
-						r.Decisions[cat] = Undecided
-						if _, ok := r.Concrete[cat]; !ok {
-							r.Concrete[cat] = seg.Text
-						}
-					}
+					surface(cat, seg.Text)
 				}
 			}
 			continue
@@ -171,25 +209,20 @@ func (e *Engine) Classify(err *domain.Erratum) *Report {
 		switch {
 		case len(seg.Strong) == 1:
 			cat := seg.Strong[0]
-			r.Decisions[cat] = Include
+			r.Decisions[e.cats.pos[cat]] = Include
 			r.Concrete[cat] = seg.Text
 			// Weak matches on the same segment still need review: a
 			// clause can carry evidence for two categories.
 			for _, w := range seg.Weak {
-				if r.Decisions[w] == Exclude {
-					r.Decisions[w] = Undecided
-					if _, ok := r.Concrete[w]; !ok {
-						r.Concrete[w] = seg.Text
-					}
-				}
+				surface(w, seg.Text)
 			}
 		default:
 			// No strong match, or conflicting strong matches: every
 			// surfaced category goes to the humans.
 			for _, cats := range [2][]string{seg.Strong, seg.Weak} {
 				for _, cat := range cats {
-					if r.Decisions[cat] != Include {
-						r.Decisions[cat] = Undecided
+					if j := e.cats.pos[cat]; r.Decisions[j] != Include {
+						r.Decisions[j] = Undecided
 					}
 					if _, ok := r.Concrete[cat]; !ok {
 						r.Concrete[cat] = seg.Text
@@ -229,8 +262,8 @@ func (e *Engine) Classify(err *domain.Erratum) *Report {
 		}
 	}
 
-	r.WorkaroundCat = ClassifyWorkaround(err.Workaround)
-	r.Fix = ClassifyStatus(err.Status)
+	r.WorkaroundCat = e.Workaround(err.Workaround)
+	r.Fix = e.Status(err.Status)
 	return r
 }
 
@@ -238,24 +271,24 @@ func (e *Engine) Classify(err *domain.Erratum) *Report {
 // kind-scoped clauses following the documents' sentence conventions.
 func (e *Engine) segment(err *domain.Erratum) []Segment {
 	var out []Segment
-	for _, sentence := range splitSentences(err.Description) {
+	trigger := func(clause string) {
+		out = append(out, Segment{Kind: domain.Trigger, Text: clause, Field: "Description"})
+	}
+	context := func(clause string) {
+		out = append(out, Segment{Kind: domain.Context, Text: clause, Field: "Description"})
+	}
+	eachSentence(err.Description, func(sentence string) {
 		switch {
 		case strings.HasPrefix(sentence, "When "):
 			body := strings.TrimPrefix(sentence, "When ")
 			if i := strings.Index(body, ", "); i >= 0 {
-				trigPart, effPart := body[:i], body[i+2:]
-				for _, clause := range strings.Split(trigPart, " and ") {
-					out = append(out, Segment{Kind: domain.Trigger, Text: clause, Field: "Description"})
-				}
-				out = append(out, Segment{Kind: domain.Effect, Text: effPart, Field: "Description"})
+				eachPiece(body[:i], " and ", trigger)
+				out = append(out, Segment{Kind: domain.Effect, Text: body[i+2:], Field: "Description"})
 			} else {
-				out = append(out, Segment{Kind: domain.Trigger, Text: body, Field: "Description"})
+				trigger(body)
 			}
 		case strings.HasPrefix(sentence, "This erratum applies while "):
-			body := strings.TrimPrefix(sentence, "This erratum applies while ")
-			for _, clause := range strings.Split(body, " or while ") {
-				out = append(out, Segment{Kind: domain.Context, Text: clause, Field: "Description"})
-			}
+			eachPiece(strings.TrimPrefix(sentence, "This erratum applies while "), " or while ", context)
 		case strings.HasPrefix(sentence, "In addition, "):
 			out = append(out, Segment{Kind: domain.Effect,
 				Text: strings.TrimPrefix(sentence, "In addition, "), Field: "Description"})
@@ -269,29 +302,38 @@ func (e *Engine) segment(err *domain.Erratum) []Segment {
 			out = append(out, Segment{Kind: domain.Effect, Text: sentence,
 				Field: "Description", Advisory: true})
 		}
-	}
+	})
 	// The implication field redundantly repeats the effects; it is
 	// scanned as advisory evidence only.
-	for _, sentence := range splitSentences(err.Implication) {
-		for _, clause := range strings.Split(sentence, "; ") {
+	eachSentence(err.Implication, func(sentence string) {
+		eachPiece(sentence, "; ", func(clause string) {
 			out = append(out, Segment{Kind: domain.Effect, Text: clause,
 				Field: "Implication", Advisory: true})
-		}
-	}
+		})
+	})
 	return out
 }
 
-// splitSentences splits free text on sentence boundaries, stripping the
-// trailing period.
-func splitSentences(text string) []string {
-	var out []string
-	for _, s := range strings.Split(text, ". ") {
-		s = strings.TrimSuffix(strings.TrimSpace(s), ".")
-		if s != "" {
-			out = append(out, s)
+// eachSentence calls f on every sentence of free text: the pieces
+// between ". " boundaries with the space trimmed and the trailing
+// period stripped, skipping empty ones.
+func eachSentence(text string, f func(string)) {
+	eachPiece(text, ". ", func(s string) {
+		if s = strings.TrimSuffix(strings.TrimSpace(s), "."); s != "" {
+			f(s)
 		}
+	})
+}
+
+// eachPiece calls f on every piece of s between occurrences of sep, in
+// order: the elements strings.Split(s, sep) lists, without building
+// the slice.
+func eachPiece(s, sep string, f func(string)) {
+	for more := true; more; {
+		var piece string
+		piece, s, more = strings.Cut(s, sep)
+		f(piece)
 	}
-	return out
 }
 
 var (

@@ -37,7 +37,7 @@ func TestRuleCoverageAndExclusivity(t *testing.T) {
 		for cat, phrases := range bank {
 			for _, phrase := range phrases {
 				rep := engine.Classify(synthetic(kind, phrase))
-				got := rep.Decisions[cat]
+				got := rep.Decision(cat)
 				if got == Exclude {
 					t.Errorf("%s: phrase %q auto-excluded its own category", cat, phrase)
 				}
@@ -45,7 +45,7 @@ func TestRuleCoverageAndExclusivity(t *testing.T) {
 					if other.ID == cat {
 						continue
 					}
-					if rep.Decisions[other.ID] == Include {
+					if rep.Decision(other.ID) == Include {
 						t.Errorf("phrase %q of %s falsely auto-includes %s", phrase, cat, other.ID)
 					}
 				}
@@ -65,7 +65,7 @@ func TestDistinctivePhrasesMostlyAutoInclude(t *testing.T) {
 			for _, phrase := range phrases[:len(phrases)-1] {
 				total++
 				rep := engine.Classify(synthetic(kind, phrase))
-				if rep.Decisions[cat] == Include {
+				if rep.Decision(cat) == Include {
 					included++
 				}
 			}
@@ -87,14 +87,14 @@ func TestMultiTriggerSegmentation(t *testing.T) {
 	}
 	rep := engine.Classify(e)
 	for _, want := range []string{"Trg_CFG_wrg", "Trg_POW_tht", "Eff_HNG_hng", "Ctx_PRV_vmg"} {
-		if rep.Decisions[want] != Include {
-			t.Errorf("%s = %v, want include", want, rep.Decisions[want])
+		if rep.Decision(want) != Include {
+			t.Errorf("%s = %v, want include", want, rep.Decision(want))
 		}
 	}
 	if got := rep.Concrete["Trg_POW_tht"]; got != "thermal throttling engages under load" {
 		t.Errorf("concrete for tht = %q", got)
 	}
-	if rep.Decisions["Trg_EXT_rst"] == Include {
+	if rep.Decision("Trg_EXT_rst") == Include {
 		t.Error("reset falsely included")
 	}
 }
@@ -222,8 +222,8 @@ func TestUndecidedSurfacedForVaguePhrase(t *testing.T) {
 	// The vague phrasings must surface as undecided, not vanish.
 	e := synthetic(domain.Trigger, "a power state change is requested")
 	rep := engine.Classify(e)
-	if rep.Decisions["Trg_POW_pwc"] != Undecided {
-		t.Errorf("vague power phrase decision = %v, want undecided", rep.Decisions["Trg_POW_pwc"])
+	if rep.Decision("Trg_POW_pwc") != Undecided {
+		t.Errorf("vague power phrase decision = %v, want undecided", rep.Decision("Trg_POW_pwc"))
 	}
 	pairs := rep.UndecidedPairs(engine.Scheme())
 	found := false
@@ -246,8 +246,11 @@ func TestDecisionString(t *testing.T) {
 func TestClassifyEmptyAndOddInputs(t *testing.T) {
 	// Empty erratum: everything excluded, no flags, no panic.
 	rep := engine.Classify(&domain.Erratum{})
-	for cat, d := range rep.Decisions {
-		if d != Exclude {
+	if len(rep.Decisions) != engine.Scheme().NumCategories(-1) {
+		t.Errorf("empty erratum: %d decisions", len(rep.Decisions))
+	}
+	for _, cat := range engine.Scheme().CategoryIDs(-1) {
+		if d := rep.Decision(cat); d != Exclude {
 			t.Errorf("empty erratum: %s = %v", cat, d)
 		}
 	}
@@ -259,18 +262,18 @@ func TestClassifyEmptyAndOddInputs(t *testing.T) {
 	// they may surface undecided pairs but never auto-include.
 	odd := &domain.Erratum{Description: "The processor may hang. Completely free-form sentence here."}
 	rep = engine.Classify(odd)
-	if rep.Decisions["Eff_HNG_hng"] == Exclude {
+	if rep.Decision("Eff_HNG_hng") == Exclude {
 		t.Error("advisory hang evidence vanished")
 	}
-	if rep.Decisions["Eff_HNG_hng"] == Include {
+	if rep.Decision("Eff_HNG_hng") == Include {
 		t.Error("advisory evidence auto-included")
 	}
 
 	// A "When" sentence without a comma is a pure trigger clause.
 	noComma := &domain.Erratum{Description: "When a warm reset is applied to the processor."}
 	rep = engine.Classify(noComma)
-	if rep.Decisions["Trg_EXT_rst"] != Include {
-		t.Errorf("comma-free trigger clause = %v", rep.Decisions["Trg_EXT_rst"])
+	if rep.Decision("Trg_EXT_rst") != Include {
+		t.Errorf("comma-free trigger clause = %v", rep.Decision("Trg_EXT_rst"))
 	}
 }
 
@@ -284,7 +287,7 @@ func TestSimulationOnlyFlag(t *testing.T) {
 		t.Error("simulation-only sentence not flagged")
 	}
 	// The flag sentence must not leak into effect classification.
-	if rep.Decisions["Eff_HNG_unp"] == Include {
+	if rep.Decision("Eff_HNG_unp") == Include {
 		t.Error("flag sentence auto-included an effect")
 	}
 }

@@ -167,15 +167,15 @@ func TestKernelConcurrentClassify(t *testing.T) {
 func TestMemoCacheBound(t *testing.T) {
 	reg := obs.NewRegistry()
 	clears := reg.Counter("test_memo_clears_total", "")
-	c := newMemoCache(8, clears)
+	c := newMemoCache[memoEntry](8, clears)
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("clause %d", i)
-		c.put(key, []string{key}, nil)
+		c.put(key, memoEntry{strong: []string{key}})
 		if len(c.m) > 8 {
 			t.Fatalf("cache grew to %d entries", len(c.m))
 		}
-		s, _, ok := c.get(key)
-		if !ok || len(s) != 1 || s[0] != key {
+		m, ok := c.get(key)
+		if !ok || len(m.strong) != 1 || m.strong[0] != key {
 			t.Fatalf("entry %d not readable after put", i)
 		}
 	}

@@ -172,25 +172,26 @@ func (e *Engine) isFlagSentence(s string) bool {
 		hit[idxSimOnly] && simOnlyRe.MatchString(s)
 }
 
-// memoMaxEntries bounds each per-kind memo cache. A corpus build sees a
-// few thousand distinct clauses, so the bound exists to keep adversarial
-// or unbounded inputs from growing the cache without limit, not to
-// evict in normal operation.
+// memoMaxEntries bounds each memo cache. A corpus build sees a few
+// thousand distinct clauses and a few dozen distinct workaround and
+// status texts, so the bound exists to keep adversarial or unbounded
+// inputs from growing a cache without limit, not to evict in normal
+// operation.
 const memoMaxEntries = 1 << 15
 
-// memoCache memoizes per-clause match vectors. The key is the clause
-// text exactly as the segmenter produced it (the segmenter already
-// normalizes clauses by splitting and trimming); the key is deliberately
-// not case-folded so the cache stays correct even for case-sensitive
-// patterns. Cached slices are returned to multiple reports and must
-// never be mutated.
+// memoCache memoizes a classification per text: the clause match
+// vectors of one kind, or the workaround or status category of a field.
+// The key is the text exactly as the segmenter or the erratum produced
+// it; it is deliberately not case-folded so the cache stays correct
+// even for case-sensitive patterns. Cached slices are returned to
+// multiple reports and must never be mutated.
 //
 // Determinism: a hit returns exactly what the miss path would compute,
 // so cache state — including the clear-on-full reset — can never change
 // a classification, only its cost.
-type memoCache struct {
+type memoCache[V any] struct {
 	mu     sync.RWMutex
-	m      map[string]memoEntry
+	m      map[string]V
 	max    int
 	clears *obs.Counter // clear-on-full resets; nil when uninstrumented
 }
@@ -199,25 +200,39 @@ type memoEntry struct {
 	strong, weak []string
 }
 
-func newMemoCache(max int, clears *obs.Counter) *memoCache {
-	return &memoCache{m: make(map[string]memoEntry), max: max, clears: clears}
+func newMemoCache[V any](max int, clears *obs.Counter) *memoCache[V] {
+	return &memoCache[V]{m: make(map[string]V), max: max, clears: clears}
 }
 
-func (c *memoCache) get(text string) (strong, weak []string, ok bool) {
+func (c *memoCache[V]) get(text string) (V, bool) {
 	c.mu.RLock()
-	e, ok := c.m[text]
+	v, ok := c.m[text]
 	c.mu.RUnlock()
-	return e.strong, e.weak, ok
+	return v, ok
 }
 
-func (c *memoCache) put(text string, strong, weak []string) {
+func (c *memoCache[V]) put(text string, v V) {
 	c.mu.Lock()
 	if len(c.m) >= c.max {
-		// Clear-on-full: the hot templated clauses repopulate within
-		// one batch, and the policy is trivially deterministic.
-		c.m = make(map[string]memoEntry)
+		// Clear-on-full: the hot templated texts repopulate within one
+		// batch, and the policy is trivially deterministic.
+		c.m = make(map[string]V)
 		c.clears.Inc()
 	}
-	c.m[text] = memoEntry{strong: strong, weak: weak}
+	c.m[text] = v
 	c.mu.Unlock()
+}
+
+// memoized returns classify(text) through c; a nil c (Memo off) calls
+// classify every time.
+func memoized[V any](c *memoCache[V], text string, classify func(string) V) V {
+	if c == nil {
+		return classify(text)
+	}
+	if v, ok := c.get(text); ok {
+		return v
+	}
+	v := classify(text)
+	c.put(text, v)
+	return v
 }

@@ -27,10 +27,10 @@ func TestNewEngineForExamplePack(t *testing.T) {
 		Description: "When a warm reset occurs, the processor may hang.",
 	}
 	rep := e.Classify(er)
-	if d := rep.Decisions["Trg_EXT_rst"]; d != Include {
+	if d := rep.Decision("Trg_EXT_rst"); d != Include {
 		t.Errorf("Trg_EXT_rst = %v, want Include", d)
 	}
-	if d := rep.Decisions["Eff_HNG_hng"]; d != Include {
+	if d := rep.Decision("Eff_HNG_hng"); d != Include {
 		t.Errorf("Eff_HNG_hng = %v, want Include", d)
 	}
 }
@@ -80,7 +80,7 @@ func TestNewEngineForExtendedScheme(t *testing.T) {
 		Title:       "Hart May Hang",
 		Description: "When a nested CLIC interrupt preempts the resume sequence, the hart may hang.",
 	})
-	if d := rep.Decisions["Trg_CLIC_nst"]; d != Include {
+	if d := rep.Decision("Trg_CLIC_nst"); d != Include {
 		t.Errorf("Trg_CLIC_nst = %v, want Include", d)
 	}
 	if got := rep.IncludedCategories(e.Scheme()); len(got) != 1 || got[0] != "Trg_CLIC_nst" {

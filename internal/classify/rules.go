@@ -123,15 +123,19 @@ func compileRules(pack pluginapi.RulePack, scheme *domain.Scheme) (map[domain.Ki
 
 // Engine is a compiled rule engine over a taxonomy scheme.
 type Engine struct {
-	scheme  *domain.Scheme
 	rules   map[domain.Kind][]rule
 	kernels map[domain.Kind]*kindKernel
-	// catIDs caches the scheme's category ids so report initialization
-	// does not rebuild the category slice per erratum.
-	catIDs  []string
-	cfg     Config
-	memo    [numKinds]*memoCache // indexed by int(kind); nil when Memo off
-	scratch sync.Pool            // *matchScratch
+	// cats holds the scheme and numbers its categories once, so a
+	// report holds its decisions in a dense vector in scheme order.
+	cats *categoryIndex
+	cfg  Config
+	// The memos are nil when Memo is off: memo per kind (indexed by
+	// int(kind)) caches clause match vectors, and workarounds and
+	// statuses cache the field classifications.
+	memo        [numKinds]*memoCache[memoEntry]
+	workarounds *memoCache[domain.WorkaroundCategory]
+	statuses    *memoCache[domain.FixStatus]
+	scratch     sync.Pool // *matchScratch
 
 	// Instruments (nil when Config.Obs is nil; all obs instruments are
 	// no-ops on nil receivers, so the hot path carries one branch).
@@ -152,8 +156,9 @@ type Config struct {
 	// scanned once, and only the surviving candidate patterns run their
 	// regexes.
 	Prefilter bool
-	// Memo caches per-clause match vectors in a bounded map, exploiting
-	// the heavy clause reuse of templated errata.
+	// Memo caches per-clause match vectors and the workaround and
+	// status classifications in bounded maps, exploiting the heavy text
+	// reuse of templated errata.
 	Memo bool
 	// Obs, when non-nil, registers the engine's instruments in the
 	// given registry: memo hit/miss/clear counts and prefilter
@@ -194,13 +199,10 @@ func NewEngineFor(pack pluginapi.RulePack, scheme *domain.Scheme, cfg Config) (*
 
 func newEngine(scheme *domain.Scheme, rules map[domain.Kind][]rule, kernels map[domain.Kind]*kindKernel, cfg Config) *Engine {
 	e := &Engine{
-		scheme:  scheme,
 		rules:   rules,
 		kernels: kernels,
+		cats:    newCategoryIndex(scheme),
 		cfg:     cfg,
-	}
-	for _, cat := range e.scheme.Categories(-1) {
-		e.catIDs = append(e.catIDs, cat.ID)
 	}
 	if cfg.Obs != nil {
 		e.memoHits = cfg.Obs.Counter("rememberr_classify_memo_hits_total",
@@ -216,8 +218,10 @@ func newEngine(scheme *domain.Scheme, rules map[domain.Kind][]rule, kernels map[
 		clears := cfg.Obs.Counter("rememberr_classify_memo_clears_total",
 			"Clear-on-full resets of the clause memo.")
 		for i := range e.memo {
-			e.memo[i] = newMemoCache(memoMaxEntries, clears)
+			e.memo[i] = newMemoCache[memoEntry](memoMaxEntries, clears)
 		}
+		e.workarounds = newMemoCache[domain.WorkaroundCategory](memoMaxEntries, nil)
+		e.statuses = newMemoCache[domain.FixStatus](memoMaxEntries, nil)
 	}
 	maxRules := 0
 	for _, rules := range e.rules {
@@ -232,7 +236,7 @@ func newEngine(scheme *domain.Scheme, rules map[domain.Kind][]rule, kernels map[
 }
 
 // Scheme returns the scheme the engine classifies against.
-func (e *Engine) Scheme() *domain.Scheme { return e.scheme }
+func (e *Engine) Scheme() *domain.Scheme { return e.cats.scheme }
 
 // matchSegment evaluates every rule of a kind against one text segment
 // and reports the strongly and weakly matched categories. The returned
@@ -240,9 +244,9 @@ func (e *Engine) Scheme() *domain.Scheme { return e.scheme }
 // cache) and must be treated as read-only.
 func (e *Engine) matchSegment(kind domain.Kind, text string) (strong, weak []string) {
 	if e.cfg.Memo {
-		if s, w, ok := e.memo[kind].get(text); ok {
+		if m, ok := e.memo[kind].get(text); ok {
 			e.memoHits.Inc()
-			return s, w
+			return m.strong, m.weak
 		}
 		e.memoMisses.Inc()
 	}
@@ -252,9 +256,21 @@ func (e *Engine) matchSegment(kind domain.Kind, text string) (strong, weak []str
 		strong, weak = e.matchNaive(kind, text)
 	}
 	if e.cfg.Memo {
-		e.memo[kind].put(text, strong, weak)
+		e.memo[kind].put(text, memoEntry{strong: strong, weak: weak})
 	}
 	return strong, weak
+}
+
+// Workaround is ClassifyWorkaround, memoized per distinct text when the
+// engine's Memo is on.
+func (e *Engine) Workaround(text string) domain.WorkaroundCategory {
+	return memoized(e.workarounds, text, ClassifyWorkaround)
+}
+
+// Status is ClassifyStatus, memoized per distinct text when the
+// engine's Memo is on.
+func (e *Engine) Status(text string) domain.FixStatus {
+	return memoized(e.statuses, text, ClassifyStatus)
 }
 
 // matchNaive is the reference path: every pattern of every rule runs

@@ -5,8 +5,10 @@ package match
 // state, so the scan loop is one table lookup per input byte with no
 // failure-link chasing. out[state] lists the pattern ids of every
 // literal ending at state (including those reached via suffix links,
-// merged at build time). The automaton is immutable after build and
-// safe for concurrent scans.
+// merged at build time). An upper-case ASCII byte steps exactly like
+// its lower-case letter, so ASCII text scans as its fold without a
+// folded copy. The automaton is immutable after build and safe for
+// concurrent scans.
 type automaton struct {
 	delta [][256]int32
 	out   [][]int32
@@ -71,10 +73,18 @@ func buildAutomaton(lits []acLiteral) *automaton {
 			}
 		}
 	}
+	// Literals are folded and so hold no upper-case ASCII byte: aliasing
+	// each upper-case column to its lower-case one changes no step on
+	// folded text and lowers ASCII text on the fly.
+	for s := range a.delta {
+		for b := 'A'; b <= 'Z'; b++ {
+			a.delta[s][b] = a.delta[s][b+'a'-'A']
+		}
+	}
 	return a
 }
 
-// scan walks the folded text once and appends to dst the id of every
+// scan walks a folded or ASCII text once and appends to dst the id of every
 // pattern whose literal occurs, deduplicated via the caller's scratch.
 func (a *automaton) scan(text string, dst []int, sc *scratch) []int {
 	s := int32(0)

@@ -58,3 +58,14 @@ func foldRune(r rune) rune {
 func Fold(s string) string {
 	return strings.Map(foldRune, s)
 }
+
+// isASCII reports whether s holds only ASCII bytes, whose fold is plain
+// ASCII lowering.
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
+}

@@ -111,6 +111,8 @@ func (k *Kernel) Stats() Stats { return k.stats }
 // occurs in the folded text — and returns the result sorted ascending
 // without duplicates. The guarantee is one-sided: every pattern that
 // matches text is in the candidate set, but a candidate need not match.
+// ASCII text is lowered inside the scan; only text holding a non-ASCII
+// byte is folded into a copy first.
 func (k *Kernel) Candidates(text string, dst []int) []int {
 	dst = append(dst[:0], k.always...)
 	if k.ac != nil {
@@ -122,7 +124,10 @@ func (k *Kernel) Candidates(text string, dst []int) []int {
 			}
 			sc.epoch = 1
 		}
-		dst = k.ac.scan(Fold(text), dst, sc)
+		if !isASCII(text) {
+			text = Fold(text)
+		}
+		dst = k.ac.scan(text, dst, sc)
 		k.pool.Put(sc)
 	}
 	sort.Ints(dst)

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 
 	"repro/internal/index"
 	"repro/pkg/domain"
@@ -190,10 +191,10 @@ func jsonStringLen(b []byte) int {
 
 // BuildFragments precomputes the canonical response fragments for every
 // entry of db, row i for db.Errata()[i]. The per-entry cost is one
-// json.Marshal each for the detail and summary forms — the same work a
-// single uncached request pair used to pay — so a swap amortizes the
-// whole corpus's marshaling into one pass and the hot path never
-// marshals again.
+// json.Marshal of the detail form, whose prefix is the summary form —
+// less than a single uncached request pair used to pay — so a swap
+// amortizes the whole corpus's marshaling into one pass and the hot
+// path never marshals again.
 //
 // The result is never nil: it holds the rows of every entry that
 // marshaled, and err reports the first entry that did not. An entry
@@ -238,16 +239,24 @@ func (f *Fragments) marshalMissing(db *domain.Database, errata []*domain.Erratum
 	return first
 }
 
+// seqField opens the first ErratumDetail field after its embedded
+// summary. Seq has no omitempty, and an encoded string holds no
+// unescaped '"', so its first occurrence ends the summary's fields.
+var seqField = []byte(`,"seq":`)
+
+// marshalRow marshals the entry's detail once; its summary row is the
+// detail's bytes up to seqField, closed.
 func (f *Fragments) marshalRow(ord int, db *domain.Database, e *domain.Erratum) error {
-	d := DetailOf(db, e)
-	detail, err := json.Marshal(d)
+	detail, err := json.Marshal(DetailOf(db, e))
 	if err != nil {
 		return err
 	}
-	summary, err := json.Marshal(d.ErratumSummary)
-	if err != nil {
-		return err
+	n := bytes.Index(detail, seqField)
+	if n < 0 {
+		return errors.New("store: detail fragment has no seq field")
 	}
+	summary := make([]byte, n+1)
+	summary[copy(summary, detail[:n])] = '}'
 	f.rows[ord] = [2][]byte{detail, summary}
 	return nil
 }

@@ -13,13 +13,25 @@ import (
 // TestFragmentsMatchMarshal is the byte-identity contract behind the
 // zero-allocation serve path: every precomputed row must equal
 // json.Marshal of the corresponding DTO, for every erratum and key, both
-// as built in the heap and as read in place from a v2 file.
+// as built in the heap and as read in place from a v2 file. Some titles
+// and IDs carry the `,"seq":` field opener the summary row is cut at,
+// next to quotes, backslashes, HTML and line separators, so a cut
+// inside an encoded string would show.
 func TestFragmentsMatchMarshal(t *testing.T) {
 	gt, err := corpus.Generate(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := gt.DB
+	hostile := []string{`,"seq":`, `a,"seq":1,"b`, `\",\"seq\":`, `"q" \ ,"seq":0}`,
+		`<b>&amp;</b>,"seq":`, "line\u2028sep\u2029,\"seq\":", `\`}
+	for i, e := range db.Errata() {
+		if i%7 == 0 {
+			h := hostile[i/7%len(hostile)]
+			e.Title += h
+			e.ID += h
+		}
+	}
 	built, err := BuildFragments(db)
 	if err != nil {
 		t.Fatal(err)
