@@ -37,7 +37,8 @@ bench-pipeline:
 # most 3 allocs/op above the bare handler), then latency through the
 # real binary (errserve + errload); emits BENCH_serve.json with the
 # exact client-side /v1/errata p50/p99, the ladder rows and the ingest
-# layer rows (Apply and SwapDelta of one revised document).
+# layer rows (Apply and SwapDelta of one revised document, and
+# SwapDelta's merge and fragments parts).
 bench-serve:
 	./scripts/bench_serve.sh
 
@@ -60,6 +61,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzParseDocument -fuzztime 20s -fuzzminimizetime 1x ./internal/specdoc/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 20s -fuzzminimizetime 1x ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzOpenV2 -fuzztime 20s -fuzzminimizetime 1x ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzFragmentRow -fuzztime 20s -fuzzminimizetime 1x ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzClassifyEquivalence -fuzztime 20s -fuzzminimizetime 1x ./internal/classify/
 	$(GO) test -run '^$$' -fuzz FuzzCandidatesFold -fuzztime 20s -fuzzminimizetime 1x ./internal/match/
 	$(GO) test -run '^$$' -fuzz FuzzDeltaMerge -fuzztime 20s -fuzzminimizetime 1x ./internal/ingest/

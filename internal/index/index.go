@@ -33,6 +33,7 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -64,19 +65,20 @@ type Index struct {
 	uniqueOrds List
 	uniqueRank []int32
 
-	// Postings lists are held behind the List interface: Build and
+	// Postings families are sorted key tables of Lists: Build and
 	// MergeDelta produce heap-resident Ords, while FromLists installs
 	// Spans viewed straight over a FormatVersion 2 file mapping, so a
-	// disk-resident index never copies its postings into the heap.
-	byVendor     map[domain.Vendor]List
-	byDoc        map[string]List
-	byCategory   map[string]List // any annotation dimension
-	byTriggerCat map[string]List // trigger dimension only
-	byClass      map[string]List
-	byKey        map[string]List // cluster key -> all occurrences
-	byWorkaround map[domain.WorkaroundCategory]List
-	byFix        map[domain.FixStatus]List
-	byMSR        map[string]List
+	// disk-resident index never copies its postings into the heap (and
+	// MergeDelta shares the spans its remap leaves unchanged).
+	byVendor     Table[domain.Vendor]
+	byDoc        Table[string]
+	byCategory   Table[string] // any annotation dimension
+	byTriggerCat Table[string] // trigger dimension only
+	byClass      Table[string]
+	byKey        Table[string] // cluster key -> all occurrences
+	byWorkaround Table[domain.WorkaroundCategory]
+	byFix        Table[domain.FixStatus]
+	byMSR        Table[string]
 	complexSet   List
 	simOnlySet   List
 
@@ -198,57 +200,146 @@ func BuildParts(db *domain.Database) *ListParts {
 // lowered-title table; Build adds it.
 func buildPostings(db *domain.Database) *Index {
 	errata := db.Errata()
-	ix := &Index{
-		db:           db,
-		scheme:       db.Scheme,
-		errata:       errata,
-		byVendor:     make(map[domain.Vendor]List),
-		byDoc:        make(map[string]List),
-		byCategory:   make(map[string]List),
-		byTriggerCat: make(map[string]List),
-		byClass:      make(map[string]List),
-		byKey:        make(map[string]List),
-		byWorkaround: make(map[domain.WorkaroundCategory]List),
-		byFix:        make(map[domain.FixStatus]List),
-		byMSR:        make(map[string]List),
-		triggerCount: make(Ords, len(errata)),
-	}
-	vendorOf := vendorsOf(db)
+	w := newWalk(db, make(Ords, len(errata)))
 	for ord, e := range errata {
 		// Postings are appended in ascending ordinal order, so every
 		// list is sorted by construction.
-		ix.addEntry(ord, e, vendorOf)
+		w.addEntry(ord, e)
 	}
+	ix := &Index{db: db, scheme: db.Scheme, errata: errata}
+	w.into(ix)
 	ordOf := make(map[*domain.Erratum]int, len(errata))
 	for ord, e := range errata {
 		ordOf[e] = ord
 	}
+	var uniq Ords
 	for _, e := range db.Unique() {
 		if ord, ok := ordOf[e]; ok {
-			ix.uniqueOrds = apOrd(ix.uniqueOrds, ord)
+			uniq = append(uniq, ord)
 		}
 	}
+	ix.uniqueOrds = boxed(uniq)
 	return ix
 }
 
-// vendorsOf maps each document key of db to its vendor.
-func vendorsOf(db *domain.Database) map[string]domain.Vendor {
-	vendorOf := make(map[string]domain.Vendor, len(db.Docs))
-	for key, d := range db.Docs {
-		vendorOf[key] = d.Vendor
-	}
-	return vendorOf
+// walk collects the postings of an entry walk in ascending ordinal
+// order: each family keyed by map while it grows, sorted into a Table
+// once by into. Build walks every entry, MergeDelta only the fresh ones.
+type walk struct {
+	scheme       *domain.Scheme
+	vendorOf     map[string]domain.Vendor
+	byVendor     growing[domain.Vendor]
+	byDoc        growing[string]
+	byCategory   growing[string]
+	byTriggerCat growing[string]
+	byClass      growing[string]
+	byKey        growing[string]
+	byWorkaround growing[domain.WorkaroundCategory]
+	byFix        growing[domain.FixStatus]
+	byMSR        growing[string]
+	complexSet   Ords
+	simOnlySet   Ords
+	// trig is the positional trigger-count table addEntry writes.
+	trig Ords
 }
 
-// appendOnce appends ord to m[key] unless it is already the last
-// element (the same erratum can carry a category or MSR several times),
-// and reports whether it appended.
-func appendOnce(m map[string]List, key string, ord int) bool {
-	if l := m[key]; l != nil && l.At(l.Len()-1) == ord {
+func newWalk(db *domain.Database, trig Ords) *walk {
+	w := &walk{scheme: db.Scheme, vendorOf: make(map[string]domain.Vendor, len(db.Docs)), trig: trig}
+	for key, d := range db.Docs {
+		w.vendorOf[key] = d.Vendor
+	}
+	return w
+}
+
+// into installs the walk's postings in ix as sorted tables.
+func (w *walk) into(ix *Index) {
+	ix.byVendor = w.byVendor.table()
+	ix.byDoc = w.byDoc.table()
+	ix.byCategory = w.byCategory.table()
+	ix.byTriggerCat = w.byTriggerCat.table()
+	ix.byClass = w.byClass.table()
+	ix.byKey = w.byKey.table()
+	ix.byWorkaround = w.byWorkaround.table()
+	ix.byFix = w.byFix.table()
+	ix.byMSR = w.byMSR.table()
+	ix.complexSet = boxed(w.complexSet)
+	ix.simOnlySet = boxed(w.simOnlySet)
+	ix.triggerCount = w.trig
+}
+
+// growing is one postings family under construction: each key gets a
+// slot on first use, and the walk records (slot, ordinal) pairs in walk
+// order. table lays the pairs out by key in one backing array, so a
+// family costs a handful of allocations however many keys it holds.
+type growing[K cmp.Ordered] struct {
+	slot  map[K]int
+	slots []slot[K]
+	pairs [][2]int32
+}
+
+type slot[K cmp.Ordered] struct {
+	key   K
+	last  int // the ordinal added last; table's write cursor
+	count int
+}
+
+// add appends ord to key's list unless it is already the last element
+// (the same erratum can carry a category or MSR several times), and
+// reports whether it appended.
+func (g *growing[K]) add(key K, ord int) bool {
+	i, ok := g.slot[key]
+	switch {
+	case !ok:
+		if g.slot == nil {
+			g.slot = make(map[K]int)
+		}
+		i = len(g.slots)
+		g.slot[key] = i
+		g.slots = append(g.slots, slot[K]{key: key})
+	case g.slots[i].last == ord:
 		return false
 	}
-	pushOrd(m, key, ord)
+	g.slots[i].last = ord
+	g.slots[i].count++
+	g.pairs = append(g.pairs, [2]int32{int32(i), int32(ord)})
 	return true
+}
+
+// table returns the family as a Table in ascending key order. Pairs
+// are scattered into their slot's run in walk order, so every list is
+// ascending.
+func (g *growing[K]) table() Table[K] {
+	order := make([]int, len(g.slots)) // slots in key order
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(g.slots[a].key, g.slots[b].key) })
+	t := Table[K]{Keys: make([]K, len(order)), Lists: make([]List, len(order))}
+	arena := make([]int, len(g.pairs))
+	boxes := make([]Ords, len(order))
+	off := 0
+	for i, j := range order {
+		sl := &g.slots[j]
+		t.Keys[i] = sl.key
+		boxes[i] = arena[off : off+sl.count : off+sl.count]
+		t.Lists[i] = &boxes[i]
+		sl.last = off
+		off += sl.count
+	}
+	for _, p := range g.pairs {
+		sl := &g.slots[p[0]]
+		arena[sl.last] = int(p[1])
+		sl.last++
+	}
+	return t
+}
+
+// boxed returns o as a List, nil when o is.
+func boxed(o Ords) List {
+	if o == nil {
+		return nil
+	}
+	return &o
 }
 
 // Database returns the indexed database snapshot.
@@ -273,7 +364,7 @@ func (ix *Index) Stats() domain.Stats {
 // ByKey returns every entry bearing the given cluster key, in document
 // order.
 func (ix *Index) ByKey(key string) []*domain.Erratum {
-	ords := ix.byKey[key]
+	ords := ix.byKey.Get(key)
 	out := make([]*domain.Erratum, listLen(ords))
 	for i := range out {
 		out[i] = ix.errata[ords.At(i)]
@@ -314,15 +405,15 @@ func (q *Query) pred(f func(ord int) bool) *Query {
 }
 
 // Vendor keeps errata of one vendor.
-func (q *Query) Vendor(v domain.Vendor) *Query { return q.list(q.ix.byVendor[v]) }
+func (q *Query) Vendor(v domain.Vendor) *Query { return q.list(q.ix.byVendor.Get(v)) }
 
 // InDocument keeps errata of one document.
-func (q *Query) InDocument(key string) *Query { return q.list(q.ix.byDoc[key]) }
+func (q *Query) InDocument(key string) *Query { return q.list(q.ix.byDoc.Get(key)) }
 
 // WithCategory keeps errata annotated with the abstract category in any
 // dimension.
 func (q *Query) WithCategory(categoryID string) *Query {
-	return q.list(q.ix.byCategory[categoryID])
+	return q.list(q.ix.byCategory.Get(categoryID))
 }
 
 // AnyCategory keeps errata annotated with at least one of the given
@@ -331,20 +422,20 @@ func (q *Query) WithCategory(categoryID string) *Query {
 func (q *Query) AnyCategory(categoryIDs ...string) *Query {
 	var u []int
 	for _, c := range categoryIDs {
-		u = union(u, Ints(q.ix.byCategory[c]))
+		u = union(u, Ints(q.ix.byCategory.Get(c)))
 	}
 	return q.list(Ords(u))
 }
 
 // WithClass keeps errata with at least one item of the given class.
-func (q *Query) WithClass(classID string) *Query { return q.list(q.ix.byClass[classID]) }
+func (q *Query) WithClass(classID string) *Query { return q.list(q.ix.byClass.Get(classID)) }
 
 // WithAllTriggers keeps errata requiring at least all the given
 // triggers (conjunctive): one postings list per category. With no
 // categories the filter is a no-op.
 func (q *Query) WithAllTriggers(categoryIDs ...string) *Query {
 	for _, c := range categoryIDs {
-		q.list(q.ix.byTriggerCat[c])
+		q.list(q.ix.byTriggerCat.Get(c))
 	}
 	return q
 }
@@ -357,11 +448,11 @@ func (q *Query) MinTriggers(n int) *Query {
 
 // Workaround keeps errata with the given workaround category.
 func (q *Query) Workaround(w domain.WorkaroundCategory) *Query {
-	return q.list(q.ix.byWorkaround[w])
+	return q.list(q.ix.byWorkaround.Get(w))
 }
 
 // Fix keeps errata with the given fix status.
-func (q *Query) Fix(f domain.FixStatus) *Query { return q.list(q.ix.byFix[f]) }
+func (q *Query) Fix(f domain.FixStatus) *Query { return q.list(q.ix.byFix.Get(f)) }
 
 // Complex keeps errata mentioning a complex set of conditions.
 func (q *Query) Complex() *Query { return q.list(q.ix.complexSet) }
@@ -370,7 +461,7 @@ func (q *Query) Complex() *Query { return q.list(q.ix.complexSet) }
 func (q *Query) SimulationOnly() *Query { return q.list(q.ix.simOnlySet) }
 
 // ObservableIn keeps errata whose effects are observable in the MSR.
-func (q *Query) ObservableIn(msr string) *Query { return q.list(q.ix.byMSR[msr]) }
+func (q *Query) ObservableIn(msr string) *Query { return q.list(q.ix.byMSR.Get(msr)) }
 
 // DisclosedBetween keeps errata disclosed in [from, to). Disclosure
 // dates are a continuous axis, so this stays a residual predicate.

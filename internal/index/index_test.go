@@ -102,7 +102,7 @@ func TestPostingsSortedAndComplete(t *testing.T) {
 	if ix.UniqueCount() != 3 {
 		t.Fatalf("UniqueCount = %d, want 3", ix.UniqueCount())
 	}
-	for name, m := range map[string]map[string]List{
+	for name, m := range map[string]Table[string]{
 		"byDoc":        ix.byDoc,
 		"byCategory":   ix.byCategory,
 		"byTriggerCat": ix.byTriggerCat,
@@ -110,7 +110,8 @@ func TestPostingsSortedAndComplete(t *testing.T) {
 		"byKey":        ix.byKey,
 		"byMSR":        ix.byMSR,
 	} {
-		for key, l := range m {
+		for k, key := range m.Keys {
+			l := m.Lists[k]
 			for i := 1; i < l.Len(); i++ {
 				if l.At(i-1) >= l.At(i) {
 					t.Errorf("%s[%q] not strictly sorted: %v", name, key, Ints(l))
@@ -118,10 +119,10 @@ func TestPostingsSortedAndComplete(t *testing.T) {
 			}
 		}
 	}
-	if got := listLen(ix.byCategory["Trg_POW_pwc"]); got != 2 {
+	if got := listLen(ix.byCategory.Get("Trg_POW_pwc")); got != 2 {
 		t.Errorf("Trg_POW_pwc postings = %d, want 2", got)
 	}
-	if got := listLen(ix.byClass["Eff_HNG"]); got != 2 {
+	if got := listLen(ix.byClass.Get("Eff_HNG")); got != 2 {
 		t.Errorf("Eff_HNG class postings = %d, want 2", got)
 	}
 }

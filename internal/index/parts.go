@@ -7,7 +7,7 @@ import "repro/pkg/domain"
 // the index and must be treated as read-only; unlike ByKey it performs
 // no allocation, which the serving layer's fragment-stitched point
 // lookup relies on.
-func (ix *Index) KeyList(key string) List { return ix.byKey[key] }
+func (ix *Index) KeyList(key string) List { return ix.byKey.Get(key) }
 
 // Errata returns the indexed entries by ordinal, in db.Errata() order.
 // The slice is shared with the index and must be treated as read-only.

@@ -1,7 +1,9 @@
 package index
 
 import (
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/pkg/domain"
@@ -22,8 +24,8 @@ type List interface {
 }
 
 // Ords is the heap-resident List: a sorted slice of ordinals. Postings
-// maps hold it boxed as *Ords, so a builder appends in place and
-// storing a list in a map allocates no interface box; both forms are
+// tables hold it boxed as *Ords, so a builder appends in place and
+// storing a list in a table allocates no interface box; both forms are
 // Lists.
 type Ords []int
 
@@ -79,30 +81,8 @@ func Ints(l List) []int {
 	return out
 }
 
-// apOrd appends one ordinal to a list under construction: nil, or the
-// *Ords box a previous apOrd returned, grown in place. Builders (Build,
-// MergeDelta) only ever grow their own lists; appending to any other
-// List (a Span over a file mapping, a finished Ords) panics.
-func apOrd(l List, ord int) List {
-	p, ok := l.(*Ords)
-	if !ok {
-		if l != nil {
-			panic(fmt.Sprintf("index: append to a finished %T postings list", l))
-		}
-		p = new(Ords)
-	}
-	*p = append(*p, ord)
-	return p
-}
-
-// pushOrd appends one ordinal to a postings map entry, creating it on
-// first use.
-func pushOrd[K comparable](m map[K]List, k K, ord int) {
-	m[k] = apOrd(m[k], ord)
-}
-
-// listLen is Len with a nil guard (map lookups of absent keys return a
-// nil List).
+// listLen is Len with a nil guard (Table lookups of absent keys return
+// a nil List).
 func listLen(l List) int {
 	if l == nil {
 		return 0
@@ -136,29 +116,77 @@ func (c *cursor) at(i int) int {
 	return c.ints[i]
 }
 
+// Table is one postings family: Keys in strictly ascending order and
+// Lists[i] the postings list of Keys[i]. Build, MergeDelta and the v2
+// file all hold a family in this sorted form, so a merge is two sorted
+// runs, the encoder writes the table in order and the store hands its
+// file order over as it is; a lookup is a binary search over Keys.
+type Table[K cmp.Ordered] struct {
+	Keys  []K
+	Lists []List
+}
+
+// Get returns the postings list of key, or nil when no entry bears it.
+// The search halves the candidate range without a data-dependent
+// branch (the comparison's result only moves base), so it pays no
+// branch mispredictions beyond the string comparisons' own.
+func (t *Table[K]) Get(key K) List {
+	keys := t.Keys
+	if len(keys) == 0 {
+		return nil
+	}
+	base := 0
+	for n := len(keys); n > 1; {
+		half := n / 2
+		if keys[base+half] <= key {
+			base += half
+		}
+		n -= half
+	}
+	if keys[base] == key {
+		return t.Lists[base]
+	}
+	return nil
+}
+
+// check reports an error unless t's keys are strictly ascending and
+// each has one list.
+func (t *Table[K]) check(family string) error {
+	if len(t.Keys) != len(t.Lists) {
+		return fmt.Errorf("index: %s table has %d keys for %d lists", family, len(t.Keys), len(t.Lists))
+	}
+	for i := 1; i < len(t.Keys); i++ {
+		if t.Keys[i-1] >= t.Keys[i] {
+			return fmt.Errorf("index: %s table keys not strictly ascending at %d", family, i)
+		}
+	}
+	return nil
+}
+
 // ListParts is the complete structural state of an index in exported
-// form: every postings family behind the List interface, the
+// form: every postings family as a sorted Table of Lists, the
 // precomputed flag sets and trigger counts, and the unique-
 // representative ordinals. It is the one carrier of postings across
 // the index/store boundary: BuildParts hands the FormatVersion 2
 // encoder heap lists to persist, and a v2 store hands FromLists spans
-// over its mapped ords section to reassemble an index from, without
-// re-walking any annotation or materializing []int copies.
+// over its mapped ords section, in file order, to reassemble an index
+// from, without re-walking any annotation or materializing []int
+// copies.
 //
 // Ordinals are positions in db.Errata() order, exactly as Build
 // produces them, so parts are only meaningful for a database whose
 // Errata() order is identical.
 type ListParts struct {
 	UniqueOrds   List
-	ByVendor     map[domain.Vendor]List
-	ByDoc        map[string]List
-	ByCategory   map[string]List
-	ByTriggerCat map[string]List
-	ByClass      map[string]List
-	ByKey        map[string]List
-	ByWorkaround map[domain.WorkaroundCategory]List
-	ByFix        map[domain.FixStatus]List
-	ByMSR        map[string]List
+	ByVendor     Table[domain.Vendor]
+	ByDoc        Table[string]
+	ByCategory   Table[string]
+	ByTriggerCat Table[string]
+	ByClass      Table[string]
+	ByKey        Table[string]
+	ByWorkaround Table[domain.WorkaroundCategory]
+	ByFix        Table[domain.FixStatus]
+	ByMSR        Table[string]
 	ComplexSet   List
 	SimOnlySet   List
 	// TriggerCount holds per-ordinal trigger-category counts (values,
@@ -171,10 +199,10 @@ type ListParts struct {
 // the annotation walk and the postings materialization; it only fills
 // the per-ordinal tables: lowered titles with their signatures, and
 // unique ranks. Only the cheap structural invariant — one trigger
-// count per entry, every unique ordinal in range and listed once — is
-// re-checked here; the store's open-time validation already
-// bounds-checked every ordinal and sorted every list. db must not be
-// mutated while the index is in use.
+// count per entry, every unique ordinal in range and listed once, every
+// table's keys strictly ascending — is re-checked here; the store's
+// open-time validation already bounds-checked every ordinal and sorted
+// every list. db must not be mutated while the index is in use.
 func FromLists(db *domain.Database, p *ListParts) (*Index, error) {
 	errata := db.Errata()
 	if n := listLen(p.TriggerCount); n != len(errata) {
@@ -182,6 +210,13 @@ func FromLists(db *domain.Database, p *ListParts) (*Index, error) {
 	}
 	rank, err := ranks(p.UniqueOrds, len(errata))
 	if err != nil {
+		return nil, err
+	}
+	if err := errors.Join(
+		p.ByVendor.check("vendor"), p.ByDoc.check("document"), p.ByCategory.check("category"),
+		p.ByTriggerCat.check("trigger-category"), p.ByClass.check("class"), p.ByKey.check("key"),
+		p.ByWorkaround.check("workaround"), p.ByFix.check("fix"), p.ByMSR.check("MSR"),
+	); err != nil {
 		return nil, err
 	}
 	ix := &Index{

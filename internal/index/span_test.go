@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"testing"
 
@@ -24,11 +25,11 @@ func spanOf(t *testing.T, l List) List {
 	return NewSpan(b)
 }
 
-func spanMap[K comparable](t *testing.T, m map[K]List) map[K]List {
+func spanTable[K cmp.Ordered](t *testing.T, tb Table[K]) Table[K] {
 	t.Helper()
-	out := make(map[K]List, len(m))
-	for k, l := range m {
-		out[k] = spanOf(t, l)
+	out := Table[K]{Keys: tb.Keys, Lists: make([]List, len(tb.Lists))}
+	for i, l := range tb.Lists {
+		out.Lists[i] = spanOf(t, l)
 	}
 	return out
 }
@@ -47,15 +48,15 @@ func TestSpanIndexEquivalence(t *testing.T) {
 		built := Build(gt.DB)
 		lp := &ListParts{
 			UniqueOrds:   spanOf(t, built.uniqueOrds),
-			ByVendor:     spanMap(t, built.byVendor),
-			ByDoc:        spanMap(t, built.byDoc),
-			ByCategory:   spanMap(t, built.byCategory),
-			ByTriggerCat: spanMap(t, built.byTriggerCat),
-			ByClass:      spanMap(t, built.byClass),
-			ByKey:        spanMap(t, built.byKey),
-			ByWorkaround: spanMap(t, built.byWorkaround),
-			ByFix:        spanMap(t, built.byFix),
-			ByMSR:        spanMap(t, built.byMSR),
+			ByVendor:     spanTable(t, built.byVendor),
+			ByDoc:        spanTable(t, built.byDoc),
+			ByCategory:   spanTable(t, built.byCategory),
+			ByTriggerCat: spanTable(t, built.byTriggerCat),
+			ByClass:      spanTable(t, built.byClass),
+			ByKey:        spanTable(t, built.byKey),
+			ByWorkaround: spanTable(t, built.byWorkaround),
+			ByFix:        spanTable(t, built.byFix),
+			ByMSR:        spanTable(t, built.byMSR),
 			ComplexSet:   spanOf(t, built.complexSet),
 			SimOnlySet:   spanOf(t, built.simOnlySet),
 			TriggerCount: spanOf(t, built.triggerCount),

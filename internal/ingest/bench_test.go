@@ -56,21 +56,44 @@ func BenchmarkColdRebuild(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeDelta isolates the index half: merging one changed
-// document into a warm index versus index.Build from scratch.
+// BenchmarkMergeDelta isolates the index half: merging into a warm
+// index versus index.Build from scratch. The unchanged row merges the
+// database into its own index (nothing fresh, nothing moves); the
+// one_doc row merges the revision of one document from another corpus
+// seed — the document in the middle of the database order, so about
+// half of the ordinals move — which is what a POST pays.
 func BenchmarkMergeDelta(b *testing.B) {
-	texts := seedTexts(b, 1)
 	in := New(Options{Parallelism: 1})
-	if _, err := in.Apply(texts); err != nil {
+	if _, err := in.Apply(seedTexts(b, 1)); err != nil {
 		b.Fatal(err)
 	}
 	db, prev := in.Snapshot()
-	b.Run("merge", func(b *testing.B) {
+	docs := db.Documents()
+	mid := docs[len(docs)/2].Key
+	var revision string
+	for _, text := range seedTexts(b, 2) {
+		if doc, _, err := specdoc.Parse(text); err == nil && doc.Key == mid {
+			revision = text
+		}
+	}
+	res, err := in.Apply([]string{revision})
+	if err != nil || !res.Changed {
+		b.Fatalf("Apply of the revision of %s: changed %v, %v", mid, res != nil && res.Changed, err)
+	}
+	b.Run("unchanged", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			index.MergeDelta(prev, db)
 		}
 	})
+	b.Run("one_doc", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			index.MergeDelta(prev, res.DB)
+		}
+	})
 	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			index.Build(db)
 		}

@@ -150,6 +150,11 @@ type Ingester struct {
 	db      *domain.Database  // current union, published objects
 	ix      *index.Index      // index.Build(db), built lazily by Snapshot
 
+	// titles holds, per live Intel document, its entries' normalized
+	// titles in entry order: what Apply uncounts when the document is
+	// replaced, without normalizing them again.
+	titles map[string][]string
+
 	docsTotal   *obs.Counter
 	errataTotal *obs.Counter
 	batches     *obs.Counter
@@ -183,6 +188,7 @@ func NewFrom(initial *domain.Database, opts Options) *Ingester {
 		byPrefix:   make(map[string][]*freshTitle),
 		rekey:      make(map[*domain.Erratum]string),
 		digests:    make(map[string]string),
+		titles:     make(map[string][]string),
 	}
 	docs := make(map[string]*domain.Document)
 	in.engine = classify.NewEngineConfig(classify.Config{Prefilter: true, Memo: true, Obs: reg})
@@ -199,16 +205,25 @@ func NewFrom(initial *domain.Database, opts Options) *Ingester {
 		// normalized title still freezes deterministically. Titles
 		// repeat across documents, so each distinct one is normalized
 		// once.
-		intel := initial.VendorErrata(domain.Intel)
-		norms := make([]string, len(intel))
+		var intel []*domain.Erratum
+		var norms []string
 		normOf := make(map[string]string)
-		for i, e := range intel {
-			n, ok := normOf[e.Title]
-			if !ok {
-				n = textsim.Normalize(e.Title)
-				normOf[e.Title] = n
+		for _, d := range initial.VendorDocuments(domain.Intel) {
+			titles := make([]string, len(d.Errata))
+			for j, e := range d.Errata {
+				n, ok := normOf[e.Title]
+				if !ok {
+					n = textsim.Normalize(e.Title)
+					normOf[e.Title] = n
+				}
+				titles[j] = n
 			}
-			norms[i] = n
+			in.titles[d.Key] = titles
+			intel = append(intel, d.Errata...)
+			norms = append(norms, titles...)
+		}
+		for i, e := range intel {
+			n := norms[i]
 			if _, ok := in.frozenKey[n]; !ok && e.Key != "" {
 				in.frozenKey[n] = e.Key
 				in.frozenKeys[e.Key] = true
@@ -321,17 +336,16 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 	}
 
 	// Only the batch and the documents it replaces change the
-	// fresh-title table, so only their titles are normalized.
+	// fresh-title table, so only the batch's titles are normalized; a
+	// replaced document's were kept when it went live.
 	union := maps.Clone(in.db.Docs)
 	delta := make(map[string]int)
 	norms := make(map[string][]string, len(batch)) // batch doc key -> normalized titles (Intel only)
 	for k, p := range batch {
-		if old, ok := union[k]; ok {
+		if _, ok := union[k]; ok {
 			res.Replaced++
-			if old.Vendor == domain.Intel {
-				for _, e := range old.Errata {
-					in.count(delta, textsim.Normalize(e.Title), -1)
-				}
+			for _, n := range in.titles[k] {
+				in.count(delta, n, -1)
 			}
 		}
 		ns := make([]string, len(p.doc.Errata))
@@ -421,6 +435,11 @@ func (in *Ingester) Apply(texts []string) (*Result, error) {
 	in.db, in.ix, in.rekey = db, nil, nil
 	for k, p := range batch {
 		in.digests[k] = p.digest
+		if p.doc.Vendor == domain.Intel {
+			in.titles[k] = norms[k]
+		} else {
+			delete(in.titles, k)
+		}
 	}
 	in.docsTotal.Add(int64(res.Docs))
 	in.errataTotal.Add(int64(res.Errata))

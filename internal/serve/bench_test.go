@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/index"
 	"repro/internal/store"
 )
 
@@ -106,16 +107,20 @@ func oneMatchTitle(tb testing.TB, srv *Server) string {
 
 // BenchmarkIngestPost is a layer benchmark, not serving latency: it
 // times errserve's ingest step without the HTTP stack, against a warm
-// server backed by a memory-mapped v2 store, as two layer rows. Each
+// server backed by a memory-mapped v2 store, as layer rows. Each
 // iteration replaces one document's live text with its rendering from
 // another corpus seed — ingest.Ingester.Apply, then SwapDelta — so every
 // Apply changes the corpus and every SwapDelta merges. The apply row
-// times Apply alone and the swap_delta row SwapDelta alone; the other
-// half runs with the timer stopped, so both rows walk the same sequence
-// of snapshots. scripts/bench_serve.sh reports both rows.
+// times Apply alone and the swap_delta row SwapDelta alone. Its two
+// sub-rows time SwapDelta's parts on the same snapshots:
+// swap_delta.merge the index merge (index.MergeDelta) and
+// swap_delta.fragments the fragment rows (store.BuildFragmentsDelta),
+// which add up to swap_delta but for the stats count and the install.
+// Everything else runs with the timer stopped, so every row walks the
+// same sequence of snapshots. scripts/bench_serve.sh reports the rows.
 func BenchmarkIngestPost(b *testing.B) {
 	texts := append(ingestTexts(b, 2), ingestTexts(b, 3)...)
-	for _, layer := range []string{"apply", "swap_delta"} {
+	for _, layer := range []string{"apply", "swap_delta", "swap_delta.merge", "swap_delta.fragments"} {
 		b.Run(layer, func(b *testing.B) {
 			srv, ing := mappedIngestServer(b)
 			b.ReportAllocs()
@@ -133,8 +138,20 @@ func BenchmarkIngestPost(b *testing.B) {
 				}
 				if layer == "apply" {
 					b.StopTimer()
-				} else {
+				}
+				prev := srv.snap.Load()
+				switch layer {
+				case "swap_delta":
 					b.StartTimer()
+				case "swap_delta.merge":
+					b.StartTimer()
+					index.MergeDelta(prev.ix, res.DB)
+					b.StopTimer()
+				case "swap_delta.fragments":
+					ix, remap := index.MergeDelta(prev.ix, res.DB)
+					b.StartTimer()
+					store.BuildFragmentsDelta(prev.frags, ix, remap)
+					b.StopTimer()
 				}
 				srv.SwapDelta(res.DB)
 				if layer == "apply" {

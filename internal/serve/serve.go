@@ -354,10 +354,8 @@ func (s *Server) Swap(db *domain.Database) uint64 {
 	return snap.gen
 }
 
-// fragmentsOf builds the response fragments of db. The error is dropped
-// on purpose: the partial set still serves every entry that marshaled,
-// so one entry whose DTO fails to marshal answers 500 on its own
-// requests instead of keeping the whole snapshot from being served.
+// fragmentsOf builds the response fragments of db (whose error is
+// always nil).
 func fragmentsOf(db *domain.Database) *store.Fragments {
 	frags, _ := store.BuildFragments(db)
 	return frags
@@ -446,11 +444,12 @@ func (s *Server) buildStoreSnapshot(sv *store.StoreV2) (*snapshot, error) {
 //
 // Every per-snapshot table shares the index's ordinals, so the install
 // costs O(batch) apart from integer work over the survivors:
-// index.MergeDelta remaps the previous postings and indexes only the
-// fresh entries, the fragment rows of survivors are carried through the
-// same remap and only fresh entries are marshaled, and the stats are
-// counted from the merged index's unique-representative list. No map
-// keyed by entry, no db.Unique() and no db.ComputeStats() runs here
+// index.MergeDelta merges the previous postings tables with the fresh
+// entries' without hashing, sharing every list the remap leaves
+// unchanged, the fragment rows of survivors are carried through the
+// same remap and only fresh entries' rows are appended, and the stats
+// are counted from the merged index's unique-representative list. No
+// map keyed by entry, no db.Unique() and no db.ComputeStats() runs here
 // (TestSwapDeltaAllocs gates the allocations by the batch size).
 //
 // Unlike Swap, the merge runs under swapMu: the previous snapshot must
@@ -468,8 +467,7 @@ func (s *Server) SwapDelta(db *domain.Database) uint64 {
 	s.mergeLat.Observe(time.Since(t0).Seconds())
 	ix.Instrument(s.reg)
 	snap := &snapshot{db: db, ix: ix, stats: ix.Stats()}
-	// The error is dropped for the reason fragmentsOf gives.
-	snap.frags, _ = store.BuildFragmentsDelta(prev.frags, ix, remap)
+	snap.frags, _ = store.BuildFragmentsDelta(prev.frags, ix, remap) // the error is always nil
 	if prev.region != nil {
 		// The delta database shares surviving entries by pointer with the
 		// previous snapshot, so its strings may alias the mapping: the

@@ -19,13 +19,17 @@ import (
 // revised document of seed 2 may allocate at most swapAllocsPerErratum
 // times its fresh entries — those the new database does not share with
 // the served one: the document's errata and any relabelled clones —
-// plus swapAllocsFixed. The fixed part is a few tables per postings
-// family and per snapshot (83 allocations measured on this corpus);
-// anything that builds per-entry state for the whole corpus, such as a
-// map keyed by entry, one postings slice per cluster key or a
-// db.Unique() pass, costs thousands of allocations here and fails.
+// plus swapAllocsFixed. The fixed part is the per-ordinal tables of
+// the snapshot (25 allocations measured on this corpus when nothing is
+// fresh: every postings table is shared); anything that builds
+// per-entry state for the whole corpus, such as a map keyed by entry,
+// one postings slice per cluster key or a db.Unique() pass, costs
+// thousands of allocations here and fails. The nothing-fresh swap may
+// also allocate at most swapBytesPerEntry bytes per served entry (141
+// measured): the per-ordinal tables fit, a copy of the postings does
+// not.
 func TestSwapDeltaAllocs(t *testing.T) {
-	const swapAllocsPerErratum, swapAllocsFixed = 25, 150
+	const swapAllocsPerErratum, swapAllocsFixed, swapBytesPerEntry = 25, 50, 160
 	srv, ing := mappedIngestServer(t)
 	check := func(what string, db *domain.Database) {
 		t.Helper()
@@ -47,6 +51,11 @@ func TestSwapDeltaAllocs(t *testing.T) {
 		if limit := uint64(swapAllocsPerErratum*batch + swapAllocsFixed); allocs > limit {
 			t.Errorf("%s: SwapDelta of %d fresh errata allocated %d times, want <= %d (%d per erratum + %d)",
 				what, batch, allocs, limit, swapAllocsPerErratum, swapAllocsFixed)
+		}
+		entries := len(db.Errata())
+		if bytes := after.TotalAlloc - before.TotalAlloc; batch == 0 && bytes > uint64(swapBytesPerEntry*entries) {
+			t.Errorf("%s: SwapDelta with nothing fresh allocated %d bytes, want <= %d (%d per entry)",
+				what, bytes, swapBytesPerEntry*entries, swapBytesPerEntry)
 		}
 	}
 	check("served database", srv.snap.Load().db)

@@ -2,6 +2,7 @@ package specdoc
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
@@ -17,6 +18,7 @@ import (
 //     the first round may collapse whitespace and canonicalize the
 //     summary table, but a second write/parse round trip must
 //     reproduce the document exactly.
+//  4. logicalLines equals its Split/Join definition, splitJoinLines.
 func FuzzParseDocument(f *testing.F) {
 	// Corpus-derived seeds, truncated to a handful of errata per
 	// document: full renderings run ~110KB and starve the mutator.
@@ -58,6 +60,9 @@ func FuzzParseDocument(f *testing.F) {
 		"Title: duplicated\n\nEND OF DOCUMENT\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
+		if got, want := logicalLines(input), splitJoinLines(input); !reflect.DeepEqual(got, want) {
+			t.Fatalf("logicalLines(%q) = %q, want %q", input, got, want)
+		}
 		doc1, _, err := Parse(input)
 		if err != nil {
 			return // rejected input; only panics are failures
@@ -77,4 +82,52 @@ func FuzzParseDocument(f *testing.F) {
 				doc2, doc3, text3)
 		}
 	})
+}
+
+// splitJoinLines is logicalLines' definition and test oracle: split
+// the text at every newline, append each non-blank line indented by two
+// spaces, trimmed, to the logical line before it, trim other lines'
+// trailing spaces and tabs, and join each logical line's parts with
+// one space.
+func splitJoinLines(text string) []string {
+	var parts [][]string
+	for _, l := range strings.Split(text, "\n") {
+		trimmedRight := strings.TrimRight(l, " \t")
+		if strings.HasPrefix(l, "  ") && len(parts) > 0 && strings.TrimSpace(l) != "" {
+			parts[len(parts)-1] = append(parts[len(parts)-1], strings.TrimSpace(trimmedRight))
+			continue
+		}
+		parts = append(parts, []string{trimmedRight})
+	}
+	out := make([]string, len(parts))
+	for i, p := range parts {
+		out[i] = strings.Join(p, " ")
+	}
+	return out
+}
+
+// TestLogicalLinesMatchSplitJoin holds logicalLines to splitJoinLines
+// over every rendered document of seeds 1-3 and over edge cases of the
+// continuation rule: leading, blank, whitespace-only and Unicode-space
+// continuations, runs of them, carriage returns and trailing newlines.
+func TestLogicalLinesMatchSplitJoin(t *testing.T) {
+	inputs := []string{
+		"", "\n", "a", "a\n", "  a", "  a\n  b", "a\n  b\n  c\nd\n", "a\n  \n  b",
+		"a\n  \t \n  b  \t", "a \t\n\t  b", "a\n   \u00a0b\u00a0\n", "a\r\n  b\r\n",
+		"\n  a\n  b", "a\n\n  b", "a\n  b\n\n  c\n  d", "x\n" + strings.Repeat("  y\n", 1000),
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		gt, err := corpus.Generate(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range gt.DB.Documents() {
+			inputs = append(inputs, Write(d, WriteOptions{}))
+		}
+	}
+	for _, in := range inputs {
+		if got, want := logicalLines(in), splitJoinLines(in); !reflect.DeepEqual(got, want) {
+			t.Fatalf("logicalLines(%.80q...) differs from splitJoinLines:\n got %q\nwant %q", in, got, want)
+		}
+	}
 }

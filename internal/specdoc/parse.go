@@ -58,24 +58,36 @@ func (p *parser) diag(id, kind, msg string) {
 }
 
 // logicalLines joins wrapped continuation lines (indented by two spaces)
-// back into logical lines. Fragments are collected per logical line and
-// joined once at the end: appending to a growing string instead is
-// quadratic in the run length, which adversarial inputs (thousands of
-// consecutive continuation lines) turn into seconds of work.
+// back into logical lines, in one pass over the text. A line without
+// continuations stays a substring of the text; a line with some is
+// written once into a strings.Builder with each continuation, trimmed,
+// after a space: appending to a growing string instead is quadratic in
+// the run length, which adversarial inputs (thousands of consecutive
+// continuation lines) turn into seconds of work.
 func logicalLines(text string) []string {
-	raw := strings.Split(text, "\n")
-	var parts [][]string
-	for _, l := range raw {
-		trimmedRight := strings.TrimRight(l, " \t")
-		if strings.HasPrefix(l, "  ") && len(parts) > 0 && strings.TrimSpace(l) != "" {
-			parts[len(parts)-1] = append(parts[len(parts)-1], strings.TrimSpace(trimmedRight))
-			continue
+	out := make([]string, 0, strings.Count(text, "\n")+1)
+	var b strings.Builder // the last line and its continuations, once it has one
+	for rest, more := text, true; more; {
+		var l string
+		l, rest, more = strings.Cut(rest, "\n")
+		if strings.HasPrefix(l, "  ") && len(out) > 0 {
+			if c := strings.TrimSpace(l); c != "" {
+				if b.Len() == 0 {
+					b.WriteString(out[len(out)-1])
+				}
+				b.WriteByte(' ')
+				b.WriteString(c)
+				continue
+			}
 		}
-		parts = append(parts, []string{trimmedRight})
+		if b.Len() > 0 {
+			out[len(out)-1] = b.String()
+			b.Reset()
+		}
+		out = append(out, strings.TrimRight(l, " \t"))
 	}
-	out := make([]string, len(parts))
-	for i, p := range parts {
-		out[i] = strings.Join(p, " ")
+	if b.Len() > 0 {
+		out[len(out)-1] = b.String()
 	}
 	return out
 }

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -406,64 +405,42 @@ func encodePostings(db *domain.Database, e *v2Encoder) (ords, post []byte, err e
 	emitList(p.ComplexSet)
 	emitList(p.SimOnlySet)
 
-	emitEnumMap := func(vals []uint32, lists []index.List) {
-		post = apU32(post, uint32(len(vals)))
-		for i, v := range vals {
-			post = apU32(post, v)
-			emitList(lists[i])
-		}
-	}
-	var vvals []uint32
-	var vlists []index.List
-	for _, v := range domain.Vendors {
-		if l, ok := p.ByVendor[v]; ok {
-			vvals = append(vvals, uint32(v))
-			vlists = append(vlists, l)
-		}
-	}
-	emitEnumMap(vvals, vlists)
-	vvals, vlists = nil, nil
-	for _, w := range domain.WorkaroundCategories {
-		if l, ok := p.ByWorkaround[w]; ok {
-			vvals = append(vvals, uint32(w))
-			vlists = append(vlists, l)
-		}
-	}
-	emitEnumMap(vvals, vlists)
-	vvals, vlists = nil, nil
-	for _, f := range domain.FixStatuses {
-		if l, ok := p.ByFix[f]; ok {
-			vvals = append(vvals, uint32(f))
-			vlists = append(vlists, l)
-		}
-	}
-	emitEnumMap(vvals, vlists)
-
-	emitStrMap := func(m map[string]index.List) {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		post = apU32(post, uint32(len(keys)))
-		for _, k := range keys {
+	emitEnumTable(&post, p.ByVendor, len(domain.Vendors), emitList)
+	emitEnumTable(&post, p.ByWorkaround, len(domain.WorkaroundCategories), emitList)
+	emitEnumTable(&post, p.ByFix, len(domain.FixStatuses), emitList)
+	for _, t := range []index.Table[string]{p.ByDoc, p.ByCategory, p.ByTriggerCat, p.ByClass, p.ByKey, p.ByMSR} {
+		post = apU32(post, uint32(len(t.Keys)))
+		for i, k := range t.Keys {
 			r := e.addString(k)
 			post = apU32(post, r.off)
 			post = apU32(post, r.ln)
-			emitList(m[k])
+			emitList(t.Lists[i])
 		}
 	}
-	emitStrMap(p.ByDoc)
-	emitStrMap(p.ByCategory)
-	emitStrMap(p.ByTriggerCat)
-	emitStrMap(p.ByClass)
-	emitStrMap(p.ByKey)
-	emitStrMap(p.ByMSR)
 
 	for _, c := range index.Ints(p.TriggerCount) {
 		post = apU32(post, uint32(c))
 	}
 	return ords, post, nil
+}
+
+// emitEnumTable appends one enum postings map to post: the table's
+// keys are ascending, which is the canonical value order; a value
+// outside the canonical range [0, max) is not persisted.
+func emitEnumTable[K ~int](post *[]byte, t index.Table[K], max int, emitList func(index.List)) {
+	n := 0
+	for _, k := range t.Keys {
+		if k >= 0 && int(k) < max {
+			n++
+		}
+	}
+	*post = apU32(*post, uint32(n))
+	for i, k := range t.Keys {
+		if k >= 0 && int(k) < max {
+			*post = apU32(*post, uint32(k))
+			emitList(t.Lists[i])
+		}
+	}
 }
 
 // encodeFragments precomputes the canonical JSON fragments of every
@@ -1141,31 +1118,33 @@ func (s *StoreV2) IndexLists() *index.ListParts {
 		UniqueOrds:   span(s.post.unique),
 		ComplexSet:   span(s.post.complexSet),
 		SimOnlySet:   span(s.post.simOnlySet),
-		ByVendor:     make(map[domain.Vendor]index.List, len(s.post.vendors)),
-		ByWorkaround: make(map[domain.WorkaroundCategory]index.List, len(s.post.workarounds)),
-		ByFix:        make(map[domain.FixStatus]index.List, len(s.post.fixes)),
+		ByVendor:     enumTable[domain.Vendor](s.post.vendors, span),
+		ByWorkaround: enumTable[domain.WorkaroundCategory](s.post.workarounds, span),
+		ByFix:        enumTable[domain.FixStatus](s.post.fixes, span),
 		TriggerCount: index.NewSpan(s.post.raw[s.post.trigOff : s.post.trigOff+s.nErr*4]),
 	}
-	for _, ev := range s.post.vendors {
-		p.ByVendor[domain.Vendor(ev.val)] = span(ev.list)
-	}
-	for _, ev := range s.post.workarounds {
-		p.ByWorkaround[domain.WorkaroundCategory(ev.val)] = span(ev.list)
-	}
-	for _, ev := range s.post.fixes {
-		p.ByFix[domain.FixStatus(ev.val)] = span(ev.list)
-	}
-	strMaps := [6]*map[string]index.List{
+	strTables := [6]*index.Table[string]{
 		&p.ByDoc, &p.ByCategory, &p.ByTriggerCat, &p.ByClass, &p.ByKey, &p.ByMSR,
 	}
-	for m, dst := range strMaps {
-		mm := make(map[string]index.List, len(s.post.strMaps[m]))
-		for _, kv := range s.post.strMaps[m] {
-			mm[s.str(kv.key.off, kv.key.ln)] = span(kv.list)
+	for m, dst := range strTables {
+		kvs := s.post.strMaps[m]
+		dst.Keys = make([]string, len(kvs))
+		dst.Lists = make([]index.List, len(kvs))
+		for i, kv := range kvs {
+			dst.Keys[i], dst.Lists[i] = s.str(kv.key.off, kv.key.ln), span(kv.list)
 		}
-		*dst = mm
 	}
 	return p
+}
+
+// enumTable is one enum postings map of the file as a Table, in file
+// order.
+func enumTable[K ~int](evs []v2ev, span func(v2list) index.List) index.Table[K] {
+	t := index.Table[K]{Keys: make([]K, len(evs)), Lists: make([]index.List, len(evs))}
+	for i, ev := range evs {
+		t.Keys[i], t.Lists[i] = K(ev.val), span(ev.list)
+	}
+	return t
 }
 
 // Fragments returns the precomputed response fragments as rows read in

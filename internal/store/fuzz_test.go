@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -171,6 +172,75 @@ func FuzzOpenV2(f *testing.F) {
 		}
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatalf("v2 cycle not canonical: first %d bytes, second %d bytes", len(enc1), len(enc2))
+		}
+	})
+}
+
+// FuzzFragmentRow is the oracle of the fragment appender: with fuzzed
+// strings in every string field of an erratum — IDs, key, title, the
+// four text fields, the MSRs and the category and concrete text of the
+// annotation items — and flags choosing which optional fields are
+// empty, the row appendMissing cuts must equal json.Marshal of DetailOf
+// and of Summarize, and KeyJSON json.Marshal of the key.
+func FuzzFragmentRow(f *testing.F) {
+	hostile := []string{
+		"", "plain", "bad\xff\xfe", "\xe2\x80", "\xed\xa0\x80", "ctl\x00\x01\x1f\x7f",
+		"\b\f\n\r\t", "sep\u2028\u2029", "<a href='x'>&amp;</a>", `"q" \ \\"`,
+		`,"seq":`, `a,"seq":1,"b`, "\ufffd", "\u00e9\U0001F600",
+	}
+	for i, s := range hostile {
+		f.Add(s, hostile[(i+1)%len(hostile)], hostile[(i+5)%len(hostile)], hostile[(i+9)%len(hostile)], i, uint8(i*37))
+	}
+	db := fuzzSeedDB(f)
+	f.Fuzz(func(t *testing.T, s0, s1, s2, s3 string, seq int, flags uint8) {
+		// A cleared bit empties an omitempty field or drops a flag.
+		on := func(bit uint, s string) string {
+			if flags&(1<<bit) == 0 {
+				return ""
+			}
+			return s
+		}
+		e := &domain.Erratum{
+			DocKey: s0, ID: s1, Key: on(0, s2), Seq: seq, Title: s3,
+			Description: on(1, s0+s1), Implication: on(2, s1), Workaround: on(3, s2), Status: on(4, s3),
+			WorkaroundCat: domain.WorkaroundCategory(seq & 7), Fix: domain.FixStatus(seq >> 3 & 3),
+			Ann: domain.Annotation{
+				Triggers: []domain.Item{{Category: s3, Concrete: on(5, s1)}, {Category: s0}},
+				Effects:  []domain.Item{{Category: s2, Concrete: s0}},
+				MSRs:     []string{s0, s3},
+			},
+		}
+		if flags&(1<<5) == 0 {
+			e.Ann.MSRs, e.Ann.Contexts = nil, []domain.Item{{Category: s1, Concrete: s2}}
+		}
+		if flags&(1<<6) != 0 {
+			e.Disclosed = time.Date(2000+seq%100, 3, 4, 0, 0, 0, 0, time.UTC)
+			e.DocKey = "intel-01" // a document db holds, so the vendor is set
+		}
+		e.Ann.ComplexConditions, e.Ann.SimulationOnly = flags&(1<<7) != 0, flags&(1<<2) != 0
+
+		frags := &Fragments{rows: make([][2][]byte, 1)}
+		frags.appendMissing(db, []*domain.Erratum{e})
+		wantD, err := json.Marshal(DetailOf(db, e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := frags.Detail(0); !bytes.Equal(got, wantD) {
+			t.Fatalf("detail row differs:\n got %s\nwant %s", got, wantD)
+		}
+		wantS, err := json.Marshal(Summarize(db, e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := frags.Summary(0); !bytes.Equal(got, wantS) {
+			t.Fatalf("summary row differs:\n got %s\nwant %s", got, wantS)
+		}
+		var wantK []byte
+		if e.Key != "" {
+			wantK, _ = json.Marshal(e.Key)
+		}
+		if got := frags.KeyJSON(0); !bytes.Equal(got, wantK) {
+			t.Fatalf("key literal %s, want %s", got, wantK)
 		}
 	})
 }

@@ -10,10 +10,12 @@
 #    handler — the gate that keeps per-request wrappers cheap.
 # 2. Runs BenchmarkIngestPost (internal/serve): errserve's ingest step
 #    for one revised document onto a warm server backed by a mapped v2
-#    store, without HTTP, as two layer rows — ingest.Ingester.Apply
-#    ("apply") and Server.SwapDelta ("swap_delta"). They are layer rows,
-#    not serving latency; the POST's end-to-end figure is e2ebench's
-#    ingest-mixed workload.
+#    store, without HTTP, as layer rows — ingest.Ingester.Apply
+#    ("apply"), Server.SwapDelta ("swap_delta") and SwapDelta's two
+#    parts, the index merge ("swap_delta.merge") and the fragment rows
+#    ("swap_delta.fragments"). They are layer rows, not serving
+#    latency; the POST's end-to-end figure is e2ebench's ingest-mixed
+#    workload.
 # 3. Builds errserve and errload, boots a server on a private port,
 #    drives the errload traffic mix at a fixed rate, and records the
 #    exact client-side latency of the /v1/errata request class (errload
@@ -27,7 +29,9 @@
 #              "samples": ..., "requests": ..., "errors": 0}],
 #    "ladder": [{"rung": "bare", "ns_per_op": ..., "allocs_per_op": ...}, ...],
 #    "ingest": [{"layer": "apply", "ns_per_op": ..., "bytes_per_op": ...,
-#                "allocs_per_op": ...}, {"layer": "swap_delta", ...}]}
+#                "allocs_per_op": ...}, {"layer": "swap_delta", ...},
+#               {"layer": "swap_delta.merge", ...},
+#               {"layer": "swap_delta.fragments", ...}]}
 #
 # samples is the errata class's successful requests; at the default
 # 300 rps for 10s there are ~1,250, so p99 has ~12 samples beyond it.
@@ -82,8 +86,8 @@ awk '/^BenchmarkIngestPost\// {
     print layer, $3, $5, $7
 }' "$WORK/ingest.txt" >"$WORK/ingest.rows"
 cat "$WORK/ingest.rows" >&2
-if [ "$(wc -l <"$WORK/ingest.rows")" -ne 2 ]; then
-    echo "FAIL: BenchmarkIngestPost did not report the apply and swap_delta rows" >&2
+if [ "$(wc -l <"$WORK/ingest.rows")" -ne 4 ]; then
+    echo "FAIL: BenchmarkIngestPost did not report the apply, swap_delta, swap_delta.merge and swap_delta.fragments rows" >&2
     cat "$WORK/ingest.txt" >&2
     exit 1
 fi
